@@ -14,8 +14,9 @@
 //! level).
 //!
 //! The hot path is allocation-free in the steady state: each scenario
-//! execution owns one [`PhyScratch`] and one reusable [`RxResult`],
-//! reused across all of its packets, the decoders reuse their trellis
+//! execution owns one [`PhyScratch`](wilis_phy::PhyScratch) and one
+//! reusable [`RxResult`](wilis_phy::RxResult), reused across all of its
+//! packets, the decoders reuse their trellis
 //! scratch, and channels are seed-addressed [`ChannelModel`]s — so
 //! Monte-Carlo depth (packets per point) costs arithmetic, not the
 //! allocator. Decoder construction shares one compiled trellis per
@@ -86,27 +87,31 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use wilis_channel::{
-    resolve_slot, AwgnChannel, AwgnModel, Channel, ChannelModel, FadingModel, ReplayModel,
-    SlotOutcome, SnrDb, TraceModel, TxPower,
-};
-use wilis_fec::{CodeRate, CompiledTrellis, Llr, MAX_BATCH_LANES, MAX_HINT};
-use wilis_fxp::rng::{mix_seed, SmallRng};
-use wilis_fxp::Cplx;
+use wilis_channel::{AwgnModel, ChannelModel, FadingModel, ReplayModel, SnrDb, TraceModel};
+use wilis_fec::CodeRate;
 use wilis_lis::registry::{Params, Registry, RegistryError};
-use wilis_mac::cell::{
-    BackoffState, CellMetrics, ContentionPolicy, CsmaBackoff, SlotView, SlottedAloha, TdmaOracle,
-    TxDecision,
-};
-use wilis_mac::link::{LinkContext, LinkMetrics, LinkPolicy, LinkStatus, Oracle};
+use wilis_mac::cell::{CellMetrics, ContentionPolicy, CsmaBackoff, SlottedAloha, TdmaOracle};
+use wilis_mac::link::{LinkMetrics, LinkPolicy};
 use wilis_mac::ppr::PprConfig;
 use wilis_mac::{ArqLink, HarqConfig, HarqLink, PprLink, SoftRate, SoftRateLink};
-use wilis_phy::{PhyRate, PhyScratch, Receiver, RxResult, Transmitter};
-use wilis_softphy::{BerEstimator, DecoderKind, HintBin, ScalingFactors};
+use wilis_phy::PhyRate;
+use wilis_softphy::{DecoderKind, HintBin};
 
 use crate::faults::{FaultInjector, FaultReport, FaultSite, PointOutcome, Quarantine};
 use crate::supervisor;
 use crate::{SystemConfig, WilisSystem};
+
+mod cell;
+mod engine;
+mod plan;
+mod render;
+mod stopping;
+
+use cell::run_cell;
+use engine::{run_group, run_scenario};
+use plan::{runtime_link_params, GroupKey, Job};
+pub use render::{render_cell_table, render_link_table, render_table};
+pub use stopping::{StopMetric, StoppingRule};
 
 /// A factory slot for seed-addressed channel models.
 pub type ChannelSlot = Registry<Box<dyn ChannelModel>>;
@@ -613,167 +618,6 @@ impl Default for SweepGrid {
 pub type SweepEnv = (WilisSystem, ChannelSlot, LinkSlot, ContentionSlot);
 
 type EnvFactory = dyn Fn() -> SweepEnv + Send + Sync;
-
-/// One unit of worker-pool work: a lone scenario, or a set of scenarios
-/// sharing a single transmit + channel realization per packet.
-#[derive(Debug, Clone)]
-enum Job {
-    /// A scenario that must run alone (its link policy steers the rate).
-    Solo(usize),
-    /// Scenarios sharing `(rate, channel, params, snr, seed, packets,
-    /// payload)` — one channel realization serves every member.
-    Shared(Vec<usize>),
-}
-
-/// The typed shared-channel coordinate two scenarios must agree on, field
-/// for field, to fuse into one [`Job::Shared`]: rate, channel name and
-/// parameters, SNR (as bits — NaN-safe exact equality), seed, packet
-/// budget, payload size. A structured tuple rather than a formatted
-/// string, so free-form registry names can never collide into one key.
-type GroupKey = (PhyRate, String, Params, u64, u64, u32, usize);
-
-/// The link-policy parameters as the engine fills them in at run time:
-/// the grid's own parameters plus `payload_bits` and `initial_rate_mbps`
-/// from the scenario. One definition shared by eligibility probing, the
-/// solo path, and the fused path, so a future run-time parameter cannot
-/// be added to one and missed in another.
-fn runtime_link_params(sc: &Scenario) -> Params {
-    let mut link_params = sc.link_params.clone();
-    link_params.set("payload_bits", &format!("{}", sc.payload_bits.max(1)));
-    link_params.set("initial_rate_mbps", &format!("{}", sc.rate.mbps()));
-    link_params
-}
-
-/// Which Monte-Carlo estimate a [`StoppingRule`] watches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum StopMetric {
-    /// The payload bit-error rate — trials are received payload bits.
-    Ber,
-    /// The packet-error rate — trials are received packets.
-    Per,
-}
-
-/// Confidence-driven sequential stopping for Monte-Carlo grid points.
-///
-/// A point runs packets in chunks of `chunk_packets`; at each chunk
-/// boundary the Wilson score interval of the watched error rate is
-/// evaluated, and the point stops as soon as the interval half-width
-/// closes below `target_half_width` — or at the scenario's `packets`
-/// budget, whichever comes first. The budget is the hard cap: a point
-/// whose interval never closes (e.g. BER pinned near 0.5 deep in the
-/// waterfall) runs exactly the packets it would have run without a rule.
-///
-/// Determinism: the decision at a boundary is a pure function of the
-/// integer error/trial counters accumulated so far, which are themselves
-/// pure functions of `(scenario seed, packet index)`. The chunk schedule
-/// therefore never depends on thread count, on co-scheduled grid points,
-/// or on whether earlier points came from a warm cache — the bit-identity
-/// contract of [`SweepRunner`] survives intact. In a fused shared-channel
-/// job each member applies its *own* rule to its *own* tally and simply
-/// stops observing at its stop point, so fused results remain
-/// bit-identical to solo runs.
-///
-/// HARQ scenarios evaluate the boundary on *logical* packets (the seed
-/// schedule axis) while the interval uses the attempt-level tally that
-/// [`ScenarioResult::packets`] reports. Contention cells ignore stopping
-/// rules: a cell's slot budget is the workload definition, not a
-/// Monte-Carlo depth.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StoppingRule {
-    /// The estimate whose confidence interval drives stopping.
-    pub metric: StopMetric,
-    /// Stop once the Wilson half-width is at or below this.
-    pub target_half_width: f64,
-    /// The normal quantile of the interval (1.96 ≈ 95% confidence).
-    pub z: f64,
-    /// Packets per chunk between boundary checks.
-    pub chunk_packets: u32,
-}
-
-impl StoppingRule {
-    /// A BER-watching rule at 95% confidence with the default chunk size.
-    pub fn ber(target_half_width: f64) -> Self {
-        Self {
-            metric: StopMetric::Ber,
-            target_half_width,
-            z: 1.96,
-            chunk_packets: 32,
-        }
-    }
-
-    /// A PER-watching rule at 95% confidence with the default chunk size.
-    pub fn per(target_half_width: f64) -> Self {
-        Self {
-            metric: StopMetric::Per,
-            ..Self::ber(target_half_width)
-        }
-    }
-
-    /// Replaces the confidence quantile.
-    pub fn with_z(mut self, z: f64) -> Self {
-        self.z = z;
-        self
-    }
-
-    /// Replaces the chunk size.
-    pub fn with_chunk(mut self, packets: u32) -> Self {
-        self.chunk_packets = packets;
-        self
-    }
-
-    /// The Wilson score interval half-width for `errors` successes in
-    /// `trials` Bernoulli trials at quantile `z`. Returns `f64::INFINITY`
-    /// for zero trials, so a rule can never stop before observing data.
-    pub fn wilson_half_width(errors: u64, trials: u64, z: f64) -> f64 {
-        if trials == 0 {
-            return f64::INFINITY;
-        }
-        let n = trials as f64;
-        let p = errors as f64 / n;
-        let z2 = z * z;
-        let denom = 1.0 + z2 / n;
-        (z / denom) * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt()
-    }
-
-    fn validate(&self) -> Result<(), RegistryError> {
-        // is_finite() also rejects NaN, which every comparison below
-        // would otherwise wave through.
-        if !self.target_half_width.is_finite() || self.target_half_width <= 0.0 {
-            return Err(RegistryError::invalid_config(format!(
-                "stopping rule target_half_width must be positive and finite, got {}",
-                self.target_half_width
-            )));
-        }
-        if !self.z.is_finite() || self.z <= 0.0 {
-            return Err(RegistryError::invalid_config(format!(
-                "stopping rule z must be positive and finite, got {}",
-                self.z
-            )));
-        }
-        if self.chunk_packets == 0 {
-            return Err(RegistryError::invalid_config(
-                "stopping rule chunk_packets must be at least 1",
-            ));
-        }
-        Ok(())
-    }
-
-    /// True when `packets_done` received packets land on a chunk
-    /// boundary — the only points where a stop decision may be taken.
-    fn is_boundary(&self, packets_done: u64) -> bool {
-        packets_done > 0 && packets_done % u64::from(self.chunk_packets) == 0
-    }
-
-    /// True when the watched interval has closed, given the tally after
-    /// `receives` received packets of `payload_bits` each.
-    fn closed(&self, tally: &PacketTally, receives: u64, payload_bits: usize) -> bool {
-        let (errors, trials) = match self.metric {
-            StopMetric::Ber => (tally.bit_errors, receives * payload_bits as u64),
-            StopMetric::Per => (tally.packet_errors, receives),
-        };
-        Self::wilson_half_width(errors, trials, self.z) <= self.target_half_width
-    }
-}
 
 /// Executes scenario grids across a worker pool.
 ///
@@ -1415,1211 +1259,6 @@ impl std::fmt::Debug for SweepRunner {
             if self.stopping.is_some() { "on" } else { "off" }
         )
     }
-}
-
-/// Per-rate receiver machinery, built lazily: PHY-only scenarios and
-/// non-adapting link policies only ever touch the scenario's own rate;
-/// rate-adapting policies and the oracle fill in the rest on demand.
-struct RateBank {
-    rx: Vec<Option<(Receiver, Option<BerEstimator>)>>,
-}
-
-impl RateBank {
-    fn new() -> Self {
-        Self {
-            rx: PhyRate::all().map(|_| None).into(),
-        }
-    }
-
-    fn get(
-        &mut self,
-        system: &WilisSystem,
-        decoder: &str,
-        kind: Option<DecoderKind>,
-        rate: PhyRate,
-    ) -> Result<&mut (Receiver, Option<BerEstimator>), RegistryError> {
-        let idx = rate_index(rate);
-        if self.rx[idx].is_none() {
-            let mut config = SystemConfig::new(rate, decoder);
-            config.demapper_bits = ScalingFactors::hint_demapper_bits(rate.modulation());
-            let estimator = kind.map(|k| BerEstimator::analytic_for_rate(rate, k));
-            self.rx[idx] = Some((system.receiver(&config)?, estimator));
-        }
-        Ok(self.rx[idx].as_mut().expect("filled above")) // lint: allow(panic-policy) — the branch above just populated this slot
-    }
-
-    /// Removes the built machinery for `rate` from the bank — the fused
-    /// execution path constructs through [`RateBank::get`] (one shared
-    /// code path with the solo loop) and then owns its single rate.
-    fn take(&mut self, rate: PhyRate) -> Option<(Receiver, Option<BerEstimator>)> {
-        self.rx[rate_index(rate)].take()
-    }
-}
-
-fn rate_index(rate: PhyRate) -> usize {
-    PhyRate::all()
-        .iter()
-        .position(|&r| r == rate)
-        .expect("rate in table") // lint: allow(panic-policy) — PhyRate::all() contains every enum variant
-}
-
-/// Replays the packet at every rate against the identical channel
-/// realization (same channel seed) and returns the fastest rate that
-/// decoded error-free — the Figure 7 oracle, grounded on the
-/// seed-addressed [`ChannelModel`] contract. The oracle decodes with
-/// Viterbi (hard decisions suffice for ground truth); all eight per-rate
-/// receivers share the caller's one compiled trellis instead of
-/// rebuilding decoder state per rate.
-#[allow(clippy::too_many_arguments)]
-fn oracle_replay(
-    channel: &mut dyn ChannelModel,
-    trellis: &Arc<CompiledTrellis>,
-    chan_seed: u64,
-    payload: &[u8],
-    scramble_seed: u8,
-    oracle_rx: &mut [Option<(Receiver, PhyScratch)>],
-    samples: &mut Vec<Cplx>,
-    got: &mut RxResult,
-) -> Oracle {
-    let mut best = None;
-    for (ri, &rate) in PhyRate::all().iter().enumerate() {
-        let (rx, scratch) = oracle_rx[ri].get_or_insert_with(|| {
-            (
-                Receiver::viterbi_shared(rate, Arc::clone(trellis)),
-                PhyScratch::new(),
-            )
-        });
-        Transmitter::new(rate).tx_into(payload, scramble_seed, scratch, samples);
-        channel.apply(samples, chan_seed);
-        rx.rx_from(samples, payload.len(), scramble_seed, scratch, got);
-        if got.bit_errors(payload) == 0 {
-            best = Some(rate); // rates iterate slowest -> fastest
-        }
-    }
-    match best {
-        Some(rate) => Oracle::Best(rate),
-        None => Oracle::NoRate,
-    }
-}
-
-/// The Monte-Carlo accumulators of one grid point, with the per-packet
-/// accounting in one place. Both execution paths — the solo loop of
-/// [`run_scenario`] and the fused loop of [`run_group`] — tally through
-/// this struct, so the fused==solo bit-identity contract cannot be broken
-/// by editing one path's statistics and forgetting the other's.
-struct PacketTally {
-    hint_bins: Vec<HintBin>,
-    packet_errors: u64,
-    bit_errors: u64,
-    predicted_pber_sum: f64,
-    packet_stats: Vec<PacketStat>,
-}
-
-impl PacketTally {
-    fn new() -> Self {
-        Self {
-            hint_bins: vec![HintBin::default(); usize::from(MAX_HINT) + 1],
-            packet_errors: 0,
-            bit_errors: 0,
-            predicted_pber_sum: 0.0,
-            packet_stats: Vec::new(),
-        }
-    }
-
-    /// Accounts one received packet against the transmitted payload:
-    /// hint-binned bit errors, packet errors, the SoftPHY PBER estimate,
-    /// and (when `record` is on) the Figure 6 scatter point. Returns the
-    /// packet's bit-error count and predicted PBER for the link layer.
-    fn observe(
-        &mut self,
-        sent: &[u8],
-        got: &RxResult,
-        estimator: Option<&BerEstimator>,
-        record: bool,
-    ) -> (u64, f64) {
-        let mut errs_this_packet = 0u64;
-        for ((&sent_bit, &got_bit), &hint) in sent.iter().zip(&got.payload).zip(&got.hints) {
-            let bin = &mut self.hint_bins[usize::from(hint)];
-            bin.bits += 1;
-            if sent_bit != got_bit {
-                bin.errors += 1;
-                errs_this_packet += 1;
-            }
-        }
-        self.bit_errors += errs_this_packet;
-        if errs_this_packet > 0 {
-            self.packet_errors += 1;
-        }
-        let predicted = estimator
-            .map(|est| est.per_packet(&got.hints))
-            .unwrap_or(0.0);
-        self.predicted_pber_sum += predicted;
-        if record {
-            self.packet_stats.push(PacketStat {
-                predicted,
-                actual: errs_this_packet as f64 / sent.len().max(1) as f64,
-            });
-        }
-        (errs_this_packet, predicted)
-    }
-
-    /// Folds the tally into the final per-scenario result. `packets` is
-    /// the number of packets that actually reached the receiver —
-    /// `sc.packets` for point-to-point scenarios, the surviving
-    /// transmission count for cells.
-    fn into_result(
-        self,
-        index: usize,
-        sc: &Scenario,
-        packets: u64,
-        link: Option<LinkMetrics>,
-        cell: Option<CellMetrics>,
-    ) -> ScenarioResult {
-        ScenarioResult {
-            scenario: index,
-            label: sc.label(),
-            packets,
-            packet_errors: self.packet_errors,
-            bits: packets * sc.payload_bits as u64,
-            bit_errors: self.bit_errors,
-            hint_bins: self.hint_bins,
-            predicted_pber_sum: self.predicted_pber_sum,
-            packet_stats: self.packet_stats,
-            link,
-            cell,
-        }
-    }
-}
-
-/// Executes one scenario: the allocation-free steady-state loop at the
-/// heart of the engine.
-fn run_scenario(
-    system: &WilisSystem,
-    channels: &ChannelSlot,
-    links: &LinkSlot,
-    index: usize,
-    sc: &Scenario,
-    record: bool,
-    stopping: Option<StoppingRule>,
-) -> Result<ScenarioResult, RegistryError> {
-    let decoder_kind = DecoderKind::from_registry_name(&sc.decoder);
-    let mut bank = RateBank::new();
-    bank.get(system, &sc.decoder, decoder_kind, sc.rate)?;
-    let mut channel_params = sc.channel_params.clone();
-    channel_params.set("snr_db", &format!("{}", sc.snr_db));
-    let mut channel = channels.build(&sc.channel, &channel_params)?;
-    let mut policy: Option<Box<dyn LinkPolicy>> = if sc.link == "none" {
-        None
-    } else {
-        Some(links.build(&sc.link, &runtime_link_params(sc))?)
-    };
-    if policy.as_mut().is_some_and(|p| p.harq().is_some()) {
-        // Soft-combining replays the *same* payload per attempt, so the
-        // packet axis becomes an attempt loop of its own.
-        let policy = policy.expect("harq() probe above saw a policy"); // lint: allow(panic-policy) — is_some_and returned true, so the option is Some
-        return run_harq_scenario(&mut bank, channels, index, sc, policy, record, stopping);
-    }
-    let needs_oracle = policy.as_ref().is_some_and(|p| p.needs_oracle());
-    let shared_trellis = system.compiled_ieee80211();
-
-    let mut scratch = PhyScratch::new();
-    let mut samples: Vec<Cplx> = Vec::new();
-    let mut payload: Vec<u8> = Vec::new();
-    let mut got = RxResult::default();
-    // Oracle working memory, touched only by oracle-requesting policies.
-    let mut oracle_rx: Vec<Option<(Receiver, PhyScratch)>> = PhyRate::all().map(|_| None).into();
-    let mut oracle_samples: Vec<Cplx> = Vec::new();
-    let mut oracle_got = RxResult::default();
-
-    let mut tally = PacketTally::new();
-    let mut current_rate = sc.rate;
-    let mut observed: u64 = 0;
-
-    for p in 0..sc.packets {
-        let packet_seed = mix_seed(sc.seed, u64::from(p));
-        let mut rng = SmallRng::seed_from_u64(packet_seed);
-        payload.clear();
-        payload.extend((0..sc.payload_bits).map(|_| rng.gen_bit()));
-        let scramble_seed = (p % 127 + 1) as u8;
-        let chan_seed = mix_seed(packet_seed, 1);
-
-        let (rx, estimator) = bank.get(system, &sc.decoder, decoder_kind, current_rate)?;
-        Transmitter::new(current_rate).tx_into(&payload, scramble_seed, &mut scratch, &mut samples);
-        channel.apply(&mut samples, chan_seed);
-        rx.rx_from(
-            &samples,
-            payload.len(),
-            scramble_seed,
-            &mut scratch,
-            &mut got,
-        );
-
-        let (errs_this_packet, predicted) =
-            tally.observe(&payload, &got, estimator.as_ref(), record);
-
-        if let Some(policy) = policy.as_mut() {
-            let oracle = if needs_oracle {
-                oracle_replay(
-                    channel.as_mut(),
-                    &shared_trellis,
-                    chan_seed,
-                    &payload,
-                    scramble_seed,
-                    &mut oracle_rx,
-                    &mut oracle_samples,
-                    &mut oracle_got,
-                )
-            } else {
-                Oracle::Unavailable
-            };
-            let ctx = LinkContext {
-                sent: &payload,
-                bit_errors: errs_this_packet,
-                predicted_pber: predicted,
-                rate: current_rate,
-                oracle,
-            };
-            let verdict = policy.observe(&got, &got.hints, &ctx);
-            if let Some(next) = verdict.next_rate {
-                current_rate = next;
-            }
-        }
-        observed = u64::from(p) + 1;
-        if let Some(rule) = stopping {
-            if rule.is_boundary(observed) && rule.closed(&tally, observed, sc.payload_bits) {
-                break;
-            }
-        }
-    }
-
-    Ok(tally.into_result(index, sc, observed, policy.map(|p| p.metrics()), None))
-}
-
-/// Seed-stream tag for HARQ retransmission attempts, in the family of
-/// [`BACKOFF_STREAM`] and [`ARRIVAL_STREAM`]: attempt 0 of a packet draws
-/// exactly the seeds a non-HARQ packet draws (the strict-generalization
-/// anchor), and attempt `a > 0` of packet seed `s` draws from
-/// `mix_seed(s, HARQ_ATTEMPT_STREAM | a)` — fresh channel noise per
-/// retransmission, pure in `(scenario seed, packet, attempt)`.
-const HARQ_ATTEMPT_STREAM: u64 = 0x4A59_0000_0000_0000;
-
-/// The channel seed of HARQ attempt `attempt` of the packet with seed
-/// `packet_seed` — used identically by the point-to-point attempt loop
-/// and the cell path, so the two can never drift apart.
-fn harq_attempt_seed(packet_seed: u64, attempt: u32) -> u64 {
-    if attempt == 0 {
-        packet_seed
-    } else {
-        mix_seed(packet_seed, HARQ_ATTEMPT_STREAM | u64::from(attempt))
-    }
-}
-
-/// Executes one soft-combining HARQ scenario: `sc.packets` *logical*
-/// packets, each an attempt loop that retransmits the identical payload
-/// until the link policy closes it (delivered or budget exhausted).
-///
-/// Per attempt the transmitter punctures at the phase the policy's
-/// [`wilis_mac::HarqCore`] schedules (phase 0 for Chase; the IR schedule
-/// otherwise), the receiver front end produces the attempt's mother-code
-/// LLR plane, the core absorbs it (first attempt retains, retransmissions
-/// saturating-add), and the *combined* plane re-enters the decoder — so a
-/// retransmission decodes with everything earlier attempts learned.
-/// Every attempt's channel realization derives from
-/// [`harq_attempt_seed`]; attempt 0 draws exactly the seeds the plain
-/// solo loop draws.
-///
-/// The [`PacketTally`] observes every decode (one per attempt), so
-/// `ScenarioResult::packets` counts attempts — the same
-/// one-row-per-receive accounting the ARQ solo path produces.
-fn run_harq_scenario(
-    bank: &mut RateBank,
-    channels: &ChannelSlot,
-    index: usize,
-    sc: &Scenario,
-    mut policy: Box<dyn LinkPolicy>,
-    record: bool,
-    stopping: Option<StoppingRule>,
-) -> Result<ScenarioResult, RegistryError> {
-    let (mut rx, estimator) = bank
-        .take(sc.rate)
-        .expect("run_scenario populated the bank before dispatching here"); // lint: allow(panic-policy) — the caller's bank.get succeeded for this rate
-    let mut channel_params = sc.channel_params.clone();
-    channel_params.set("snr_db", &format!("{}", sc.snr_db));
-    let mut channel = channels.build(&sc.channel, &channel_params)?;
-
-    let mut scratch = PhyScratch::new();
-    let mut samples: Vec<Cplx> = Vec::new();
-    let mut payload: Vec<u8> = Vec::new();
-    let mut mother: Vec<Llr> = Vec::new();
-    let mut got = RxResult::default();
-    let mut tally = PacketTally::new();
-    let mut receives: u64 = 0;
-
-    for p in 0..sc.packets {
-        let packet_seed = mix_seed(sc.seed, u64::from(p));
-        let mut rng = SmallRng::seed_from_u64(packet_seed);
-        payload.clear();
-        payload.extend((0..sc.payload_bits).map(|_| rng.gen_bit()));
-        // Scramble identity follows the *logical* packet: a
-        // retransmission is the same packet on the air.
-        let scramble_seed = (p % 127 + 1) as u8;
-
-        loop {
-            {
-                let core = policy
-                    .harq()
-                    .expect("preflight pinned a combining policy on this path"); // lint: allow(panic-policy) — run_scenario dispatches here only when harq() is Some
-                let phase = core.tx_phase();
-                let chan_seed = mix_seed(harq_attempt_seed(packet_seed, core.attempt()), 1);
-                Transmitter::with_phase(sc.rate, phase).tx_into(
-                    &payload,
-                    scramble_seed,
-                    &mut scratch,
-                    &mut samples,
-                );
-                channel.apply(&mut samples, chan_seed);
-                rx.set_puncture_phase(phase);
-                rx.rx_front_end_into(&samples, payload.len(), &mut scratch, &mut mother);
-                core.absorb(&mother);
-                rx.rx_decode_from(
-                    core.plane(),
-                    payload.len(),
-                    scramble_seed,
-                    &mut scratch,
-                    &mut got,
-                );
-            }
-            receives += 1;
-            let (errs_this_packet, predicted) =
-                tally.observe(&payload, &got, estimator.as_ref(), record);
-            let ctx = LinkContext {
-                sent: &payload,
-                bit_errors: errs_this_packet,
-                predicted_pber: predicted,
-                rate: sc.rate,
-                oracle: Oracle::Unavailable,
-            };
-            let verdict = policy.observe(&got, &got.hints, &ctx);
-            assert!(
-                verdict.next_rate.is_none() || verdict.next_rate == Some(sc.rate),
-                "link policy {:?} declared adapts_rate() == false but asked to \
-                 steer the transmit rate",
-                policy.name()
-            );
-            if verdict.status != LinkStatus::Retransmit {
-                break;
-            }
-        }
-        // The boundary walks the *logical* packet axis — the seed
-        // schedule — while the interval watches the attempt-level tally,
-        // the same accounting `ScenarioResult::packets` reports.
-        if let Some(rule) = stopping {
-            if rule.is_boundary(u64::from(p) + 1) && rule.closed(&tally, receives, sc.payload_bits)
-            {
-                break;
-            }
-        }
-    }
-
-    Ok(tally.into_result(index, sc, receives, Some(policy.metrics()), None))
-}
-
-/// Per-member receive state of a shared-channel job: everything that is
-/// *not* shared — receiver, estimator, scratch, link policy, and the same
-/// [`PacketTally`] the solo path accumulates through.
-struct GroupMember<'a> {
-    index: usize,
-    scenario: &'a Scenario,
-    rx: Receiver,
-    estimator: Option<BerEstimator>,
-    scratch: PhyScratch,
-    /// One receive result per lane of the current packet block; the
-    /// batched RX path fills all of them in lockstep.
-    got_lanes: Vec<RxResult>,
-    policy: Option<Box<dyn LinkPolicy>>,
-    needs_oracle: bool,
-    tally: PacketTally,
-    /// Packets this member has observed — `scenario.packets` unless its
-    /// stopping rule closed the interval first.
-    observed: u64,
-    /// Set once the member's own stopping rule fires: the member freezes
-    /// its tally and policy at exactly the packet where its solo run
-    /// would have stopped, so fused results stay bit-identical to solo
-    /// results even when co-members keep running.
-    stopped: bool,
-}
-
-impl<'a> GroupMember<'a> {
-    fn build(
-        system: &WilisSystem,
-        links: &LinkSlot,
-        index: usize,
-        sc: &'a Scenario,
-    ) -> Result<Self, RegistryError> {
-        let decoder_kind = DecoderKind::from_registry_name(&sc.decoder);
-        let mut bank = RateBank::new();
-        bank.get(system, &sc.decoder, decoder_kind, sc.rate)?;
-        let (rx, estimator) = bank
-            .take(sc.rate)
-            .expect("receiver built into the bank above"); // lint: allow(panic-policy) — the bank was populated for this rate a few lines up
-        let policy: Option<Box<dyn LinkPolicy>> = if sc.link == "none" {
-            None
-        } else {
-            Some(links.build(&sc.link, &runtime_link_params(sc))?)
-        };
-        let needs_oracle = policy.as_ref().is_some_and(|p| p.needs_oracle());
-        Ok(Self {
-            index,
-            scenario: sc,
-            rx,
-            estimator,
-            scratch: PhyScratch::new(),
-            got_lanes: Vec::new(),
-            policy,
-            needs_oracle,
-            tally: PacketTally::new(),
-            observed: 0,
-            stopped: false,
-        })
-    }
-}
-
-/// Partitions a packet budget into contiguous blocks of at most
-/// [`MAX_BATCH_LANES`] whose sizes differ by at most one — the batch
-/// width alignment of the fused path. A greedy split would run 9 packets
-/// as 8 + 1 and strand the remainder on a single-lane decode; the
-/// balanced split runs them as 5 + 4 so every block keeps enough lanes
-/// for the lockstep kernels to pay off.
-fn batch_blocks(packets: u32) -> impl Iterator<Item = u32> {
-    let b = MAX_BATCH_LANES as u32;
-    let n_blocks = packets.div_ceil(b);
-    let base = packets.checked_div(n_blocks).unwrap_or(0);
-    let bumped = packets.checked_rem(n_blocks).unwrap_or(0);
-    (0..n_blocks).map(move |i| base + u32::from(i < bumped))
-}
-
-/// Executes one shared-channel job: the payload, transmit chain, and
-/// channel realization of each packet are computed once and every member
-/// scenario receives from the identical noisy samples. Bit-identical to
-/// running each member solo — the shared inputs are exactly the inputs
-/// each member would have derived from its own (equal) seed.
-///
-/// Packets run through the receivers in lockstep blocks of up to
-/// [`MAX_BATCH_LANES`] lanes (see [`batch_blocks`]): each block transmits
-/// and corrupts its packets first, then every member decodes the whole
-/// block with one batched receive, then the per-packet accounting replays
-/// in the original packet order so tallies and link policies observe the
-/// exact sequence the solo path produces. Members whose receive chains
-/// coincide share work inside a block — one front-end pass per demapper
-/// class, one decode per (rate, builtin decoder) class — because equal
-/// configurations produce bit-identical intermediate streams.
-fn run_group(
-    system: &WilisSystem,
-    channels: &ChannelSlot,
-    links: &LinkSlot,
-    members: &[usize],
-    scenarios: &[Scenario],
-    record: bool,
-    stopping: Option<StoppingRule>,
-) -> Vec<(usize, Result<ScenarioResult, RegistryError>)> {
-    let lead = &scenarios[members[0]];
-    let mut out = Vec::with_capacity(members.len());
-    let mut group: Vec<GroupMember> = Vec::with_capacity(members.len());
-    for &i in members {
-        match GroupMember::build(system, links, i, &scenarios[i]) {
-            Ok(m) => group.push(m),
-            Err(e) => out.push((i, Err(e))),
-        }
-    }
-
-    let mut channel_params = lead.channel_params.clone();
-    channel_params.set("snr_db", &format!("{}", lead.snr_db));
-    let mut channel = match channels.build(&lead.channel, &channel_params) {
-        Ok(c) => c,
-        Err(e) => {
-            for m in group {
-                out.push((m.index, Err(e.clone())));
-            }
-            return out;
-        }
-    };
-
-    let shared_trellis = system.compiled_ieee80211();
-    let any_oracle = group.iter().any(|m| m.needs_oracle);
-    let transmitter = Transmitter::new(lead.rate);
-    let mut tx_scratch = PhyScratch::new();
-    let mut lane_samples: Vec<Vec<Cplx>> = Vec::new();
-    let mut payloads: Vec<Vec<u8>> = Vec::new();
-    let mut scramble_seeds: Vec<u8> = Vec::new();
-    let mut oracles: Vec<Oracle> = Vec::new();
-    let mut oracle_rx: Vec<Option<(Receiver, PhyScratch)>> = PhyRate::all().map(|_| None).into();
-    let mut oracle_samples: Vec<Cplx> = Vec::new();
-    let mut oracle_got = RxResult::default();
-
-    // Front-end classes: members whose receive front ends agree (same
-    // rate, same demapper configuration) produce bit-identical mother LLR
-    // streams, so each class runs demod/demap/deinterleave/depuncture
-    // once per block and every member decodes the shared stream. In a
-    // typical grid group the two hint decoders (SOVA, BCJR) share one
-    // class while Viterbi's full-width demapper forms another.
-    let mut class_reps: Vec<usize> = Vec::new();
-    let mut class_of: Vec<usize> = Vec::with_capacity(group.len());
-    for i in 0..group.len() {
-        let c = class_reps
-            .iter()
-            .position(|&r| group[r].rx.front_end_matches(&group[i].rx))
-            .unwrap_or_else(|| {
-                class_reps.push(i);
-                class_reps.len() - 1
-            });
-        class_of.push(c);
-    }
-    let mut class_mothers: Vec<Vec<Llr>> = class_reps.iter().map(|_| Vec::new()).collect();
-
-    // Full-receiver classes: members that also run the same decoder
-    // produce bit-identical `RxResult`s lane for lane, so only the class
-    // representative decodes and the rest copy its results. This is what
-    // makes link-policy grid axes nearly free — `none` and `arq` variants
-    // of one decoder differ only in accounting. Restricted to the builtin
-    // decoders, which are known-pure functions of (name, rate); a user
-    // registration could be stateful, so it never shares.
-    let mut rx_reps: Vec<usize> = Vec::new();
-    let mut rx_of: Vec<usize> = Vec::with_capacity(group.len());
-    for i in 0..group.len() {
-        let sc = group[i].scenario;
-        let builtin = DecoderKind::from_registry_name(&sc.decoder).is_some();
-        let c = rx_reps
-            .iter()
-            .position(|&r| {
-                builtin
-                    && group[r].scenario.rate == sc.rate
-                    && group[r].scenario.decoder == sc.decoder
-            })
-            .unwrap_or_else(|| {
-                rx_reps.push(i);
-                rx_reps.len() - 1
-            });
-        rx_of.push(c);
-    }
-
-    let mut first = 0u32;
-    for block in batch_blocks(lead.packets) {
-        let lanes = block as usize;
-        if lane_samples.len() < lanes {
-            lane_samples.resize_with(lanes, Vec::new);
-            payloads.resize_with(lanes, Vec::new);
-        }
-        scramble_seeds.clear();
-        oracles.clear();
-
-        // Stage 1 — the shared part, in packet order: one transmit and
-        // one channel realization per packet, exactly the sequence of
-        // channel calls the unbatched loop makes.
-        for k in 0..lanes {
-            let p = first + k as u32;
-            let packet_seed = mix_seed(lead.seed, u64::from(p));
-            let mut rng = SmallRng::seed_from_u64(packet_seed);
-            let payload = &mut payloads[k];
-            payload.clear();
-            payload.extend((0..lead.payload_bits).map(|_| rng.gen_bit()));
-            let scramble_seed = (p % 127 + 1) as u8;
-            let chan_seed = mix_seed(packet_seed, 1);
-            let samples = &mut lane_samples[k];
-            transmitter.tx_into(payload, scramble_seed, &mut tx_scratch, samples);
-            channel.apply(samples, chan_seed);
-            oracles.push(if any_oracle {
-                oracle_replay(
-                    channel.as_mut(),
-                    &shared_trellis,
-                    chan_seed,
-                    payload,
-                    scramble_seed,
-                    &mut oracle_rx,
-                    &mut oracle_samples,
-                    &mut oracle_got,
-                )
-            } else {
-                Oracle::Unavailable
-            });
-            scramble_seeds.push(scramble_seed);
-        }
-
-        // Stage 2 — every member decodes the whole block in lockstep:
-        // one front-end pass per class, then each member's decoder runs
-        // on its class's shared mother stream. Bit-identical per lane to
-        // `rx_from`.
-        for (c, &r) in class_reps.iter().enumerate() {
-            let rep = &mut group[r];
-            rep.rx.rx_batch_front_end_into(
-                &lane_samples[..lanes],
-                lead.payload_bits,
-                &mut rep.scratch,
-                &mut class_mothers[c],
-            );
-        }
-        for (c, &r) in rx_reps.iter().enumerate() {
-            debug_assert_eq!(rx_of[r], c);
-            let rep = &mut group[r];
-            rep.got_lanes.resize_with(lanes, RxResult::default);
-            rep.rx.rx_batch_decode_from(
-                &class_mothers[class_of[r]],
-                lanes,
-                lead.payload_bits,
-                &scramble_seeds,
-                &mut rep.scratch,
-                &mut rep.got_lanes[..lanes],
-            );
-        }
-        for i in 0..group.len() {
-            let r = rx_reps[rx_of[i]];
-            if r == i {
-                continue;
-            }
-            // The representative always precedes its class members, so a
-            // split at `i` puts it in the head. Field-wise `clone_from`
-            // keeps the copy allocation-free in the steady state.
-            let (head, tail) = group.split_at_mut(i);
-            let dst_member = &mut tail[0];
-            dst_member.got_lanes.resize_with(lanes, RxResult::default);
-            let src_lanes = &head[r].got_lanes[..lanes];
-            for (dst, src) in dst_member.got_lanes[..lanes].iter_mut().zip(src_lanes) {
-                dst.payload.clone_from(&src.payload);
-                dst.hints.clone_from(&src.hints);
-                dst.soft_magnitudes.clone_from(&src.soft_magnitudes);
-                dst.decoder_id = src.decoder_id;
-            }
-        }
-
-        // Stage 3 — accounting, packet-major then member, so each
-        // member's tally and link policy observe packets in the same
-        // order the solo path delivers them.
-        for k in 0..lanes {
-            let payload = &payloads[k];
-            let done = u64::from(first) + k as u64 + 1;
-            for member in &mut group {
-                if member.stopped {
-                    continue;
-                }
-                let got = &member.got_lanes[k];
-                let (errs_this_packet, predicted) =
-                    member
-                        .tally
-                        .observe(payload, got, member.estimator.as_ref(), record);
-                if let Some(policy) = member.policy.as_mut() {
-                    let ctx = LinkContext {
-                        sent: payload,
-                        bit_errors: errs_this_packet,
-                        predicted_pber: predicted,
-                        rate: lead.rate,
-                        oracle: if member.needs_oracle {
-                            oracles[k]
-                        } else {
-                            Oracle::Unavailable
-                        },
-                    };
-                    let verdict = policy.observe(got, &got.hints, &ctx);
-                    assert!(
-                        verdict.next_rate.is_none() || verdict.next_rate == Some(lead.rate),
-                        "link policy {:?} declared adapts_rate() == false but asked to \
-                         steer the transmit rate",
-                        policy.name()
-                    );
-                }
-                member.observed = done;
-                // Each member applies its own rule to its own tally at
-                // exactly the boundary its solo run would check — a
-                // stopped member freezes while co-members continue.
-                if let Some(rule) = stopping {
-                    if rule.is_boundary(done) && rule.closed(&member.tally, done, lead.payload_bits)
-                    {
-                        member.stopped = true;
-                    }
-                }
-            }
-        }
-        first += block;
-        if stopping.is_some() && group.iter().all(|m| m.stopped) {
-            break;
-        }
-    }
-
-    for member in group {
-        let link = member.policy.map(|p| p.metrics());
-        out.push((
-            member.index,
-            Ok(member.tally.into_result(
-                member.index,
-                member.scenario,
-                member.observed,
-                link,
-                None,
-            )),
-        ));
-    }
-    out
-}
-
-/// Per-node state of one contention cell: the MAC decision machinery,
-/// the node's own link session, and its seeded randomness streams.
-struct CellNode {
-    policy: Box<dyn ContentionPolicy>,
-    backoff: BackoffState,
-    link: Option<Box<dyn LinkPolicy>>,
-    arrivals: SmallRng,
-    /// Transmissions made so far — the node's packet-seed index. Node 0's
-    /// attempt `a` draws exactly the seeds point-to-point packet `a`
-    /// draws, which is what makes a 1-node cell a strict generalization.
-    attempts: u64,
-    /// Logical packets *started* — the packet-seed index of a
-    /// soft-combining HARQ node, whose retransmissions keep the payload
-    /// (and seed) of the open packet and draw per-attempt channel noise
-    /// through [`harq_attempt_seed`] instead.
-    logical: u64,
-    /// Packets queued at this node (head-of-queue is retransmitted until
-    /// its link session closes it).
-    queue: u64,
-    transmitted_last_slot: bool,
-}
-
-/// Seed-stream tags for the per-node randomness of a cell, chosen far
-/// outside the `attempt | node << 32` packet-seed index space.
-const BACKOFF_STREAM: u64 = 0xBAC0_FF00_0000_0000;
-const ARRIVAL_STREAM: u64 = 0xA221_0000_0000_0000;
-
-/// Executes one contention-cell scenario: N nodes contending for a
-/// slotted shared medium, all inside this one job.
-///
-/// Each slot: packets arrive (Bernoulli `load` per node, or saturated),
-/// every backlogged node's [`ContentionPolicy`] decides on the slot from
-/// carrier sense (some *other* node transmitted last slot) and its
-/// backoff state, and the overlapping transmissions resolve through the
-/// capture model ([`resolve_slot`]) — per-node link gains come from the
-/// scenario's seed-addressed [`ChannelModel`], so the whole cell is a
-/// pure function of `(scenario seed, node, attempt)`. The surviving
-/// transmission (if any) runs the full PHY chain — transmit, per-node
-/// channel realization, residual interference as noise, receive, decode —
-/// and is observed by that node's own [`LinkPolicy`] session; destroyed
-/// transmissions are observed as total corruption with zero-confidence
-/// hints. Node 0 of a 1-node cell draws exactly the seeds the
-/// point-to-point path draws, attempt for attempt.
-fn run_cell(
-    system: &WilisSystem,
-    channels: &ChannelSlot,
-    links: &LinkSlot,
-    contentions: &ContentionSlot,
-    index: usize,
-    sc: &Scenario,
-    record: bool,
-) -> Result<ScenarioResult, RegistryError> {
-    let nodes = sc.nodes as usize;
-    let slots = u64::from(sc.packets);
-    let decoder_kind = DecoderKind::from_registry_name(&sc.decoder);
-    let mut bank = RateBank::new();
-    bank.get(system, &sc.decoder, decoder_kind, sc.rate)?;
-    // Every node transmits at the scenario rate toward one receiver, so a
-    // single receiver (and estimator) serves the whole cell.
-    let (mut rx, estimator) = bank.take(sc.rate).expect("receiver built above"); // lint: allow(panic-policy) — the bank was populated for this rate a few lines up
-
-    let mut channel_params = sc.channel_params.clone();
-    channel_params.set("snr_db", &format!("{}", sc.snr_db));
-    let mut channel = channels.build(&sc.channel, &channel_params)?;
-    let noise_power = SnrDb::new(sc.snr_db).noise_power();
-    let capture_db = sc
-        .contention_params
-        .get_f64("capture_db")
-        .unwrap_or(DEFAULT_CAPTURE_DB);
-    let load = sc.contention_params.get_f64("load").unwrap_or(1.0);
-
-    let mut cell_nodes: Vec<CellNode> = Vec::with_capacity(nodes);
-    for n in 0..nodes {
-        cell_nodes.push(CellNode {
-            policy: contentions.build(&sc.contention, &sc.contention_params)?,
-            backoff: BackoffState::new(mix_seed(sc.seed, BACKOFF_STREAM | n as u64)),
-            link: if sc.link == "none" {
-                None
-            } else {
-                Some(links.build(&sc.link, &runtime_link_params(sc))?)
-            },
-            arrivals: SmallRng::seed_from_u64(mix_seed(sc.seed, ARRIVAL_STREAM | n as u64)),
-            attempts: 0,
-            logical: 0,
-            queue: 0,
-            transmitted_last_slot: false,
-        });
-    }
-
-    let transmitter = Transmitter::new(sc.rate);
-    let mut scratch = PhyScratch::new();
-    let mut samples: Vec<Cplx> = Vec::new();
-    let mut payload: Vec<u8> = Vec::new();
-    let mut mother: Vec<Llr> = Vec::new();
-    let mut got = RxResult::default();
-    let mut collided = RxResult {
-        decoder_id: "collided",
-        ..RxResult::default()
-    };
-    let mut tally = PacketTally::new();
-    let mut metrics = CellMetrics::new(sc.nodes, slots, sc.payload_bits as u64);
-    let mut decoded: u64 = 0;
-    let mut last_tx_count = 0usize;
-    let mut txs: Vec<usize> = Vec::with_capacity(nodes);
-    let mut slot_txs: Vec<(usize, u64, u64, u64, u64)> = Vec::with_capacity(nodes);
-    let mut powers: Vec<TxPower> = Vec::with_capacity(nodes);
-
-    for slot in 0..slots {
-        // Arrivals: saturated queues by default, Bernoulli otherwise.
-        for node in &mut cell_nodes {
-            if load >= 1.0 {
-                node.queue = node.queue.max(1);
-            } else if node.arrivals.gen_bool(load) {
-                node.queue += 1;
-            }
-        }
-
-        txs.clear();
-        for (n, node) in cell_nodes.iter_mut().enumerate() {
-            if node.queue == 0 {
-                continue;
-            }
-            // Carrier sense reads *last* slot's air: busy iff some other
-            // node transmitted (a node never defers to its own
-            // transmission), i.e. last slot had more transmitters than
-            // this node contributed.
-            let view = SlotView {
-                slot,
-                node: n,
-                nodes,
-                carrier_busy: last_tx_count > usize::from(node.transmitted_last_slot),
-            };
-            if node.policy.decide(&view, &mut node.backoff) == TxDecision::Transmit {
-                txs.push(n);
-            }
-        }
-        for node in cell_nodes.iter_mut() {
-            node.transmitted_last_slot = false;
-        }
-        for &n in &txs {
-            cell_nodes[n].transmitted_last_slot = true;
-        }
-        last_tx_count = txs.len();
-        if txs.is_empty() {
-            metrics.idle_slots += 1;
-            continue;
-        }
-
-        // Per-transmission seeds and link gains, then capture resolution.
-        slot_txs.clear();
-        powers.clear();
-        for &n in &txs {
-            let node = &mut cell_nodes[n];
-            let attempt = node.attempts;
-            node.attempts += 1;
-            let harq_attempt = node
-                .link
-                .as_mut()
-                .and_then(|l| l.harq())
-                .map(|c| c.attempt());
-            let (ident, packet_seed, attempt_seed) = match harq_attempt {
-                // A soft-combining node keys payload identity to its
-                // open logical packet; retransmissions draw fresh noise
-                // from the HARQ attempt stream while attempt 0 matches
-                // the plain draw exactly.
-                Some(a) => {
-                    let ps = mix_seed(sc.seed, node.logical | ((n as u64) << 32));
-                    (node.logical, ps, harq_attempt_seed(ps, a))
-                }
-                None => {
-                    let ps = mix_seed(sc.seed, attempt | ((n as u64) << 32));
-                    (attempt, ps, ps)
-                }
-            };
-            let chan_seed = mix_seed(attempt_seed, 1);
-            powers.push(TxPower {
-                node: n,
-                gain: channel.packet_gain(chan_seed),
-            });
-            slot_txs.push((n, ident, packet_seed, attempt_seed, chan_seed));
-        }
-        let outcome = resolve_slot(&powers, noise_power, capture_db);
-        match outcome {
-            SlotOutcome::Idle => unreachable!("txs is non-empty"),
-            SlotOutcome::Clean { .. } => metrics.clean_slots += 1,
-            SlotOutcome::Captured { .. } => metrics.capture_slots += 1,
-            SlotOutcome::Collision => metrics.collision_slots += 1,
-        }
-        let survivor = outcome.survivor();
-
-        for &(n, ident, packet_seed, attempt_seed, chan_seed) in &slot_txs {
-            let mut rng = SmallRng::seed_from_u64(packet_seed);
-            payload.clear();
-            payload.extend((0..sc.payload_bits).map(|_| rng.gen_bit()));
-            let scramble_seed = (ident % 127 + 1) as u8;
-            let bits = sc.payload_bits as u64;
-            metrics.per_node[n].attempts += 1;
-            metrics.per_node[n].bits_transmitted += bits;
-
-            let survived = survivor == Some(n);
-            let is_harq = cell_nodes[n]
-                .link
-                .as_mut()
-                .is_some_and(|l| l.harq().is_some());
-            if is_harq {
-                // HARQ under collisions: every attempt — survivor or
-                // destroyed — runs the full PHY and feeds the combiner.
-                // A destroyed attempt's plane is corrupted by the other
-                // arrivals as interference noise rather than discarded,
-                // and the node decodes the *combined* plane either way.
-                let phase = cell_nodes[n]
-                    .link
-                    .as_mut()
-                    .and_then(|l| l.harq())
-                    .map(|c| c.tx_phase())
-                    .expect("is_harq probe above saw a combining core"); // lint: allow(panic-policy) — guarded by is_harq
-                Transmitter::with_phase(sc.rate, phase).tx_into(
-                    &payload,
-                    scramble_seed,
-                    &mut scratch,
-                    &mut samples,
-                );
-                channel.apply(&mut samples, chan_seed);
-                if survived {
-                    if let SlotOutcome::Captured {
-                        gain, interference, ..
-                    } = outcome
-                    {
-                        if interference > 0.0 {
-                            AwgnChannel::new(
-                                SnrDb::from_linear(gain / interference),
-                                mix_seed(attempt_seed, 2),
-                            )
-                            .apply(&mut samples);
-                        }
-                    }
-                } else {
-                    // Destroyed: the concurrent arrivals bury the signal
-                    // at its slot SINR — corrupted, not erased.
-                    metrics.per_node[n].collisions += 1;
-                    let own = powers
-                        .iter()
-                        .find(|t| t.node == n)
-                        .map(|t| t.gain)
-                        .unwrap_or(0.0);
-                    let others: f64 = powers.iter().filter(|t| t.node != n).map(|t| t.gain).sum();
-                    if others > 0.0 {
-                        AwgnChannel::new(
-                            SnrDb::from_linear(own / others),
-                            mix_seed(attempt_seed, 2),
-                        )
-                        .apply(&mut samples);
-                    }
-                }
-                rx.set_puncture_phase(phase);
-                rx.rx_front_end_into(&samples, payload.len(), &mut scratch, &mut mother);
-                let node = &mut cell_nodes[n];
-                let link = node.link.as_mut().expect("a combining core implies a link"); // lint: allow(panic-policy) — guarded by is_harq
-                {
-                    let core = link
-                        .harq()
-                        .expect("is_harq probe above saw a combining core"); // lint: allow(panic-policy) — guarded by is_harq
-                    core.absorb(&mother);
-                    rx.rx_decode_from(
-                        core.plane(),
-                        payload.len(),
-                        scramble_seed,
-                        &mut scratch,
-                        &mut got,
-                    );
-                }
-                decoded += 1;
-                let (errs, predicted) = tally.observe(&payload, &got, estimator.as_ref(), record);
-                let ctx = LinkContext {
-                    sent: &payload,
-                    bit_errors: errs,
-                    predicted_pber: predicted,
-                    rate: sc.rate,
-                    oracle: Oracle::Unavailable,
-                };
-                let verdict = link.observe(&got, &got.hints, &ctx);
-                assert!(
-                    verdict.next_rate.is_none() || verdict.next_rate == Some(sc.rate),
-                    "link policy {:?} asked to steer the transmit rate inside a \
-                     contention cell",
-                    link.name()
-                );
-                let (closes, delivered) = match verdict.status {
-                    LinkStatus::Delivered => (true, true),
-                    LinkStatus::GaveUp => (true, false),
-                    LinkStatus::Retransmit => (false, false),
-                };
-                if closes {
-                    node.queue = node.queue.saturating_sub(1);
-                    node.logical += 1;
-                    if delivered {
-                        metrics.per_node[n].delivered += 1;
-                        metrics.per_node[n].bits_delivered += bits;
-                    }
-                }
-                node.policy.acked(survived && errs == 0, &mut node.backoff);
-                continue;
-            }
-            let (errs, predicted, rx_result): (u64, f64, &RxResult) = if survived {
-                transmitter.tx_into(&payload, scramble_seed, &mut scratch, &mut samples);
-                channel.apply(&mut samples, chan_seed);
-                if let SlotOutcome::Captured {
-                    gain, interference, ..
-                } = outcome
-                {
-                    // The node's channel genie-equalized the signal to
-                    // unit power, so the losing arrivals degrade it as
-                    // extra Gaussian noise at `interference / gain`.
-                    if interference > 0.0 {
-                        AwgnChannel::new(
-                            SnrDb::from_linear(gain / interference),
-                            mix_seed(packet_seed, 2),
-                        )
-                        .apply(&mut samples);
-                    }
-                }
-                rx.rx_from(
-                    &samples,
-                    payload.len(),
-                    scramble_seed,
-                    &mut scratch,
-                    &mut got,
-                );
-                decoded += 1;
-                let (e, p) = tally.observe(&payload, &got, estimator.as_ref(), record);
-                (e, p, &got)
-            } else {
-                // Destroyed by the medium: every bit wrong, zero
-                // confidence — the receiver never locked onto it.
-                metrics.per_node[n].collisions += 1;
-                collided.payload.clear();
-                collided.payload.extend(payload.iter().map(|b| b ^ 1));
-                collided.hints.clear();
-                collided.hints.resize(payload.len(), 0);
-                collided.soft_magnitudes.clear();
-                collided.soft_magnitudes.resize(payload.len(), 0);
-                (bits, 0.0, &collided)
-            };
-
-            let node = &mut cell_nodes[n];
-            let mut closes = true;
-            let delivered = if let Some(link) = node.link.as_mut() {
-                let ctx = LinkContext {
-                    sent: &payload,
-                    bit_errors: errs,
-                    predicted_pber: predicted,
-                    rate: sc.rate,
-                    oracle: Oracle::Unavailable,
-                };
-                let verdict = link.observe(rx_result, &rx_result.hints, &ctx);
-                assert!(
-                    verdict.next_rate.is_none() || verdict.next_rate == Some(sc.rate),
-                    "link policy {:?} asked to steer the transmit rate inside a \
-                     contention cell",
-                    link.name()
-                );
-                match verdict.status {
-                    LinkStatus::Delivered => true,
-                    LinkStatus::GaveUp => false,
-                    LinkStatus::Retransmit => {
-                        closes = false;
-                        false
-                    }
-                }
-            } else {
-                errs == 0
-            };
-            if closes {
-                node.queue = node.queue.saturating_sub(1);
-                if delivered {
-                    metrics.per_node[n].delivered += 1;
-                    metrics.per_node[n].bits_delivered += bits;
-                }
-            }
-            node.policy.acked(survived && errs == 0, &mut node.backoff);
-        }
-    }
-
-    let link_metrics = if sc.link == "none" {
-        None
-    } else {
-        let mut merged = LinkMetrics::default();
-        for node in &cell_nodes {
-            if let Some(link) = &node.link {
-                merged.merge(&link.metrics());
-            }
-        }
-        Some(merged)
-    };
-    Ok(tally.into_result(index, sc, decoded, link_metrics, Some(metrics)))
-}
-
-/// Renders the cell-level metrics of a result set as an aligned table;
-/// point-to-point scenarios are skipped.
-pub fn render_cell_table(results: &[ScenarioResult]) -> String {
-    let mut out = format!(
-        "{:<52} {:>8} {:>6} {:>7} {:>7} {:>8} {:>9}\n",
-        "scenario", "goodput", "jain", "coll%", "idle%", "attempts", "delivered"
-    );
-    for r in results {
-        let Some(c) = &r.cell else { continue };
-        out.push_str(&format!(
-            "{:<52} {:>8.3} {:>6.3} {:>6.1}% {:>6.1}% {:>8} {:>9}\n",
-            r.label,
-            c.aggregate_goodput(),
-            c.jain_index(),
-            100.0 * c.collision_fraction(),
-            100.0 * c.idle_fraction(),
-            c.attempts(),
-            c.per_node.iter().map(|n| n.delivered).sum::<u64>(),
-        ));
-    }
-    out
-}
-
-/// Renders the link-layer metrics of a result set as an aligned table;
-/// PHY-only scenarios are skipped.
-pub fn render_link_table(results: &[ScenarioResult]) -> String {
-    let mut out = format!(
-        "{:<50} {:>8} {:>7} {:>9} {:>8} {:>8} {:>17}\n",
-        "scenario", "goodput", "retx", "delivered", "gave up", "Mbps", "under/acc/over"
-    );
-    for r in results {
-        let Some(m) = &r.link else { continue };
-        out.push_str(&format!(
-            "{:<50} {:>8.3} {:>6.1}% {:>9} {:>8} {:>8.1} {:>5}/{:>5}/{:>5}\n",
-            r.label,
-            m.goodput(),
-            100.0 * m.retransmit_fraction(),
-            m.delivered,
-            m.gave_up,
-            m.mean_selected_mbps(),
-            m.under,
-            m.accurate,
-            m.over
-        ));
-    }
-    out
-}
-
-/// Renders a result set as an aligned table (label, BER, PER, predicted).
-pub fn render_table(results: &[ScenarioResult]) -> String {
-    let mut out = format!(
-        "{:<44} {:>12} {:>9} {:>12}\n",
-        "scenario", "BER", "PER", "pred. PBER"
-    );
-    for r in results {
-        out.push_str(&format!(
-            "{:<44} {:>12.3e} {:>8.1}% {:>12.3e}\n",
-            r.label,
-            r.ber(),
-            100.0 * r.per(),
-            r.mean_predicted_pber()
-        ));
-    }
-    out
 }
 
 #[cfg(test)]
