@@ -46,10 +46,11 @@ impl RateMachinery {
 /// state: every intermediate buffer — coded bits, interleaved symbols,
 /// constellation points, LLR streams, decoder output — is retained and
 /// reused between packets, and the rate-specific machinery (permutation
-/// tables, encoder trellis) is rebuilt only when the rate changes.
+/// tables, encoder trellis) is built once per rate the scratch serves.
 #[derive(Debug, Clone)]
 pub struct PhyScratch {
-    machinery: Option<RateMachinery>,
+    /// Machinery for every rate served so far; the current rate first.
+    machinery: Vec<RateMachinery>,
     ofdm_tx: OfdmModulator,
     ofdm_rx: OfdmDemodulator,
     data_bits: Vec<u8>,
@@ -78,7 +79,7 @@ impl PhyScratch {
     /// Empty scratch; buffers are sized lazily on first use.
     pub fn new() -> Self {
         Self {
-            machinery: None,
+            machinery: Vec::new(),
             ofdm_tx: OfdmModulator::new(),
             ofdm_rx: OfdmDemodulator::new(),
             data_bits: Vec::new(),
@@ -96,11 +97,21 @@ impl PhyScratch {
         }
     }
 
-    /// (Re)builds the rate-specific machinery when `rate` differs from the
-    /// cached one.
+    /// Moves the machinery for `rate` to the front, building it the first
+    /// time the scratch serves `rate`. Nothing is rebuilt when a chain
+    /// switches back to a rate it used before, so rate adaptation that
+    /// changes the rate packet by packet stays allocation-free.
     fn ensure_rate(&mut self, rate: PhyRate) {
-        if self.machinery.as_ref().map(|m| m.rate) != Some(rate) {
-            self.machinery = Some(RateMachinery::new(rate));
+        if self.machinery.first().map(|m| m.rate) == Some(rate) {
+            return;
+        }
+        match self.machinery.iter().position(|m| m.rate == rate) {
+            Some(i) => self.machinery.swap(0, i),
+            None => {
+                self.machinery.push(RateMachinery::new(rate));
+                let last = self.machinery.len() - 1;
+                self.machinery.swap(0, last);
+            }
         }
     }
 }
@@ -209,7 +220,7 @@ impl Transmitter {
             packet_points,
             ..
         } = scratch;
-        let m = machinery.as_mut().expect("machinery ensured above"); // lint: allow(panic-policy) — ensure_rate() at function entry filled the machinery slot
+        let m = machinery.first_mut().expect("machinery ensured above"); // lint: allow(panic-policy) — ensure_rate() at function entry filled the machinery slot
 
         let fields = PacketBuilder::new(self.rate).assemble_into(payload, scramble_seed, data_bits);
         m.encoder.reset();
@@ -262,7 +273,7 @@ impl Transmitter {
             points,
             ..
         } = scratch;
-        let m = machinery.as_mut().expect("machinery ensured above"); // lint: allow(panic-policy) — ensure_rate() at function entry filled the machinery slot
+        let m = machinery.first_mut().expect("machinery ensured above"); // lint: allow(panic-policy) — ensure_rate() at function entry filled the machinery slot
 
         let fields = PacketBuilder::new(self.rate).assemble_into(payload, scramble_seed, data_bits);
         m.encoder.reset();
@@ -492,7 +503,7 @@ impl Receiver {
             punctured_llrs,
             ..
         } = scratch;
-        let m = machinery.as_ref().expect("machinery ensured above"); // lint: allow(panic-policy) — ensure_rate() at function entry filled the machinery slot
+        let m = machinery.first().expect("machinery ensured above"); // lint: allow(panic-policy) — ensure_rate() at function entry filled the machinery slot
 
         ofdm_rx.reset();
         let cbps = self.rate.coded_bits_per_symbol();
@@ -626,6 +637,12 @@ impl Receiver {
     ) {
         let lanes = lane_samples.len();
         assert!(lanes > 0, "at least one lane");
+        // A one-lane lane-major plane has the scalar layout, and the
+        // scalar body costs about half the lockstep one at width 1.
+        if let [lane] = lane_samples {
+            self.rx_front_end_into(lane.as_ref(), payload_bits, scratch, mother_out);
+            return;
+        }
         let fields = PacketFields::for_payload(self.rate, payload_bits);
         for lane in lane_samples {
             assert_eq!(
@@ -643,7 +660,7 @@ impl Receiver {
             punctured_llrs,
             ..
         } = scratch;
-        let m = machinery.as_ref().expect("machinery ensured above"); // lint: allow(panic-policy) — ensure_rate() at function entry filled the machinery slot
+        let m = machinery.first().expect("machinery ensured above"); // lint: allow(panic-policy) — ensure_rate() at function entry filled the machinery slot
 
         ofdm_rx.reset();
         let cbps = self.rate.coded_bits_per_symbol();
@@ -685,6 +702,12 @@ impl Receiver {
         assert!(lanes > 0, "at least one lane");
         assert_eq!(scramble_seeds.len(), lanes, "one scramble seed per lane");
         assert_eq!(outs.len(), lanes, "one RxResult per lane");
+        // One lane: the scalar decode of the same plane (see
+        // `rx_batch_front_end_into`).
+        if let ([seed], [out]) = (scramble_seeds, &mut *outs) {
+            self.rx_decode_from(mother, payload_bits, *seed, scratch, out);
+            return;
+        }
         let fields = PacketFields::for_payload(self.rate, payload_bits);
         assert_eq!(
             mother.len(),
@@ -745,7 +768,7 @@ impl Receiver {
             decoded,
             ..
         } = scratch;
-        let m = machinery.as_ref().expect("machinery ensured above"); // lint: allow(panic-policy) — ensure_rate() at function entry filled the machinery slot
+        let m = machinery.first().expect("machinery ensured above"); // lint: allow(panic-policy) — ensure_rate() at function entry filled the machinery slot
 
         ofdm_rx.reset();
         let cbps = self.rate.coded_bits_per_symbol();

@@ -37,6 +37,15 @@
 //! pool: when a grid collapses into fewer jobs than workers, the largest
 //! groups are split until every worker has work.
 //!
+//! That group loop is the engine's **one packet loop**. A point whose
+//! transmission changes after every packet — a rate-adapting policy, a
+//! soft-combining HARQ packet open for another attempt — or that is
+//! scheduled to panic runs as a group of one, one packet per block; a
+//! contention cell runs its own slot loop but receives and accounts
+//! through the same two steps. Before any packet runs, one compile step
+//! resolves every name, validates every pairing, probes each link
+//! configuration once, and partitions the grid into these jobs.
+//!
 //! The **link dimension** puts the MAC layer on the grid: a scenario names
 //! a [`LinkPolicy`] (resolved through [`link_registry`]; `"none"` keeps
 //! the PHY-only behavior) that observes every packet — decisions, SoftPHY
@@ -83,8 +92,6 @@
 //! assert_eq!(results, serial);
 //! ```
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use wilis_channel::{AwgnModel, ChannelModel, FadingModel, ReplayModel, SnrDb, TraceModel};
@@ -95,11 +102,11 @@ use wilis_mac::link::{LinkMetrics, LinkPolicy};
 use wilis_mac::ppr::PprConfig;
 use wilis_mac::{ArqLink, HarqConfig, HarqLink, PprLink, SoftRate, SoftRateLink};
 use wilis_phy::PhyRate;
-use wilis_softphy::{DecoderKind, HintBin};
+use wilis_softphy::HintBin;
 
 use crate::faults::{FaultInjector, FaultReport, FaultSite, PointOutcome, Quarantine};
 use crate::supervisor;
-use crate::{SystemConfig, WilisSystem};
+use crate::WilisSystem;
 
 mod cell;
 mod engine;
@@ -108,8 +115,8 @@ mod render;
 mod stopping;
 
 use cell::run_cell;
-use engine::{run_group, run_scenario};
-use plan::{runtime_link_params, GroupKey, Job};
+use engine::run_group;
+use plan::{Job, SweepPlan};
 pub use render::{render_cell_table, render_link_table, render_table};
 pub use stopping::{StopMetric, StoppingRule};
 
@@ -626,24 +633,13 @@ type EnvFactory = dyn Fn() -> SweepEnv + Send + Sync;
 /// randomness derives from `(scenario.seed, packet index)` and workers
 /// never share mutable state. Scenarios are dealt round-robin so long and
 /// short points interleave across workers.
+#[derive(Clone)]
 pub struct SweepRunner {
     threads: usize,
     record_packet_stats: bool,
     stopping: Option<StoppingRule>,
     env: Arc<EnvFactory>,
     faults: Option<FaultInjector>,
-}
-
-impl Clone for SweepRunner {
-    fn clone(&self) -> Self {
-        Self {
-            threads: self.threads,
-            record_packet_stats: self.record_packet_stats,
-            stopping: self.stopping,
-            env: Arc::clone(&self.env),
-            faults: self.faults.clone(),
-        }
-    }
 }
 
 /// The return value of [`SweepRunner::run_supervised`]: one typed
@@ -665,6 +661,22 @@ impl SupervisedSweep {
             .iter()
             .enumerate()
             .filter_map(|(i, o)| o.result().map(|r| (i, r)))
+    }
+
+    /// Every result in grid order, or an `InvalidConfig` error naming the
+    /// lowest quarantined grid index — the all-or-nothing view behind
+    /// [`SweepRunner::run`] and [`crate::service::SweepService::run`].
+    pub(crate) fn into_results(self) -> Result<Vec<ScenarioResult>, RegistryError> {
+        self.outcomes
+            .into_iter()
+            .enumerate()
+            .map(|(i, outcome)| match outcome {
+                PointOutcome::Completed(res) => Ok(res),
+                PointOutcome::Failed { message, .. } => Err(RegistryError::invalid_config(
+                    format!("grid point {i} was quarantined: {message}"),
+                )),
+            })
+            .collect()
     }
 }
 
@@ -768,10 +780,11 @@ impl SweepRunner {
 
     /// Replaces the environment factory, for sweeps over user decoder,
     /// channel, link-policy, or contention-policy registrations. The
-    /// factory runs once per *job* — a single scenario, a contention
-    /// cell, or one shared-channel group of scenarios that differ only in
-    /// decoder/link (each job is self-contained — that is what makes the
-    /// determinism contract trivial) — so keep it cheap relative to a
+    /// factory runs once for the compile step and once per *job* — a
+    /// contention cell, or a shared-channel group of scenarios that differ
+    /// only in decoder/link, possibly a group of one (each job is
+    /// self-contained — that is what makes the determinism contract
+    /// trivial) — so keep it cheap relative to a
     /// scenario's packet budget: register implementations inside it, load
     /// big assets outside and share them via `Arc`.
     pub fn with_env(mut self, env: impl Fn() -> SweepEnv + Send + Sync + 'static) -> Self {
@@ -783,79 +796,21 @@ impl SweepRunner {
     ///
     /// # Errors
     ///
-    /// Returns the first [`RegistryError`] if a scenario names an
-    /// unregistered decoder, channel, or link policy. Names are validated
-    /// *before* any Monte-Carlo work starts, so a typo in one grid point
-    /// fails the run in microseconds instead of after the other points'
-    /// budgets burn.
-    ///
-    /// # Panics
-    ///
-    /// Panics (also before any Monte-Carlo work) when a scenario pairs a
-    /// PBER-driven link policy (`LinkPolicy::needs_pber`, e.g.
-    /// `"softrate"`) with a decoder that has no SoftPHY BER estimator
-    /// (e.g. `"viterbi"`): the policy would adapt on a constant 0.0 and
-    /// produce plausible-looking garbage. Also panics when a contention
-    /// cell has zero nodes, or pairs a rate-adapting link policy
-    /// ([`LinkPolicy::adapts_rate`]) with a cell — cells pin every node
-    /// to the scenario rate.
+    /// Returns the first [`RegistryError`] of the compile step if a
+    /// scenario names an unregistered decoder, channel, link or
+    /// contention policy, misconfigures a link policy, pairs a PBER-driven
+    /// or soft-combining link policy with a decoder that exports no soft
+    /// output, pairs a rate-adapting link policy with a contention cell
+    /// (cells pin every node to the scenario rate), or puts zero nodes in
+    /// a cell. The grid compiles *before* any Monte-Carlo work starts, so
+    /// a typo in one grid point fails the run in microseconds instead of
+    /// after the other points' budgets burn. A quarantined grid point (a
+    /// worker-job panic — injected or organic) is reported after the grid
+    /// drains, as an `InvalidConfig` error naming the lowest quarantined
+    /// grid index; callers that want the partial results instead use
+    /// [`SweepRunner::run_supervised`].
     pub fn run(&self, scenarios: &[Scenario]) -> Result<Vec<ScenarioResult>, RegistryError> {
-        let mut slots: Vec<Option<ScenarioResult>> = (0..scenarios.len()).map(|_| None).collect();
-        self.run_streaming(scenarios, |i, result| slots[i] = Some(result))?;
-        Ok(slots
-            .into_iter()
-            .map(|r| r.expect("every scenario is assigned to exactly one job")) // lint: allow(panic-policy) — the partition loop pushes each index into exactly one job
-            .collect())
-    }
-
-    /// Streaming variant of [`SweepRunner::run`]: `on_result(i, result)`
-    /// fires for each grid point as its worker job finishes, instead of
-    /// buffering the whole grid. The callback runs under one mutex (never
-    /// concurrently with itself) but on worker threads, hence the `Send`
-    /// bound; [`crate::service::SweepService::run_streaming`] bridges it
-    /// back onto the caller's thread for non-`Send` consumers.
-    ///
-    /// Delivery order is completion order — a pure function of nothing:
-    /// callers needing submission order index by `i`, and each `i`'s
-    /// *result* keeps the full bit-identity contract.
-    ///
-    /// # Errors
-    ///
-    /// As [`SweepRunner::run`]: preflight failures return before any
-    /// Monte-Carlo work. A failure past preflight (e.g. from a user
-    /// environment factory) is reported after the grid drains; results
-    /// already delivered to the callback remain valid. A quarantined
-    /// grid point (a worker-job panic — injected or organic) is likewise
-    /// reported after the grid drains, as an `InvalidConfig` error
-    /// naming the lowest quarantined grid index; callers that want the
-    /// partial results instead use [`SweepRunner::run_supervised`].
-    pub fn run_streaming<F>(
-        &self,
-        scenarios: &[Scenario],
-        mut on_result: F,
-    ) -> Result<(), RegistryError>
-    where
-        F: FnMut(usize, ScenarioResult) + Send,
-    {
-        let mut first_failed: Option<(usize, String)> = None;
-        self.run_streaming_supervised(scenarios, |i, outcome| match outcome {
-            PointOutcome::Completed(res) => on_result(i, res),
-            PointOutcome::Failed { message, .. } => {
-                let wins = match &first_failed {
-                    Some((held, _)) => i < *held,
-                    None => true,
-                };
-                if wins {
-                    first_failed = Some((i, message));
-                }
-            }
-        })?;
-        match first_failed {
-            Some((i, message)) => Err(RegistryError::invalid_config(format!(
-                "grid point {i} was quarantined: {message}"
-            ))),
-            None => Ok(()),
-        }
+        self.run_supervised(scenarios)?.into_results()
     }
 
     /// Supervised variant of [`SweepRunner::run`]: every worker job runs
@@ -881,23 +836,30 @@ impl SweepRunner {
             self.run_streaming_supervised(scenarios, |i, outcome| slots[i] = Some(outcome))?;
         let outcomes = slots
             .into_iter()
-            .map(|s| s.expect("every scenario is assigned to exactly one job")) // lint: allow(panic-policy) — the partition loop pushes each index into exactly one job
+            .map(|s| s.expect("every scenario is assigned to exactly one job")) // lint: allow(panic-policy) — the compile step puts each index into exactly one job
             .collect();
         Ok(SupervisedSweep { outcomes, report })
     }
 
-    /// Streaming variant of [`SweepRunner::run_supervised`]:
+    /// The streaming primitive under [`SweepRunner::run_supervised`]:
     /// `on_outcome(i, outcome)` fires for each grid point as its worker
-    /// job finishes or unwinds, and the run's [`FaultReport`] is
-    /// returned at the end. This is the primitive under both
-    /// [`SweepRunner::run_streaming`] (which turns quarantines into a
-    /// deferred error) and [`SweepRunner::run_supervised`] (which
-    /// buffers the outcomes).
+    /// job finishes or unwinds, and the run's [`FaultReport`] is returned
+    /// at the end. The callback runs under one mutex (never concurrently
+    /// with itself) but on worker threads, hence the `Send` bound;
+    /// [`crate::service::SweepService::run_streaming_supervised`] bridges
+    /// it back onto the caller's thread for non-`Send` consumers.
+    ///
+    /// Delivery order is completion order — a pure function of nothing:
+    /// callers needing submission order index by `i`, and each `i`'s
+    /// outcome keeps the full bit-identity contract.
     ///
     /// # Errors
     ///
-    /// As [`SweepRunner::run_streaming`], minus quarantines — those are
-    /// delivered as [`PointOutcome::Failed`] outcomes, not errors.
+    /// As [`SweepRunner::run`], minus quarantines — those are delivered
+    /// as [`PointOutcome::Failed`] outcomes, not errors. A failure past
+    /// the compile step (e.g. from a user environment factory) is
+    /// reported after the grid drains; outcomes already delivered to the
+    /// callback remain valid.
     pub fn run_streaming_supervised<F>(
         &self,
         scenarios: &[Scenario],
@@ -909,191 +871,10 @@ impl SweepRunner {
         if let Some(rule) = self.stopping {
             rule.validate()?;
         }
-        // Fail fast on unknown names: resolve every distinct
-        // (decoder, channel, link, contention) tuple once against a
-        // throwaway environment.
-        let (system, channels, links, contentions) = (self.env)();
-        // The rate joins the key because link-policy validity can depend
-        // on it: an IR phase schedule legal at one puncture period is
-        // out of range at another.
-        let mut checked: Vec<(PhyRate, &str, &str, &str, &str)> = Vec::new();
-        for (i, sc) in scenarios.iter().enumerate() {
-            let key = (
-                sc.rate,
-                sc.decoder.as_str(),
-                sc.channel.as_str(),
-                sc.link.as_str(),
-                sc.contention.as_str(),
-            );
-            if sc.contention != "p2p" && sc.nodes < 1 {
-                return Err(RegistryError::invalid_config(format!(
-                    "scenario {i} puts zero nodes in contention cell {:?}: a cell \
-                     needs at least one node",
-                    sc.contention
-                )));
-            }
-            if !checked.contains(&key) {
-                system.receiver(&SystemConfig::new(sc.rate, &sc.decoder))?;
-                channels.build(&sc.channel, &sc.channel_params)?;
-                if sc.link != "none" {
-                    // Built with the run-time parameters (payload size,
-                    // initial rate), so rate-dependent validity checks
-                    // see what the execution paths will actually build.
-                    let mut policy = links.build(&sc.link, &runtime_link_params(sc))?;
-                    // Factories are infallible; a policy that swallowed a
-                    // bad configuration reports it here instead.
-                    if let Some(problem) = policy.config_error() {
-                        return Err(RegistryError::invalid_config(format!(
-                            "link policy {:?} is misconfigured: {problem}",
-                            sc.link
-                        )));
-                    }
-                    // Every name resolved, but the *pairing* is invalid:
-                    // both halves come straight from user configuration,
-                    // so this is an error, not a panic.
-                    if policy.needs_pber() && DecoderKind::from_registry_name(&sc.decoder).is_none()
-                    {
-                        return Err(RegistryError::invalid_config(format!(
-                            "link policy {:?} adapts on predicted PBER, but decoder \
-                             {:?} exports no SoftPHY BER estimate (its estimate \
-                             would be a constant 0.0); pair it with a soft decoder \
-                             such as \"sova\" or \"bcjr\"",
-                            sc.link, sc.decoder
-                        )));
-                    }
-                    if policy.harq().is_some()
-                        && DecoderKind::from_registry_name(&sc.decoder).is_none()
-                    {
-                        return Err(RegistryError::invalid_config(format!(
-                            "link policy {:?} combines soft LLR planes across \
-                             retransmissions, but decoder {:?} makes hard decisions \
-                             and would discard them; pair it with a soft decoder \
-                             such as \"sova\" or \"bcjr\"",
-                            sc.link, sc.decoder
-                        )));
-                    }
-                }
-                if sc.contention != "p2p" {
-                    contentions.build(&sc.contention, &sc.contention_params)?;
-                    if sc.link != "none" {
-                        let policy = links.build(&sc.link, &runtime_link_params(sc))?;
-                        if policy.adapts_rate() {
-                            return Err(RegistryError::invalid_config(format!(
-                                "link policy {:?} steers the transmit rate, which a \
-                                 contention cell does not support: every node of a \
-                                 cell transmits at the scenario rate",
-                                sc.link
-                            )));
-                        }
-                    }
-                }
-                checked.push(key);
-            }
-        }
-
-        // Partition the grid into jobs. Scenarios whose link policy never
-        // steers the transmit rate and that share the whole
-        // (rate, channel, params, SNR, seed, packets, payload) coordinate
-        // fuse into one shared-channel job: each packet is generated,
-        // transmitted, and faded once, then received per member — the
-        // decoder/link axes stop paying for redundant channel work.
-        // Rate-adapting policies (SoftRate) diverge from the shared
-        // transmit stream after the first verdict, so they keep the solo
-        // path.
-        let mut jobs: Vec<Job> = Vec::new();
-        // BTreeMap, not HashMap: job order must be a pure function of the
-        // scenario list, never of hasher state, for results to stay
-        // bit-identical across runs and thread counts by construction.
-        let mut shared_jobs: BTreeMap<GroupKey, usize> = BTreeMap::new();
-        // Solo-required probes are cached per distinct (link, params):
-        // large grids repeat a handful of policy configurations thousands
-        // of times, and the probe builds a throwaway policy instance. A
-        // policy runs solo when it steers the transmit rate (the shared
-        // transmit stream would diverge after its first verdict) or when
-        // it combines across retransmissions (the engine must replay the
-        // *same* payload per attempt, which the fused per-packet stream
-        // cannot do).
-        let mut solo_required: BTreeMap<(String, Params), bool> = BTreeMap::new();
-        for (i, sc) in scenarios.iter().enumerate() {
-            // A point with a scheduled injected panic runs solo: its
-            // quarantine must not take fused co-members down with it, so
-            // the quarantine set stays a pure function of (grid, fault
-            // plan), independent of how the partition fused.
-            let panic_scheduled = self
-                .faults
-                .as_ref()
-                .is_some_and(|f| f.fires(FaultSite::WorkerPanic, i as u64));
-            // A contention cell is already a fused multi-session job of
-            // its own: all N nodes run inside one worker job so the
-            // shared medium realization is drawn exactly once.
-            let shareable = !panic_scheduled
-                && sc.contention == "p2p"
-                && (sc.link == "none" || {
-                    let probe_key = (sc.link.clone(), runtime_link_params(sc));
-                    match solo_required.entry(probe_key) {
-                        Entry::Occupied(slot) => !*slot.get(),
-                        Entry::Vacant(slot) => {
-                            let mut policy = links.build(&sc.link, &runtime_link_params(sc))?;
-                            let solo = policy.adapts_rate() || policy.harq().is_some();
-                            !*slot.insert(solo)
-                        }
-                    }
-                });
-            if !shareable {
-                jobs.push(Job::Solo(i));
-                continue;
-            }
-            let key: GroupKey = (
-                sc.rate,
-                sc.channel.clone(),
-                sc.channel_params.clone(),
-                sc.snr_db.to_bits(),
-                sc.seed,
-                sc.packets,
-                sc.payload_bits,
-            );
-            match shared_jobs.entry(key) {
-                Entry::Occupied(slot) => {
-                    if let Job::Shared(members) = &mut jobs[*slot.get()] {
-                        members.push(i);
-                    }
-                }
-                Entry::Vacant(slot) => {
-                    slot.insert(jobs.len());
-                    jobs.push(Job::Shared(vec![i]));
-                }
-            }
-        }
-
-        // Fusion trades per-packet redundancy for scheduling granularity:
-        // a grid concentrated on one channel coordinate could collapse
-        // into fewer jobs than workers and serialize the decode-dominant
-        // work. Split the largest shared groups until the pool is fed (a
-        // split group redoes tx+channel once per piece — the pre-fusion
-        // cost — while keeping the sharing within each piece). Any
-        // partition yields bit-identical results, since group execution
-        // equals solo execution member by member. Splitting happens on
-        // the *member* axis only — every piece keeps the group's full
-        // packet budget, so the packet-axis batch width of `run_group`
-        // (see `batch_blocks`) is unaffected by how finely we split.
-        while jobs.len() < self.threads {
-            let Some(idx) = jobs
-                .iter()
-                .enumerate()
-                .filter(|(_, j)| matches!(j, Job::Shared(m) if m.len() >= 2))
-                .max_by_key(|(_, j)| match j {
-                    Job::Shared(m) => m.len(),
-                    Job::Solo(_) => 0,
-                })
-                .map(|(i, _)| i)
-            else {
-                break;
-            };
-            if let Job::Shared(members) = &mut jobs[idx] {
-                let tail = members.split_off(members.len() / 2);
-                jobs.push(Job::Shared(tail));
-            }
-        }
+        // The compile step resolves names against a throwaway
+        // environment; every job then builds its own.
+        let plan =
+            SweepPlan::compile(scenarios, &(self.env)(), self.faults.as_ref(), self.threads)?;
 
         let record = self.record_packet_stats;
         let stopping = self.stopping;
@@ -1109,31 +890,29 @@ impl SweepRunner {
         let sink: Sink<F> = Mutex::new((on_outcome, None, Vec::new()));
         let sink_ref = &sink;
         let faults_ref = &faults;
-        self.run_indexed(jobs.len(), move |j| {
-            let job = &jobs[j];
+        let plan_ref = &plan;
+        self.run_indexed(plan.jobs.len(), move |j| {
+            let job = &plan_ref.jobs[j];
             // The unwind boundary wraps the whole job — environment
             // construction included — so any worker panic becomes a
             // quarantine instead of a pool abort.
             let outcome = supervisor::run_quarantined(|| {
-                let (system, channels, links, contentions) = env();
-                match job {
-                    Job::Solo(i) => {
-                        let sc = &scenarios[*i];
-                        if let Some(inj) = faults_ref {
-                            if inj.fires(FaultSite::WorkerPanic, *i as u64) {
-                                supervisor::inject_panic(*i);
-                            }
+                let env = env();
+                if let Some(inj) = faults_ref {
+                    for &i in job.members() {
+                        if inj.fires(FaultSite::WorkerPanic, i as u64) {
+                            supervisor::inject_panic(i);
                         }
-                        let result = if sc.contention == "p2p" {
-                            run_scenario(&system, &channels, &links, *i, sc, record, stopping)
-                        } else {
-                            run_cell(&system, &channels, &links, &contentions, *i, sc, record)
-                        };
-                        vec![(*i, result)]
                     }
-                    Job::Shared(members) => run_group(
-                        &system, &channels, &links, members, scenarios, record, stopping,
-                    ),
+                }
+                match job {
+                    Job::Group(members) => {
+                        run_group(&env, &plan_ref.caps, members, scenarios, record, stopping)
+                    }
+                    Job::Cell(i) => vec![(
+                        *i,
+                        run_cell(&env, *i, &scenarios[*i], plan_ref.caps[*i], record),
+                    )],
                 }
             });
             let mut guard = match sink_ref.lock() {
@@ -1160,14 +939,10 @@ impl SweepRunner {
                 }
                 Err(message) => {
                     // Every member of the unwound job is quarantined.
-                    // Injected panics always run solo (the partition
-                    // forces it), so this multi-member case only fires
-                    // for organic panics inside fused groups.
-                    let members: &[usize] = match job {
-                        Job::Solo(i) => std::slice::from_ref(i),
-                        Job::Shared(m) => m,
-                    };
-                    for &i in members {
+                    // Injected panics always run alone (the plan forces
+                    // it), so this multi-member case only fires for
+                    // organic panics inside fused groups.
+                    for &i in job.members() {
                         quarantined.push(Quarantine {
                             point: i,
                             message: message.clone(),

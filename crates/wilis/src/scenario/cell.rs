@@ -1,4 +1,6 @@
-//! Contention cells: N nodes sharing one slotted medium inside one job.
+//! Contention cells: N nodes sharing one slotted medium inside one job,
+//! received and accounted through the group engine's receive and
+//! accounting steps.
 
 use wilis_channel::{resolve_slot, AwgnChannel, Channel, SlotOutcome, SnrDb, TxPower};
 use wilis_fec::Llr;
@@ -6,14 +8,12 @@ use wilis_fxp::rng::{mix_seed, SmallRng};
 use wilis_fxp::Cplx;
 use wilis_lis::registry::RegistryError;
 use wilis_mac::cell::{BackoffState, CellMetrics, ContentionPolicy, SlotView, TxDecision};
-use wilis_mac::link::{LinkContext, LinkMetrics, LinkPolicy, LinkStatus, Oracle};
+use wilis_mac::link::{LinkMetrics, LinkPolicy, LinkStatus, Oracle};
 use wilis_phy::{PhyScratch, RxResult, Transmitter};
-use wilis_softphy::DecoderKind;
 
-use super::engine::{harq_attempt_seed, PacketTally, RateBank};
-use super::plan::runtime_link_params;
-use super::{ChannelSlot, ContentionSlot, LinkSlot, Scenario, ScenarioResult, DEFAULT_CAPTURE_DB};
-use crate::WilisSystem;
+use super::engine::{account, build_receiver, decode, front_end, harq_attempt_seed, PacketTally};
+use super::plan::{runtime_link_params, LinkCaps};
+use super::{Scenario, ScenarioResult, SweepEnv, DEFAULT_CAPTURE_DB};
 
 /// Per-node state of one contention cell: the MAC decision machinery,
 /// the node's own link session, and its seeded randomness streams.
@@ -53,28 +53,26 @@ const ARRIVAL_STREAM: u64 = 0xA221_0000_0000_0000;
 /// scenario's seed-addressed [`ChannelModel`], so the whole cell is a
 /// pure function of `(scenario seed, node, attempt)`. The surviving
 /// transmission (if any) runs the full PHY chain — transmit, per-node
-/// channel realization, residual interference as noise, receive, decode —
-/// and is observed by that node's own [`LinkPolicy`] session; destroyed
-/// transmissions are observed as total corruption with zero-confidence
-/// hints. Node 0 of a 1-node cell draws exactly the seeds the
-/// point-to-point path draws, attempt for attempt.
+/// channel realization, residual interference as noise, then the group
+/// engine's receive step — and the accounting step lets that node's own
+/// [`LinkPolicy`] session observe it; destroyed transmissions are
+/// observed as total corruption with zero-confidence hints (HARQ nodes
+/// receive them as noise-buried attempts instead). Node 0 of a 1-node cell
+/// draws exactly the seeds the point-to-point path draws, attempt for
+/// attempt.
 pub(super) fn run_cell(
-    system: &WilisSystem,
-    channels: &ChannelSlot,
-    links: &LinkSlot,
-    contentions: &ContentionSlot,
+    env: &SweepEnv,
     index: usize,
     sc: &Scenario,
+    caps: LinkCaps,
     record: bool,
 ) -> Result<ScenarioResult, RegistryError> {
+    let (system, channels, links, contentions) = env;
     let nodes = sc.nodes as usize;
     let slots = u64::from(sc.packets);
-    let decoder_kind = DecoderKind::from_registry_name(&sc.decoder);
-    let mut bank = RateBank::new();
-    bank.get(system, &sc.decoder, decoder_kind, sc.rate)?;
     // Every node transmits at the scenario rate toward one receiver, so a
     // single receiver (and estimator) serves the whole cell.
-    let (mut rx, estimator) = bank.take(sc.rate).expect("receiver built above"); // lint: allow(panic-policy) — the bank was populated for this rate a few lines up
+    let (mut rx, estimator) = build_receiver(system, &sc.decoder, sc.rate)?;
 
     let mut channel_params = sc.channel_params.clone();
     channel_params.set("snr_db", &format!("{}", sc.snr_db));
@@ -104,7 +102,6 @@ pub(super) fn run_cell(
         });
     }
 
-    let transmitter = Transmitter::new(sc.rate);
     let mut scratch = PhyScratch::new();
     let mut samples: Vec<Cplx> = Vec::new();
     let mut payload: Vec<u8> = Vec::new();
@@ -215,22 +212,22 @@ pub(super) fn run_cell(
             metrics.per_node[n].bits_transmitted += bits;
 
             let survived = survivor == Some(n);
-            let is_harq = cell_nodes[n]
-                .link
-                .as_mut()
-                .is_some_and(|l| l.harq().is_some());
-            if is_harq {
-                // HARQ under collisions: every attempt — survivor or
-                // destroyed — runs the full PHY and feeds the combiner.
-                // A destroyed attempt's plane is corrupted by the other
-                // arrivals as interference noise rather than discarded,
-                // and the node decodes the *combined* plane either way.
-                let phase = cell_nodes[n]
+            if !survived {
+                metrics.per_node[n].collisions += 1;
+            }
+            let node = &mut cell_nodes[n];
+            // A survivor runs the full PHY. So does every HARQ attempt,
+            // destroyed or not: the combiner absorbs a destroyed attempt's
+            // plane, corrupted by the other arrivals as interference noise
+            // rather than discarded, and the node decodes the combined
+            // plane either way.
+            let received = survived || caps.harq;
+            if received {
+                let phase = node
                     .link
                     .as_mut()
                     .and_then(|l| l.harq())
-                    .map(|c| c.tx_phase())
-                    .expect("is_harq probe above saw a combining core"); // lint: allow(panic-policy) — guarded by is_harq
+                    .map_or(0, |core| core.tx_phase());
                 Transmitter::with_phase(sc.rate, phase).tx_into(
                     &payload,
                     scramble_seed,
@@ -238,157 +235,78 @@ pub(super) fn run_cell(
                     &mut samples,
                 );
                 channel.apply(&mut samples, chan_seed);
-                if survived {
-                    if let SlotOutcome::Captured {
-                        gain, interference, ..
-                    } = outcome
-                    {
-                        if interference > 0.0 {
-                            AwgnChannel::new(
-                                SnrDb::from_linear(gain / interference),
-                                mix_seed(attempt_seed, 2),
-                            )
-                            .apply(&mut samples);
-                        }
+                // The node's channel genie-equalized the signal to unit
+                // power, so the other arrivals degrade it as extra
+                // Gaussian noise: a captured survivor at `interference /
+                // gain`, a destroyed attempt buried at its slot SINR.
+                let sinr = if survived {
+                    match outcome {
+                        SlotOutcome::Captured {
+                            gain, interference, ..
+                        } if interference > 0.0 => Some(gain / interference),
+                        _ => None,
                     }
                 } else {
-                    // Destroyed: the concurrent arrivals bury the signal
-                    // at its slot SINR — corrupted, not erased.
-                    metrics.per_node[n].collisions += 1;
                     let own = powers
                         .iter()
                         .find(|t| t.node == n)
                         .map(|t| t.gain)
                         .unwrap_or(0.0);
                     let others: f64 = powers.iter().filter(|t| t.node != n).map(|t| t.gain).sum();
-                    if others > 0.0 {
-                        AwgnChannel::new(
-                            SnrDb::from_linear(own / others),
-                            mix_seed(attempt_seed, 2),
-                        )
-                        .apply(&mut samples);
-                    }
-                }
-                rx.set_puncture_phase(phase);
-                rx.rx_front_end_into(&samples, payload.len(), &mut scratch, &mut mother);
-                let node = &mut cell_nodes[n];
-                let link = node.link.as_mut().expect("a combining core implies a link"); // lint: allow(panic-policy) — guarded by is_harq
-                {
-                    let core = link
-                        .harq()
-                        .expect("is_harq probe above saw a combining core"); // lint: allow(panic-policy) — guarded by is_harq
-                    core.absorb(&mother);
-                    rx.rx_decode_from(
-                        core.plane(),
-                        payload.len(),
-                        scramble_seed,
-                        &mut scratch,
-                        &mut got,
-                    );
-                }
-                decoded += 1;
-                let (errs, predicted) = tally.observe(&payload, &got, estimator.as_ref(), record);
-                let ctx = LinkContext {
-                    sent: &payload,
-                    bit_errors: errs,
-                    predicted_pber: predicted,
-                    rate: sc.rate,
-                    oracle: Oracle::Unavailable,
+                    (others > 0.0).then(|| own / others)
                 };
-                let verdict = link.observe(&got, &got.hints, &ctx);
-                assert!(
-                    verdict.next_rate.is_none() || verdict.next_rate == Some(sc.rate),
-                    "link policy {:?} asked to steer the transmit rate inside a \
-                     contention cell",
-                    link.name()
-                );
-                let (closes, delivered) = match verdict.status {
-                    LinkStatus::Delivered => (true, true),
-                    LinkStatus::GaveUp => (true, false),
-                    LinkStatus::Retransmit => (false, false),
-                };
-                if closes {
-                    node.queue = node.queue.saturating_sub(1);
-                    node.logical += 1;
-                    if delivered {
-                        metrics.per_node[n].delivered += 1;
-                        metrics.per_node[n].bits_delivered += bits;
-                    }
-                }
-                node.policy.acked(survived && errs == 0, &mut node.backoff);
-                continue;
-            }
-            let (errs, predicted, rx_result): (u64, f64, &RxResult) = if survived {
-                transmitter.tx_into(&payload, scramble_seed, &mut scratch, &mut samples);
-                channel.apply(&mut samples, chan_seed);
-                if let SlotOutcome::Captured {
-                    gain, interference, ..
-                } = outcome
-                {
-                    // The node's channel genie-equalized the signal to
-                    // unit power, so the losing arrivals degrade it as
-                    // extra Gaussian noise at `interference / gain`.
-                    if interference > 0.0 {
-                        AwgnChannel::new(
-                            SnrDb::from_linear(gain / interference),
-                            mix_seed(packet_seed, 2),
-                        )
+                if let Some(sinr) = sinr {
+                    AwgnChannel::new(SnrDb::from_linear(sinr), mix_seed(attempt_seed, 2))
                         .apply(&mut samples);
-                    }
                 }
-                rx.rx_from(
-                    &samples,
-                    payload.len(),
-                    scramble_seed,
+                front_end(
+                    &mut rx,
+                    phase,
+                    &[samples.as_slice()],
+                    sc.payload_bits,
                     &mut scratch,
-                    &mut got,
+                    &mut mother,
+                );
+                decode(
+                    &mut rx,
+                    &mother,
+                    node.link.as_mut().and_then(|l| l.harq()),
+                    sc.payload_bits,
+                    &[scramble_seed],
+                    &mut scratch,
+                    std::slice::from_mut(&mut got),
                 );
                 decoded += 1;
-                let (e, p) = tally.observe(&payload, &got, estimator.as_ref(), record);
-                (e, p, &got)
             } else {
                 // Destroyed by the medium: every bit wrong, zero
                 // confidence — the receiver never locked onto it.
-                metrics.per_node[n].collisions += 1;
                 collided.payload.clear();
                 collided.payload.extend(payload.iter().map(|b| b ^ 1));
                 collided.hints.clear();
                 collided.hints.resize(payload.len(), 0);
                 collided.soft_magnitudes.clear();
                 collided.soft_magnitudes.resize(payload.len(), 0);
-                (bits, 0.0, &collided)
-            };
-
-            let node = &mut cell_nodes[n];
-            let mut closes = true;
-            let delivered = if let Some(link) = node.link.as_mut() {
-                let ctx = LinkContext {
-                    sent: &payload,
-                    bit_errors: errs,
-                    predicted_pber: predicted,
-                    rate: sc.rate,
-                    oracle: Oracle::Unavailable,
-                };
-                let verdict = link.observe(rx_result, &rx_result.hints, &ctx);
-                assert!(
-                    verdict.next_rate.is_none() || verdict.next_rate == Some(sc.rate),
-                    "link policy {:?} asked to steer the transmit rate inside a \
-                     contention cell",
-                    link.name()
-                );
-                match verdict.status {
-                    LinkStatus::Delivered => true,
-                    LinkStatus::GaveUp => false,
-                    LinkStatus::Retransmit => {
-                        closes = false;
-                        false
-                    }
-                }
-            } else {
-                errs == 0
+            }
+            let (errs, verdict) = account(
+                received.then_some(&mut tally),
+                estimator.as_ref(),
+                node.link.as_mut(),
+                caps,
+                &payload,
+                if received { &got } else { &collided },
+                sc.rate,
+                Oracle::Unavailable,
+                record,
+            );
+            let (closes, delivered) = match verdict.map(|v| v.status) {
+                None => (true, errs == 0),
+                Some(LinkStatus::Delivered) => (true, true),
+                Some(LinkStatus::GaveUp) => (true, false),
+                Some(LinkStatus::Retransmit) => (false, false),
             };
             if closes {
                 node.queue = node.queue.saturating_sub(1);
+                node.logical += 1;
                 if delivered {
                     metrics.per_node[n].delivered += 1;
                     metrics.per_node[n].bits_delivered += bits;
@@ -398,16 +316,12 @@ pub(super) fn run_cell(
         }
     }
 
-    let link_metrics = if sc.link == "none" {
-        None
-    } else {
+    let link_metrics = (sc.link != "none").then(|| {
         let mut merged = LinkMetrics::default();
-        for node in &cell_nodes {
-            if let Some(link) = &node.link {
-                merged.merge(&link.metrics());
-            }
+        for link in cell_nodes.iter().filter_map(|node| node.link.as_ref()) {
+            merged.merge(&link.metrics());
         }
-        Some(merged)
-    };
+        merged
+    });
     Ok(tally.into_result(index, sc, decoded, link_metrics, Some(metrics)))
 }

@@ -1,4 +1,14 @@
-//! The point-to-point packet loops and the per-point accounting they share.
+//! The packet engine: the one point-to-point packet loop, [`run_group`],
+//! and the receive and accounting steps it shares with the cell loop.
+//!
+//! Every point-to-point grid point runs as a member of a group job. A
+//! fixed-rate member decodes in lockstep blocks of up to
+//! [`MAX_BATCH_LANES`] packets; a member whose transmission changes after
+//! every packet — SoftRate steering the rate, a HARQ packet that stays
+//! open for another attempt — is alone in its group (the plan sees to it),
+//! which then runs blocks of one packet. The receive step ([`front_end`],
+//! [`decode`]) and the accounting step ([`account`]) are written once and
+//! called by both [`run_group`] and [`super::cell::run_cell`].
 
 use std::sync::Arc;
 
@@ -8,104 +18,93 @@ use wilis_fxp::rng::{mix_seed, SmallRng};
 use wilis_fxp::Cplx;
 use wilis_lis::registry::RegistryError;
 use wilis_mac::cell::CellMetrics;
-use wilis_mac::link::{LinkContext, LinkMetrics, LinkPolicy, LinkStatus, Oracle};
+use wilis_mac::harq::HarqCore;
+use wilis_mac::link::{LinkContext, LinkMetrics, LinkPolicy, LinkStatus, LinkVerdict, Oracle};
 use wilis_phy::{PhyRate, PhyScratch, Receiver, RxResult, Transmitter};
 use wilis_softphy::{BerEstimator, DecoderKind, HintBin, ScalingFactors};
 
-use super::plan::runtime_link_params;
-use super::{ChannelSlot, LinkSlot, PacketStat, Scenario, ScenarioResult, StoppingRule};
+use super::plan::{runtime_link_params, LinkCaps};
+use super::{LinkSlot, PacketStat, Scenario, ScenarioResult, StoppingRule, SweepEnv};
 use crate::{SystemConfig, WilisSystem};
 
-/// Per-rate receiver machinery, built lazily: PHY-only scenarios and
-/// non-adapting link policies only ever touch the scenario's own rate;
-/// rate-adapting policies and the oracle fill in the rest on demand.
-pub(super) struct RateBank {
-    rx: Vec<Option<(Receiver, Option<BerEstimator>)>>,
+/// A receiver for `rate` on the hint-width demapper, with the analytic
+/// SoftPHY BER estimator when `decoder` is a builtin soft decoder.
+pub(super) fn build_receiver(
+    system: &WilisSystem,
+    decoder: &str,
+    rate: PhyRate,
+) -> Result<(Receiver, Option<BerEstimator>), RegistryError> {
+    let mut config = SystemConfig::new(rate, decoder);
+    config.demapper_bits = ScalingFactors::hint_demapper_bits(rate.modulation());
+    let estimator =
+        DecoderKind::from_registry_name(decoder).map(|k| BerEstimator::analytic_for_rate(rate, k));
+    Ok((system.receiver(&config)?, estimator))
 }
 
-impl RateBank {
-    pub(super) fn new() -> Self {
+/// The Figure 7 oracle's working memory: one Viterbi receiver per rate,
+/// built on first use, all sharing the system's one compiled trellis
+/// instead of rebuilding decoder state per rate. Hard decisions suffice
+/// for ground truth.
+struct OracleBank {
+    trellis: Arc<CompiledTrellis>,
+    rx: Vec<Option<Receiver>>,
+    scratch: PhyScratch,
+    samples: Vec<Cplx>,
+    got: RxResult,
+}
+
+impl OracleBank {
+    fn new(trellis: Arc<CompiledTrellis>) -> Self {
         Self {
+            trellis,
             rx: PhyRate::all().map(|_| None).into(),
+            scratch: PhyScratch::new(),
+            samples: Vec::new(),
+            got: RxResult::default(),
         }
     }
 
-    pub(super) fn get(
+    /// Replays the packet at every rate against the identical channel
+    /// realization (same channel seed) and returns the fastest rate that
+    /// decoded error-free — the oracle grounded on the seed-addressed
+    /// [`ChannelModel`] contract.
+    fn replay(
         &mut self,
-        system: &WilisSystem,
-        decoder: &str,
-        kind: Option<DecoderKind>,
-        rate: PhyRate,
-    ) -> Result<&mut (Receiver, Option<BerEstimator>), RegistryError> {
-        let idx = rate_index(rate);
-        if self.rx[idx].is_none() {
-            let mut config = SystemConfig::new(rate, decoder);
-            config.demapper_bits = ScalingFactors::hint_demapper_bits(rate.modulation());
-            let estimator = kind.map(|k| BerEstimator::analytic_for_rate(rate, k));
-            self.rx[idx] = Some((system.receiver(&config)?, estimator));
+        channel: &mut dyn ChannelModel,
+        chan_seed: u64,
+        payload: &[u8],
+        scramble_seed: u8,
+    ) -> Oracle {
+        let mut best = Oracle::NoRate;
+        for (slot, &rate) in self.rx.iter_mut().zip(PhyRate::all().iter()) {
+            let rx = slot
+                .get_or_insert_with(|| Receiver::viterbi_shared(rate, Arc::clone(&self.trellis)));
+            Transmitter::new(rate).tx_into(
+                payload,
+                scramble_seed,
+                &mut self.scratch,
+                &mut self.samples,
+            );
+            channel.apply(&mut self.samples, chan_seed);
+            rx.rx_from(
+                &self.samples,
+                payload.len(),
+                scramble_seed,
+                &mut self.scratch,
+                &mut self.got,
+            );
+            if self.got.bit_errors(payload) == 0 {
+                best = Oracle::Best(rate); // rates iterate slowest -> fastest
+            }
         }
-        Ok(self.rx[idx].as_mut().expect("filled above")) // lint: allow(panic-policy) — the branch above just populated this slot
-    }
-
-    /// Removes the built machinery for `rate` from the bank — the fused
-    /// execution path constructs through [`RateBank::get`] (one shared
-    /// code path with the solo loop) and then owns its single rate.
-    pub(super) fn take(&mut self, rate: PhyRate) -> Option<(Receiver, Option<BerEstimator>)> {
-        self.rx[rate_index(rate)].take()
+        best
     }
 }
 
-fn rate_index(rate: PhyRate) -> usize {
-    PhyRate::all()
-        .iter()
-        .position(|&r| r == rate)
-        .expect("rate in table") // lint: allow(panic-policy) — PhyRate::all() contains every enum variant
-}
-
-/// Replays the packet at every rate against the identical channel
-/// realization (same channel seed) and returns the fastest rate that
-/// decoded error-free — the Figure 7 oracle, grounded on the
-/// seed-addressed [`ChannelModel`] contract. The oracle decodes with
-/// Viterbi (hard decisions suffice for ground truth); all eight per-rate
-/// receivers share the caller's one compiled trellis instead of
-/// rebuilding decoder state per rate.
-#[allow(clippy::too_many_arguments)]
-fn oracle_replay(
-    channel: &mut dyn ChannelModel,
-    trellis: &Arc<CompiledTrellis>,
-    chan_seed: u64,
-    payload: &[u8],
-    scramble_seed: u8,
-    oracle_rx: &mut [Option<(Receiver, PhyScratch)>],
-    samples: &mut Vec<Cplx>,
-    got: &mut RxResult,
-) -> Oracle {
-    let mut best = None;
-    for (ri, &rate) in PhyRate::all().iter().enumerate() {
-        let (rx, scratch) = oracle_rx[ri].get_or_insert_with(|| {
-            (
-                Receiver::viterbi_shared(rate, Arc::clone(trellis)),
-                PhyScratch::new(),
-            )
-        });
-        Transmitter::new(rate).tx_into(payload, scramble_seed, scratch, samples);
-        channel.apply(samples, chan_seed);
-        rx.rx_from(samples, payload.len(), scramble_seed, scratch, got);
-        if got.bit_errors(payload) == 0 {
-            best = Some(rate); // rates iterate slowest -> fastest
-        }
-    }
-    match best {
-        Some(rate) => Oracle::Best(rate),
-        None => Oracle::NoRate,
-    }
-}
-
-/// The Monte-Carlo accumulators of one grid point, with the per-packet
-/// accounting in one place. Both execution paths — the solo loop of
-/// [`run_scenario`] and the fused loop of [`run_group`] — tally through
-/// this struct, so the fused==solo bit-identity contract cannot be broken
-/// by editing one path's statistics and forgetting the other's.
+/// The Monte-Carlo accumulators of one grid point. Groups and cells tally
+/// through [`account`], the one caller of [`PacketTally::observe`], so the
+/// fused==solo bit-identity contract cannot be broken by editing one
+/// path's statistics and forgetting another's.
 pub(super) struct PacketTally {
     hint_bins: Vec<HintBin>,
     pub(super) packet_errors: u64,
@@ -163,9 +162,8 @@ impl PacketTally {
     }
 
     /// Folds the tally into the final per-scenario result. `packets` is
-    /// the number of packets that actually reached the receiver —
-    /// `sc.packets` for point-to-point scenarios, the surviving
-    /// transmission count for cells.
+    /// the number of receives tallied: packets (attempts under HARQ) for
+    /// point-to-point scenarios, the decoded transmissions for cells.
     pub(super) fn into_result(
         self,
         index: usize,
@@ -190,112 +188,8 @@ impl PacketTally {
     }
 }
 
-/// Executes one scenario: the allocation-free steady-state loop at the
-/// heart of the engine.
-pub(super) fn run_scenario(
-    system: &WilisSystem,
-    channels: &ChannelSlot,
-    links: &LinkSlot,
-    index: usize,
-    sc: &Scenario,
-    record: bool,
-    stopping: Option<StoppingRule>,
-) -> Result<ScenarioResult, RegistryError> {
-    let decoder_kind = DecoderKind::from_registry_name(&sc.decoder);
-    let mut bank = RateBank::new();
-    bank.get(system, &sc.decoder, decoder_kind, sc.rate)?;
-    let mut channel_params = sc.channel_params.clone();
-    channel_params.set("snr_db", &format!("{}", sc.snr_db));
-    let mut channel = channels.build(&sc.channel, &channel_params)?;
-    let mut policy: Option<Box<dyn LinkPolicy>> = if sc.link == "none" {
-        None
-    } else {
-        Some(links.build(&sc.link, &runtime_link_params(sc))?)
-    };
-    if policy.as_mut().is_some_and(|p| p.harq().is_some()) {
-        // Soft-combining replays the *same* payload per attempt, so the
-        // packet axis becomes an attempt loop of its own.
-        let policy = policy.expect("harq() probe above saw a policy"); // lint: allow(panic-policy) — is_some_and returned true, so the option is Some
-        return run_harq_scenario(&mut bank, channels, index, sc, policy, record, stopping);
-    }
-    let needs_oracle = policy.as_ref().is_some_and(|p| p.needs_oracle());
-    let shared_trellis = system.compiled_ieee80211();
-
-    let mut scratch = PhyScratch::new();
-    let mut samples: Vec<Cplx> = Vec::new();
-    let mut payload: Vec<u8> = Vec::new();
-    let mut got = RxResult::default();
-    // Oracle working memory, touched only by oracle-requesting policies.
-    let mut oracle_rx: Vec<Option<(Receiver, PhyScratch)>> = PhyRate::all().map(|_| None).into();
-    let mut oracle_samples: Vec<Cplx> = Vec::new();
-    let mut oracle_got = RxResult::default();
-
-    let mut tally = PacketTally::new();
-    let mut current_rate = sc.rate;
-    let mut observed: u64 = 0;
-
-    for p in 0..sc.packets {
-        let packet_seed = mix_seed(sc.seed, u64::from(p));
-        let mut rng = SmallRng::seed_from_u64(packet_seed);
-        payload.clear();
-        payload.extend((0..sc.payload_bits).map(|_| rng.gen_bit()));
-        let scramble_seed = (p % 127 + 1) as u8;
-        let chan_seed = mix_seed(packet_seed, 1);
-
-        let (rx, estimator) = bank.get(system, &sc.decoder, decoder_kind, current_rate)?;
-        Transmitter::new(current_rate).tx_into(&payload, scramble_seed, &mut scratch, &mut samples);
-        channel.apply(&mut samples, chan_seed);
-        rx.rx_from(
-            &samples,
-            payload.len(),
-            scramble_seed,
-            &mut scratch,
-            &mut got,
-        );
-
-        let (errs_this_packet, predicted) =
-            tally.observe(&payload, &got, estimator.as_ref(), record);
-
-        if let Some(policy) = policy.as_mut() {
-            let oracle = if needs_oracle {
-                oracle_replay(
-                    channel.as_mut(),
-                    &shared_trellis,
-                    chan_seed,
-                    &payload,
-                    scramble_seed,
-                    &mut oracle_rx,
-                    &mut oracle_samples,
-                    &mut oracle_got,
-                )
-            } else {
-                Oracle::Unavailable
-            };
-            let ctx = LinkContext {
-                sent: &payload,
-                bit_errors: errs_this_packet,
-                predicted_pber: predicted,
-                rate: current_rate,
-                oracle,
-            };
-            let verdict = policy.observe(&got, &got.hints, &ctx);
-            if let Some(next) = verdict.next_rate {
-                current_rate = next;
-            }
-        }
-        observed = u64::from(p) + 1;
-        if let Some(rule) = stopping {
-            if rule.is_boundary(observed) && rule.closed(&tally, observed, sc.payload_bits) {
-                break;
-            }
-        }
-    }
-
-    Ok(tally.into_result(index, sc, observed, policy.map(|p| p.metrics()), None))
-}
-
 /// Seed-stream tag for HARQ retransmission attempts, in the family of
-/// [`BACKOFF_STREAM`] and [`ARRIVAL_STREAM`]: attempt 0 of a packet draws
+/// the cell's backoff and arrival streams: attempt 0 of a packet draws
 /// exactly the seeds a non-HARQ packet draws (the strict-generalization
 /// anchor), and attempt `a > 0` of packet seed `s` draws from
 /// `mix_seed(s, HARQ_ATTEMPT_STREAM | a)` — fresh channel noise per
@@ -303,8 +197,8 @@ pub(super) fn run_scenario(
 const HARQ_ATTEMPT_STREAM: u64 = 0x4A59_0000_0000_0000;
 
 /// The channel seed of HARQ attempt `attempt` of the packet with seed
-/// `packet_seed` — used identically by the point-to-point attempt loop
-/// and the cell path, so the two can never drift apart.
+/// `packet_seed` — used identically by groups and cells, so the two can
+/// never drift apart.
 pub(super) fn harq_attempt_seed(packet_seed: u64, attempt: u32) -> u64 {
     if attempt == 0 {
         packet_seed
@@ -313,219 +207,298 @@ pub(super) fn harq_attempt_seed(packet_seed: u64, attempt: u32) -> u64 {
     }
 }
 
-/// Executes one soft-combining HARQ scenario: `sc.packets` *logical*
-/// packets, each an attempt loop that retransmits the identical payload
-/// until the link policy closes it (delivered or budget exhausted).
-///
-/// Per attempt the transmitter punctures at the phase the policy's
-/// [`wilis_mac::HarqCore`] schedules (phase 0 for Chase; the IR schedule
-/// otherwise), the receiver front end produces the attempt's mother-code
-/// LLR plane, the core absorbs it (first attempt retains, retransmissions
-/// saturating-add), and the *combined* plane re-enters the decoder — so a
-/// retransmission decodes with everything earlier attempts learned.
-/// Every attempt's channel realization derives from
-/// [`harq_attempt_seed`]; attempt 0 draws exactly the seeds the plain
-/// solo loop draws.
-///
-/// The [`PacketTally`] observes every decode (one per attempt), so
-/// `ScenarioResult::packets` counts attempts — the same
-/// one-row-per-receive accounting the ARQ solo path produces.
-fn run_harq_scenario(
-    bank: &mut RateBank,
-    channels: &ChannelSlot,
-    index: usize,
-    sc: &Scenario,
-    mut policy: Box<dyn LinkPolicy>,
-    record: bool,
-    stopping: Option<StoppingRule>,
-) -> Result<ScenarioResult, RegistryError> {
-    let (mut rx, estimator) = bank
-        .take(sc.rate)
-        .expect("run_scenario populated the bank before dispatching here"); // lint: allow(panic-policy) — the caller's bank.get succeeded for this rate
-    let mut channel_params = sc.channel_params.clone();
-    channel_params.set("snr_db", &format!("{}", sc.snr_db));
-    let mut channel = channels.build(&sc.channel, &channel_params)?;
-
-    let mut scratch = PhyScratch::new();
-    let mut samples: Vec<Cplx> = Vec::new();
-    let mut payload: Vec<u8> = Vec::new();
-    let mut mother: Vec<Llr> = Vec::new();
-    let mut got = RxResult::default();
-    let mut tally = PacketTally::new();
-    let mut receives: u64 = 0;
-
-    for p in 0..sc.packets {
-        let packet_seed = mix_seed(sc.seed, u64::from(p));
-        let mut rng = SmallRng::seed_from_u64(packet_seed);
-        payload.clear();
-        payload.extend((0..sc.payload_bits).map(|_| rng.gen_bit()));
-        // Scramble identity follows the *logical* packet: a
-        // retransmission is the same packet on the air.
-        let scramble_seed = (p % 127 + 1) as u8;
-
-        loop {
-            {
-                let core = policy
-                    .harq()
-                    .expect("preflight pinned a combining policy on this path"); // lint: allow(panic-policy) — run_scenario dispatches here only when harq() is Some
-                let phase = core.tx_phase();
-                let chan_seed = mix_seed(harq_attempt_seed(packet_seed, core.attempt()), 1);
-                Transmitter::with_phase(sc.rate, phase).tx_into(
-                    &payload,
-                    scramble_seed,
-                    &mut scratch,
-                    &mut samples,
-                );
-                channel.apply(&mut samples, chan_seed);
-                rx.set_puncture_phase(phase);
-                rx.rx_front_end_into(&samples, payload.len(), &mut scratch, &mut mother);
-                core.absorb(&mother);
-                rx.rx_decode_from(
-                    core.plane(),
-                    payload.len(),
-                    scramble_seed,
-                    &mut scratch,
-                    &mut got,
-                );
-            }
-            receives += 1;
-            let (errs_this_packet, predicted) =
-                tally.observe(&payload, &got, estimator.as_ref(), record);
-            let ctx = LinkContext {
-                sent: &payload,
-                bit_errors: errs_this_packet,
-                predicted_pber: predicted,
-                rate: sc.rate,
-                oracle: Oracle::Unavailable,
-            };
-            let verdict = policy.observe(&got, &got.hints, &ctx);
-            assert!(
-                verdict.next_rate.is_none() || verdict.next_rate == Some(sc.rate),
-                "link policy {:?} declared adapts_rate() == false but asked to \
-                 steer the transmit rate",
-                policy.name()
-            );
-            if verdict.status != LinkStatus::Retransmit {
-                break;
-            }
-        }
-        // The boundary walks the *logical* packet axis — the seed
-        // schedule — while the interval watches the attempt-level tally,
-        // the same accounting `ScenarioResult::packets` reports.
-        if let Some(rule) = stopping {
-            if rule.is_boundary(u64::from(p) + 1) && rule.closed(&tally, receives, sc.payload_bits)
-            {
-                break;
-            }
-        }
-    }
-
-    Ok(tally.into_result(index, sc, receives, Some(policy.metrics()), None))
+/// The front half of the receive step: demodulates, demaps and
+/// depunctures `lane_samples` (one lane per packet) at the puncture
+/// `phase` they were sent with, into the lane-major mother plane.
+pub(super) fn front_end<S: AsRef<[Cplx]>>(
+    rx: &mut Receiver,
+    phase: usize,
+    lane_samples: &[S],
+    payload_bits: usize,
+    scratch: &mut PhyScratch,
+    mother: &mut Vec<Llr>,
+) {
+    rx.set_puncture_phase(phase);
+    rx.rx_batch_front_end_into(lane_samples, payload_bits, scratch, mother);
 }
 
-/// Per-member receive state of a shared-channel job: everything that is
-/// *not* shared — receiver, estimator, scratch, link policy, and the same
-/// [`PacketTally`] the solo path accumulates through.
+/// The back half of the receive step: decodes the fresh mother plane into
+/// `outs`, one result per lane — or, for a HARQ packet, lets the core
+/// absorb the plane (the first attempt retains, retransmissions
+/// saturating-add) and decodes the combined plane, so a retransmission
+/// decodes with everything earlier attempts learned.
+pub(super) fn decode(
+    rx: &mut Receiver,
+    mother: &[Llr],
+    harq: Option<&mut HarqCore>,
+    payload_bits: usize,
+    scramble_seeds: &[u8],
+    scratch: &mut PhyScratch,
+    outs: &mut [RxResult],
+) {
+    let plane = match harq {
+        Some(core) => {
+            debug_assert_eq!(outs.len(), 1, "a HARQ packet decodes alone");
+            core.absorb(mother);
+            core.plane()
+        }
+        None => mother,
+    };
+    rx.rx_batch_decode_from(
+        plane,
+        outs.len(),
+        payload_bits,
+        scramble_seeds,
+        scratch,
+        outs,
+    );
+}
+
+/// The accounting step: tallies one receive against the payload sent and
+/// lets the link policy observe it. `tally` is `None` for a transmission
+/// the medium destroyed: it never reached the receiver, so it is not
+/// tallied and the policy sees every bit wrong at zero predicted PBER.
+/// Returns the bit errors and the policy's verdict.
+///
+/// # Panics
+///
+/// Panics when a policy that declared `adapts_rate() == false` asks to
+/// steer the rate — a broken capability contract, not user input.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn account(
+    tally: Option<&mut PacketTally>,
+    estimator: Option<&BerEstimator>,
+    policy: Option<&mut Box<dyn LinkPolicy>>,
+    caps: LinkCaps,
+    sent: &[u8],
+    got: &RxResult,
+    rate: PhyRate,
+    oracle: Oracle,
+    record: bool,
+) -> (u64, Option<LinkVerdict>) {
+    let (bit_errors, predicted_pber) = match tally {
+        Some(tally) => tally.observe(sent, got, estimator, record),
+        None => (sent.len() as u64, 0.0),
+    };
+    let verdict = policy.map(|policy| {
+        let ctx = LinkContext {
+            sent,
+            bit_errors,
+            predicted_pber,
+            rate,
+            oracle: if caps.needs_oracle {
+                oracle
+            } else {
+                Oracle::Unavailable
+            },
+        };
+        let verdict = policy.observe(got, &got.hints, &ctx);
+        assert!(
+            caps.adapts_rate || verdict.next_rate.is_none() || verdict.next_rate == Some(rate),
+            "link policy {:?} declared adapts_rate() == false but asked to \
+             steer the transmit rate",
+            policy.name()
+        );
+        verdict
+    });
+    (bit_errors, verdict)
+}
+
+/// One grid point of a group job: everything that is *not* shared —
+/// receiver, estimator, scratch, link policy, and its own tally.
 struct GroupMember<'a> {
     index: usize,
     scenario: &'a Scenario,
+    caps: LinkCaps,
+    /// The rate the member transmits and receives at; only a
+    /// rate-steering member ever moves it.
+    rate: PhyRate,
     rx: Receiver,
     estimator: Option<BerEstimator>,
+    /// Receivers for the other rates a rate-steering member has used.
+    parked: Vec<(PhyRate, Receiver, Option<BerEstimator>)>,
     scratch: PhyScratch,
-    /// One receive result per lane of the current packet block; the
-    /// batched RX path fills all of them in lockstep.
+    /// One receive result per lane of the current block.
     got_lanes: Vec<RxResult>,
     policy: Option<Box<dyn LinkPolicy>>,
-    needs_oracle: bool,
     tally: PacketTally,
-    /// Packets this member has observed — `scenario.packets` unless its
-    /// stopping rule closed the interval first.
-    observed: u64,
+    /// Receives tallied: packets, or attempts under HARQ.
+    receives: u64,
+    /// Logical packets closed — the axis stopping boundaries walk.
+    closed: u64,
     /// Set once the member's own stopping rule fires: the member freezes
     /// its tally and policy at exactly the packet where its solo run
     /// would have stopped, so fused results stay bit-identical to solo
     /// results even when co-members keep running.
     stopped: bool,
+    /// A receiver the member failed to build mid-run; it stops and
+    /// reports the error.
+    failed: Option<RegistryError>,
 }
 
 impl<'a> GroupMember<'a> {
     fn build(
         system: &WilisSystem,
         links: &LinkSlot,
+        caps: LinkCaps,
         index: usize,
         sc: &'a Scenario,
     ) -> Result<Self, RegistryError> {
-        let decoder_kind = DecoderKind::from_registry_name(&sc.decoder);
-        let mut bank = RateBank::new();
-        bank.get(system, &sc.decoder, decoder_kind, sc.rate)?;
-        let (rx, estimator) = bank
-            .take(sc.rate)
-            .expect("receiver built into the bank above"); // lint: allow(panic-policy) — the bank was populated for this rate a few lines up
-        let policy: Option<Box<dyn LinkPolicy>> = if sc.link == "none" {
-            None
-        } else {
-            Some(links.build(&sc.link, &runtime_link_params(sc))?)
+        let (rx, estimator) = build_receiver(system, &sc.decoder, sc.rate)?;
+        let policy = match sc.link.as_str() {
+            "none" => None,
+            link => Some(links.build(link, &runtime_link_params(sc))?),
         };
-        let needs_oracle = policy.as_ref().is_some_and(|p| p.needs_oracle());
         Ok(Self {
             index,
             scenario: sc,
+            caps,
+            rate: sc.rate,
             rx,
             estimator,
+            parked: Vec::new(),
             scratch: PhyScratch::new(),
             got_lanes: Vec::new(),
             policy,
-            needs_oracle,
             tally: PacketTally::new(),
-            observed: 0,
+            receives: 0,
+            closed: 0,
             stopped: false,
+            failed: None,
         })
+    }
+
+    /// The member's next transmission: its rate, plus the puncture phase
+    /// and attempt index of its HARQ packet (phase and attempt 0 without
+    /// one).
+    fn next_tx(&mut self) -> (PhyRate, usize, u32) {
+        match self.policy.as_mut().and_then(|p| p.harq()) {
+            Some(core) => (self.rate, core.tx_phase(), core.attempt()),
+            None => (self.rate, 0, 0),
+        }
+    }
+
+    /// Moves a rate-steering member onto `rate`, parking the receiver of
+    /// the rate it leaves; each rate's receiver is built on first use.
+    fn switch_rate(&mut self, system: &WilisSystem, rate: PhyRate) -> Result<(), RegistryError> {
+        let (rx, estimator) = match self.parked.iter().position(|(r, ..)| *r == rate) {
+            Some(i) => {
+                let (_, rx, estimator) = self.parked.swap_remove(i);
+                (rx, estimator)
+            }
+            None => build_receiver(system, &self.scenario.decoder, rate)?,
+        };
+        let left_rx = std::mem::replace(&mut self.rx, rx);
+        let left_estimator = std::mem::replace(&mut self.estimator, estimator);
+        self.parked.push((self.rate, left_rx, left_estimator));
+        self.rate = rate;
+        Ok(())
+    }
+
+    /// Accounts lane `k` of the block and applies the verdict: a new rate,
+    /// the stopping rule once the logical packet closes. Returns whether
+    /// the member's HARQ packet stays open for another attempt.
+    fn account_lane(
+        &mut self,
+        system: &WilisSystem,
+        k: usize,
+        sent: &[u8],
+        oracle: Oracle,
+        record: bool,
+        stopping: Option<StoppingRule>,
+    ) -> bool {
+        let (_, verdict) = account(
+            Some(&mut self.tally),
+            self.estimator.as_ref(),
+            self.policy.as_mut(),
+            self.caps,
+            sent,
+            &self.got_lanes[k],
+            self.rate,
+            oracle,
+            record,
+        );
+        self.receives += 1;
+        if self.caps.harq && verdict.is_some_and(|v| v.status == LinkStatus::Retransmit) {
+            return true;
+        }
+        self.closed += 1;
+        let steer = verdict.and_then(|v| v.next_rate);
+        if let Some(next) = steer.filter(|&r| self.caps.adapts_rate && r != self.rate) {
+            if let Err(e) = self.switch_rate(system, next) {
+                self.failed = Some(e);
+                self.stopped = true;
+                return false;
+            }
+        }
+        // The boundary walks the logical packet axis — the seed schedule —
+        // while the interval watches the receive-level tally, the same
+        // accounting `ScenarioResult::packets` reports.
+        if let Some(rule) = stopping {
+            if rule.is_boundary(self.closed)
+                && rule.closed(&self.tally, self.receives, self.scenario.payload_bits)
+            {
+                self.stopped = true;
+            }
+        }
+        false
+    }
+
+    fn finish(self) -> Result<ScenarioResult, RegistryError> {
+        if let Some(e) = self.failed {
+            return Err(e);
+        }
+        let link = self.policy.map(|p| p.metrics());
+        Ok(self
+            .tally
+            .into_result(self.index, self.scenario, self.receives, link, None))
     }
 }
 
 /// Partitions a packet budget into contiguous blocks of at most
-/// [`MAX_BATCH_LANES`] whose sizes differ by at most one — the batch
-/// width alignment of the fused path. A greedy split would run 9 packets
-/// as 8 + 1 and strand the remainder on a single-lane decode; the
-/// balanced split runs them as 5 + 4 so every block keeps enough lanes
-/// for the lockstep kernels to pay off.
-fn batch_blocks(packets: u32) -> impl Iterator<Item = u32> {
-    let b = MAX_BATCH_LANES as u32;
-    let n_blocks = packets.div_ceil(b);
+/// `max_lanes` whose sizes differ by at most one — the batch width
+/// alignment of the group loop. A greedy split would run 9 packets as
+/// 8 + 1 and strand the remainder on a single-lane decode; the balanced
+/// split runs them as 5 + 4 so every block keeps enough lanes for the
+/// lockstep kernels to pay off.
+fn batch_blocks(packets: u32, max_lanes: u32) -> impl Iterator<Item = u32> {
+    let n_blocks = packets.div_ceil(max_lanes);
     let base = packets.checked_div(n_blocks).unwrap_or(0);
     let bumped = packets.checked_rem(n_blocks).unwrap_or(0);
     (0..n_blocks).map(move |i| base + u32::from(i < bumped))
 }
 
-/// Executes one shared-channel job: the payload, transmit chain, and
-/// channel realization of each packet are computed once and every member
-/// scenario receives from the identical noisy samples. Bit-identical to
-/// running each member solo — the shared inputs are exactly the inputs
-/// each member would have derived from its own (equal) seed.
+/// Executes one group job: the payload, transmit chain, and channel
+/// realization of each packet are computed once and every member
+/// receives from the identical noisy samples. Bit-identical to running
+/// each member alone — the shared inputs are exactly the inputs each
+/// member would have derived from its own (equal) seed.
 ///
-/// Packets run through the receivers in lockstep blocks of up to
-/// [`MAX_BATCH_LANES`] lanes (see [`batch_blocks`]): each block transmits
-/// and corrupts its packets first, then every member decodes the whole
-/// block with one batched receive, then the per-packet accounting replays
-/// in the original packet order so tallies and link policies observe the
-/// exact sequence the solo path produces. Members whose receive chains
-/// coincide share work inside a block — one front-end pass per demapper
-/// class, one decode per (rate, builtin decoder) class — because equal
-/// configurations produce bit-identical intermediate streams.
+/// Packets run in blocks (see [`batch_blocks`]): each block transmits and
+/// corrupts its packets first, then every member decodes the whole block
+/// with one receive step, then the accounting replays in packet order so
+/// tallies and link policies observe the exact sequence a lone run
+/// produces. Members whose receive chains coincide share work inside a
+/// block — one front end per demapper class, one decode per (rate,
+/// builtin decoder) class — because equal configurations produce
+/// bit-identical intermediate streams. While a HARQ packet stays open the
+/// block repeats as its next attempt: the same payload at the attempt's
+/// puncture phase, through fresh channel noise from
+/// [`harq_attempt_seed`].
 pub(super) fn run_group(
-    system: &WilisSystem,
-    channels: &ChannelSlot,
-    links: &LinkSlot,
+    env: &SweepEnv,
+    caps: &[LinkCaps],
     members: &[usize],
     scenarios: &[Scenario],
     record: bool,
     stopping: Option<StoppingRule>,
 ) -> Vec<(usize, Result<ScenarioResult, RegistryError>)> {
+    let (system, channels, links, _) = env;
     let lead = &scenarios[members[0]];
     let mut out = Vec::with_capacity(members.len());
     let mut group: Vec<GroupMember> = Vec::with_capacity(members.len());
     for &i in members {
-        match GroupMember::build(system, links, i, &scenarios[i]) {
+        match GroupMember::build(system, links, caps[i], i, &scenarios[i]) {
             Ok(m) => group.push(m),
             Err(e) => out.push((i, Err(e))),
         }
@@ -542,18 +515,20 @@ pub(super) fn run_group(
             return out;
         }
     };
+    if group.is_empty() {
+        return out;
+    }
 
-    let shared_trellis = system.compiled_ieee80211();
-    let any_oracle = group.iter().any(|m| m.needs_oracle);
-    let transmitter = Transmitter::new(lead.rate);
+    let mut oracle = group
+        .iter()
+        .any(|m| m.caps.needs_oracle)
+        .then(|| OracleBank::new(system.compiled_ieee80211()));
+    let payload_bits = lead.payload_bits;
     let mut tx_scratch = PhyScratch::new();
     let mut lane_samples: Vec<Vec<Cplx>> = Vec::new();
     let mut payloads: Vec<Vec<u8>> = Vec::new();
     let mut scramble_seeds: Vec<u8> = Vec::new();
     let mut oracles: Vec<Oracle> = Vec::new();
-    let mut oracle_rx: Vec<Option<(Receiver, PhyScratch)>> = PhyRate::all().map(|_| None).into();
-    let mut oracle_samples: Vec<Cplx> = Vec::new();
-    let mut oracle_got = RxResult::default();
 
     // Front-end classes: members whose receive front ends agree (same
     // rate, same demapper configuration) produce bit-identical mother LLR
@@ -601,159 +576,121 @@ pub(super) fn run_group(
         rx_of.push(c);
     }
 
+    // A member that changes its transmission after every packet is alone
+    // in its group (the plan sees to it) and runs one packet per block.
+    let max_lanes = if group.iter().any(|m| m.caps.adapts_rate || m.caps.harq) {
+        1
+    } else {
+        MAX_BATCH_LANES as u32
+    };
     let mut first = 0u32;
-    for block in batch_blocks(lead.packets) {
+    for block in batch_blocks(lead.packets, max_lanes) {
         let lanes = block as usize;
         if lane_samples.len() < lanes {
             lane_samples.resize_with(lanes, Vec::new);
             payloads.resize_with(lanes, Vec::new);
         }
-        scramble_seeds.clear();
-        oracles.clear();
+        loop {
+            // Fixed-rate members all transmit the lead's stream; a member
+            // that steers its own transmission is alone, so the group
+            // transmits whatever its first member asks for.
+            let (rate, phase, attempt) = group[0].next_tx();
+            let transmitter = Transmitter::with_phase(rate, phase);
+            scramble_seeds.clear();
+            oracles.clear();
 
-        // Stage 1 — the shared part, in packet order: one transmit and
-        // one channel realization per packet, exactly the sequence of
-        // channel calls the unbatched loop makes.
-        for k in 0..lanes {
-            let p = first + k as u32;
-            let packet_seed = mix_seed(lead.seed, u64::from(p));
-            let mut rng = SmallRng::seed_from_u64(packet_seed);
-            let payload = &mut payloads[k];
-            payload.clear();
-            payload.extend((0..lead.payload_bits).map(|_| rng.gen_bit()));
-            let scramble_seed = (p % 127 + 1) as u8;
-            let chan_seed = mix_seed(packet_seed, 1);
-            let samples = &mut lane_samples[k];
-            transmitter.tx_into(payload, scramble_seed, &mut tx_scratch, samples);
-            channel.apply(samples, chan_seed);
-            oracles.push(if any_oracle {
-                oracle_replay(
-                    channel.as_mut(),
-                    &shared_trellis,
-                    chan_seed,
-                    payload,
-                    scramble_seed,
-                    &mut oracle_rx,
-                    &mut oracle_samples,
-                    &mut oracle_got,
-                )
-            } else {
-                Oracle::Unavailable
-            });
-            scramble_seeds.push(scramble_seed);
-        }
-
-        // Stage 2 — every member decodes the whole block in lockstep:
-        // one front-end pass per class, then each member's decoder runs
-        // on its class's shared mother stream. Bit-identical per lane to
-        // `rx_from`.
-        for (c, &r) in class_reps.iter().enumerate() {
-            let rep = &mut group[r];
-            rep.rx.rx_batch_front_end_into(
-                &lane_samples[..lanes],
-                lead.payload_bits,
-                &mut rep.scratch,
-                &mut class_mothers[c],
-            );
-        }
-        for (c, &r) in rx_reps.iter().enumerate() {
-            debug_assert_eq!(rx_of[r], c);
-            let rep = &mut group[r];
-            rep.got_lanes.resize_with(lanes, RxResult::default);
-            rep.rx.rx_batch_decode_from(
-                &class_mothers[class_of[r]],
-                lanes,
-                lead.payload_bits,
-                &scramble_seeds,
-                &mut rep.scratch,
-                &mut rep.got_lanes[..lanes],
-            );
-        }
-        for i in 0..group.len() {
-            let r = rx_reps[rx_of[i]];
-            if r == i {
-                continue;
+            // Stage 1 — the shared part, in packet order: one transmit and
+            // one channel realization per packet.
+            for k in 0..lanes {
+                let p = first + k as u32;
+                let packet_seed = mix_seed(lead.seed, u64::from(p));
+                let payload = &mut payloads[k];
+                // A retransmission resends the open packet's payload.
+                if attempt == 0 {
+                    let mut rng = SmallRng::seed_from_u64(packet_seed);
+                    payload.clear();
+                    payload.extend((0..payload_bits).map(|_| rng.gen_bit()));
+                }
+                // Scramble identity follows the logical packet: a
+                // retransmission is the same packet on the air.
+                let scramble_seed = (p % 127 + 1) as u8;
+                let chan_seed = mix_seed(harq_attempt_seed(packet_seed, attempt), 1);
+                let samples = &mut lane_samples[k];
+                transmitter.tx_into(payload, scramble_seed, &mut tx_scratch, samples);
+                channel.apply(samples, chan_seed);
+                oracles.push(match oracle.as_mut() {
+                    Some(bank) => bank.replay(channel.as_mut(), chan_seed, payload, scramble_seed),
+                    None => Oracle::Unavailable,
+                });
+                scramble_seeds.push(scramble_seed);
             }
-            // The representative always precedes its class members, so a
-            // split at `i` puts it in the head. Field-wise `clone_from`
-            // keeps the copy allocation-free in the steady state.
-            let (head, tail) = group.split_at_mut(i);
-            let dst_member = &mut tail[0];
-            dst_member.got_lanes.resize_with(lanes, RxResult::default);
-            let src_lanes = &head[r].got_lanes[..lanes];
-            for (dst, src) in dst_member.got_lanes[..lanes].iter_mut().zip(src_lanes) {
-                dst.payload.clone_from(&src.payload);
-                dst.hints.clone_from(&src.hints);
-                dst.soft_magnitudes.clone_from(&src.soft_magnitudes);
-                dst.decoder_id = src.decoder_id;
-            }
-        }
 
-        // Stage 3 — accounting, packet-major then member, so each
-        // member's tally and link policy observe packets in the same
-        // order the solo path delivers them.
-        for k in 0..lanes {
-            let payload = &payloads[k];
-            let done = u64::from(first) + k as u64 + 1;
-            for member in &mut group {
-                if member.stopped {
+            // Stage 2 — the receive step: one front end per class, then
+            // each decoder class representative decodes its class's plane.
+            for (c, &r) in class_reps.iter().enumerate() {
+                let rep = &mut group[r];
+                front_end(
+                    &mut rep.rx,
+                    phase,
+                    &lane_samples[..lanes],
+                    payload_bits,
+                    &mut rep.scratch,
+                    &mut class_mothers[c],
+                );
+            }
+            for &r in &rx_reps {
+                let rep = &mut group[r];
+                rep.got_lanes.resize_with(lanes, RxResult::default);
+                decode(
+                    &mut rep.rx,
+                    &class_mothers[class_of[r]],
+                    rep.policy.as_mut().and_then(|p| p.harq()),
+                    payload_bits,
+                    &scramble_seeds,
+                    &mut rep.scratch,
+                    &mut rep.got_lanes[..lanes],
+                );
+            }
+            for i in 0..group.len() {
+                let r = rx_reps[rx_of[i]];
+                if r == i {
                     continue;
                 }
-                let got = &member.got_lanes[k];
-                let (errs_this_packet, predicted) =
-                    member
-                        .tally
-                        .observe(payload, got, member.estimator.as_ref(), record);
-                if let Some(policy) = member.policy.as_mut() {
-                    let ctx = LinkContext {
-                        sent: payload,
-                        bit_errors: errs_this_packet,
-                        predicted_pber: predicted,
-                        rate: lead.rate,
-                        oracle: if member.needs_oracle {
-                            oracles[k]
-                        } else {
-                            Oracle::Unavailable
-                        },
-                    };
-                    let verdict = policy.observe(got, &got.hints, &ctx);
-                    assert!(
-                        verdict.next_rate.is_none() || verdict.next_rate == Some(lead.rate),
-                        "link policy {:?} declared adapts_rate() == false but asked to \
-                         steer the transmit rate",
-                        policy.name()
-                    );
+                // The representative always precedes its class members, so
+                // a split at `i` puts it in the head. Field-wise
+                // `clone_from` keeps the copy allocation-free in the steady
+                // state.
+                let (head, tail) = group.split_at_mut(i);
+                let dst_member = &mut tail[0];
+                dst_member.got_lanes.resize_with(lanes, RxResult::default);
+                let src_lanes = &head[r].got_lanes[..lanes];
+                for (dst, src) in dst_member.got_lanes[..lanes].iter_mut().zip(src_lanes) {
+                    dst.payload.clone_from(&src.payload);
+                    dst.hints.clone_from(&src.hints);
+                    dst.soft_magnitudes.clone_from(&src.soft_magnitudes);
+                    dst.decoder_id = src.decoder_id;
                 }
-                member.observed = done;
-                // Each member applies its own rule to its own tally at
-                // exactly the boundary its solo run would check — a
-                // stopped member freezes while co-members continue.
-                if let Some(rule) = stopping {
-                    if rule.is_boundary(done) && rule.closed(&member.tally, done, lead.payload_bits)
-                    {
-                        member.stopped = true;
-                    }
+            }
+
+            // Stage 3 — accounting, packet-major then member, so each
+            // member's tally and link policy observe packets in the order
+            // a lone run delivers them.
+            let mut open = false;
+            for (k, payload) in payloads[..lanes].iter().enumerate() {
+                for member in group.iter_mut().filter(|m| !m.stopped) {
+                    open |= member.account_lane(system, k, payload, oracles[k], record, stopping);
                 }
+            }
+            if !open {
+                break;
             }
         }
         first += block;
-        if stopping.is_some() && group.iter().all(|m| m.stopped) {
+        if group.iter().all(|m| m.stopped) {
             break;
         }
     }
 
-    for member in group {
-        let link = member.policy.map(|p| p.metrics());
-        out.push((
-            member.index,
-            Ok(member.tally.into_result(
-                member.index,
-                member.scenario,
-                member.observed,
-                link,
-                None,
-            )),
-        ));
-    }
+    out.extend(group.into_iter().map(|m| (m.index, m.finish())));
     out
 }

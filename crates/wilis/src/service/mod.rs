@@ -6,7 +6,8 @@
 //! ([`StoreKey`] — all [`Scenario`] fields plus the runner knobs that
 //! change what a result contains), repeated points are served from the
 //! store without simulating a single packet, and fresh points stream
-//! back through a per-point callback as their worker jobs finish. With
+//! back through [`SweepService::run_streaming_supervised`]'s per-point
+//! callback as their worker jobs finish. With
 //! `WILIS_STORE=path` (see [`SweepService::from_env`]) the store is
 //! mirrored to a JSON-lines file, so the cache survives across
 //! *processes* — figure drivers, benches, and tests all become thin
@@ -256,53 +257,7 @@ impl SweepService {
     /// naming the lowest quarantined submission index — use
     /// [`SweepService::run_supervised`] to get the partial results.
     pub fn run(&mut self, scenarios: &[Scenario]) -> Result<Vec<ScenarioResult>, RegistryError> {
-        self.run_streaming(scenarios, |_, _| {})
-    }
-
-    /// Streaming variant of [`SweepService::run`]: `on_result(i, &result)`
-    /// fires on the *calling* thread for each grid point as it becomes
-    /// available — immediately for cache hits, then in completion order
-    /// as fresh points finish simulating. The full result vector (in
-    /// submission order) is still returned at the end.
-    ///
-    /// Unlike [`SweepRunner::run_streaming`], the callback needs no
-    /// `Send` bound: worker results cross back over a channel and the
-    /// callback (and every store mutation) runs on the caller's thread.
-    ///
-    /// # Errors
-    ///
-    /// As [`SweepService::run`].
-    pub fn run_streaming<F>(
-        &mut self,
-        scenarios: &[Scenario],
-        mut on_result: F,
-    ) -> Result<Vec<ScenarioResult>, RegistryError>
-    where
-        F: FnMut(usize, &ScenarioResult),
-    {
-        let (outcomes, _report) = self.run_outcomes(scenarios, |i, outcome| {
-            if let PointOutcome::Completed(res) = outcome {
-                on_result(i, res);
-            }
-        })?;
-        let mut first_failed: Option<(usize, String)> = None;
-        let mut results = Vec::with_capacity(outcomes.len());
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                PointOutcome::Completed(res) => results.push(res),
-                PointOutcome::Failed { message, .. } => {
-                    if first_failed.is_none() {
-                        first_failed = Some((i, message));
-                    }
-                }
-            }
-        }
-        match first_failed {
-            Some((i, message)) => Err(RegistryError::invalid_config(format!(
-                "grid point {i} was quarantined: {message}"
-            ))),
-            None => Ok(results),
-        }
+        self.run_supervised(scenarios)?.into_results()
     }
 
     /// Supervised variant of [`SweepService::run`]: quarantined grid
@@ -325,8 +280,19 @@ impl SweepService {
     }
 
     /// Streaming variant of [`SweepService::run_supervised`]:
-    /// `on_outcome(i, &outcome)` fires on the calling thread for each
-    /// grid point as it becomes available, quarantined points included.
+    /// `on_outcome(i, &outcome)` fires on the *calling* thread for each
+    /// grid point as it becomes available — immediately for cache hits,
+    /// then in completion order as fresh points finish simulating,
+    /// quarantined points included. Unlike
+    /// [`SweepRunner::run_streaming_supervised`], the callback needs no
+    /// `Send` bound: worker outcomes cross back over a channel and the
+    /// callback (and every store mutation) runs on the caller's thread.
+    ///
+    /// This is the core under every run variant: dedup against the
+    /// store, simulate the misses under supervision, fan outcomes out to
+    /// submission indices, and assemble the run's [`FaultReport`]
+    /// (quarantines remapped to submission indices; store counters as
+    /// deltas across the run).
     ///
     /// # Errors
     ///
@@ -334,37 +300,8 @@ impl SweepService {
     pub fn run_streaming_supervised<F>(
         &mut self,
         scenarios: &[Scenario],
-        on_outcome: F,
-    ) -> Result<SupervisedSweep, RegistryError>
-    where
-        F: FnMut(usize, &PointOutcome),
-    {
-        let (outcomes, report) = self.run_outcomes(scenarios, on_outcome)?;
-        Ok(SupervisedSweep { outcomes, report })
-    }
-
-    fn store_counters(&self) -> StoreCounters {
-        StoreCounters {
-            write_faults: self.store.write_faults(),
-            read_faults: self.store.read_faults(),
-            torn_writes: self.store.torn_writes(),
-            corrupt_records: self.store.corrupt_records(),
-            retries: self.store.retries(),
-            io_errors: self.store.io_errors(),
-            evictions: self.store.evictions(),
-        }
-    }
-
-    /// The supervised core under every public run variant: dedup against
-    /// the store, simulate the misses under supervision, fan outcomes
-    /// out to submission indices, and assemble the run's [`FaultReport`]
-    /// (quarantines remapped to submission indices; store counters as
-    /// deltas across the run).
-    fn run_outcomes<F>(
-        &mut self,
-        scenarios: &[Scenario],
         mut on_outcome: F,
-    ) -> Result<(Vec<PointOutcome>, FaultReport), RegistryError>
+    ) -> Result<SupervisedSweep, RegistryError>
     where
         F: FnMut(usize, &PointOutcome),
     {
@@ -505,7 +442,19 @@ impl SweepService {
                 })
             })
             .collect::<Result<Vec<PointOutcome>, RegistryError>>()?;
-        Ok((outcomes, report))
+        Ok(SupervisedSweep { outcomes, report })
+    }
+
+    fn store_counters(&self) -> StoreCounters {
+        StoreCounters {
+            write_faults: self.store.write_faults(),
+            read_faults: self.store.read_faults(),
+            torn_writes: self.store.torn_writes(),
+            corrupt_records: self.store.corrupt_records(),
+            retries: self.store.retries(),
+            io_errors: self.store.io_errors(),
+            evictions: self.store.evictions(),
+        }
     }
 
     /// Mirrors the store's cumulative degradation counters into

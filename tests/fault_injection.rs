@@ -6,8 +6,9 @@
 //!   [`wilis::SupervisedSweep`] is identical at 1, 2, and 8 workers;
 //! * with faults disabled (or no injector wired at all) the supervised
 //!   path is bit-identical to the legacy runner — strict generalization;
-//! * the legacy `run`/`run_streaming` API surfaces a quarantine as a
-//!   typed error without losing the surviving results' determinism.
+//! * the legacy `run` API surfaces a quarantine as a typed error, and the
+//!   streaming primitive delivers survivors and quarantines as typed
+//!   outcomes.
 //!
 //! Runner-level `worker_panic` occurrence indices address the submitted
 //! grid directly (index `i` fails scenario `i`), unlike the service
@@ -116,17 +117,28 @@ fn legacy_api_surfaces_the_lowest_quarantined_index_as_an_error() {
     );
     assert!(text.contains("injected worker panic"), "{text}");
 
-    // The streaming variant still delivers every surviving point before
-    // reporting the failure.
-    let mut seen = 0usize;
-    let err = runner
-        .run_streaming(&scenarios, |_, _| seen += 1)
-        .unwrap_err();
-    assert!(format!("{err}").contains("quarantined"));
+    // The streaming primitive delivers every survivor as Completed and
+    // each quarantined point as Failed.
+    let (mut completed, mut failed) = (Vec::new(), Vec::new());
+    runner
+        .run_streaming_supervised(&scenarios, |i, outcome| match outcome {
+            PointOutcome::Completed(_) => completed.push(i),
+            PointOutcome::Failed { .. } => failed.push(i),
+        })
+        .unwrap();
+    completed.sort_unstable();
+    failed.sort_unstable();
     assert_eq!(
-        seen,
-        scenarios.len() - 2,
-        "survivors stream before the error"
+        failed,
+        vec![3, 6],
+        "the quarantined points stream as Failed"
+    );
+    assert_eq!(
+        completed,
+        (0..scenarios.len())
+            .filter(|i| ![3, 6].contains(i))
+            .collect::<Vec<_>>(),
+        "every survivor streams as Completed"
     );
 }
 

@@ -164,9 +164,10 @@ fn streaming_callback_sees_every_point_once_in_any_split() {
     let mut service = SweepService::new(SweepRunner::new(2));
     service.run(&scenarios[..4]).unwrap();
     let mut seen = vec![0u32; scenarios.len()];
-    let results = service
-        .run_streaming(&scenarios, |i, r| {
+    let sweep = service
+        .run_streaming_supervised(&scenarios, |i, outcome| {
             seen[i] += 1;
+            let r = outcome.result().expect("no faults: every point completes");
             assert_eq!(r.scenario, i, "streamed result carries its grid index");
         })
         .unwrap();
@@ -174,7 +175,7 @@ fn streaming_callback_sees_every_point_once_in_any_split() {
         seen.iter().all(|&n| n == 1),
         "per-point callback cardinality"
     );
-    assert_eq!(results.len(), scenarios.len());
+    assert_eq!(sweep.outcomes.len(), scenarios.len());
 }
 
 #[test]

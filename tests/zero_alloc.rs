@@ -20,7 +20,7 @@ use wilis::fxp::rng::SmallRng;
 use wilis::mac::link::{LinkContext, Oracle};
 use wilis::mac::{HarqConfig, HarqLink, LinkPolicy};
 use wilis::phy::{PhyRate, PhyScratch, Receiver, RxResult, Transmitter};
-use wilis::scenario::{SweepGrid, SweepRunner};
+use wilis::scenario::{Scenario, SweepGrid, SweepRunner};
 use wilis::FaultInjector;
 
 #[global_allocator]
@@ -179,6 +179,101 @@ fn fused_sweep_inner_loop_allocates_nothing_per_packet() {
          ({bytes_small} vs {bytes_large}): the fused inner loop allocates \
          per packet"
     );
+}
+
+/// Runs `grid(40)` and `grid(80)` on one warm worker and asserts the two
+/// runs made the same number of allocations and requested the same bytes:
+/// the per-packet delta-equality proof of
+/// `fused_sweep_inner_loop_allocates_nothing_per_packet`, for any grid.
+fn assert_sweep_allocates_nothing_per_packet(path: &str, grid: impl Fn(u32) -> Vec<Scenario>) {
+    let _serial = alloc_count::lock();
+    let runner = SweepRunner::new(1);
+
+    // Warm-up run: one-time statics (constellation tables, registries).
+    // As long as the measured runs, so the test harness has finished
+    // reporting the previous test before the global counters are read.
+    runner.run(&grid(40)).expect("stock names");
+
+    let before_small = global_allocs();
+    let before_small_bytes = global_alloc_bytes();
+    let small = runner.run(&grid(40)).expect("stock names");
+    let delta_small = global_allocs() - before_small;
+    let bytes_small = global_alloc_bytes() - before_small_bytes;
+
+    let before_large = global_allocs();
+    let before_large_bytes = global_alloc_bytes();
+    let large = runner.run(&grid(80)).expect("stock names");
+    let delta_large = global_allocs() - before_large;
+    let bytes_large = global_alloc_bytes() - before_large_bytes;
+
+    assert!(
+        large.iter().map(|r| r.packets).sum::<u64>() > small.iter().map(|r| r.packets).sum(),
+        "{path}: the larger budget must receive more packets"
+    );
+    assert_eq!(
+        delta_small, delta_large,
+        "{path}: doubling the packet budget changed the allocation count \
+         ({delta_small} vs {delta_large}): the loop allocates per packet"
+    );
+    assert_eq!(
+        bytes_small, bytes_large,
+        "{path}: doubling the packet budget changed the bytes requested \
+         ({bytes_small} vs {bytes_large}): the loop allocates per packet"
+    );
+}
+
+/// SoftRate with its oracle: the transmit rate moves packet by packet and
+/// every packet is replayed at all eight rates, out of reused buffers.
+#[test]
+fn softrate_oracle_sweep_allocates_nothing_per_packet() {
+    assert_sweep_allocates_nothing_per_packet("softrate", |packets| {
+        SweepGrid::new()
+            .rates(&[PhyRate::Qam16Half])
+            .decoders(&["bcjr"])
+            .links(&["softrate"])
+            .link_param("oracle", "true")
+            .snrs_db(&[12.0])
+            .seeds(&[9])
+            .packets(packets)
+            .payload_bits(PAYLOAD_BITS)
+            .scenarios()
+    });
+}
+
+/// HARQ-IR: every attempt transmits at its scheduled phase, absorbs into
+/// the retained plane and decodes the combined plane.
+#[test]
+fn harq_ir_sweep_allocates_nothing_per_packet() {
+    assert_sweep_allocates_nothing_per_packet("harq-ir", |packets| {
+        SweepGrid::new()
+            .rates(&[RATE])
+            .decoders(&["sova"])
+            .links(&["harq-ir"])
+            .snrs_db(&[7.0])
+            .seeds(&[9])
+            .packets(packets)
+            .payload_bits(PAYLOAD_BITS)
+            .scenarios()
+    });
+}
+
+/// A 4-node CSMA cell whose nodes run HARQ-IR: contention, capture and
+/// the combined decode of every attempt, survivor or destroyed.
+#[test]
+fn harq_ir_csma_cell_allocates_nothing_per_packet() {
+    assert_sweep_allocates_nothing_per_packet("csma cell", |packets| {
+        SweepGrid::new()
+            .rates(&[RATE])
+            .decoders(&["sova"])
+            .links(&["harq-ir"])
+            .contentions(&["csma"])
+            .nodes(4)
+            .snrs_db(&[7.0])
+            .seeds(&[9])
+            .packets(packets)
+            .payload_bits(PAYLOAD_BITS)
+            .scenarios()
+    });
 }
 
 /// The supervised happy path — the `catch_unwind` boundary, the fault
