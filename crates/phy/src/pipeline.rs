@@ -102,17 +102,14 @@ impl PhyScratch {
     /// switches back to a rate it used before, so rate adaptation that
     /// changes the rate packet by packet stays allocation-free.
     fn ensure_rate(&mut self, rate: PhyRate) {
-        if self.machinery.first().map(|m| m.rate) == Some(rate) {
-            return;
-        }
-        match self.machinery.iter().position(|m| m.rate == rate) {
-            Some(i) => self.machinery.swap(0, i),
+        let i = match self.machinery.iter().position(|m| m.rate == rate) {
+            Some(i) => i,
             None => {
                 self.machinery.push(RateMachinery::new(rate));
-                let last = self.machinery.len() - 1;
-                self.machinery.swap(0, last);
+                self.machinery.len() - 1
             }
-        }
+        };
+        self.machinery.swap(0, i);
     }
 }
 
@@ -569,7 +566,8 @@ impl Receiver {
     /// pass moves whole lane rows, and the decoder's
     /// [`SoftDecoder::decode_terminated_batch_into`] runs the lanes
     /// through the structure-of-arrays trellis kernels (falling back to
-    /// per-lane scalar decode beyond `wilis_fec::MAX_BATCH_LANES`).
+    /// per-lane scalar decode beyond `wilis_fec::MAX_BATCH_LANES`). A
+    /// single lane runs the scalar bodies, which are cheaper at width 1.
     ///
     /// Per lane, every `RxResult` is **bit-identical** to a scalar
     /// [`Receiver::rx_from`] of that lane — batching is purely a

@@ -784,9 +784,9 @@ impl SweepRunner {
     /// contention cell, or a shared-channel group of scenarios that differ
     /// only in decoder/link, possibly a group of one (each job is
     /// self-contained — that is what makes the determinism contract
-    /// trivial) — so keep it cheap relative to a
-    /// scenario's packet budget: register implementations inside it, load
-    /// big assets outside and share them via `Arc`.
+    /// trivial) — so keep it cheap relative to a scenario's packet budget:
+    /// register implementations inside it, load big assets outside and
+    /// share them via `Arc`.
     pub fn with_env(mut self, env: impl Fn() -> SweepEnv + Send + Sync + 'static) -> Self {
         self.env = Arc::new(env);
         self

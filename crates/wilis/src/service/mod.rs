@@ -7,11 +7,10 @@
 //! change what a result contains), repeated points are served from the
 //! store without simulating a single packet, and fresh points stream
 //! back through [`SweepService::run_streaming_supervised`]'s per-point
-//! callback as their worker jobs finish. With
-//! `WILIS_STORE=path` (see [`SweepService::from_env`]) the store is
-//! mirrored to a JSON-lines file, so the cache survives across
-//! *processes* — figure drivers, benches, and tests all become thin
-//! clients of one store.
+//! callback as their worker jobs finish. With `WILIS_STORE=path` (see
+//! [`SweepService::from_env`]) the store is mirrored to a JSON-lines
+//! file, so the cache survives across *processes* — figure drivers,
+//! benches, and tests all become thin clients of one store.
 //!
 //! Because a cached result is bit-equal to a fresh one (floats travel
 //! through the disk store as IEEE-754 bit patterns), the engine's
