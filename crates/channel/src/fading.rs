@@ -34,7 +34,7 @@ const JAKES_PATHS: usize = 16;
 /// let far = fading.gain_at(10.0); // many coherence times later
 /// assert!((g0 - far).norm() > 1e-6);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RayleighFading {
     doppler_hz: f64,
     /// Per-path (cos(angle of arrival), phase) pairs.
@@ -50,16 +50,25 @@ impl RayleighFading {
     /// Panics if `doppler_hz` is not strictly positive.
     pub fn new(doppler_hz: f64, seed: u64) -> Self {
         assert!(doppler_hz > 0.0, "Doppler must be positive");
+        let mut fading = Self {
+            doppler_hz,
+            paths: vec![(0.0, 0.0); JAKES_PATHS],
+        };
+        fading.reseed(seed);
+        fading
+    }
+
+    /// Redraws the path table in place for `seed`: afterwards `self`
+    /// equals `RayleighFading::new(self.doppler_hz(), seed)`, without
+    /// allocating.
+    pub fn reseed(&mut self, seed: u64) {
         let mut g = GaussianSource::new(seed ^ 0x9e37_79b9_7f4a_7c15);
         let rng = g.rng_mut();
-        let paths = (0..JAKES_PATHS)
-            .map(|_| {
-                let aoa: f64 = rng.gen_range(0.0..2.0 * PI);
-                let phase: f64 = rng.gen_range(0.0..2.0 * PI);
-                (aoa.cos(), phase)
-            })
-            .collect();
-        Self { doppler_hz, paths }
+        for path in &mut self.paths {
+            let aoa: f64 = rng.gen_range(0.0..2.0 * PI);
+            let phase: f64 = rng.gen_range(0.0..2.0 * PI);
+            *path = (aoa.cos(), phase);
+        }
     }
 
     /// The configured maximum Doppler shift in hertz.
@@ -154,7 +163,7 @@ impl Channel for FadingAwgnChannel {
     }
 
     fn reset(&mut self, seed: u64) {
-        self.fading = RayleighFading::new(self.fading.doppler_hz, seed);
+        self.fading.reseed(seed);
         self.awgn.reset(seed.wrapping_add(1));
         self.consumed = 0;
     }

@@ -13,7 +13,7 @@
 use wilis_fxp::rng::mix_seed;
 use wilis_fxp::Cplx;
 
-use crate::{AwgnChannel, Channel, FadingAwgnChannel, ReplayChannel, SnrDb};
+use crate::{AwgnChannel, Channel, RayleighFading, ReplayChannel, SnrDb};
 
 /// Baseband sample rate used by the fading models: 80 samples per 4 µs
 /// OFDM symbol.
@@ -105,25 +105,76 @@ impl ChannelModel for AwgnModel {
 /// estimation (§4.4.4), so the packet is genie-equalized by the gain at
 /// its first sample; the residual impairment is the effective SNR
 /// `|h|² × SNR` plus intra-packet gain drift.
+///
+/// The model remembers the realization it drew last: its path table,
+/// re-seeded in place, and the per-sample gains computed so far. Every
+/// apply of one seed — a transmission, then the SoftRate oracle replaying
+/// it at other rates — reads that prefix and only computes gains past its
+/// end. The output is the one a fresh
+/// [`FadingAwgnChannel`](crate::FadingAwgnChannel) produces.
 #[derive(Debug, Clone)]
 pub struct FadingModel {
     snr: SnrDb,
     doppler_hz: f64,
+    /// Built on first use, so an invalid Doppler panics where the channel
+    /// runs, not where it is configured.
+    realization: Option<Realization>,
+}
+
+/// One seed's fading realization: the Jakes path table and the prefix of
+/// its per-sample gains `gain_at(i / MODEL_SAMPLE_RATE_HZ)`.
+#[derive(Debug, Clone)]
+struct Realization {
+    seed: u64,
+    fading: RayleighFading,
+    gains: Vec<Cplx>,
 }
 
 impl FadingModel {
     /// A fading model at mean `snr` with the given Doppler (the paper's
     /// Figure 7 channel is 10 dB / 20 Hz).
     pub fn new(snr: SnrDb, doppler_hz: f64) -> Self {
-        Self { snr, doppler_hz }
+        Self {
+            snr,
+            doppler_hz,
+            realization: None,
+        }
+    }
+
+    /// The first `len` gains of `seed`'s realization (at least one, the
+    /// packet-start gain), extending the remembered prefix as needed.
+    fn gains(&mut self, seed: u64, len: usize) -> &[Cplx] {
+        let doppler_hz = self.doppler_hz;
+        let r = self.realization.get_or_insert_with(|| Realization {
+            seed,
+            fading: RayleighFading::new(doppler_hz, seed),
+            gains: Vec::new(),
+        });
+        if r.seed != seed {
+            r.seed = seed;
+            r.fading.reseed(seed);
+            r.gains.clear();
+        }
+        let len = len.max(1);
+        for i in r.gains.len()..len {
+            r.gains
+                .push(r.fading.gain_at(i as f64 / MODEL_SAMPLE_RATE_HZ));
+        }
+        &r.gains[..len]
     }
 }
 
 impl ChannelModel for FadingModel {
     fn apply(&mut self, samples: &mut [Cplx], seed: u64) {
-        let mut ch = FadingAwgnChannel::new(self.snr, self.doppler_hz, MODEL_SAMPLE_RATE_HZ, seed);
-        let gain = ch.current_gain();
-        ch.apply(samples);
+        // `FadingAwgnChannel`'s order: fade every sample, then add the
+        // noise of the seed's AWGN stream, then equalize.
+        let snr = self.snr;
+        let gains = self.gains(seed, samples.len());
+        for (s, &g) in samples.iter_mut().zip(gains) {
+            *s *= g;
+        }
+        let gain = gains[0];
+        AwgnChannel::new(snr, seed.wrapping_add(1)).apply(samples);
         equalize(samples, gain);
     }
 
@@ -136,12 +187,9 @@ impl ChannelModel for FadingModel {
     }
 
     fn packet_gain(&mut self, seed: u64) -> f64 {
-        // The same construction `apply` performs, probed for its gain at
-        // the packet start — the quantity the genie equalizer divides by,
-        // so the post-equalization effective SNR is `|h|² × SNR`.
-        FadingAwgnChannel::new(self.snr, self.doppler_hz, MODEL_SAMPLE_RATE_HZ, seed)
-            .current_gain()
-            .norm_sq()
+        // The gain `apply` equalizes by, so the post-equalization
+        // effective SNR is `|h|² × SNR`.
+        self.gains(seed, 1)[0].norm_sq()
     }
 }
 
@@ -157,6 +205,8 @@ pub struct ReplayModel {
     snr: SnrDb,
     doppler_hz: f64,
     base_seed: u64,
+    /// The one realization every packet samples, built on first use.
+    channel: Option<ReplayChannel>,
 }
 
 impl ReplayModel {
@@ -170,20 +220,25 @@ impl ReplayModel {
             snr,
             doppler_hz,
             base_seed,
+            channel: None,
         }
+    }
+
+    /// The realization, positioned at `seed`'s packet start.
+    fn seek(&mut self, seed: u64) -> &mut ReplayChannel {
+        let (snr, doppler_hz, base_seed) = (self.snr, self.doppler_hz, self.base_seed);
+        let ch = self.channel.get_or_insert_with(|| {
+            ReplayChannel::fading(snr, doppler_hz, MODEL_SAMPLE_RATE_HZ, base_seed)
+        });
+        let span = (Self::WINDOW_SECS * MODEL_SAMPLE_RATE_HZ) as u64;
+        ch.seek(mix_seed(base_seed, seed) % span);
+        ch
     }
 }
 
 impl ChannelModel for ReplayModel {
     fn apply(&mut self, samples: &mut [Cplx], seed: u64) {
-        let mut ch = ReplayChannel::fading(
-            self.snr,
-            self.doppler_hz,
-            MODEL_SAMPLE_RATE_HZ,
-            self.base_seed,
-        );
-        let span = (Self::WINDOW_SECS * MODEL_SAMPLE_RATE_HZ) as u64;
-        ch.seek(mix_seed(self.base_seed, seed) % span);
+        let ch = self.seek(seed);
         let gain = ch.current_gain();
         ch.apply(samples);
         equalize(samples, gain);
@@ -198,15 +253,7 @@ impl ChannelModel for ReplayModel {
     }
 
     fn packet_gain(&mut self, seed: u64) -> f64 {
-        let mut ch = ReplayChannel::fading(
-            self.snr,
-            self.doppler_hz,
-            MODEL_SAMPLE_RATE_HZ,
-            self.base_seed,
-        );
-        let span = (Self::WINDOW_SECS * MODEL_SAMPLE_RATE_HZ) as u64;
-        ch.seek(mix_seed(self.base_seed, seed) % span);
-        ch.current_gain().norm_sq()
+        self.seek(seed).current_gain().norm_sq()
     }
 }
 
@@ -218,7 +265,7 @@ impl ChannelModel for ReplayModel {
 /// Unlike the seed-pure models above, `TraceModel` keeps a cursor: channel
 /// time advances by the packet's airtime plus a configurable gap whenever
 /// the seed *changes from the previous call*. **Consecutive** applies with
-/// the same seed — the SoftRate oracle replaying every rate against the
+/// the same seed — the SoftRate oracle replaying other rates against the
 /// identical channel, immediately after the protocol transmission —
 /// revisit the same span of the realization, which is the paper's
 /// "pseudo-random noise model" contract (§4.4.2). Re-presenting an older
@@ -369,6 +416,113 @@ mod tests {
         let mut after = vec![Cplx::ONE; 128];
         fading.apply(&mut after, 5);
         assert_eq!(before, after, "packet_gain probe disturbed the model");
+    }
+
+    /// The reference `FadingModel::apply` must equal bit for bit: a fresh
+    /// composite channel per packet, then the genie equalizer.
+    fn fresh_fading(samples: &mut [Cplx], seed: u64) {
+        let mut ch =
+            crate::FadingAwgnChannel::new(SnrDb::new(10.0), 20.0, MODEL_SAMPLE_RATE_HZ, seed);
+        let gain = ch.current_gain();
+        ch.apply(samples);
+        equalize(samples, gain);
+    }
+
+    fn ramp(len: usize) -> Vec<Cplx> {
+        (0..len)
+            .map(|i| Cplx::new(1.0 - i as f64 * 1e-3, 0.5 + i as f64 * 2e-3))
+            .collect()
+    }
+
+    #[test]
+    fn fading_reuse_matches_a_fresh_channel() {
+        // Short then long of one seed extends the remembered prefix; the
+        // later short of that seed reads inside it; b and back to a redraw.
+        let sequence = [
+            (11, 80),
+            (11, 720),
+            (11, 240),
+            (12, 400),
+            (11, 160),
+            (11, 0),
+        ];
+        let mut model = FadingModel::new(SnrDb::new(10.0), 20.0);
+        for (seed, len) in sequence {
+            let mut cached = ramp(len);
+            model.apply(&mut cached, seed);
+            let mut fresh = ramp(len);
+            fresh_fading(&mut fresh, seed);
+            let bits = |v: &[Cplx]| {
+                v.iter()
+                    .map(|s| (s.re.to_bits(), s.im.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&cached), bits(&fresh), "seed {seed}, {len} samples");
+        }
+    }
+
+    #[test]
+    fn fading_reseed_equals_new() {
+        let mut fading = RayleighFading::new(20.0, 1);
+        for seed in [2, 1, 0x9e37_79b9_7f4a_7c15, u64::MAX] {
+            fading.reseed(seed);
+            assert_eq!(fading, RayleighFading::new(20.0, seed));
+        }
+    }
+
+    #[test]
+    fn fading_gain_probes_match_and_leave_apply_alone() {
+        let fresh_gain = |seed| {
+            crate::FadingAwgnChannel::new(SnrDb::new(10.0), 20.0, MODEL_SAMPLE_RATE_HZ, seed)
+                .current_gain()
+                .norm_sq()
+        };
+        let mut probed = FadingModel::new(SnrDb::new(10.0), 20.0);
+        let mut plain = FadingModel::new(SnrDb::new(10.0), 20.0);
+        for (seed, probe) in [(21, 21), (21, 22), (22, 21), (23, 23), (23, 24)] {
+            assert_eq!(
+                probed.packet_gain(seed).to_bits(),
+                fresh_gain(seed).to_bits()
+            );
+            let mut a = ramp(320);
+            probed.apply(&mut a, seed);
+            assert_eq!(
+                probed.packet_gain(probe).to_bits(),
+                fresh_gain(probe).to_bits()
+            );
+            let mut b = ramp(480);
+            probed.apply(&mut b, seed);
+            let (mut want_a, mut want_b) = (ramp(320), ramp(480));
+            plain.apply(&mut want_a, seed);
+            plain.apply(&mut want_b, seed);
+            assert_eq!(
+                (a, b),
+                (want_a, want_b),
+                "probe of {probe} moved seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn replay_model_matches_a_fresh_channel_per_packet() {
+        let fresh = |samples: &mut [Cplx], seed: u64| {
+            let mut ch = ReplayChannel::fading(SnrDb::new(10.0), 20.0, MODEL_SAMPLE_RATE_HZ, 7);
+            let span = (ReplayModel::WINDOW_SECS * MODEL_SAMPLE_RATE_HZ) as u64;
+            ch.seek(mix_seed(7, seed) % span);
+            let gain = ch.current_gain();
+            ch.apply(samples);
+            equalize(samples, gain);
+            gain.norm_sq()
+        };
+        let mut model = ReplayModel::new(SnrDb::new(10.0), 20.0, 7);
+        for (seed, len) in [(1, 80), (1, 400), (2, 160), (1, 80)] {
+            let mut got = ramp(len);
+            model.apply(&mut got, seed);
+            let mut want = ramp(len);
+            let gain = fresh(&mut want, seed);
+            assert_eq!(got, want, "seed {seed}, {len} samples");
+            assert_eq!(model.packet_gain(seed).to_bits(), gain.to_bits());
+        }
     }
 
     #[test]

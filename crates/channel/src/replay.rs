@@ -149,8 +149,8 @@ impl Channel for ReplayChannel {
 
     fn reset(&mut self, seed: u64) {
         self.seed = seed;
-        if let Some(f) = &self.fading {
-            self.fading = Some(RayleighFading::new(f.doppler_hz(), seed));
+        if let Some(f) = &mut self.fading {
+            f.reseed(seed);
         }
         self.position = 0;
     }

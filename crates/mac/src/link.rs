@@ -43,9 +43,12 @@ pub struct LinkContext<'a> {
     pub oracle: Oracle,
 }
 
-/// The outcome of replaying a packet at every rate against the identical
-/// channel realization — the paper's "pseudo-random noise model" applied
-/// per packet (§4.4.2).
+/// The outcome of replaying a packet against the identical channel
+/// realization — the paper's "pseudo-random noise model" applied per
+/// packet (§4.4.2). The engine replays the fastest rate first and stops
+/// at the first one that decodes error-free, so `Best` is the same rate
+/// an exhaustive scan of all eight would find; `NoRate` means all eight
+/// were tried.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Oracle {
     /// The engine did not run the oracle (the policy did not ask for it).
@@ -253,10 +256,11 @@ pub trait LinkPolicy {
     /// The registry name of this policy (`"arq"`, `"ppr"`, `"softrate"`).
     fn name(&self) -> &'static str;
 
-    /// Whether the engine should replay every rate against the identical
+    /// Whether the engine should replay the packet against the identical
     /// channel realization and report the oracle-optimal rate in
-    /// [`LinkContext::oracle`]. Costs one extra receive per rate per
-    /// packet; only [`SoftRateLink`] asks for it by default.
+    /// [`LinkContext::oracle`]. Costs one extra receive per rate tried,
+    /// fastest first down to the first clean decode (all eight when none
+    /// is); only [`SoftRateLink`] asks for it by default.
     fn needs_oracle(&self) -> bool {
         false
     }

@@ -15,7 +15,7 @@
 //! fading realization packet by packet (with genie equalization — the
 //! receiver has no channel estimation, as documented in DESIGN.md), the
 //! `"softrate"` link policy steers the transmit rate and asks the engine
-//! for the per-packet all-rates oracle replay, and the under/accurate/over
+//! for the per-packet oracle replay, and the under/accurate/over
 //! tallies come back as [`wilis_mac::LinkMetrics`]. This driver is just a
 //! [`Scenario`] description plus a result mapping.
 

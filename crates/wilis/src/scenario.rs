@@ -52,9 +52,10 @@
 //! hints, the CRC-equivalent ground truth — and accumulates
 //! [`LinkMetrics`] per grid point. Rate-adapting policies (SoftRate)
 //! steer the transmit rate through their verdicts, and policies that ask
-//! for it get the Figure 7 oracle: every rate replayed against the
-//! identical channel realization, which the seed-addressed
-//! [`ChannelModel`] contract provides for free.
+//! for it get the Figure 7 oracle: the packet replayed against the
+//! identical channel realization, fastest rate first down to the first
+//! that decodes error-free, which the seed-addressed [`ChannelModel`]
+//! contract provides for free.
 //!
 //! The **cell dimension** makes the shared medium itself a grid axis: a
 //! scenario names a [`ContentionPolicy`] (resolved through

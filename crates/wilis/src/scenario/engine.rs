@@ -45,6 +45,11 @@ pub(super) fn build_receiver(
 /// built on first use, all sharing the system's one compiled trellis
 /// instead of rebuilding decoder state per rate. Hard decisions suffice
 /// for ground truth.
+///
+/// The scan runs fastest rate first and stops at the first error-free
+/// decode, so a packet costs only the rates from the fastest down to its
+/// answer (all eight when no rate decodes it). The fastest rates are also
+/// the shortest packets.
 struct OracleBank {
     trellis: Arc<CompiledTrellis>,
     rx: Vec<Option<Receiver>>,
@@ -64,9 +69,9 @@ impl OracleBank {
         }
     }
 
-    /// Replays the packet at every rate against the identical channel
-    /// realization (same channel seed) and returns the fastest rate that
-    /// decoded error-free — the oracle grounded on the seed-addressed
+    /// Replays the packet against the identical channel realization (same
+    /// channel seed), fastest rate first, and returns the first rate that
+    /// decodes error-free — the oracle grounded on the seed-addressed
     /// [`ChannelModel`] contract.
     fn replay(
         &mut self,
@@ -75,29 +80,42 @@ impl OracleBank {
         payload: &[u8],
         scramble_seed: u8,
     ) -> Oracle {
-        let mut best = Oracle::NoRate;
-        for (slot, &rate) in self.rx.iter_mut().zip(PhyRate::all().iter()) {
-            let rx = slot
-                .get_or_insert_with(|| Receiver::viterbi_shared(rate, Arc::clone(&self.trellis)));
-            Transmitter::new(rate).tx_into(
-                payload,
-                scramble_seed,
-                &mut self.scratch,
-                &mut self.samples,
-            );
-            channel.apply(&mut self.samples, chan_seed);
-            rx.rx_from(
-                &self.samples,
-                payload.len(),
-                scramble_seed,
-                &mut self.scratch,
-                &mut self.got,
-            );
-            if self.got.bit_errors(payload) == 0 {
-                best = Oracle::Best(rate); // rates iterate slowest -> fastest
+        for (i, &rate) in PhyRate::all().iter().enumerate().rev() {
+            if self.decodes_clean(i, channel, chan_seed, payload, scramble_seed) {
+                return Oracle::Best(rate);
             }
         }
-        best
+        Oracle::NoRate
+    }
+
+    /// Whether `payload` sent at rate `PhyRate::all()[i]` through
+    /// `chan_seed`'s realization decodes without a bit error.
+    fn decodes_clean(
+        &mut self,
+        i: usize,
+        channel: &mut dyn ChannelModel,
+        chan_seed: u64,
+        payload: &[u8],
+        scramble_seed: u8,
+    ) -> bool {
+        let rate = PhyRate::all()[i];
+        let rx = self.rx[i]
+            .get_or_insert_with(|| Receiver::viterbi_shared(rate, Arc::clone(&self.trellis)));
+        Transmitter::new(rate).tx_into(
+            payload,
+            scramble_seed,
+            &mut self.scratch,
+            &mut self.samples,
+        );
+        channel.apply(&mut self.samples, chan_seed);
+        rx.rx_from(
+            &self.samples,
+            payload.len(),
+            scramble_seed,
+            &mut self.scratch,
+            &mut self.got,
+        );
+        self.got.bit_errors(payload) == 0
     }
 }
 
@@ -693,4 +711,155 @@ pub(super) fn run_group(
 
     out.extend(group.into_iter().map(|m| (m.index, m.finish())));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use wilis_channel::{AwgnModel, FadingModel, ReplayModel, SnrDb, TraceModel};
+
+    use super::*;
+
+    impl OracleBank {
+        /// The scan the early exit replaced, kept as the reference: every
+        /// rate, slowest first, keeping the last one that decodes clean.
+        fn replay_exhaustive(
+            &mut self,
+            channel: &mut dyn ChannelModel,
+            chan_seed: u64,
+            payload: &[u8],
+            scramble_seed: u8,
+        ) -> Oracle {
+            let mut best = Oracle::NoRate;
+            for (i, &rate) in PhyRate::all().iter().enumerate() {
+                if self.decodes_clean(i, channel, chan_seed, payload, scramble_seed) {
+                    best = Oracle::Best(rate);
+                }
+            }
+            best
+        }
+    }
+
+    /// Both scans of one packet, each on its own twin of the channel and
+    /// after the protocol transmission `run_group` sends first.
+    struct Twins {
+        fast: OracleBank,
+        exhaustive: OracleBank,
+        tx_scratch: PhyScratch,
+        samples: Vec<Cplx>,
+    }
+
+    impl Twins {
+        fn scan(
+            &mut self,
+            fast_channel: &mut dyn ChannelModel,
+            exhaustive_channel: &mut dyn ChannelModel,
+            seed: u64,
+        ) -> Oracle {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let payload: Vec<u8> = (0..32).map(|_| rng.gen_bit()).collect();
+            let scramble_seed = (seed % 127 + 1) as u8;
+            let chan_seed = mix_seed(seed, 1);
+            Transmitter::new(PhyRate::Qam16Half).tx_into(
+                &payload,
+                scramble_seed,
+                &mut self.tx_scratch,
+                &mut self.samples,
+            );
+            let mut twin_samples = self.samples.clone();
+            fast_channel.apply(&mut self.samples, chan_seed);
+            exhaustive_channel.apply(&mut twin_samples, chan_seed);
+            let got = self
+                .fast
+                .replay(fast_channel, chan_seed, &payload, scramble_seed);
+            let want = self.exhaustive.replay_exhaustive(
+                exhaustive_channel,
+                chan_seed,
+                &payload,
+                scramble_seed,
+            );
+            assert_eq!(
+                got,
+                want,
+                "{} channel at {:?}, seed {seed}: the fastest-first scan disagrees",
+                fast_channel.id(),
+                fast_channel.snr()
+            );
+            got
+        }
+    }
+
+    /// Runs both scans over 50 packets at each SNR on twin channels from
+    /// `make`, calling `check` on the twins after every packet, and
+    /// returns the verdicts. The fast scan must exit both at the fastest
+    /// rate and below it.
+    fn assert_scans_agree<M: ChannelModel>(
+        make: impl Fn(SnrDb) -> M,
+        check: impl Fn(&M, &M),
+    ) -> Vec<Oracle> {
+        let system = WilisSystem::new();
+        let mut twins = Twins {
+            fast: OracleBank::new(system.compiled_ieee80211()),
+            exhaustive: OracleBank::new(system.compiled_ieee80211()),
+            tx_scratch: PhyScratch::new(),
+            samples: Vec::new(),
+        };
+        let mut verdicts = Vec::new();
+        for snr_db in [0.0, 5.0, 10.0, 15.0, 20.0, 25.0] {
+            let (mut fast, mut exhaustive) = (make(SnrDb::new(snr_db)), make(SnrDb::new(snr_db)));
+            for seed in 0..50 {
+                verdicts.push(twins.scan(&mut fast, &mut exhaustive, seed));
+                check(&fast, &exhaustive);
+            }
+        }
+        let fastest = Oracle::Best(PhyRate::Qam64ThreeQuarters);
+        assert!(verdicts.contains(&fastest), "the scan never exits at once");
+        assert!(
+            verdicts
+                .iter()
+                .any(|&v| v != fastest && v != Oracle::NoRate),
+            "the scan never exits below the fastest rate"
+        );
+        verdicts
+    }
+
+    #[test]
+    fn fastest_first_oracle_matches_the_exhaustive_scan_on_awgn() {
+        assert_scans_agree(AwgnModel::new, |_, _| {});
+    }
+
+    #[test]
+    fn fastest_first_oracle_matches_the_exhaustive_scan_on_fading() {
+        let verdicts = assert_scans_agree(|snr| FadingModel::new(snr, 20.0), |_, _| {});
+        assert!(
+            verdicts.contains(&Oracle::NoRate),
+            "deep fades lose packets"
+        );
+    }
+
+    #[test]
+    fn fastest_first_oracle_matches_the_exhaustive_scan_on_replay() {
+        let verdicts = assert_scans_agree(|snr| ReplayModel::new(snr, 20.0, 7), |_, _| {});
+        assert!(
+            verdicts.contains(&Oracle::NoRate),
+            "deep fades lose packets"
+        );
+    }
+
+    #[test]
+    fn fastest_first_oracle_matches_the_exhaustive_scan_on_trace() {
+        let verdicts = assert_scans_agree(
+            |snr| TraceModel::new(snr, 20.0, 7, 0.5e-3),
+            |fast, exhaustive| {
+                assert_eq!(
+                    fast.next_packet_position(),
+                    exhaustive.next_packet_position(),
+                    "the fastest-first scan moved the trace cursor"
+                );
+            },
+        );
+        assert!(
+            verdicts.contains(&Oracle::NoRate),
+            "deep fades lose packets"
+        );
+    }
 }

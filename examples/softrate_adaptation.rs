@@ -7,9 +7,10 @@
 //! Replays the Figure 7 scenario (20 Hz Rayleigh fading over the
 //! `"trace"` channel walk) at several mean SNRs with the `"softrate"`
 //! link policy steering the rate. For every point, the engine replays
-//! each packet at all eight rates against the identical channel
-//! realization (the paper's pseudo-random noise model), so the
-//! under/accurate/over columns are judged against a true oracle.
+//! each packet against the identical channel realization (the paper's
+//! pseudo-random noise model), fastest rate first down to the first that
+//! decodes error-free, so the under/accurate/over columns are judged
+//! against a true oracle.
 
 use wilis::phy::PhyRate;
 use wilis::scenario::{SweepGrid, SweepRunner};

@@ -82,7 +82,7 @@ fn link_grid_results_identical_at_1_2_and_8_threads() {
 fn link_metrics_are_bit_identical_not_just_close() {
     // The link dimension inherits the engine's contract: identical
     // counters and bit-identical floating-point summaries, including the
-    // SoftRate policy whose oracle replays every rate per packet.
+    // SoftRate policy whose oracle replays each packet at other rates.
     let scenarios = link_grid().scenarios();
     let a = SweepRunner::new(1).run(&scenarios).unwrap();
     let b = SweepRunner::new(8).run(&scenarios).unwrap();

@@ -223,7 +223,8 @@ fn assert_sweep_allocates_nothing_per_packet(path: &str, grid: impl Fn(u32) -> V
 }
 
 /// SoftRate with its oracle: the transmit rate moves packet by packet and
-/// every packet is replayed at all eight rates, out of reused buffers.
+/// every packet is replayed fastest rate first until one decodes clean,
+/// out of reused buffers.
 #[test]
 fn softrate_oracle_sweep_allocates_nothing_per_packet() {
     assert_sweep_allocates_nothing_per_packet("softrate", |packets| {
@@ -250,6 +251,58 @@ fn harq_ir_sweep_allocates_nothing_per_packet() {
             .decoders(&["sova"])
             .links(&["harq-ir"])
             .snrs_db(&[7.0])
+            .seeds(&[9])
+            .packets(packets)
+            .payload_bits(PAYLOAD_BITS)
+            .scenarios()
+    });
+}
+
+/// A fixed-rate point on the fading channel: the model re-seeds its one
+/// path table in place and reuses its gain buffer for every packet.
+#[test]
+fn fading_sweep_allocates_nothing_per_packet() {
+    assert_sweep_allocates_nothing_per_packet("fading", |packets| {
+        SweepGrid::new()
+            .rates(&[RATE])
+            .decoders(&["viterbi"])
+            .channels(&["fading"])
+            .snrs_db(&[12.0])
+            .seeds(&[9])
+            .packets(packets)
+            .payload_bits(PAYLOAD_BITS)
+            .scenarios()
+    });
+}
+
+/// HARQ-IR on the fading channel: every attempt draws a fresh channel
+/// seed, so every attempt re-seeds the fading realization.
+#[test]
+fn harq_ir_fading_sweep_allocates_nothing_per_packet() {
+    assert_sweep_allocates_nothing_per_packet("harq-ir fading", |packets| {
+        SweepGrid::new()
+            .rates(&[RATE])
+            .decoders(&["sova"])
+            .links(&["harq-ir"])
+            .channels(&["fading"])
+            .snrs_db(&[7.0])
+            .seeds(&[9])
+            .packets(packets)
+            .payload_bits(PAYLOAD_BITS)
+            .scenarios()
+    });
+}
+
+/// The replay channel: one long realization, sought to each packet's
+/// seed-derived position.
+#[test]
+fn replay_sweep_allocates_nothing_per_packet() {
+    assert_sweep_allocates_nothing_per_packet("replay", |packets| {
+        SweepGrid::new()
+            .rates(&[RATE])
+            .decoders(&["viterbi"])
+            .channels(&["replay"])
+            .snrs_db(&[12.0])
             .seeds(&[9])
             .packets(packets)
             .payload_bits(PAYLOAD_BITS)
