@@ -13,7 +13,6 @@ use crate::mapper::Mapper;
 use crate::ofdm::{OfdmDemodulator, OfdmModulator, SYMBOL_LEN};
 use crate::packet::{PacketBuilder, PacketFields, SERVICE_BITS, TAIL_BITS};
 use crate::rate::PhyRate;
-use crate::scrambler::Scrambler;
 
 /// Rate-specific pipeline machinery cached inside a [`PhyScratch`]:
 /// permutation tables and the encoder trellis are built once per rate, not
@@ -841,12 +840,6 @@ impl std::fmt::Debug for Receiver {
             self.demapper.output_bits()
         )
     }
-}
-
-/// Verifies the scrambler seed used by TX and RX agree; helper for tests
-/// that pass seeds around.
-pub(crate) fn _seed_check(seed: u8) -> Scrambler {
-    Scrambler::new(seed)
 }
 
 #[cfg(test)]

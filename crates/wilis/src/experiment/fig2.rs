@@ -33,7 +33,7 @@ pub fn run(native_packets: u32) -> Vec<Fig2Row> {
 
 /// [`run`] against a caller-owned runner — the model rows are closed-form
 /// (no Monte-Carlo, nothing to memoize), so unlike the fig5–fig7 drivers
-/// this one parallelizes through [`SweepRunner::run_indexed`] directly
+/// this one parallelizes its rows over the runner's worker pool directly
 /// rather than through a [`crate::service::SweepService`].
 pub fn run_with(runner: &SweepRunner, native_packets: u32) -> Vec<Fig2Row> {
     let model = SpeedModel::paper();

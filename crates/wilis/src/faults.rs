@@ -9,9 +9,11 @@
 //! This module supplies the fault side of that contract. Every injected
 //! failure is a pure function of `(fault_seed, site, occurrence_index)`:
 //! no wall clock, no global counters shared across threads, no
-//! scheduling dependence. The same registry pattern as the channel and
-//! link-policy axes ([`wilis_lis::registry::Registry`]) names the fault
-//! *models*, so a fault plan is configuration, not code.
+//! scheduling dependence. A fault plan is configuration, not code: one
+//! spec line names one of three closed plans — `none`, `bernoulli`
+//! (per-site probabilities under a seed) or `targeted` (exact per-site
+//! occurrence lists) — and [`FaultInjector::from_spec`] builds it. The
+//! set is closed on purpose; nothing outside this module adds a plan.
 //!
 //! The occurrence index is defined per site so decisions stay
 //! thread-invariant:
@@ -33,7 +35,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use wilis_fxp::rng::{mix_seed, SmallRng};
-use wilis_lis::registry::{Params, Registry, RegistryError};
+use wilis_lis::registry::{Params, RegistryError};
 
 use crate::scenario::ScenarioResult;
 
@@ -63,7 +65,7 @@ impl FaultSite {
         FaultSite::CorruptRecord,
     ];
 
-    /// The parameter name of this site in fault-model [`Params`].
+    /// The parameter name of this site in fault-plan [`Params`].
     pub fn key(self) -> &'static str {
         match self {
             FaultSite::WorkerPanic => "worker_panic",
@@ -88,119 +90,96 @@ impl FaultSite {
     }
 }
 
-/// A deterministic fault plan: given a site and that site's occurrence
-/// index, decide — purely — whether the fault fires.
-///
-/// Implementations must be pure functions of their construction
-/// parameters and the `(site, occurrence)` pair; the supervisor and the
-/// store call [`FaultModel::fires`] from multiple worker threads and the
-/// bit-identity contract requires every call with equal arguments to
-/// return the same answer.
-pub trait FaultModel: Send + Sync {
-    /// Whether the fault at `site` fires on its `occurrence`-th
-    /// opportunity.
-    fn fires(&self, site: FaultSite, occurrence: u64) -> bool;
+/// The closed set of fault plans a [`FaultInjector`] can hold. Every
+/// decision is a pure function of the plan and the `(site, occurrence)`
+/// pair, so the runner's workers and the store may consult one plan
+/// from any thread and get the same answer.
+#[derive(Debug)]
+enum FaultPlan {
+    /// `"none"`: never fires — the explicit way to run the supervised
+    /// path with zero faults.
+    Never,
+    /// `"bernoulli"`: each site fires independently with the probability
+    /// named by its [`FaultSite::key`] parameter (absent ⇒ 0), drawn
+    /// under `seed`.
+    Bernoulli {
+        seed: u64,
+        p: [f64; FaultSite::ALL.len()],
+    },
+    /// `"targeted"`: each site fires precisely at the occurrence indices
+    /// listed (as `+`-separated integers) under its [`FaultSite::key`]
+    /// parameter — the surgical plan tests use to quarantine one chosen
+    /// grid point or fail one chosen retry attempt.
+    Targeted {
+        at: [Vec<u64>; FaultSite::ALL.len()],
+    },
 }
 
-/// The stock model that never fires — the explicit way to run the
-/// supervised path with zero faults.
-struct NeverFaults;
+impl FaultPlan {
+    /// The plan names, sorted, as an unknown-name error lists them.
+    const NAMES: [&'static str; 3] = ["bernoulli", "none", "targeted"];
 
-impl FaultModel for NeverFaults {
-    fn fires(&self, _site: FaultSite, _occurrence: u64) -> bool {
-        false
+    fn new(name: &str, params: &Params) -> Result<Self, RegistryError> {
+        match name {
+            "none" => Ok(FaultPlan::Never),
+            "bernoulli" => Ok(FaultPlan::Bernoulli {
+                seed: params.get_u64("seed").unwrap_or(0),
+                p: FaultSite::ALL.map(|site| params.get_f64(site.key()).unwrap_or(0.0)),
+            }),
+            "targeted" => Ok(FaultPlan::Targeted {
+                at: FaultSite::ALL.map(|site| match params.get(site.key()) {
+                    Some(list) => list
+                        .split('+')
+                        .filter_map(|tok| tok.trim().parse().ok())
+                        .collect(),
+                    None => Vec::new(),
+                }),
+            }),
+            _ => Err(RegistryError::UnknownName {
+                slot: "fault".to_string(),
+                requested: name.to_string(),
+                available: Self::NAMES.map(String::from).to_vec(),
+            }),
+        }
     }
-}
 
-/// Seeded Bernoulli faults: each site fires independently with the
-/// probability named by its [`FaultSite::key`] parameter (absent ⇒ 0).
-struct BernoulliFaults {
-    seed: u64,
-    p: [f64; FaultSite::ALL.len()],
-}
-
-impl FaultModel for BernoulliFaults {
     fn fires(&self, site: FaultSite, occurrence: u64) -> bool {
-        let p = self.p[site as usize];
-        if p <= 0.0 {
-            return false;
-        }
-        if p >= 1.0 {
-            return true;
-        }
-        let draw_seed = mix_seed(mix_seed(self.seed, site.tag()), occurrence);
-        SmallRng::seed_from_u64(draw_seed).next_f64() < p
-    }
-}
-
-/// Exact-occurrence faults: each site fires precisely at the occurrence
-/// indices listed (as `+`-separated integers) under its
-/// [`FaultSite::key`] parameter — the surgical model tests use to
-/// quarantine one chosen grid point or fail one chosen retry attempt.
-struct TargetedFaults {
-    at: [Vec<u64>; FaultSite::ALL.len()],
-}
-
-impl FaultModel for TargetedFaults {
-    fn fires(&self, site: FaultSite, occurrence: u64) -> bool {
-        self.at[site as usize].contains(&occurrence)
-    }
-}
-
-/// The registry of fault models, mirroring the channel / link-policy /
-/// contention axes: implementations register under a name, a
-/// configuration is a `(name, Params)` pair, and
-/// [`FaultInjector::new`] builds through it.
-///
-/// Stock models: `"none"` (never fires), `"bernoulli"` (per-site
-/// probabilities under a `seed`), `"targeted"` (exact per-site
-/// occurrence lists).
-pub fn fault_registry() -> Registry<Box<dyn FaultModel>> {
-    let mut reg: Registry<Box<dyn FaultModel>> = Registry::new("fault");
-    reg.register("none", |_| Box::new(NeverFaults));
-    reg.register("bernoulli", |p| {
-        let mut probs = [0.0; FaultSite::ALL.len()];
-        for site in FaultSite::ALL {
-            probs[site as usize] = p.get_f64(site.key()).unwrap_or(0.0);
-        }
-        Box::new(BernoulliFaults {
-            seed: p.get_u64("seed").unwrap_or(0),
-            p: probs,
-        })
-    });
-    reg.register("targeted", |p| {
-        let mut at: [Vec<u64>; FaultSite::ALL.len()] = Default::default();
-        for site in FaultSite::ALL {
-            if let Some(list) = p.get(site.key()) {
-                at[site as usize] = list
-                    .split('+')
-                    .filter_map(|tok| tok.trim().parse().ok())
-                    .collect();
+        match self {
+            FaultPlan::Never => false,
+            FaultPlan::Bernoulli { seed, p } => {
+                let p = p[site as usize];
+                if p <= 0.0 {
+                    return false;
+                }
+                if p >= 1.0 {
+                    return true;
+                }
+                let draw_seed = mix_seed(mix_seed(*seed, site.tag()), occurrence);
+                SmallRng::seed_from_u64(draw_seed).next_f64() < p
             }
+            FaultPlan::Targeted { at } => at[site as usize].contains(&occurrence),
         }
-        Box::new(TargetedFaults { at })
-    });
-    reg
+    }
 }
 
-/// A shareable handle on a built fault model — the object the runner and
-/// the store consult at every fault site. Cloning shares the model.
+/// A shareable handle on a fault plan — the object the runner and the
+/// store consult at every fault site. Cloning shares the plan.
 #[derive(Clone)]
 pub struct FaultInjector {
-    model: Arc<dyn FaultModel>,
+    plan: Arc<FaultPlan>,
     spec: String,
 }
 
 impl FaultInjector {
-    /// Builds the injector named `name` in [`fault_registry`] with
-    /// `params`.
+    /// Builds the plan named `name` — `"none"`, `"bernoulli"` or
+    /// `"targeted"` — with `params`.
     ///
     /// # Errors
     ///
-    /// Returns [`RegistryError`] when `name` is not a registered fault
-    /// model.
+    /// Returns [`RegistryError::UnknownName`] (slot `"fault"`) when
+    /// `name` is none of the three.
     pub fn new(name: &str, params: &Params) -> Result<Self, RegistryError> {
-        let model = fault_registry().build(name, params)?;
+        let plan = FaultPlan::new(name, params)?;
         let rendered: Vec<String> = params.iter().map(|(k, v)| format!("{k}={v}")).collect();
         let spec = if rendered.is_empty() {
             name.to_string()
@@ -208,7 +187,7 @@ impl FaultInjector {
             format!("{name}:{}", rendered.join(","))
         };
         Ok(Self {
-            model: Arc::from(model),
+            plan: Arc::new(plan),
             spec,
         })
     }
@@ -223,6 +202,23 @@ impl FaultInjector {
     ///
     /// As [`FaultInjector::new`], plus a config error for a malformed
     /// parameter list.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use wilis::lis::registry::RegistryError;
+    /// use wilis::{FaultInjector, FaultSite};
+    ///
+    /// let inj = FaultInjector::from_spec("targeted:worker_panic=2+5").unwrap();
+    /// assert!(inj.fires(FaultSite::WorkerPanic, 5));
+    /// match FaultInjector::from_spec("chaos") {
+    ///     Err(RegistryError::UnknownName { slot, available, .. }) => {
+    ///         assert_eq!(slot, "fault");
+    ///         assert_eq!(available, ["bernoulli", "none", "targeted"]);
+    ///     }
+    ///     other => panic!("expected an unknown-name error, got {other:?}"),
+    /// }
+    /// ```
     pub fn from_spec(spec: &str) -> Result<Self, RegistryError> {
         let (name, rest) = match spec.split_once(':') {
             Some((name, rest)) => (name.trim(), rest),
@@ -239,15 +235,17 @@ impl FaultInjector {
     /// An injector that never fires — the supervised path with the fault
     /// layer wired in but idle.
     pub fn disabled() -> Self {
-        let stock = Self::new("none", &Params::new());
-        stock.expect("stock name") // lint: allow(panic-policy) — "none" is always registered
+        Self {
+            plan: Arc::new(FaultPlan::Never),
+            spec: "none".to_string(),
+        }
     }
 
     /// Whether the fault at `site` fires on its `occurrence`-th
     /// opportunity — a pure function of the injector's configuration and
     /// the arguments.
     pub fn fires(&self, site: FaultSite, occurrence: u64) -> bool {
-        self.model.fires(site, occurrence)
+        self.plan.fires(site, occurrence)
     }
 
     /// The spec string this injector was built from (for diagnostics).

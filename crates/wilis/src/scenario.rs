@@ -46,6 +46,14 @@
 //! resolves every name, validates every pairing, probes each link
 //! configuration once, and partitions the grid into these jobs.
 //!
+//! Execution is one worker pool. Jobs are dealt round-robin to scoped
+//! workers, every job runs under the supervisor's unwind boundary (a
+//! panicking job is quarantined, not fatal), and each finished job's
+//! outcomes travel back to the calling thread over one channel. The
+//! calling thread delivers them — to
+//! [`SweepRunner::run_streaming_supervised`]'s callback, and through it
+//! to the service's store — while the remaining jobs run.
+//!
 //! The **link dimension** puts the MAC layer on the grid: a scenario names
 //! a [`LinkPolicy`] (resolved through [`link_registry`]; `"none"` keeps
 //! the PHY-only behavior) that observes every packet — decisions, SoftPHY
@@ -93,7 +101,7 @@
 //! assert_eq!(results, serial);
 //! ```
 
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc};
 
 use wilis_channel::{AwgnModel, ChannelModel, FadingModel, ReplayModel, SnrDb, TraceModel};
 use wilis_fec::CodeRate;
@@ -845,10 +853,9 @@ impl SweepRunner {
     /// The streaming primitive under [`SweepRunner::run_supervised`]:
     /// `on_outcome(i, outcome)` fires for each grid point as its worker
     /// job finishes or unwinds, and the run's [`FaultReport`] is returned
-    /// at the end. The callback runs under one mutex (never concurrently
-    /// with itself) but on worker threads, hence the `Send` bound;
-    /// [`crate::service::SweepService::run_streaming_supervised`] bridges
-    /// it back onto the caller's thread for non-`Send` consumers.
+    /// at the end. Workers only simulate; the callback runs on the
+    /// *calling* thread, one outcome at a time, so it needs no `Send`
+    /// bound and no lock, and it overlaps the jobs still running.
     ///
     /// Delivery order is completion order — a pure function of nothing:
     /// callers needing submission order index by `i`, and each `i`'s
@@ -864,10 +871,10 @@ impl SweepRunner {
     pub fn run_streaming_supervised<F>(
         &self,
         scenarios: &[Scenario],
-        on_outcome: F,
+        mut on_outcome: F,
     ) -> Result<FaultReport, RegistryError>
     where
-        F: FnMut(usize, PointOutcome) + Send,
+        F: FnMut(usize, PointOutcome),
     {
         if let Some(rule) = self.stopping {
             rule.validate()?;
@@ -876,30 +883,23 @@ impl SweepRunner {
         // environment; every job then builds its own.
         let plan =
             SweepPlan::compile(scenarios, &(self.env)(), self.faults.as_ref(), self.threads)?;
+        let faults = self.faults.as_ref();
 
-        let record = self.record_packet_stats;
-        let stopping = self.stopping;
-        let env = Arc::clone(&self.env);
-        let faults = self.faults.clone();
-        // Workers funnel finished points through one mutex-serialized
-        // sink. Errors are not delivered to the callback; the one from
-        // the lowest job index (first member within it) is kept, so the
+        // Errors are not delivered to the callback; the one from the
+        // lowest job index (first member within it) is kept, so the
         // reported error is a pure function of the scenario list.
-        // Quarantines accumulate beside it and are sorted by grid index
-        // after the drain, erasing completion order from the report.
-        type Sink<F> = Mutex<(F, Option<(usize, RegistryError)>, Vec<Quarantine>)>;
-        let sink: Sink<F> = Mutex::new((on_outcome, None, Vec::new()));
-        let sink_ref = &sink;
-        let faults_ref = &faults;
-        let plan_ref = &plan;
-        self.run_indexed(plan.jobs.len(), move |j| {
-            let job = &plan_ref.jobs[j];
+        // Quarantines are sorted by grid index after the drain, erasing
+        // completion order from the report.
+        let mut first_err: Option<(usize, RegistryError)> = None;
+        let mut quarantined: Vec<Quarantine> = Vec::new();
+        let run_job = |j: usize| {
+            let job = &plan.jobs[j];
             // The unwind boundary wraps the whole job — environment
             // construction included — so any worker panic becomes a
             // quarantine instead of a pool abort.
-            let outcome = supervisor::run_quarantined(|| {
-                let env = env();
-                if let Some(inj) = faults_ref {
+            supervisor::run_quarantined(|| {
+                let env = (self.env)();
+                if let Some(inj) = faults {
                     for &i in job.members() {
                         if inj.fires(FaultSite::WorkerPanic, i as u64) {
                             supervisor::inject_panic(i);
@@ -907,67 +907,64 @@ impl SweepRunner {
                     }
                 }
                 match job {
-                    Job::Group(members) => {
-                        run_group(&env, &plan_ref.caps, members, scenarios, record, stopping)
-                    }
+                    Job::Group(members) => run_group(
+                        &env,
+                        &plan.caps,
+                        members,
+                        scenarios,
+                        self.record_packet_stats,
+                        self.stopping,
+                    ),
                     Job::Cell(i) => vec![(
                         *i,
-                        run_cell(&env, *i, &scenarios[*i], plan_ref.caps[*i], record),
+                        run_cell(
+                            &env,
+                            *i,
+                            &scenarios[*i],
+                            plan.caps[*i],
+                            self.record_packet_stats,
+                        ),
                     )],
                 }
-            });
-            let mut guard = match sink_ref.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            let (on_outcome, first_err, quarantined) = &mut *guard;
-            match outcome {
-                Ok(computed) => {
-                    for (i, result) in computed {
-                        match result {
-                            Ok(res) => on_outcome(i, PointOutcome::Completed(res)),
-                            Err(e) => {
-                                let wins = match first_err {
-                                    Some((held, _)) => j < *held,
-                                    None => true,
-                                };
-                                if wins {
-                                    *first_err = Some((j, e));
-                                }
-                            }
+            })
+        };
+        self.fan_out(plan.jobs.len(), run_job, |j, outcome| match outcome {
+            Ok(computed) => {
+                for (i, result) in computed {
+                    match result {
+                        Ok(res) => on_outcome(i, PointOutcome::Completed(res)),
+                        Err(e) if first_err.as_ref().map_or(true, |(held, _)| j < *held) => {
+                            first_err = Some((j, e));
                         }
-                    }
-                }
-                Err(message) => {
-                    // Every member of the unwound job is quarantined.
-                    // Injected panics always run alone (the plan forces
-                    // it), so this multi-member case only fires for
-                    // organic panics inside fused groups.
-                    for &i in job.members() {
-                        quarantined.push(Quarantine {
-                            point: i,
-                            message: message.clone(),
-                        });
-                        on_outcome(
-                            i,
-                            PointOutcome::Failed {
-                                job: i,
-                                message: message.clone(),
-                            },
-                        );
+                        Err(_) => {}
                     }
                 }
             }
+            Err(message) => {
+                // Every member of the unwound job is quarantined.
+                // Injected panics always run alone (the plan forces it),
+                // so this multi-member case only fires for organic
+                // panics inside fused groups.
+                for &i in plan.jobs[j].members() {
+                    quarantined.push(Quarantine {
+                        point: i,
+                        message: message.clone(),
+                    });
+                    on_outcome(
+                        i,
+                        PointOutcome::Failed {
+                            job: i,
+                            message: message.clone(),
+                        },
+                    );
+                }
+            }
         });
-        let (_, first_err, mut quarantined) = match sink.into_inner() {
-            Ok(inner) => inner,
-            Err(poisoned) => poisoned.into_inner(),
-        };
         if let Some((_, e)) = first_err {
             return Err(e);
         }
         quarantined.sort_by_key(|q| q.point);
-        let injected_panics = match &faults {
+        let injected_panics = match faults {
             Some(inj) => quarantined
                 .iter()
                 .filter(|q| inj.fires(FaultSite::WorkerPanic, q.point as u64))
@@ -981,43 +978,56 @@ impl SweepRunner {
         })
     }
 
-    /// The deterministic-parallel primitive under [`SweepRunner::run`]:
-    /// evaluates `f(0..n)` across the worker pool and returns the results
+    /// Evaluates `f(0..n)` across the worker pool and returns the results
     /// in index order. `f` must be a pure function of its index for the
     /// determinism contract to hold.
     ///
-    /// Experiment drivers whose trials are not plain scenario grids (the
-    /// Figure 7 protocol trace, Figure 2's per-rate rows) parallelize
-    /// through this.
-    pub fn run_indexed<T, F>(&self, n: usize, f: F) -> Vec<T>
+    /// Experiment drivers whose trials are not plain scenario grids
+    /// (Figure 2's per-rate rows) parallelize through this.
+    pub(crate) fn run_indexed<T, F>(&self, n: usize, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+    {
+        let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        self.fan_out(n, f, |i, value| results[i] = Some(value));
+        results
+            .into_iter()
+            .map(|r| r.expect("worker filled every slot")) // lint: allow(panic-policy) — fan_out delivers every index exactly once
+            .collect()
+    }
+
+    /// The worker pool under every run: deals `0..n` round-robin to
+    /// scoped workers, exactly like the parallel channel deals chunks, so
+    /// work assignment is static. Each worker sends `(i, f(i))` over one
+    /// channel and the calling thread drains it into `sink` in completion
+    /// order; nothing but delivery order depends on scheduling.
+    fn fan_out<T, F>(&self, n: usize, f: F, mut sink: impl FnMut(usize, T))
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
         let threads = self.threads.min(n.max(1));
-        let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
         let f = &f;
         std::thread::scope(|scope| {
-            // Deal indices round-robin, exactly like the parallel channel
-            // deals chunks: work assignment is static, results land by
-            // index, nothing depends on completion order.
-            let mut work: Vec<Vec<(usize, &mut Option<T>)>> =
-                (0..threads).map(|_| Vec::new()).collect();
-            for (i, slot) in results.iter_mut().enumerate() {
-                work[i % threads].push((i, slot));
-            }
-            for bundle in work {
+            let (tx, rx) = mpsc::channel();
+            for worker in 0..threads {
+                let tx = tx.clone();
                 scope.spawn(move || {
-                    for (i, slot) in bundle {
-                        *slot = Some(f(i));
+                    for i in (worker..n).step_by(threads) {
+                        // A send fails only when the receiver is gone,
+                        // i.e. the calling thread is already unwinding.
+                        if tx.send((i, f(i))).is_err() {
+                            return;
+                        }
                     }
                 });
             }
+            drop(tx);
+            for (i, value) in rx {
+                sink(i, value);
+            }
         });
-        results
-            .into_iter()
-            .map(|r| r.expect("worker filled every slot")) // lint: allow(panic-policy) — run_indexed returns one result per job by construction
-            .collect()
     }
 }
 

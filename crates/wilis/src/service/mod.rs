@@ -7,10 +7,18 @@
 //! change what a result contains), repeated points are served from the
 //! store without simulating a single packet, and fresh points stream
 //! back through [`SweepService::run_streaming_supervised`]'s per-point
-//! callback as their worker jobs finish. With `WILIS_STORE=path` (see
-//! [`SweepService::from_env`]) the store is mirrored to a JSON-lines
-//! file, so the cache survives across *processes* — figure drivers,
-//! benches, and tests all become thin clients of one store.
+//! callback as their worker jobs finish. Workers only simulate: the
+//! runner hands each finished point to the calling thread over one
+//! channel, and the service inserts it into the store and calls the
+//! callback there, while the remaining jobs run. The store counts every
+//! load and degradation event in one [`StoreCounters`] record, which
+//! [`SweepService::metrics`] and each run's
+//! [`FaultReport`] read.
+//!
+//! With `WILIS_STORE=path` (see [`SweepService::from_env`]) the store is
+//! mirrored to a JSON-lines file, so the cache survives across
+//! *processes* — figure drivers, benches, and tests all become thin
+//! clients of one store.
 //!
 //! Because a cached result is bit-equal to a fresh one (floats travel
 //! through the disk store as IEEE-754 bit patterns), the engine's
@@ -44,22 +52,21 @@
 mod json;
 mod store;
 
-pub use store::{ResultStore, StoppingKey, StoreBudget, StoreKey, STORE_ATTEMPTS};
+pub use store::{ResultStore, StoppingKey, StoreBudget, StoreCounters, StoreKey, STORE_ATTEMPTS};
 
 use std::collections::BTreeMap;
-use std::sync::mpsc;
 
 use wilis_lis::registry::RegistryError;
 
 use crate::faults::{FaultInjector, FaultReport, FaultSite, PointOutcome, Quarantine};
 use crate::scenario::{Scenario, ScenarioResult, StoppingRule, SupervisedSweep, SweepRunner};
-use crate::supervisor;
 
 /// Cache-effectiveness and store-degradation counters of a
 /// [`SweepService`], cumulative since construction (or the last
-/// [`SweepService::reset_metrics`]). The `store_*` counters mirror the
-/// backing [`ResultStore`]'s own counters after every run, so a driver
-/// that only holds the service still sees every degradation event.
+/// [`SweepService::reset_metrics`]). The `store_*` counters are the
+/// backing [`ResultStore`]'s [`StoreCounters`], read when
+/// [`SweepService::metrics`] is called, so a driver that only holds the
+/// service still sees every degradation event.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceMetrics {
     /// Grid points served from the store.
@@ -118,19 +125,6 @@ impl ServiceMetrics {
     }
 }
 
-/// The store's degradation counters at one instant — subtracted across a
-/// run to fill the run's [`FaultReport`].
-#[derive(Clone, Copy)]
-struct StoreCounters {
-    write_faults: u64,
-    read_faults: u64,
-    torn_writes: u64,
-    corrupt_records: u64,
-    retries: u64,
-    io_errors: u64,
-    evictions: u64,
-}
-
 /// A memoizing, streaming front end over [`SweepRunner`] — see the
 /// [module docs](self).
 #[derive(Debug)]
@@ -148,15 +142,11 @@ impl SweepService {
 
     /// A service over `runner` backed by an explicit store.
     pub fn with_store(runner: SweepRunner, store: ResultStore) -> Self {
-        let mut service = Self {
+        Self {
             runner,
             store,
             metrics: ServiceMetrics::default(),
-        };
-        service.metrics.store_entries_loaded = service.store.loaded();
-        service.metrics.store_lines_skipped = service.store.skipped();
-        service.sync_store_metrics();
-        service
+        }
     }
 
     /// A service whose store location follows the `WILIS_STORE`
@@ -201,22 +191,30 @@ impl SweepService {
         &self.store
     }
 
-    /// Cumulative cache metrics.
+    /// Cumulative cache metrics, with the `store_*` fields read from the
+    /// backing store's [`ResultStore::counters`] at the time of the call.
     pub fn metrics(&self) -> ServiceMetrics {
-        self.metrics
+        let c = self.store.counters();
+        ServiceMetrics {
+            store_entries_loaded: c.loaded,
+            store_lines_skipped: c.skipped,
+            store_io_errors: c.io_errors,
+            store_retries: c.retries,
+            store_write_faults: c.write_faults,
+            store_read_faults: c.read_faults,
+            store_torn_writes: c.torn_writes,
+            store_corrupt_records: c.corrupt_records,
+            store_evictions: c.evictions,
+            store_compactions: c.compactions,
+            ..self.metrics
+        }
     }
 
     /// Zeroes the per-run counters (hits, misses, packet counts); the
-    /// store-describing counters persist, since they mirror the backing
+    /// store-describing counters persist, since they are the backing
     /// store's cumulative state.
     pub fn reset_metrics(&mut self) {
-        self.metrics = ServiceMetrics {
-            hits: 0,
-            misses: 0,
-            packets_simulated: 0,
-            packets_saved: 0,
-            ..self.metrics
-        };
+        self.metrics = ServiceMetrics::default();
     }
 
     /// Installs (or clears) the runner's confidence-driven stopping
@@ -279,13 +277,13 @@ impl SweepService {
     }
 
     /// Streaming variant of [`SweepService::run_supervised`]:
-    /// `on_outcome(i, &outcome)` fires on the *calling* thread for each
+    /// `on_outcome(i, &outcome)` fires on the calling thread for each
     /// grid point as it becomes available — immediately for cache hits,
     /// then in completion order as fresh points finish simulating,
-    /// quarantined points included. Unlike
-    /// [`SweepRunner::run_streaming_supervised`], the callback needs no
-    /// `Send` bound: worker outcomes cross back over a channel and the
-    /// callback (and every store mutation) runs on the caller's thread.
+    /// quarantined points included. The misses run through
+    /// [`SweepRunner::run_streaming_supervised`], whose callback also
+    /// runs on the calling thread: every store insert and every
+    /// `on_outcome` call happens here while the workers simulate.
     ///
     /// This is the core under every run variant: dedup against the
     /// store, simulate the misses under supervision, fan outcomes out to
@@ -304,7 +302,7 @@ impl SweepService {
     where
         F: FnMut(usize, &PointOutcome),
     {
-        let before = self.store_counters();
+        let before = self.store.counters();
         let mut slots: Vec<Option<PointOutcome>> = (0..scenarios.len()).map(|_| None).collect();
         // Misses, deduplicated by coordinate: each unique key simulates
         // once and fans out to every submission index that asked for it.
@@ -342,74 +340,50 @@ impl SweepService {
                 .iter()
                 .map(|key| scenarios[pending[*key][0]].clone())
                 .collect();
-            let runner = &self.runner;
             let store = &mut self.store;
             let metrics = &mut self.metrics;
-            let slots_ref = &mut slots;
-            let on_outcome_ref = &mut on_outcome;
-            // Bridge the runner's Send-bound worker callback back onto
-            // this thread: workers push `(rep index, outcome)` into a
-            // channel; the receive loop below does all store insertion
-            // and user-callback work caller-side.
-            let run_outcome = std::thread::scope(|scope| {
-                let (tx, rx) = mpsc::channel::<(usize, PointOutcome)>();
-                let reps_ref = &reps;
-                let worker = scope.spawn(move || {
-                    runner.run_streaming_supervised(reps_ref, move |j, outcome| {
-                        // A send fails only if the receiver is gone,
-                        // i.e. the whole scope is unwinding already.
-                        let _ = tx.send((j, outcome));
-                    })
-                });
-                for (j, outcome) in rx {
-                    match outcome {
-                        PointOutcome::Completed(result) => {
-                            metrics.packets_simulated += result.packets;
-                            for (fanout, &i) in pending[keys[j]].iter().enumerate() {
-                                if fanout > 0 {
-                                    metrics.packets_saved += result.packets;
-                                }
-                                let mut copy = result.clone();
-                                copy.scenario = i;
-                                let delivered = PointOutcome::Completed(copy);
-                                on_outcome_ref(i, &delivered);
-                                slots_ref[i] = Some(delivered);
+            let runner_report = self.runner.run_streaming_supervised(&reps, |j, outcome| {
+                match outcome {
+                    PointOutcome::Completed(result) => {
+                        metrics.packets_simulated += result.packets;
+                        for (fanout, &i) in pending[keys[j]].iter().enumerate() {
+                            if fanout > 0 {
+                                metrics.packets_saved += result.packets;
                             }
-                            // Stored with a neutral submission index, so
-                            // the disk record is independent of this
-                            // call's grid layout (hits rewrite the index
-                            // anyway).
-                            let mut canonical = result;
-                            canonical.scenario = 0;
-                            store.insert(keys[j].clone(), canonical);
+                            let mut copy = result.clone();
+                            copy.scenario = i;
+                            let delivered = PointOutcome::Completed(copy);
+                            on_outcome(i, &delivered);
+                            slots[i] = Some(delivered);
                         }
-                        PointOutcome::Failed { message, .. } => {
-                            // Quarantines fan out too — every submission
-                            // index that asked for the failed coordinate
-                            // gets the typed failure. Nothing is stored.
-                            for &i in &pending[keys[j]] {
-                                let delivered = PointOutcome::Failed {
-                                    job: i,
-                                    message: message.clone(),
-                                };
-                                on_outcome_ref(i, &delivered);
-                                slots_ref[i] = Some(delivered);
-                            }
+                        // Stored with a neutral submission index, so the
+                        // disk record is independent of this call's grid
+                        // layout (hits rewrite the index anyway).
+                        let mut canonical = result;
+                        canonical.scenario = 0;
+                        store.insert(keys[j].clone(), canonical);
+                    }
+                    PointOutcome::Failed { message, .. } => {
+                        // Quarantines fan out too — every submission
+                        // index that asked for the failed coordinate gets
+                        // the typed failure. Nothing is stored.
+                        for &i in &pending[keys[j]] {
+                            let delivered = PointOutcome::Failed {
+                                job: i,
+                                message: message.clone(),
+                            };
+                            on_outcome(i, &delivered);
+                            slots[i] = Some(delivered);
                         }
                     }
                 }
-                // A panic on the runner's orchestration path is an
-                // engine bug, not a quarantine — keep it loud.
-                supervisor::propagate_join(worker.join())
-            });
-            let runner_report = run_outcome?;
+            })?;
             // Remap quarantines from dedup-grid indices to submission
             // indices; the injected tally follows each copy.
-            let faults = self.runner.faults().cloned();
+            let faults = self.runner.faults();
             for q in &runner_report.quarantined {
-                let injected = faults
-                    .as_ref()
-                    .is_some_and(|f| f.fires(FaultSite::WorkerPanic, q.point as u64));
+                let injected =
+                    faults.is_some_and(|f| f.fires(FaultSite::WorkerPanic, q.point as u64));
                 for &i in &pending[keys[q.point]] {
                     report.quarantined.push(Quarantine {
                         point: i,
@@ -421,7 +395,7 @@ impl SweepService {
             report.quarantined.sort_by_key(|q| q.point);
         }
 
-        let after = self.store_counters();
+        let after = self.store.counters();
         report.store_write_faults = after.write_faults - before.write_faults;
         report.store_read_faults = after.read_faults - before.read_faults;
         report.torn_writes = after.torn_writes - before.torn_writes;
@@ -429,7 +403,6 @@ impl SweepService {
         report.store_retries = after.retries - before.retries;
         report.store_io_errors = after.io_errors - before.io_errors;
         report.store_evictions = after.evictions - before.evictions;
-        self.sync_store_metrics();
         let outcomes = slots
             .into_iter()
             .map(|slot| {
@@ -442,30 +415,5 @@ impl SweepService {
             })
             .collect::<Result<Vec<PointOutcome>, RegistryError>>()?;
         Ok(SupervisedSweep { outcomes, report })
-    }
-
-    fn store_counters(&self) -> StoreCounters {
-        StoreCounters {
-            write_faults: self.store.write_faults(),
-            read_faults: self.store.read_faults(),
-            torn_writes: self.store.torn_writes(),
-            corrupt_records: self.store.corrupt_records(),
-            retries: self.store.retries(),
-            io_errors: self.store.io_errors(),
-            evictions: self.store.evictions(),
-        }
-    }
-
-    /// Mirrors the store's cumulative degradation counters into
-    /// [`ServiceMetrics`].
-    fn sync_store_metrics(&mut self) {
-        self.metrics.store_io_errors = self.store.io_errors();
-        self.metrics.store_retries = self.store.retries();
-        self.metrics.store_write_faults = self.store.write_faults();
-        self.metrics.store_read_faults = self.store.read_faults();
-        self.metrics.store_torn_writes = self.store.torn_writes();
-        self.metrics.store_corrupt_records = self.store.corrupt_records();
-        self.metrics.store_evictions = self.store.evictions();
-        self.metrics.store_compactions = self.store.compactions();
     }
 }

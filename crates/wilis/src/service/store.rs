@@ -477,6 +477,36 @@ impl StoreBudget {
     }
 }
 
+/// The cumulative load and degradation counters of a [`ResultStore`]
+/// (see [`ResultStore::counters`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreCounters {
+    /// Records loaded from disk at construction.
+    pub loaded: u64,
+    /// Corrupt/foreign lines skipped while loading (a torn final line
+    /// counts here).
+    pub skipped: u64,
+    /// IO failures absorbed after the retry budget (load, append or
+    /// compaction).
+    pub io_errors: u64,
+    /// Deterministic retry attempts performed after a failed store
+    /// operation.
+    pub retries: u64,
+    /// Append attempts failed by injection ([`FaultSite::StoreWrite`]).
+    pub write_faults: u64,
+    /// Load attempts failed by injection ([`FaultSite::StoreRead`]).
+    pub read_faults: u64,
+    /// Records written torn by injection ([`FaultSite::TornWrite`]).
+    pub torn_writes: u64,
+    /// Records written mangled by injection
+    /// ([`FaultSite::CorruptRecord`]).
+    pub corrupt_records: u64,
+    /// Records evicted by the [`StoreBudget`].
+    pub evictions: u64,
+    /// Atomic file compactions performed.
+    pub compactions: u64,
+}
+
 /// One memoized record plus its insertion stamp — the FIFO coordinate
 /// the eviction policy orders by.
 #[derive(Debug)]
@@ -492,7 +522,7 @@ struct StoreEntry {
 /// counted, never fatal — a broken disk degrades the store to in-memory.
 /// See the module docs for the crash-safety and eviction behavior; every
 /// degradation event (skipped lines, IO errors, retries, injected
-/// faults, evictions, compactions) is exposed through a counter getter.
+/// faults, evictions, compactions) is counted in [`StoreCounters`].
 #[derive(Debug, Default)]
 pub struct ResultStore {
     map: BTreeMap<StoreKey, StoreEntry>,
@@ -502,16 +532,7 @@ pub struct ResultStore {
     next_stamp: u64,
     bytes_on_disk: u64,
     tail_torn: bool,
-    loaded: u64,
-    skipped: u64,
-    io_errors: u64,
-    retries: u64,
-    write_faults: u64,
-    read_faults: u64,
-    torn_writes: u64,
-    corrupt_records: u64,
-    evictions: u64,
-    compactions: u64,
+    counters: StoreCounters,
 }
 
 impl ResultStore {
@@ -550,7 +571,7 @@ impl ResultStore {
             let injected = matches!(&store.faults,
                 Some(f) if f.fires(FaultSite::StoreRead, attempt));
             let outcome = if injected {
-                store.read_faults += 1;
+                store.counters.read_faults += 1;
                 Err(std::io::Error::other("injected store read fault"))
             } else {
                 std::fs::read_to_string(&path)
@@ -561,10 +582,10 @@ impl ResultStore {
                 Err(_) => {
                     attempt += 1;
                     if attempt >= STORE_ATTEMPTS {
-                        store.io_errors += 1;
+                        store.counters.io_errors += 1;
                         break String::new();
                     }
-                    store.retries += 1;
+                    store.counters.retries += 1;
                 }
             }
         };
@@ -580,9 +601,9 @@ impl ResultStore {
                     let stamp = store.next_stamp;
                     store.next_stamp += 1;
                     store.map.insert(key, StoreEntry { stamp, result });
-                    store.loaded += 1;
+                    store.counters.loaded += 1;
                 }
-                None => store.skipped += 1,
+                None => store.counters.skipped += 1,
             }
         }
         store.enforce_budget();
@@ -621,58 +642,15 @@ impl ResultStore {
         self.map.is_empty()
     }
 
-    /// Records loaded from disk at construction.
-    pub fn loaded(&self) -> u64 {
-        self.loaded
+    /// Every load and degradation counter at this instant; subtract two
+    /// snapshots to get the events of the interval between them.
+    pub fn counters(&self) -> StoreCounters {
+        self.counters
     }
 
-    /// Corrupt/foreign lines skipped while loading (a torn final line
-    /// counts here).
-    pub fn skipped(&self) -> u64 {
-        self.skipped
-    }
-
-    /// IO failures absorbed after the retry budget (load or append).
+    /// Shorthand for `counters().io_errors`.
     pub fn io_errors(&self) -> u64 {
-        self.io_errors
-    }
-
-    /// Deterministic retry attempts performed after a failed store
-    /// operation.
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// Append attempts failed by injection
-    /// ([`FaultSite::StoreWrite`]).
-    pub fn write_faults(&self) -> u64 {
-        self.write_faults
-    }
-
-    /// Load attempts failed by injection ([`FaultSite::StoreRead`]).
-    pub fn read_faults(&self) -> u64 {
-        self.read_faults
-    }
-
-    /// Records written torn by injection ([`FaultSite::TornWrite`]).
-    pub fn torn_writes(&self) -> u64 {
-        self.torn_writes
-    }
-
-    /// Records written mangled by injection
-    /// ([`FaultSite::CorruptRecord`]).
-    pub fn corrupt_records(&self) -> u64 {
-        self.corrupt_records
-    }
-
-    /// Records evicted by the [`StoreBudget`].
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Atomic file compactions performed.
-    pub fn compactions(&self) -> u64 {
-        self.compactions
+        self.counters.io_errors
     }
 
     /// True when the mirrored file currently ends in a torn (unterminated)
@@ -718,12 +696,12 @@ impl ResultStore {
         if corrupt {
             // Same length, unparsable: the mangled record must be
             // skipped (and counted) at the next load.
-            self.corrupt_records += 1;
+            self.counters.corrupt_records += 1;
             payload[0] = b'!';
         }
         let terminated = !torn;
         if torn {
-            self.torn_writes += 1;
+            self.counters.torn_writes += 1;
             payload.truncate(payload.len() / 2);
         }
         let mut attempt: u64 = 0;
@@ -731,7 +709,7 @@ impl ResultStore {
             let injected = matches!(&self.faults,
                 Some(f) if f.fires(FaultSite::StoreWrite, attempt));
             let outcome = if injected {
-                self.write_faults += 1;
+                self.counters.write_faults += 1;
                 Err(std::io::Error::other("injected store write fault"))
             } else {
                 let lead = self.tail_torn;
@@ -763,10 +741,10 @@ impl ResultStore {
                 Err(_) => {
                     attempt += 1;
                     if attempt >= STORE_ATTEMPTS {
-                        self.io_errors += 1;
+                        self.counters.io_errors += 1;
                         break;
                     }
-                    self.retries += 1;
+                    self.counters.retries += 1;
                 }
             }
         }
@@ -800,7 +778,7 @@ impl ResultStore {
             .map(|(k, _)| k.clone());
         if let Some(key) = oldest {
             self.map.remove(&key);
-            self.evictions += 1;
+            self.counters.evictions += 1;
         }
     }
 
@@ -826,7 +804,7 @@ impl ResultStore {
                 let (key, line, _) = lines.remove(0);
                 total -= line.len() as u64 + 1;
                 self.map.remove(&key);
-                self.evictions += 1;
+                self.counters.evictions += 1;
             }
         }
         let mut buf = String::new();
@@ -845,10 +823,10 @@ impl ResultStore {
             Ok(()) => {
                 self.bytes_on_disk = buf.len() as u64;
                 self.tail_torn = false;
-                self.compactions += 1;
+                self.counters.compactions += 1;
             }
             Err(_) => {
-                self.io_errors += 1;
+                self.counters.io_errors += 1;
                 let _ = std::fs::remove_file(&tmp);
             }
         }
@@ -951,8 +929,8 @@ mod tests {
             .expect("append corrupt line");
         let reloaded = ResultStore::at_path(&path);
         assert_eq!(reloaded.len(), 2);
-        assert_eq!(reloaded.loaded(), 2);
-        assert_eq!(reloaded.skipped(), 1);
+        assert_eq!(reloaded.counters().loaded, 2);
+        assert_eq!(reloaded.counters().skipped, 1);
         assert!(reloaded.get(&sample_key(1)).is_some());
         assert!(reloaded.get(&sample_key(3)).is_none());
         let _ = std::fs::remove_file(&path);

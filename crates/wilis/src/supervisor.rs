@@ -5,8 +5,9 @@
 //! enforces it — so every policy decision about panics lives in one
 //! place: worker jobs are quarantined (a panicking grid point becomes a
 //! typed [`crate::faults::PointOutcome::Failed`] while the rest of the
-//! grid completes), while panics on orchestration threads (the service's
-//! streaming bridge) propagate to the caller unchanged.
+//! grid completes), while a panic anywhere else — the outcome callback
+//! on the calling thread, or the worker pool's own plumbing — is an
+//! engine or caller bug and propagates unchanged.
 //!
 //! Keeping the boundary this narrow is what makes the policy auditable:
 //! a `catch_unwind` sprinkled next to the code it guards can silently
@@ -32,14 +33,6 @@ pub(crate) fn run_quarantined<T>(f: impl FnOnce() -> T) -> Result<T, String> {
             "worker job panicked with a non-string payload".to_string()
         }
     })
-}
-
-/// Unwraps a joined thread's result, resuming the panic on the joining
-/// thread when the child unwound — the orchestration-thread policy:
-/// supervision quarantines *worker jobs*; a panic anywhere else is an
-/// engine bug and must stay loud.
-pub(crate) fn propagate_join<T>(joined: std::thread::Result<T>) -> T {
-    joined.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 /// The deliberate worker-job panic of the fault plan: fired inside the

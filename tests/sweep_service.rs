@@ -6,15 +6,23 @@
 //! schedule — same decisions for any worker count, same bits as a
 //! fixed-budget run truncated at the stopping point.
 
+use std::cell::RefCell;
 use std::path::PathBuf;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use wilis::channel::SnrDb;
 use wilis::experiment::{fig6, fig7};
+use wilis::lis::registry::Registry;
 use wilis::phy::PhyRate;
-use wilis::scenario::{Scenario, StoppingRule, SweepGrid, SweepRunner};
-use wilis::service::{ResultStore, StoreBudget, SweepService};
+use wilis::scenario::{
+    channel_registry, contention_registry, link_registry, Scenario, StoppingRule, SweepGrid,
+    SweepRunner,
+};
+use wilis::service::{ResultStore, ServiceMetrics, StoreBudget, SweepService};
 use wilis::softphy::DecoderKind;
-use wilis::{FaultInjector, PointOutcome};
+use wilis::{FaultInjector, PointOutcome, WilisSystem};
 
 /// A per-test temp store path that parallel test threads cannot collide
 /// on (process id x test-chosen tag).
@@ -444,9 +452,13 @@ fn torn_final_line_loses_one_record_and_repairs_on_the_next_append() {
 
     let recovered = ResultStore::at_path(&path);
     assert!(recovered.tail_torn(), "a truncated tail must be detected");
-    assert_eq!(recovered.loaded(), 2, "healthy records survive the tear");
     assert_eq!(
-        recovered.skipped(),
+        recovered.counters().loaded,
+        2,
+        "healthy records survive the tear"
+    );
+    assert_eq!(
+        recovered.counters().skipped,
         1,
         "the torn record is skipped, not fatal"
     );
@@ -463,11 +475,15 @@ fn torn_final_line_loses_one_record_and_repairs_on_the_next_append() {
 
     let reloaded = ResultStore::at_path(&path);
     assert_eq!(
-        reloaded.loaded(),
+        reloaded.counters().loaded,
         3,
         "the repaired file carries all records"
     );
-    assert_eq!(reloaded.skipped(), 1, "the torn half-line stays inert");
+    assert_eq!(
+        reloaded.counters().skipped,
+        1,
+        "the torn half-line stays inert"
+    );
     assert!(!reloaded.tail_torn());
     let _ = std::fs::remove_file(&path);
 }
@@ -494,8 +510,12 @@ fn corrupt_record_injection_is_counted_and_skipped_at_reload() {
     drop(service);
 
     let reloaded = ResultStore::at_path(&path);
-    assert_eq!(reloaded.loaded(), 0, "mangled records must not parse");
-    assert_eq!(reloaded.skipped(), scenarios.len() as u64);
+    assert_eq!(
+        reloaded.counters().loaded,
+        0,
+        "mangled records must not parse"
+    );
+    assert_eq!(reloaded.counters().skipped, scenarios.len() as u64);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -516,8 +536,8 @@ fn torn_write_injection_leaves_only_skippable_half_lines() {
     drop(service);
 
     let reloaded = ResultStore::at_path(&path);
-    assert_eq!(reloaded.loaded(), 0, "half-lines must not parse");
-    assert_eq!(reloaded.skipped(), scenarios.len() as u64);
+    assert_eq!(reloaded.counters().loaded, 0, "half-lines must not parse");
+    assert_eq!(reloaded.counters().skipped, scenarios.len() as u64);
     assert!(reloaded.tail_torn(), "the last half-line has no newline");
     let _ = std::fs::remove_file(&path);
 }
@@ -540,7 +560,10 @@ fn transient_write_faults_retry_and_the_file_stays_complete() {
     assert_eq!(sweep.report.store_retries, scenarios.len() as u64);
     assert_eq!(sweep.report.store_io_errors, 0);
     drop(service);
-    assert_eq!(ResultStore::at_path(&path).loaded(), scenarios.len() as u64);
+    assert_eq!(
+        ResultStore::at_path(&path).counters().loaded,
+        scenarios.len() as u64
+    );
     let _ = std::fs::remove_file(&path);
 }
 
@@ -565,7 +588,7 @@ fn exhausted_write_retries_degrade_to_counted_io_errors() {
     }
     drop(service);
     assert_eq!(
-        ResultStore::at_path(&path).loaded(),
+        ResultStore::at_path(&path).counters().loaded,
         0,
         "nothing ever reached the disk"
     );
@@ -587,9 +610,9 @@ fn transient_and_exhausted_read_faults_at_load() {
         StoreBudget::unbounded(),
         Some(FaultInjector::from_spec("targeted:store_read=0").unwrap()),
     );
-    assert_eq!(transient.loaded(), scenarios.len() as u64);
-    assert_eq!(transient.read_faults(), 1);
-    assert_eq!(transient.retries(), 1);
+    assert_eq!(transient.counters().loaded, scenarios.len() as u64);
+    assert_eq!(transient.counters().read_faults, 1);
+    assert_eq!(transient.counters().retries, 1);
     assert_eq!(transient.io_errors(), 0);
 
     // Exhausted retries: the store starts empty and counts the IO error
@@ -599,9 +622,9 @@ fn transient_and_exhausted_read_faults_at_load() {
         StoreBudget::unbounded(),
         Some(FaultInjector::from_spec("targeted:store_read=0+1+2").unwrap()),
     );
-    assert_eq!(dead.loaded(), 0);
+    assert_eq!(dead.counters().loaded, 0);
     assert_eq!(dead.io_errors(), 1);
-    assert_eq!(dead.read_faults(), 3);
+    assert_eq!(dead.counters().read_faults, 3);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -617,16 +640,23 @@ fn record_budget_evicts_oldest_and_compacts_the_file() {
     assert_eq!(sweep.completed().count(), scenarios.len());
     assert_eq!(service.store().len(), 2, "budget caps the live set");
     assert_eq!(sweep.report.store_evictions, 3);
-    assert!(service.store().compactions() >= 1, "eviction must compact");
+    assert!(
+        service.store().counters().compactions >= 1,
+        "eviction must compact"
+    );
     drop(service);
 
     let reloaded = ResultStore::at_path(&path);
     assert_eq!(
-        reloaded.loaded(),
+        reloaded.counters().loaded,
         2,
         "the compacted file holds exactly the survivors"
     );
-    assert_eq!(reloaded.skipped(), 0, "compaction writes whole lines");
+    assert_eq!(
+        reloaded.counters().skipped,
+        0,
+        "compaction writes whole lines"
+    );
 
     // Shrinking the byte budget compacts again but never evicts the
     // newest record.
@@ -649,8 +679,45 @@ fn metrics_summary_carries_the_store_health_counters() {
     let mut service = SweepService::with_store(SweepRunner::new(1), store);
     service.run_supervised(scenarios).unwrap();
     let metrics = service.metrics();
-    assert_eq!(metrics.store_retries, service.store().retries());
-    assert_eq!(metrics.store_write_faults, service.store().write_faults());
+    assert_eq!(metrics.store_retries, service.store().counters().retries);
+    assert_eq!(
+        metrics.store_write_faults,
+        service.store().counters().write_faults
+    );
+    // Every store field of the metrics is the store's own counter, after
+    // the run and after a reset alike.
+    let store_fields = |m: ServiceMetrics| {
+        [
+            m.store_entries_loaded,
+            m.store_lines_skipped,
+            m.store_io_errors,
+            m.store_retries,
+            m.store_write_faults,
+            m.store_read_faults,
+            m.store_torn_writes,
+            m.store_corrupt_records,
+            m.store_evictions,
+            m.store_compactions,
+        ]
+    };
+    let c = service.store().counters();
+    let counters = [
+        c.loaded,
+        c.skipped,
+        c.io_errors,
+        c.retries,
+        c.write_faults,
+        c.read_faults,
+        c.torn_writes,
+        c.corrupt_records,
+        c.evictions,
+        c.compactions,
+    ];
+    service.reset_metrics();
+    assert_eq!(
+        (store_fields(metrics), store_fields(service.metrics())),
+        (counters, counters)
+    );
     let summary = metrics.summary();
     assert!(summary.contains("store:"), "{summary}");
     assert!(summary.contains("retries"), "{summary}");
@@ -697,6 +764,66 @@ fn streaming_supervised_delivers_every_outcome_once() {
     assert!(seen.iter().all(|&n| n == 1), "cardinality: {seen:?}");
     assert_eq!(failed, 1);
     assert_eq!(sweep.report.quarantined.len(), 1);
+}
+
+#[test]
+fn runner_callback_runs_on_the_calling_thread() {
+    // The callback captures an `Rc`, so it is not `Send`: the runner must
+    // call it on this thread, once per grid point, at any worker count.
+    let scenarios = phy_grid();
+    let caller = std::thread::current().id();
+    for threads in [1, 4] {
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let sink = Rc::clone(&seen);
+        SweepRunner::new(threads)
+            .run_streaming_supervised(&scenarios, move |i, _| {
+                assert_eq!(std::thread::current().id(), caller);
+                sink.borrow_mut().push(i);
+            })
+            .unwrap();
+        let mut seen = seen.take();
+        seen.sort_unstable();
+        assert_eq!(
+            seen,
+            (0..scenarios.len()).collect::<Vec<_>>(),
+            "{threads} threads"
+        );
+    }
+}
+
+#[test]
+fn failed_run_keeps_the_points_completed_before_the_error() {
+    // One worker, two points with distinct seeds: two jobs, run in order.
+    // The environment factory is called for the compile step, job 0 and
+    // job 1; the third call has no decoders, so job 1 fails.
+    let scenarios = SweepGrid::new()
+        .seeds(&[1, 2])
+        .packets(2)
+        .payload_bits(200)
+        .scenarios();
+    let calls = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&calls);
+    let runner = SweepRunner::new(1).with_env(move || {
+        let mut system = WilisSystem::new();
+        if counter.fetch_add(1, Ordering::SeqCst) == 2 {
+            *system.decoders_mut() = Registry::new("decoder");
+        }
+        (
+            system,
+            channel_registry(),
+            link_registry(),
+            contention_registry(),
+        )
+    });
+    let mut service = SweepService::new(runner);
+    let err = service.run(&scenarios).unwrap_err();
+    assert!(err.to_string().contains("bcjr"), "{err}");
+    assert_eq!(calls.load(Ordering::SeqCst), 3);
+    assert_eq!(service.store().len(), 1);
+    assert!(service
+        .store()
+        .get(&service.key_for(&scenarios[0]))
+        .is_some());
 }
 
 #[test]
