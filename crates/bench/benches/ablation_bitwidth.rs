@@ -8,12 +8,13 @@
 
 use wilis::area::{synthesize, DecoderChoice, DecoderParams};
 use wilis::channel::SnrDb;
+use wilis::experiment::bits_budget;
 use wilis::phy::PhyRate;
 use wilis::softphy::{calibrate_hints, CalibrationConfig, DecoderKind};
-use wilis_bench::{banner, budget};
+use wilis_bench::banner;
 
 fn main() {
-    let bits = budget(120_000);
+    let bits = bits_budget(120_000);
     banner(&format!(
         "Ablation: demapper output width (QAM-16 1/2 @ 7.25 dB, BCJR, {bits} bits/point)"
     ));

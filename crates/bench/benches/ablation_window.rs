@@ -9,12 +9,13 @@
 
 use wilis::area::{synthesize, DecoderChoice, DecoderParams};
 use wilis::channel::SnrDb;
+use wilis::experiment::bits_budget;
 use wilis::fec::pipeline::{bcjr_pipeline_latency, sova_pipeline_latency};
 use wilis::fec::{BcjrDecoder, ConvCode, SovaDecoder};
 use wilis::fxp::Cplx;
 use wilis::phy::{Demapper, PhyRate, PhyScratch, Receiver, RxResult, SnrScaling, Transmitter};
 use wilis::prelude::{AwgnChannel, Channel};
-use wilis_bench::{banner, budget};
+use wilis_bench::banner;
 
 fn ber_with(rx: &mut Receiver, bits: u64) -> f64 {
     let tx = Transmitter::new(PhyRate::Qam16Half);
@@ -40,7 +41,7 @@ fn ber_with(rx: &mut Receiver, bits: u64) -> f64 {
 }
 
 fn main() {
-    let bits = budget(80_000);
+    let bits = bits_budget(80_000);
     let code = ConvCode::ieee80211();
     banner(&format!(
         "Ablation: window/block length (QAM-16 1/2 @ 7.0 dB, {bits} bits/point)"

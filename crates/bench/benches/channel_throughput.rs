@@ -36,7 +36,7 @@ fn main() {
         std::hint::black_box(cbuf[0]);
     });
     report(&m);
-    let serial = m.mean_secs;
+    let serial = m.median_secs;
 
     for threads in [2usize, 4, 8] {
         let mut pbuf = vec![Cplx::ONE; n];
@@ -47,7 +47,7 @@ fn main() {
             std::hint::black_box(pbuf[0]);
         });
         report(&m);
-        println!("  -> speedup over serial: {:.2}x", serial / m.mean_secs);
+        println!("  -> speedup over serial: {:.2}x", serial / m.median_secs);
     }
 
     let payload: Vec<u8> = (0..1704).map(|i| (i % 2) as u8).collect();

@@ -1,11 +1,12 @@
 //! Figure 5: BER vs SoftPHY hints for BCJR and SOVA.
 
+use wilis::experiment::bits_budget;
 use wilis::experiment::fig5;
 use wilis::softphy::DecoderKind;
-use wilis_bench::{banner, budget};
+use wilis_bench::banner;
 
 fn main() {
-    let bits = budget(250_000);
+    let bits = bits_budget(250_000);
     banner(&format!(
         "Figure 5: BER vs LLR hints ({bits} payload bits per curve; WILIS_BITS to scale)"
     ));

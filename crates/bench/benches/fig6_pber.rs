@@ -1,12 +1,13 @@
 //! Figure 6: predicted vs actual per-packet BER, plus the link-layer
 //! payoff (ARQ vs PPR) on the same grid.
 
+use wilis::experiment::bits_budget;
 use wilis::experiment::fig6;
 use wilis::softphy::DecoderKind;
-use wilis_bench::{banner, budget};
+use wilis_bench::banner;
 
 fn main() {
-    let packets_per_snr = (budget(700_000) / (1704 * 9)).max(4) as u32;
+    let packets_per_snr = (bits_budget(700_000) / (1704 * 9)).max(4) as u32;
     banner(&format!(
         "Figure 6: predicted vs actual PBER (QAM-16 1/2, 1704-bit packets, {packets_per_snr} packets/SNR)"
     ));

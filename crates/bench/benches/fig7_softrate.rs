@@ -2,11 +2,12 @@
 //! trials run as grid points of one link-enabled sweep (the `"trace"`
 //! channel walk plus the `"softrate"` policy with its oracle replay).
 
+use wilis::experiment::bits_budget;
 use wilis::experiment::fig7;
-use wilis_bench::{banner, budget};
+use wilis_bench::banner;
 
 fn main() {
-    let packets = (budget(1_000_000) / (800 * 9)).max(10) as u32;
+    let packets = (bits_budget(1_000_000) / (800 * 9)).max(10) as u32;
     banner(&format!(
         "Figure 7: SoftRate under 20 Hz fading + 10 dB AWGN ({packets} packet slots)"
     ));

@@ -1,6 +1,7 @@
 //! Shared helpers for the WiLIS benchmark harness.
 //!
-//! Every table and figure of the paper has a bench target in `benches/`:
+//! Every table and figure of the paper has a bench target in `benches/`,
+//! and one more target gates the speed of the kernels behind them:
 //!
 //! | Target | Regenerates |
 //! |---|---|
@@ -10,18 +11,11 @@
 //! | `fig7_softrate` | Figure 7 — SoftRate selection accuracy |
 //! | `fig8_area` | Figure 8 — decoder synthesis results |
 //! | `channel_throughput` | §3 — noise generation saturates the host |
-//! | `sweep_grid` | scenario engine — serial vs parallel Figure 5 grid |
-//! | `link_sweep` | link-layer sweeps — goodput per MAC policy |
-//! | `sweep_service` | memoized store + stopping rule — `BENCH_service.json` |
-//! | `harq_sweep` | HARQ soft-combining vs ARQ goodput — `BENCH_harq.json` |
-//! | `cell_sweep` | contention cells — per-policy goodput, `BENCH_cell.json` |
-//! | `perf_trellis` | compiled vs reference decode kernels — `BENCH_trellis.json` |
-//! | `perf_batch` | lockstep batch decode vs scalar — `BENCH_batch.json` |
-//! | `perf_phy` | planned vs reference OFDM front-end — `BENCH_phy.json` |
 //! | `latency` | §4.3 — decoder pipeline latency formulas |
 //! | `decoupling` | §2 — decoupled vs lock-step transfer throughput |
 //! | `ablation_bitwidth` | §4.1 — demapper width 3..8 bits |
 //! | `ablation_window` | §4.3/§4.4.3 — traceback/block length sweeps |
+//! | `perf_ratios` | kernel and service speed ratios — `BENCH_ratios.json` |
 //!
 //! Run them all with `cargo bench --workspace`; scale the Monte-Carlo
 //! budgets with `WILIS_BITS=<bits>`.
@@ -40,17 +34,4 @@ pub fn banner(title: &str) {
     println!("\n==============================================================");
     println!("{title}");
     println!("==============================================================");
-}
-
-/// The Monte-Carlo budget for figure benches, honoring `WILIS_BITS`.
-pub fn budget(default: u64) -> u64 {
-    wilis::experiment::bits_budget(default)
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn budget_positive() {
-        assert!(super::budget(10) > 0);
-    }
 }

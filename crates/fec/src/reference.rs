@@ -8,8 +8,8 @@
 //!    decoders behave identically for *any* `i32` input.
 //! 2. **Differential oracle** — the equivalence property tests assert the
 //!    compiled kernels reproduce these outputs bit-for-bit.
-//! 3. **Perf baseline** — the `perf_trellis` bench times this path as the
-//!    "pre" side of the recorded speedup.
+//! 3. **Perf baseline** — the `perf_ratios` bench times this path as the
+//!    B side of its gated `decode.<decoder>.compiled/reference` ratios.
 //!
 //! Do not optimize this module; its value is that it does not change.
 

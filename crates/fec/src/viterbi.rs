@@ -113,7 +113,7 @@ impl ViterbiDecoder {
 
     /// Decodes through the frozen `i64` reference kernels — the pre-PR
     /// decode path, kept callable for differential tests and as the
-    /// baseline the `perf_trellis` bench records speedups against.
+    /// baseline the `perf_ratios` bench times the compiled path against.
     ///
     /// # Panics
     ///

@@ -14,8 +14,8 @@
 //!    (`crates/phy/src/equiv_tests.rs`, `tests/phy_frontend_equiv.rs`)
 //!    assert the planned kernels reproduce these outputs bit for bit, on
 //!    every modulation and all eight `PhyRate`s.
-//! 2. **Perf baseline** — the `perf_phy` bench times this path as the
-//!    "pre" side of the recorded front-end speedup.
+//! 2. **Perf baseline** — the `perf_ratios` bench times this path as the
+//!    B side of its gated `planned/reference` front-end ratios.
 //! 3. **Spec readability** — the reference bodies still read like the
 //!    802.11 clauses they implement, while the planned kernels read like
 //!    table walks.

@@ -169,3 +169,34 @@ fn cell_results_are_reproducible_across_runs() {
     let b = SweepRunner::new(2).run(&grid()).unwrap();
     assert_eq!(a, b);
 }
+
+#[test]
+fn every_policy_reports_cell_metrics_in_range() {
+    for policy in ["aloha", "csma", "tdma"] {
+        let r = run_one(
+            SweepGrid::new()
+                .rates(&[PhyRate::Qam16Half])
+                .decoders(&["viterbi"])
+                .contentions(&[policy])
+                .nodes(4)
+                .snrs_db(&[10.0])
+                .packets(66)
+                .payload_bits(600),
+        );
+        let c = r.cell.as_ref().expect("cell metrics");
+        let goodput = c.aggregate_goodput();
+        assert!(
+            goodput > 0.0 && goodput <= 1.0,
+            "{policy}: goodput {goodput}"
+        );
+        for (what, f) in [
+            ("collision", c.collision_fraction()),
+            ("idle", c.idle_fraction()),
+        ] {
+            assert!((0.0..1.0).contains(&f), "{policy}: {what} fraction {f}");
+        }
+        let jain = c.jain_index();
+        assert!(jain > 0.0 && jain <= 1.0, "{policy}: Jain index {jain}");
+        assert!(c.attempts() > 0, "{policy}: a saturated cell must transmit");
+    }
+}

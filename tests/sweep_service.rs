@@ -116,6 +116,7 @@ fn disk_store_warm_runs_bit_identical_at_1_2_and_8_threads() {
     let mut cold = SweepService::with_store(SweepRunner::new(1), ResultStore::at_path(&path));
     let reference = cold.run(&scenarios).unwrap();
     assert_eq!(cold.metrics().misses, scenarios.len() as u64);
+    let budget = cold.metrics().packets_simulated;
     drop(cold);
 
     for threads in [1, 2, 8] {
@@ -133,6 +134,11 @@ fn disk_store_warm_runs_bit_identical_at_1_2_and_8_threads() {
         );
         assert_eq!(warm.metrics().packets_simulated, 0);
         assert_eq!(warm.metrics().hits, scenarios.len() as u64);
+        assert_eq!(
+            warm.metrics().packets_saved,
+            budget,
+            "a warm run saves every packet the cold run simulated"
+        );
     }
     let _ = std::fs::remove_file(&path);
 }
