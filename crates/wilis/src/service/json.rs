@@ -1,133 +1,19 @@
-//! A minimal JSON value, writer, and recursive-descent parser for the
-//! service's on-disk result store — the container is offline and the
-//! workspace std-only, so the store carries its own codec.
-//!
-//! The subset is deliberately narrow: `null`, booleans, **unsigned
-//! integers only**, strings, arrays, and objects. The store never writes
-//! a decimal float — every `f64` travels as its IEEE-754 bit pattern in
-//! a u64 (see [`super::store`]) — so a parsed-back result is *bit*-equal
-//! to the one written, which is what lets a warm run reproduce a cold
-//! run exactly. Objects preserve insertion order on write and compare by
-//! key on read via `BTreeMap`, so one logical value has one encoding.
+//! The JSON helpers of the service's on-disk result store (the workspace
+//! is std-only): `put_*` writers that append to a `String`, and a
+//! [`Cursor`] that reads back exactly what they wrote — booleans,
+//! **unsigned integers only**, strings, arrays and objects, with no
+//! whitespace and no value tree. Both sides share one separator rule: a
+//! comma precedes a member unless the member opens its object or array.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A JSON value in the store's subset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// An unsigned integer — the only number the subset admits.
-    Num(u64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object; `BTreeMap` so equal objects encode equally.
-    Obj(BTreeMap<String, Json>),
+/// Appends `n` in decimal.
+pub(crate) fn put_u64(out: &mut String, n: u64) {
+    let _ = write!(out, "{n}");
 }
 
-impl Json {
-    /// Builds an object from `(key, value)` pairs.
-    pub(crate) fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Self {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
-    pub(crate) fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Member lookup on an object.
-    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(map) => map.get(key),
-            _ => None,
-        }
-    }
-
-    /// Serializes to a single line (no pretty-printing, no trailing
-    /// newline) — one store record per line.
-    pub(crate) fn to_line(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Json::Str(s) => write_string(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(map) => {
-                out.push('{');
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_string(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    /// Parses one value from `text`; `None` on any syntax error, any
-    /// number outside the unsigned-integer subset, or trailing garbage.
-    /// The store treats an unparsable line as a corrupt record to skip,
-    /// so the parser never panics.
-    pub(crate) fn parse(text: &str) -> Option<Json> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        (pos == bytes.len()).then_some(value)
-    }
-}
-
-fn write_string(s: &str, out: &mut String) {
+/// Appends `s` as a quoted, escaped JSON string.
+pub(crate) fn put_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -145,152 +31,145 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
+/// Appends the comma before a member, unless the member opens its object
+/// or array.
+pub(crate) fn put_sep(out: &mut String) {
+    if !out.ends_with(['{', '[']) {
+        out.push(',');
     }
 }
 
-fn consume(bytes: &[u8], pos: &mut usize, b: u8) -> Option<()> {
-    skip_ws(bytes, pos);
-    if *pos < bytes.len() && bytes[*pos] == b {
-        *pos += 1;
-        Some(())
-    } else {
-        None
-    }
+/// Appends the separator and `"name":` of one object member.
+pub(crate) fn put_name(out: &mut String, name: &str) {
+    put_sep(out);
+    out.push('"');
+    out.push_str(name);
+    out.push_str("\":");
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Option<Json> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos)? {
-        b'n' => parse_literal(bytes, pos, b"null", Json::Null),
-        b't' => parse_literal(bytes, pos, b"true", Json::Bool(true)),
-        b'f' => parse_literal(bytes, pos, b"false", Json::Bool(false)),
-        b'"' => parse_string(bytes, pos).map(Json::Str),
-        b'[' => parse_array(bytes, pos),
-        b'{' => parse_object(bytes, pos),
-        b'0'..=b'9' => parse_number(bytes, pos),
-        _ => None,
+/// Appends the array `[item,item,…]`, writing each item with `put`.
+pub(crate) fn put_list<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut put: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for item in items {
+        put_sep(out);
+        put(out, item);
     }
+    out.push(']');
 }
 
-fn parse_literal(bytes: &[u8], pos: &mut usize, word: &[u8], value: Json) -> Option<Json> {
-    if bytes[*pos..].starts_with(word) {
-        *pos += word.len();
-        Some(value)
-    } else {
-        None
-    }
+/// A forward-only reader over one line in the writer's exact layout.
+/// Every method returns `None` (or `false`) at the first byte that
+/// differs from what the writer produces, so a corrupt line is rejected
+/// and the reader never panics.
+pub(crate) struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Option<Json> {
-    let start = *pos;
-    while *pos < bytes.len() && bytes[*pos].is_ascii_digit() {
-        *pos += 1;
+impl<'a> Cursor<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        Self { text, pos: 0 }
     }
-    // Reject the float/exponent forms the writer never produces.
-    if matches!(bytes.get(*pos), Some(b'.' | b'e' | b'E')) {
-        return None;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()?
-        .parse()
-        .ok()
-        .map(Json::Num)
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Option<String> {
-    consume(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        let b = *bytes.get(*pos)?;
-        *pos += 1;
-        match b {
-            b'"' => return Some(out),
-            b'\\' => {
-                let esc = *bytes.get(*pos)?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = bytes.get(*pos..*pos + 4)?;
-                        *pos += 4;
-                        let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                    }
-                    _ => return None,
+    /// Consumes `lit`, which must come next.
+    pub(crate) fn lit(&mut self, lit: &str) -> Option<()> {
+        let next = self.text[self.pos..].starts_with(lit);
+        next.then(|| self.pos += lit.len())
+    }
+
+    /// The whole input is consumed.
+    pub(crate) fn done(&self) -> Option<()> {
+        (self.pos == self.text.len()).then_some(())
+    }
+
+    /// Consumes the comma before a member, unless the member opens its
+    /// object or array.
+    pub(crate) fn sep(&mut self) -> Option<()> {
+        match self.text.as_bytes()[..self.pos].last() {
+            Some(b'{' | b'[') => Some(()),
+            _ => self.lit(","),
+        }
+    }
+
+    /// Consumes the separator and `"name":` of one object member.
+    pub(crate) fn name(&mut self, name: &str) -> Option<()> {
+        self.sep()?;
+        self.lit("\"")?;
+        self.lit(name)?;
+        self.lit("\":")
+    }
+
+    /// Consumes the separator and `"name":` of an optional member if it
+    /// comes next, and nothing otherwise.
+    pub(crate) fn has(&mut self, name: &str) -> bool {
+        let at = self.pos;
+        self.name(name).is_some() || {
+            self.pos = at;
+            false
+        }
+    }
+
+    /// An unsigned decimal integer; signs, fractions, exponents, leading
+    /// zeros and overflow are rejected.
+    pub(crate) fn u64(&mut self) -> Option<u64> {
+        let rest = &self.text.as_bytes()[self.pos..];
+        let len = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+        let bad_tail = matches!(rest.get(len), Some(b'.' | b'e' | b'E'));
+        if len == 0 || (len > 1 && rest[0] == b'0') || bad_tail {
+            return None;
+        }
+        let n = self.text[self.pos..self.pos + len].parse().ok()?;
+        self.pos += len;
+        Some(n)
+    }
+
+    /// A quoted string, unescaped. One without escapes is allocated at
+    /// its exact length: a loaded store holds thousands of them.
+    pub(crate) fn string(&mut self) -> Option<String> {
+        self.lit("\"")?;
+        let mut out = String::new();
+        loop {
+            let rest = &self.text[self.pos..];
+            let at = rest.find(['"', '\\'])?;
+            self.pos += at + 1;
+            if rest.as_bytes()[at] == b'"' && out.is_empty() {
+                return Some(rest[..at].to_owned());
+            }
+            out.push_str(&rest[..at]);
+            if rest.as_bytes()[at] == b'"' {
+                return Some(out);
+            }
+            let esc = *self.text.as_bytes().get(self.pos)?;
+            self.pos += 1;
+            out.push(match esc {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'u' => {
+                    let hex = self.text.get(self.pos..self.pos + 4)?;
+                    self.pos += 4;
+                    char::from_u32(u32::from_str_radix(hex, 16).ok()?)?
                 }
-            }
-            b if b < 0x80 => out.push(b as char),
-            _ => {
-                // Re-assemble the multi-byte UTF-8 sequence that started
-                // at the byte we just consumed.
-                let start = *pos - 1;
-                let width = match b {
-                    0xC0..=0xDF => 2,
-                    0xE0..=0xEF => 3,
-                    0xF0..=0xF7 => 4,
-                    _ => return None,
-                };
-                let chunk = bytes.get(start..start + width)?;
-                *pos = start + width;
-                out.push_str(std::str::from_utf8(chunk).ok()?);
-            }
+                _ => return None,
+            });
         }
     }
-}
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Option<Json> {
-    consume(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Some(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos)? {
-            b',' => *pos += 1,
-            b']' => {
-                *pos += 1;
-                return Some(Json::Arr(items));
-            }
-            _ => return None,
+    /// The array `[item,item,…]`, reading each item with `item`.
+    pub(crate) fn list(&mut self, mut item: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
+        self.lit("[")?;
+        while self.lit("]").is_none() {
+            self.sep()?;
+            item(self)?;
         }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Option<Json> {
-    consume(bytes, pos, b'{')?;
-    let mut map = BTreeMap::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Some(Json::Obj(map));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        consume(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        map.insert(key, value);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos)? {
-            b',' => *pos += 1,
-            b'}' => {
-                *pos += 1;
-                return Some(Json::Obj(map));
-            }
-            _ => return None,
-        }
+        Some(())
     }
 }
 
@@ -298,36 +177,43 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Option<Json> {
 mod tests {
     use super::*;
 
+    fn round_trip(s: &str) -> Option<String> {
+        let mut line = String::new();
+        put_str(&mut line, s);
+        let mut c = Cursor::new(&line);
+        c.string().filter(|_| c.done().is_some())
+    }
+
     #[test]
-    fn round_trips_nested_values() {
-        let v = Json::obj([
-            ("v", Json::Num(1)),
-            ("name", Json::Str("qpsk 1/2 \"quoted\"\n".into())),
-            ("flag", Json::Bool(true)),
-            ("none", Json::Null),
-            (
-                "items",
-                Json::Arr(vec![Json::Num(0), Json::Num(u64::MAX), Json::Arr(vec![])]),
-            ),
-        ]);
-        let line = v.to_line();
-        assert_eq!(Json::parse(&line), Some(v));
+    fn escaped_strings_round_trip() {
+        for s in ["", "qpsk 1/2 \"quoted\"\n", "tab\tback\\slash\r", "\u{1}"] {
+            assert_eq!(round_trip(s).as_deref(), Some(s));
+        }
+        let mut line = String::new();
+        put_list(&mut line, [0, u64::MAX, 7], put_u64);
+        let (mut c, mut got) = (Cursor::new(&line), Vec::new());
+        assert!(c.list(|c| c.u64().map(|n| got.push(n))).is_some());
+        assert_eq!((c.done(), got), (Some(()), vec![0, u64::MAX, 7]));
     }
 
     #[test]
     fn rejects_floats_and_garbage() {
-        assert_eq!(Json::parse("1.5"), None);
-        assert_eq!(Json::parse("1e3"), None);
-        assert_eq!(Json::parse("-1"), None);
-        assert_eq!(Json::parse("{\"a\":1} trailing"), None);
-        assert_eq!(Json::parse("{\"a\":}"), None);
-        assert_eq!(Json::parse(""), None);
+        for bad in ["1.5", "1e3", "-1", "", "01", "18446744073709551616"] {
+            assert_eq!(Cursor::new(bad).u64(), None, "{bad:?}");
+        }
+        assert_eq!(Cursor::new("\"unterminated").string(), None);
+        assert_eq!(Cursor::new("\"bad \\q escape\"").string(), None);
+        assert_eq!(Cursor::new("[1,2").list(|c| c.u64().map(drop)), None);
+        assert_eq!(Cursor::new("[,1]").list(|c| c.u64().map(drop)), None);
+        let mut obj = Cursor::new("{\"a\":1}");
+        let steps = (obj.lit("{"), obj.has("b"), obj.has("a"), obj.u64());
+        assert_eq!(steps, (Some(()), false, true, Some(1)));
+        assert_eq!(obj.done(), None, "the closing brace is left");
     }
 
     #[test]
     fn parses_unicode_strings() {
-        let v = Json::Str("λ → µ".into());
-        assert_eq!(Json::parse(&v.to_line()), Some(v));
-        assert_eq!(Json::parse("\"\\u00e9\""), Some(Json::Str("é".into())));
+        assert_eq!(round_trip("λ → µ").as_deref(), Some("λ → µ"));
+        assert_eq!(Cursor::new("\"\\u00e9\"").string().as_deref(), Some("é"));
     }
 }

@@ -84,6 +84,9 @@ pub struct ServiceMetrics {
     /// Corrupt/foreign store lines skipped at load (a torn final line
     /// counts here).
     pub store_lines_skipped: u64,
+    /// Store records of other result epochs skipped at load: never
+    /// served, and not counted as skipped.
+    pub store_stale: u64,
     /// Store IO failures absorbed after the retry budget (the service
     /// degrades to in-memory).
     pub store_io_errors: u64,
@@ -109,14 +112,15 @@ impl ServiceMetrics {
     pub fn summary(&self) -> String {
         format!(
             "cache: {} hits, {} misses, {} packets simulated, {} packets saved; \
-             store: {} loaded, {} skipped, {} io errors, {} retries, {} evicted, \
-             {} compactions",
+             store: {} loaded, {} skipped, {} stale, {} io errors, {} retries, \
+             {} evicted, {} compactions",
             self.hits,
             self.misses,
             self.packets_simulated,
             self.packets_saved,
             self.store_entries_loaded,
             self.store_lines_skipped,
+            self.store_stale,
             self.store_io_errors,
             self.store_retries,
             self.store_evictions,
@@ -198,6 +202,7 @@ impl SweepService {
         ServiceMetrics {
             store_entries_loaded: c.loaded,
             store_lines_skipped: c.skipped,
+            store_stale: c.stale,
             store_io_errors: c.io_errors,
             store_retries: c.retries,
             store_write_faults: c.write_faults,

@@ -5,14 +5,40 @@
 //!
 //! # Disk format (`WILIS_STORE`)
 //!
-//! One record per line: `{"v":1,"key":{…},"result":{…}}`. Every `f64`
-//! (the SNR in the key; PBER sums and scatter points in the result) is
-//! stored as the `u64` bit pattern of its IEEE-754 encoding, so a value
-//! read back is **bit-equal** to the value written — warm results
-//! reproduce cold results exactly, which is what lets the service keep
-//! the engine's bit-identity contract across a cold/warm split. Corrupt
-//! or foreign lines are skipped (and counted), never fatal: a store file
-//! is a cache, not a database.
+//! One record per line, members in one fixed order, no whitespace
+//! (wrapped here):
+//!
+//! ```text
+//! {"v":2,"epochs":{"channel":1,"phy":1,"fec":1,"mac":1,"engine":1},
+//!  "key":{"rate_index":0,"decoder":"viterbi","channel":"awgn","link":"none",
+//!   "contention":"p2p","nodes":1,"snr_bits":…,"seed":…,"packets":1,"payload_bits":64},
+//!  "result":{"packets":1,"packet_errors":0,"bits":64,"bit_errors":0,
+//!   "bin_count":64,"hint_bins":[[0,64,0]],"predicted_pber_sum":0}}
+//! ```
+//!
+//! Every `f64` is stored as the `u64` bit pattern of its IEEE-754
+//! encoding, so warm results are **bit-equal** to cold ones and the
+//! service keeps the engine's bit-identity contract across any cold/warm
+//! split. Hint bins are sparse: the bin count, then the non-zero bins as
+//! `[index, bits, errors]` triples. Members at an empty default are
+//! omitted (empty parameter sets, a false `record_packet_stats`, absent
+//! stopping rule, packet stats, link and cell metrics), and so is the
+//! result's `label` when it equals the [`Scenario::label`] of its key.
+//! Records are encoded straight into one reused `String` and parsed
+//! straight into a [`StoreKey`] and a [`ScenarioResult`]: no value tree.
+//!
+//! # Result epochs
+//!
+//! `epochs` is the [`RESULT_EPOCHS`] table a record was computed under;
+//! a change that moves result bits bumps the epoch of the layer it
+//! touches. At load, each line counts as exactly one of:
+//!
+//! - **loaded** — a whole version-2 record of the current epochs;
+//! - **stale** — a whole version-2 record of other epochs, or any
+//!   version-1 record. Never served, counted in [`StoreCounters::stale`],
+//!   and dropped by the next compaction;
+//! - **skipped** — anything else (torn, corrupt or foreign lines). Never
+//!   fatal: a store file is a cache, not a database.
 //!
 //! # Crash safety and degradation
 //!
@@ -34,6 +60,7 @@
 //!   intact.
 
 use std::collections::BTreeMap;
+use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -43,7 +70,7 @@ use wilis_mac::link::LinkMetrics;
 use wilis_phy::PhyRate;
 use wilis_softphy::HintBin;
 
-use super::json::Json;
+use super::json::{self, Cursor};
 use crate::faults::{occurrence_of, FaultInjector, FaultSite};
 use crate::scenario::{PacketStat, Scenario, ScenarioResult, StopMetric, StoppingRule};
 
@@ -150,295 +177,309 @@ fn rate_index(rate: PhyRate) -> u8 {
         .expect("PhyRate::all() contains every variant") as u8 // lint: allow(panic-policy) — all() enumerates the whole enum
 }
 
-fn f64_bits(v: f64) -> Json {
-    Json::Num(v.to_bits())
+/// The result epoch of each engine layer: the version of the semantics
+/// that layer's results were computed under. A change that moves any
+/// result bit bumps the epoch of the layer it touches, and every stored
+/// record of an older epoch turns stale (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ResultEpochs {
+    /// Channel models and their PRNG streams.
+    channel: u32,
+    /// Transmitter, OFDM front end, mapping and demapping.
+    phy: u32,
+    /// Decoders and their soft outputs.
+    fec: u32,
+    /// Link and contention policies.
+    mac: u32,
+    /// The packet loop, fusion, stopping and result accounting.
+    engine: u32,
 }
 
-fn params_to_json(p: &Params) -> Json {
-    Json::Obj(
-        p.iter()
-            .map(|(k, v)| (k.to_string(), Json::Str(v.to_string())))
-            .collect(),
-    )
-}
+/// The epochs of the engine as built: what every record is written under
+/// and the only epochs the store serves.
+const RESULT_EPOCHS: ResultEpochs = ResultEpochs {
+    channel: 1,
+    phy: 1,
+    fec: 1,
+    mac: 1,
+    engine: 1,
+};
 
-fn params_from_json(v: &Json) -> Option<Params> {
-    let Json::Obj(map) = v else { return None };
-    let mut p = Params::new();
-    for (k, val) in map {
-        p.set(k, val.as_str()?);
+impl Default for ResultEpochs {
+    fn default() -> Self {
+        RESULT_EPOCHS
     }
-    Some(p)
 }
 
-fn key_to_json(key: &StoreKey) -> Json {
-    Json::obj([
-        ("rate", Json::Num(u64::from(key.rate_index))),
-        ("decoder", Json::Str(key.decoder.clone())),
-        ("channel", Json::Str(key.channel.clone())),
-        ("channel_params", params_to_json(&key.channel_params)),
-        ("link", Json::Str(key.link.clone())),
-        ("link_params", params_to_json(&key.link_params)),
-        ("contention", Json::Str(key.contention.clone())),
-        ("contention_params", params_to_json(&key.contention_params)),
-        ("nodes", Json::Num(u64::from(key.nodes))),
-        ("snr_bits", Json::Num(key.snr_bits)),
-        ("seed", Json::Num(key.seed)),
-        ("packets", Json::Num(u64::from(key.packets))),
-        ("payload_bits", Json::Num(key.payload_bits)),
-        ("record_stats", Json::Bool(key.record_packet_stats)),
-        (
-            "stopping",
-            match &key.stopping {
-                None => Json::Null,
-                Some(s) => Json::obj([
-                    (
-                        "metric",
-                        Json::Str(
-                            match s.metric {
-                                StopMetric::Ber => "ber",
-                                StopMetric::Per => "per",
-                            }
-                            .to_string(),
-                        ),
-                    ),
-                    ("target_bits", Json::Num(s.target_bits)),
-                    ("z_bits", Json::Num(s.z_bits)),
-                    ("chunk_packets", Json::Num(u64::from(s.chunk_packets))),
-                ]),
-            },
-        ),
-    ])
+/// The format version of a record line. Version-1 records (sorted
+/// members, dense hint bins) carry no epochs and are always stale.
+const RECORD_VERSION: u64 = 2;
+
+/// A hint is a `u8` in the engine, so real results have at most 256 hint
+/// bins; the cap keeps a corrupt bin count from allocating without bound.
+const MAX_HINT_BINS: usize = 1 << 16;
+
+/// A value with one encoding in a record line, written straight into the
+/// line and read straight back by a [`Cursor`].
+trait Member: Sized + PartialEq {
+    fn put(&self, out: &mut String);
+    fn read(c: &mut Cursor) -> Option<Self>;
+    /// The empty default a member is omitted at, if it has one; `None`
+    /// where a member is always written.
+    fn empty() -> Option<Self> {
+        None
+    }
 }
 
-fn key_from_json(v: &Json) -> Option<StoreKey> {
-    let stopping = match v.get("stopping")? {
-        Json::Null => None,
-        s => Some(StoppingKey {
-            metric: match s.get("metric")?.as_str()? {
-                "ber" => StopMetric::Ber,
-                "per" => StopMetric::Per,
-                _ => return None,
-            },
-            target_bits: s.get("target_bits")?.as_u64()?,
-            z_bits: s.get("z_bits")?.as_u64()?,
-            chunk_packets: u32::try_from(s.get("chunk_packets")?.as_u64()?).ok()?,
+fn put_member<T: Member>(out: &mut String, name: &str, value: &T) {
+    if T::empty().as_ref() != Some(value) {
+        json::put_name(out, name);
+        value.put(out);
+    }
+}
+
+fn read_member<T: Member>(c: &mut Cursor, name: &str) -> Option<T> {
+    if c.has(name) {
+        T::read(c)
+    } else {
+        T::empty()
+    }
+}
+
+/// Implements [`Member`] for the value types, one row each: the type and
+/// its generic parameters, if any, how a value `v` is put, how it is read back,
+/// and the empty default it is omitted at, if any. Narrow integers are
+/// range-checked on read, a float travels as its IEEE-754 bit pattern so
+/// it reads back bit-equal, and parameters are `[name, value]` pairs.
+macro_rules! encodings {
+    ($($ty:ty $(where [$($gen:tt)*])?: |$v:ident, $out:ident| $put:expr, |$c:ident| $read:expr
+        $(, empty $empty:expr)?;)*) => {$(
+        impl<$($($gen)*)?> Member for $ty {
+            fn put(&self, $out: &mut String) {
+                let $v = self;
+                $put;
+            }
+            fn read($c: &mut Cursor) -> Option<Self> {
+                $read
+            }
+            $(fn empty() -> Option<Self> {
+                Some($empty)
+            })?
+        }
+    )*};
+}
+
+encodings! {
+    u8: |v, out| json::put_u64(out, u64::from(*v)), |c| c.u64()?.try_into().ok();
+    u32: |v, out| json::put_u64(out, u64::from(*v)), |c| c.u64()?.try_into().ok();
+    u64: |v, out| json::put_u64(out, *v), |c| c.u64();
+    f64: |v, out| json::put_u64(out, v.to_bits()), |c| c.u64().map(f64::from_bits);
+    String: |v, out| json::put_str(out, v), |c| c.string();
+    bool: |v, out| out.push_str(if *v { "true" } else { "false" }),
+        |c| c.lit("true").map(|()| true), empty false;
+    StopMetric: |v, out| json::put_str(out, if *v == StopMetric::Ber { "ber" } else { "per" }),
+        |c| match c.string()?.as_str() {
+            "ber" => Some(StopMetric::Ber),
+            "per" => Some(StopMetric::Per),
+            _ => None,
+        };
+    Params: |v, out| json::put_list(out, v.iter(), |out, (k, v)| {
+            json::put_list(out, [k, v], json::put_str);
         }),
-    };
-    Some(StoreKey {
-        rate_index: u8::try_from(v.get("rate")?.as_u64()?).ok()?,
-        decoder: v.get("decoder")?.as_str()?.to_string(),
-        channel: v.get("channel")?.as_str()?.to_string(),
-        channel_params: params_from_json(v.get("channel_params")?)?,
-        link: v.get("link")?.as_str()?.to_string(),
-        link_params: params_from_json(v.get("link_params")?)?,
-        contention: v.get("contention")?.as_str()?.to_string(),
-        contention_params: params_from_json(v.get("contention_params")?)?,
-        nodes: u32::try_from(v.get("nodes")?.as_u64()?).ok()?,
-        snr_bits: v.get("snr_bits")?.as_u64()?,
-        seed: v.get("seed")?.as_u64()?,
-        packets: u32::try_from(v.get("packets")?.as_u64()?).ok()?,
-        payload_bits: v.get("payload_bits")?.as_u64()?,
-        record_packet_stats: v.get("record_stats")?.as_bool()?,
+        |c| {
+            let mut p = Params::new();
+            c.list(|c| {
+                c.lit("[")?;
+                let k = c.string()?;
+                c.lit(",")?;
+                p.set(&k, &c.string()?);
+                c.lit("]")
+            })?;
+            Some(p)
+        }, empty Params::new();
+    Option<T> where [T: Member]: |v, out| if let Some(v) = v { v.put(out) },
+        |c| T::read(c).map(Some), empty None;
+    Vec<T> where [T: Member]: |v, out| json::put_list(out, v, |out, v| v.put(out)),
+        |c| {
+            let mut items = Vec::new();
+            c.list(|c| T::read(c).map(|v| items.push(v)))?;
+            Some(items)
+        }, empty Vec::new();
+    [u64; N] where [const N: usize]: |v, out| json::put_list(out, v, |out, &n| json::put_u64(out, n)),
+        |c| {
+            let (mut values, mut n) = ([0; N], 0);
+            c.list(|c| {
+                *values.get_mut(n)? = c.u64()?;
+                n += 1;
+                Some(())
+            })?;
+            (n == N).then_some(values)
+        };
+}
+
+/// Implements [`Member`] for each struct as an object of the listed
+/// fields, each named after its field, in the listed order — the one
+/// field order the writer and the reader share. The struct literal in
+/// `read` names every field, so a field added to one of these types
+/// fails to compile until it is listed here.
+macro_rules! object {
+    ($($ty:ident { $($field:ident),* $(,)? })*) => {$(
+        impl Member for $ty {
+            fn put(&self, out: &mut String) {
+                out.push('{');
+                $(put_member(out, stringify!($field), &self.$field);)*
+                out.push('}');
+            }
+            fn read(c: &mut Cursor) -> Option<Self> {
+                c.lit("{")?;
+                let value = Self { $($field: read_member(c, stringify!($field))?,)* };
+                c.lit("}")?;
+                Some(value)
+            }
+        }
+    )*};
+}
+
+object! {
+    ResultEpochs { channel, phy, fec, mac, engine }
+    StoppingKey { metric, target_bits, z_bits, chunk_packets }
+    StoreKey {
+        rate_index, decoder, channel, channel_params, link, link_params, contention,
+        contention_params, nodes, snr_bits, seed, packets, payload_bits, record_packet_stats,
         stopping,
-    })
-}
-
-fn link_to_json(m: &LinkMetrics) -> Json {
-    Json::obj([
-        ("packets", Json::Num(m.packets)),
-        ("delivered", Json::Num(m.delivered)),
-        ("gave_up", Json::Num(m.gave_up)),
-        ("bits_delivered", Json::Num(m.bits_delivered)),
-        ("bits_transmitted", Json::Num(m.bits_transmitted)),
-        ("bits_retransmitted", Json::Num(m.bits_retransmitted)),
-        ("under", Json::Num(m.under)),
-        ("accurate", Json::Num(m.accurate)),
-        ("over", Json::Num(m.over)),
-        ("selected_mbps_sum", f64_bits(m.selected_mbps_sum)),
-        ("recovered", Json::Num(m.recovered)),
-        (
-            "attempts_hist",
-            Json::Arr(m.attempts_hist.iter().map(|&n| Json::Num(n)).collect()),
-        ),
-        ("effective_rate_sum", f64_bits(m.effective_rate_sum)),
-    ])
-}
-
-fn link_from_json(v: &Json) -> Option<LinkMetrics> {
-    let mut attempts_hist = LinkMetrics::default().attempts_hist;
-    let hist = v.get("attempts_hist")?.as_arr()?;
-    if hist.len() != attempts_hist.len() {
-        return None;
     }
-    for (slot, item) in attempts_hist.iter_mut().zip(hist) {
-        *slot = item.as_u64()?;
+    PacketStat { predicted, actual }
+    LinkMetrics {
+        packets, delivered, gave_up, bits_delivered, bits_transmitted, bits_retransmitted,
+        under, accurate, over, selected_mbps_sum, recovered, attempts_hist, effective_rate_sum,
     }
-    Some(LinkMetrics {
-        packets: v.get("packets")?.as_u64()?,
-        delivered: v.get("delivered")?.as_u64()?,
-        gave_up: v.get("gave_up")?.as_u64()?,
-        bits_delivered: v.get("bits_delivered")?.as_u64()?,
-        bits_transmitted: v.get("bits_transmitted")?.as_u64()?,
-        bits_retransmitted: v.get("bits_retransmitted")?.as_u64()?,
-        under: v.get("under")?.as_u64()?,
-        accurate: v.get("accurate")?.as_u64()?,
-        over: v.get("over")?.as_u64()?,
-        selected_mbps_sum: f64::from_bits(v.get("selected_mbps_sum")?.as_u64()?),
-        recovered: v.get("recovered")?.as_u64()?,
-        attempts_hist,
-        effective_rate_sum: f64::from_bits(v.get("effective_rate_sum")?.as_u64()?),
-    })
-}
-
-fn cell_to_json(c: &CellMetrics) -> Json {
-    Json::obj([
-        ("nodes", Json::Num(u64::from(c.nodes))),
-        ("slots", Json::Num(c.slots)),
-        ("payload_bits", Json::Num(c.payload_bits)),
-        ("idle_slots", Json::Num(c.idle_slots)),
-        ("clean_slots", Json::Num(c.clean_slots)),
-        ("capture_slots", Json::Num(c.capture_slots)),
-        ("collision_slots", Json::Num(c.collision_slots)),
-        (
-            "per_node",
-            Json::Arr(
-                c.per_node
-                    .iter()
-                    .map(|n| {
-                        Json::obj([
-                            ("attempts", Json::Num(n.attempts)),
-                            ("collisions", Json::Num(n.collisions)),
-                            ("delivered", Json::Num(n.delivered)),
-                            ("bits_delivered", Json::Num(n.bits_delivered)),
-                            ("bits_transmitted", Json::Num(n.bits_transmitted)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn cell_from_json(v: &Json) -> Option<CellMetrics> {
-    let mut per_node = Vec::new();
-    for item in v.get("per_node")?.as_arr()? {
-        per_node.push(NodeCellMetrics {
-            attempts: item.get("attempts")?.as_u64()?,
-            collisions: item.get("collisions")?.as_u64()?,
-            delivered: item.get("delivered")?.as_u64()?,
-            bits_delivered: item.get("bits_delivered")?.as_u64()?,
-            bits_transmitted: item.get("bits_transmitted")?.as_u64()?,
-        });
-    }
-    Some(CellMetrics {
-        nodes: u32::try_from(v.get("nodes")?.as_u64()?).ok()?,
-        slots: v.get("slots")?.as_u64()?,
-        payload_bits: v.get("payload_bits")?.as_u64()?,
-        idle_slots: v.get("idle_slots")?.as_u64()?,
-        clean_slots: v.get("clean_slots")?.as_u64()?,
-        capture_slots: v.get("capture_slots")?.as_u64()?,
-        collision_slots: v.get("collision_slots")?.as_u64()?,
+    NodeCellMetrics { attempts, collisions, delivered, bits_delivered, bits_transmitted }
+    CellMetrics {
+        nodes, slots, payload_bits, idle_slots, clean_slots, capture_slots, collision_slots,
         per_node,
-    })
+    }
 }
 
-fn result_to_json(r: &ScenarioResult) -> Json {
-    Json::obj([
-        ("label", Json::Str(r.label.clone())),
-        ("packets", Json::Num(r.packets)),
-        ("packet_errors", Json::Num(r.packet_errors)),
-        ("bits", Json::Num(r.bits)),
-        ("bit_errors", Json::Num(r.bit_errors)),
-        (
-            "hint_bins",
-            Json::Arr(
-                r.hint_bins
-                    .iter()
-                    .map(|b| {
-                        Json::obj([("bits", Json::Num(b.bits)), ("errors", Json::Num(b.errors))])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("predicted_pber_sum", f64_bits(r.predicted_pber_sum)),
-        (
-            "packet_stats",
-            Json::Arr(
-                r.packet_stats
-                    .iter()
-                    .map(|s| {
-                        Json::obj([
-                            ("predicted", f64_bits(s.predicted)),
-                            ("actual", f64_bits(s.actual)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("link", r.link.as_ref().map_or(Json::Null, link_to_json)),
-        ("cell", r.cell.as_ref().map_or(Json::Null, cell_to_json)),
-    ])
+/// The label [`Scenario::label`] gives the point `key` names; `None` for
+/// a key no scenario has (a corrupt rate index).
+fn key_label(key: &StoreKey) -> Option<String> {
+    let scenario = Scenario {
+        rate: *PhyRate::all().get(usize::from(key.rate_index))?,
+        decoder: key.decoder.clone(),
+        channel: key.channel.clone(),
+        channel_params: Params::new(),
+        link: key.link.clone(),
+        link_params: Params::new(),
+        contention: key.contention.clone(),
+        contention_params: Params::new(),
+        nodes: key.nodes,
+        snr_db: f64::from_bits(key.snr_bits),
+        seed: key.seed,
+        packets: key.packets,
+        payload_bits: usize::try_from(key.payload_bits).ok()?,
+    };
+    Some(scenario.label())
 }
 
-fn result_from_json(v: &Json) -> Option<ScenarioResult> {
-    let mut hint_bins = Vec::new();
-    for item in v.get("hint_bins")?.as_arr()? {
-        hint_bins.push(HintBin {
-            bits: item.get("bits")?.as_u64()?,
-            errors: item.get("errors")?.as_u64()?,
-        });
+/// The result object. `label` is written only when it differs from the
+/// label `key` determines, and hint bins go as their count plus the
+/// non-zero bins as `[index, bits, errors]` triples.
+fn put_result(out: &mut String, key: &StoreKey, r: &ScenarioResult) {
+    out.push('{');
+    if key_label(key).as_deref() != Some(r.label.as_str()) {
+        put_member(out, "label", &r.label);
     }
-    let mut packet_stats = Vec::new();
-    for item in v.get("packet_stats")?.as_arr()? {
-        packet_stats.push(PacketStat {
-            predicted: f64::from_bits(item.get("predicted")?.as_u64()?),
-            actual: f64::from_bits(item.get("actual")?.as_u64()?),
-        });
-    }
-    Some(ScenarioResult {
+    put_member(out, "packets", &r.packets);
+    put_member(out, "packet_errors", &r.packet_errors);
+    put_member(out, "bits", &r.bits);
+    put_member(out, "bit_errors", &r.bit_errors);
+    put_member(out, "bin_count", &(r.hint_bins.len() as u64));
+    json::put_name(out, "hint_bins");
+    let bins = r
+        .hint_bins
+        .iter()
+        .enumerate()
+        .filter(|(_, b)| **b != HintBin::default());
+    json::put_list(out, bins, |out, (i, b)| {
+        [i as u64, b.bits, b.errors].put(out)
+    });
+    put_member(out, "predicted_pber_sum", &r.predicted_pber_sum);
+    put_member(out, "packet_stats", &r.packet_stats);
+    put_member(out, "link", &r.link);
+    put_member(out, "cell", &r.cell);
+    out.push('}');
+}
+
+fn read_result(c: &mut Cursor, key: &StoreKey) -> Option<ScenarioResult> {
+    c.lit("{")?;
+    let mut label = if c.has("label") {
+        c.string()?
+    } else {
+        key_label(key)?
+    };
+    label.shrink_to_fit();
+    let result = ScenarioResult {
         // The submission index is call-local, not part of the point's
         // identity; the service rewrites it on every hit.
         scenario: 0,
-        label: v.get("label")?.as_str()?.to_string(),
-        packets: v.get("packets")?.as_u64()?,
-        packet_errors: v.get("packet_errors")?.as_u64()?,
-        bits: v.get("bits")?.as_u64()?,
-        bit_errors: v.get("bit_errors")?.as_u64()?,
-        hint_bins,
-        predicted_pber_sum: f64::from_bits(v.get("predicted_pber_sum")?.as_u64()?),
-        packet_stats,
-        link: match v.get("link")? {
-            Json::Null => None,
-            m => Some(link_from_json(m)?),
-        },
-        cell: match v.get("cell")? {
-            Json::Null => None,
-            c => Some(cell_from_json(c)?),
-        },
-    })
+        label,
+        packets: read_member(c, "packets")?,
+        packet_errors: read_member(c, "packet_errors")?,
+        bits: read_member(c, "bits")?,
+        bit_errors: read_member(c, "bit_errors")?,
+        hint_bins: read_hint_bins(c)?,
+        predicted_pber_sum: read_member(c, "predicted_pber_sum")?,
+        packet_stats: read_member(c, "packet_stats")?,
+        link: read_member(c, "link")?,
+        cell: read_member(c, "cell")?,
+    };
+    c.lit("}")?;
+    Some(result)
 }
 
-/// One store record as a JSON line; version-tagged so a future format
-/// can coexist in one file.
-fn record_to_line(key: &StoreKey, result: &ScenarioResult) -> String {
-    Json::obj([
-        ("v", Json::Num(1)),
-        ("key", key_to_json(key)),
-        ("result", result_to_json(result)),
-    ])
-    .to_line()
+fn read_hint_bins(c: &mut Cursor) -> Option<Vec<HintBin>> {
+    let count: u64 = read_member(c, "bin_count")?;
+    let count = usize::try_from(count)
+        .ok()
+        .filter(|&n| n <= MAX_HINT_BINS)?;
+    let mut bins = vec![HintBin::default(); count];
+    c.name("hint_bins")?;
+    // Indices strictly increase, so one result has one encoding.
+    let mut next = 0;
+    c.list(|c| {
+        let [i, bits, errors] = <[u64; 3]>::read(c)?;
+        let i = usize::try_from(i).ok().filter(|&i| i >= next)?;
+        *bins.get_mut(i)? = HintBin { bits, errors };
+        next = i + 1;
+        Some(())
+    })?;
+    Some(bins)
 }
 
-fn record_from_line(line: &str) -> Option<(StoreKey, ScenarioResult)> {
-    let v = Json::parse(line)?;
-    if v.get("v")?.as_u64()? != 1 {
-        return None;
-    }
-    Some((
-        key_from_json(v.get("key")?)?,
-        result_from_json(v.get("result")?)?,
-    ))
+/// Appends one record, without a newline, written under `epochs`.
+fn write_record(out: &mut String, epochs: &ResultEpochs, key: &StoreKey, result: &ScenarioResult) {
+    out.push('{');
+    put_member(out, "v", &RECORD_VERSION);
+    put_member(out, "epochs", epochs);
+    put_member(out, "key", key);
+    json::put_name(out, "result");
+    put_result(out, key, result);
+    out.push('}');
+}
+
+/// Parses one record line into the epochs it was written under, its key
+/// and its result; `None` for anything but a whole version-2 record.
+fn read_record(line: &str) -> Option<(ResultEpochs, StoreKey, ScenarioResult)> {
+    let mut c = Cursor::new(line);
+    c.lit("{")?;
+    (read_member::<u64>(&mut c, "v")? == RECORD_VERSION).then_some(())?;
+    let epochs = read_member(&mut c, "epochs")?;
+    let key = read_member(&mut c, "key")?;
+    c.name("result")?;
+    let result = read_result(&mut c, &key)?;
+    c.lit("}")?;
+    c.done()?;
+    Some((epochs, key, result))
 }
 
 /// The eviction policy of a [`ResultStore`]: optional caps on the
@@ -486,6 +527,10 @@ pub struct StoreCounters {
     /// Corrupt/foreign lines skipped while loading (a torn final line
     /// counts here).
     pub skipped: u64,
+    /// Records skipped while loading because they were computed under
+    /// other result epochs (see the module docs), version-1 records
+    /// included.
+    pub stale: u64,
     /// IO failures absorbed after the retry budget (load, append or
     /// compaction).
     pub io_errors: u64,
@@ -517,12 +562,12 @@ struct StoreEntry {
 
 /// The memoized result map, optionally mirrored to a JSON-lines file.
 ///
-/// Inserts append one line; loads replay the file (later records win, so
-/// an interrupted append at worst loses its own record). IO failures are
-/// counted, never fatal — a broken disk degrades the store to in-memory.
-/// See the module docs for the crash-safety and eviction behavior; every
-/// degradation event (skipped lines, IO errors, retries, injected
-/// faults, evictions, compactions) is counted in [`StoreCounters`].
+/// Inserts append one line through a file handle the store keeps open;
+/// loads replay the file (later records win, so an interrupted append at
+/// worst loses its own record). IO failures are counted, never fatal — a
+/// broken disk degrades the store to in-memory. See the module docs for
+/// the crash-safety and eviction behavior; every load and degradation
+/// event is counted in [`StoreCounters`].
 #[derive(Debug, Default)]
 pub struct ResultStore {
     map: BTreeMap<StoreKey, StoreEntry>,
@@ -533,6 +578,13 @@ pub struct ResultStore {
     bytes_on_disk: u64,
     tail_torn: bool,
     counters: StoreCounters,
+    /// The epochs records are written under and served from.
+    epochs: ResultEpochs,
+    /// The append handle: opened by an append, dropped by a failed write
+    /// or a compaction.
+    file: Option<File>,
+    /// The record buffer, reused across appends.
+    line: String,
 }
 
 impl ResultStore {
@@ -559,36 +611,32 @@ impl ResultStore {
         budget: StoreBudget,
         faults: Option<FaultInjector>,
     ) -> Self {
-        let path = path.into();
+        Self::load(path.into(), budget, faults, RESULT_EPOCHS)
+    }
+
+    /// [`ResultStore::at_path_with`] serving only records written under
+    /// `epochs`.
+    fn load(
+        path: PathBuf,
+        budget: StoreBudget,
+        faults: Option<FaultInjector>,
+        epochs: ResultEpochs,
+    ) -> Self {
         let mut store = Self {
             path: Some(path.clone()),
             budget,
             faults,
+            epochs,
             ..Self::default()
         };
-        let mut attempt: u64 = 0;
-        let text = loop {
-            let injected = matches!(&store.faults,
-                Some(f) if f.fires(FaultSite::StoreRead, attempt));
-            let outcome = if injected {
-                store.counters.read_faults += 1;
-                Err(std::io::Error::other("injected store read fault"))
-            } else {
-                std::fs::read_to_string(&path)
-            };
-            match outcome {
-                Ok(text) => break text,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => break String::new(),
-                Err(_) => {
-                    attempt += 1;
-                    if attempt >= STORE_ATTEMPTS {
-                        store.counters.io_errors += 1;
-                        break String::new();
-                    }
-                    store.counters.retries += 1;
+        let text = store
+            .attempt(FaultSite::StoreRead, |_| {
+                match std::fs::read_to_string(&path) {
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(String::new()),
+                    read => read,
                 }
-            }
-        };
+            })
+            .unwrap_or_default();
         store.bytes_on_disk = text.len() as u64;
         store.tail_torn = !text.is_empty() && !text.ends_with('\n');
         for line in text.lines() {
@@ -596,12 +644,18 @@ impl ResultStore {
             if line.is_empty() {
                 continue;
             }
-            match record_from_line(line) {
-                Some((key, result)) => {
+            match read_record(line) {
+                Some((written, key, result)) if written == epochs => {
                     let stamp = store.next_stamp;
                     store.next_stamp += 1;
                     store.map.insert(key, StoreEntry { stamp, result });
                     store.counters.loaded += 1;
+                }
+                Some(_) => store.counters.stale += 1,
+                // Version 1 sorted members: a whole record opens with its
+                // key and closes with its version tag.
+                None if line.starts_with("{\"key\":{") && line.ends_with(",\"v\":1}") => {
+                    store.counters.stale += 1;
                 }
                 None => store.counters.skipped += 1,
             }
@@ -672,9 +726,8 @@ impl ResultStore {
     /// Inserts (and, when mirrored, appends) one result, then enforces
     /// the eviction budget.
     pub fn insert(&mut self, key: StoreKey, result: ScenarioResult) {
-        if let Some(path) = self.path.clone() {
-            let line = record_to_line(&key, &result);
-            self.append_line(&path, &line);
+        if self.path.is_some() {
+            self.append(&key, &result);
         }
         let stamp = self.next_stamp;
         self.next_stamp += 1;
@@ -682,72 +735,85 @@ impl ResultStore {
         self.enforce_budget();
     }
 
-    /// Appends one record line under the fault plan and the bounded
-    /// retry policy. Torn and corrupt injections are content-addressed
-    /// (the occurrence index is the line's [`occurrence_of`] hash), so
+    /// Appends one record under the fault plan and the bounded retry
+    /// policy, in one `write_all` of the reused line buffer: the torn-tail
+    /// repair newline when the file ends torn, the record and its
+    /// terminator. Torn and corrupt injections are content-addressed (the
+    /// occurrence index is the record bytes' [`occurrence_of`] hash), so
     /// the decision never depends on completion order.
-    fn append_line(&mut self, path: &Path, line: &str) {
-        let occ = occurrence_of(line.as_bytes());
-        let corrupt = matches!(&self.faults,
-            Some(f) if f.fires(FaultSite::CorruptRecord, occ));
-        let torn = matches!(&self.faults,
-            Some(f) if f.fires(FaultSite::TornWrite, occ));
-        let mut payload = line.as_bytes().to_vec();
-        if corrupt {
+    fn append(&mut self, key: &StoreKey, result: &ScenarioResult) {
+        let mut line = std::mem::take(&mut self.line);
+        line.clear();
+        // The repair slot, so this record cannot merge with a torn tail.
+        line.push('\n');
+        write_record(&mut line, &self.epochs, key, result);
+        let record_len = line.len() - 1;
+        line.push('\n');
+        let occ = occurrence_of(&line.as_bytes()[1..=record_len]);
+        if matches!(&self.faults, Some(f) if f.fires(FaultSite::CorruptRecord, occ)) {
             // Same length, unparsable: the mangled record must be
             // skipped (and counted) at the next load.
             self.counters.corrupt_records += 1;
-            payload[0] = b'!';
+            line.replace_range(1..2, "!");
         }
-        let terminated = !torn;
-        if torn {
+        let torn = matches!(&self.faults, Some(f) if f.fires(FaultSite::TornWrite, occ));
+        let end = if torn {
             self.counters.torn_writes += 1;
-            payload.truncate(payload.len() / 2);
+            1 + record_len / 2
+        } else {
+            line.len()
+        };
+        let bytes = &line.as_bytes()[usize::from(!self.tail_torn)..end];
+        if self
+            .attempt(FaultSite::StoreWrite, |store| store.write_out(bytes))
+            .is_some()
+        {
+            self.bytes_on_disk += bytes.len() as u64;
+            self.tail_torn = torn;
         }
-        let mut attempt: u64 = 0;
-        loop {
-            let injected = matches!(&self.faults,
-                Some(f) if f.fires(FaultSite::StoreWrite, attempt));
-            let outcome = if injected {
-                self.counters.write_faults += 1;
-                Err(std::io::Error::other("injected store write fault"))
-            } else {
-                let lead = self.tail_torn;
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                    .and_then(|mut f| {
-                        if lead {
-                            // Repair the torn tail: a newline first, so
-                            // this record cannot merge with the torn
-                            // half-line before it.
-                            f.write_all(b"\n")?;
-                        }
-                        f.write_all(&payload)?;
-                        if terminated {
-                            f.write_all(b"\n")?;
-                        }
-                        Ok(())
-                    })
-            };
-            match outcome {
-                Ok(()) => {
-                    self.bytes_on_disk +=
-                        u64::from(self.tail_torn) + payload.len() as u64 + u64::from(terminated);
-                    self.tail_torn = !terminated;
-                    break;
+        self.line = line;
+    }
+
+    /// Runs one store operation under the fault plan and the bounded
+    /// retry policy: an attempt fails by injection when `site` fires at
+    /// its attempt index, and after [`STORE_ATTEMPTS`] failed attempts the
+    /// store counts an IO error and gives up with `None`.
+    fn attempt<T>(
+        &mut self,
+        site: FaultSite,
+        mut op: impl FnMut(&mut Self) -> std::io::Result<T>,
+    ) -> Option<T> {
+        for attempt in 0..STORE_ATTEMPTS {
+            if attempt > 0 {
+                self.counters.retries += 1;
+            }
+            if matches!(&self.faults, Some(f) if f.fires(site, attempt)) {
+                match site {
+                    FaultSite::StoreRead => self.counters.read_faults += 1,
+                    _ => self.counters.write_faults += 1,
                 }
-                Err(_) => {
-                    attempt += 1;
-                    if attempt >= STORE_ATTEMPTS {
-                        self.counters.io_errors += 1;
-                        break;
-                    }
-                    self.counters.retries += 1;
-                }
+            } else if let Ok(value) = op(self) {
+                return Some(value);
             }
         }
+        self.counters.io_errors += 1;
+        None
+    }
+
+    /// Writes `bytes` through the append handle, opening it first if
+    /// needed; a failed write drops the handle, so the next attempt
+    /// reopens the file.
+    fn write_out(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        let mut file = match self.file.take() {
+            Some(file) => file,
+            None => match &self.path {
+                Some(path) => OpenOptions::new().create(true).append(true).open(path)?,
+                None => return Ok(()),
+            },
+        };
+        file.write_all(bytes)?;
+        self.file = Some(file);
+        Ok(())
     }
 
     /// Evicts past the record budget and compacts the mirrored file when
@@ -792,36 +858,37 @@ impl ResultStore {
         let Some(path) = self.path.clone() else {
             return;
         };
-        let mut lines: Vec<(StoreKey, String, u64)> = self
-            .map
-            .iter()
-            .map(|(k, e)| (k.clone(), record_to_line(k, &e.result), e.stamp))
-            .collect();
-        lines.sort_by_key(|(_, _, stamp)| *stamp);
-        if let Some(max) = self.budget.max_bytes {
-            let mut total: u64 = lines.iter().map(|(_, l, _)| l.len() as u64 + 1).sum();
-            while total > max && lines.len() > 1 {
-                let (key, line, _) = lines.remove(0);
-                total -= line.len() as u64 + 1;
-                self.map.remove(&key);
-                self.counters.evictions += 1;
-            }
-        }
+        // The handle would outlive the rename on the replaced file.
+        self.file = None;
+        let mut live: Vec<(&StoreKey, &StoreEntry)> = self.map.iter().collect();
+        live.sort_by_key(|(_, e)| e.stamp);
         let mut buf = String::new();
-        for (_, line, _) in &lines {
-            buf.push_str(line);
+        let mut starts = Vec::with_capacity(live.len());
+        for (key, e) in &live {
+            starts.push(buf.len());
+            write_record(&mut buf, &self.epochs, key, &e.result);
             buf.push('\n');
         }
+        // The oldest record kept: the first whose suffix fits the byte
+        // budget, but never past the newest.
+        let max = self.budget.max_bytes.unwrap_or(u64::MAX);
+        let fits = starts.iter().position(|&s| (buf.len() - s) as u64 <= max);
+        let cut = fits.unwrap_or(live.len()).min(live.len().saturating_sub(1));
+        let evicted: Vec<StoreKey> = live[..cut].iter().map(|(k, _)| (*k).clone()).collect();
+        for key in &evicted {
+            self.map.remove(key);
+            self.counters.evictions += 1;
+        }
+        let kept = &buf[starts.get(cut).map_or(buf.len(), |&s| s)..];
         let tmp = {
             let mut os = path.clone().into_os_string();
             os.push(".tmp");
             PathBuf::from(os)
         };
-        let written =
-            std::fs::write(&tmp, buf.as_bytes()).and_then(|()| std::fs::rename(&tmp, &path));
+        let written = std::fs::write(&tmp, kept).and_then(|()| std::fs::rename(&tmp, &path));
         match written {
             Ok(()) => {
-                self.bytes_on_disk = buf.len() as u64;
+                self.bytes_on_disk = kept.len() as u64;
                 self.tail_torn = false;
                 self.counters.compactions += 1;
             }
@@ -836,6 +903,16 @@ impl ResultStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn record_to_line(key: &StoreKey, result: &ScenarioResult) -> String {
+        let mut line = String::new();
+        write_record(&mut line, &RESULT_EPOCHS, key, result);
+        line
+    }
+
+    fn record_from_line(line: &str) -> Option<(StoreKey, ScenarioResult)> {
+        read_record(line).map(|(_, key, result)| (key, result))
+    }
 
     fn sample_key(seed: u64) -> StoreKey {
         let mut link_params = Params::new();
@@ -933,6 +1010,39 @@ mod tests {
         assert_eq!(reloaded.counters().skipped, 1);
         assert!(reloaded.get(&sample_key(1)).is_some());
         assert!(reloaded.get(&sample_key(3)).is_none());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn records_of_another_epoch_are_stale_and_compacted_away() {
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("wilis_store_epochs_{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let mut store = ResultStore::at_path(&path);
+        for seed in 0..5 {
+            store.insert(sample_key(seed), sample_result());
+        }
+        drop(store);
+        let layers: [fn(&mut ResultEpochs) -> &mut u32; 5] = [
+            |e| &mut e.channel,
+            |e| &mut e.phy,
+            |e| &mut e.fec,
+            |e| &mut e.mac,
+            |e| &mut e.engine,
+        ];
+        for (i, layer) in layers.iter().enumerate() {
+            let mut epochs = RESULT_EPOCHS;
+            *layer(&mut epochs) += 1;
+            let mut stale = ResultStore::load(path.clone(), StoreBudget::unbounded(), None, epochs);
+            let c = stale.counters();
+            assert_eq!((c.loaded, c.stale, c.skipped), (0, 5, 0), "{epochs:?}");
+            assert!((0..5).all(|seed| stale.get(&sample_key(seed)).is_none()));
+            if i + 1 == layers.len() {
+                // Compaction rewrites the file to the live records: none.
+                stale.compact();
+                assert_eq!(std::fs::read_to_string(&path).ok().as_deref(), Some(""));
+            }
+        }
         let _ = std::fs::remove_file(&path);
     }
 }

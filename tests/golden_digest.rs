@@ -158,7 +158,10 @@ fn golden_digest_is_unchanged_at_1_and_2_threads() {
         let got = digest(threads);
         assert_eq!(
             got, GOLDEN,
-            "{threads}-thread digest {got:#018x} moved from the golden {GOLDEN:#018x}"
+            "{threads}-thread digest {got:#018x} moved from the golden {GOLDEN:#018x}: \
+             if the change is meant to move result bits, bump the epoch of the layer \
+             you changed, regenerate, and record both values in CHANGES.md \
+             (`RESULT_EPOCHS` in crates/wilis/src/service/store.rs)"
         );
     }
 }

@@ -548,6 +548,91 @@ fn torn_write_injection_leaves_only_skippable_half_lines() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A version-1 store record, as the previous record writer produced it
+/// for [`v1_point`] (with a hand-made four-bin result). It carries no
+/// result epochs, so it must never be served.
+const V1_RECORD: &str = r#"{"key":{"channel":"awgn","channel_params":{},"contention":"p2p","contention_params":{},"decoder":"viterbi","link":"none","link_params":{},"nodes":1,"packets":1,"payload_bits":64,"rate":2,"record_stats":false,"seed":5,"snr_bits":4621256167635550208,"stopping":null},"result":{"bit_errors":0,"bits":64,"cell":null,"hint_bins":[{"bits":64,"errors":0},{"bits":0,"errors":0},{"bits":0,"errors":0},{"bits":0,"errors":0}],"label":"QPSK 1/2 viterbi awgn @9.00dB seed5","link":null,"packet_errors":0,"packet_stats":[],"packets":1,"predicted_pber_sum":0},"v":1}"#;
+
+/// The grid point [`V1_RECORD`] names.
+fn v1_point() -> Scenario {
+    SweepGrid::new()
+        .rates(&[PhyRate::QpskHalf])
+        .decoders(&["viterbi"])
+        .snrs_db(&[9.0])
+        .seeds(&[5])
+        .packets(1)
+        .payload_bits(64)
+        .scenarios()
+        .remove(0)
+}
+
+#[test]
+fn version_1_records_are_stale_not_skipped_and_never_served() {
+    let path = temp_store("v1");
+    std::fs::write(&path, format!("{V1_RECORD}\n")).unwrap();
+    let store = ResultStore::at_path(&path);
+    let c = store.counters();
+    assert_eq!((c.loaded, c.stale, c.skipped), (0, 1, 0));
+    assert!(store.is_empty());
+
+    let mut service = SweepService::with_store(SweepRunner::new(1), store);
+    let got = service.run(&[v1_point()]).unwrap();
+    assert_eq!(got, SweepRunner::new(1).run(&[v1_point()]).unwrap());
+    let m = service.metrics();
+    assert_eq!((m.hits, m.misses, m.store_stale), (0, 1, 1));
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn mixed_v1_current_and_corrupt_lines_count_one_each() {
+    let path = temp_store("mixed");
+    let _ = std::fs::remove_file(&path);
+    let mut seeder = SweepService::with_store(SweepRunner::new(1), ResultStore::at_path(&path));
+    let cold = seeder.run(&[v1_point()]).unwrap();
+    drop(seeder);
+    let current = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(&path, format!("{V1_RECORD}\n{current}{{not json\n")).unwrap();
+
+    let mut mixed = ResultStore::at_path(&path);
+    let c = mixed.counters();
+    assert_eq!((c.loaded, c.stale, c.skipped), (1, 1, 1));
+    let mut service = SweepService::with_store(SweepRunner::new(1), ResultStore::at_path(&path));
+    assert_eq!(service.run(&[v1_point()]).unwrap(), cold);
+    assert_eq!(service.metrics().hits, 1, "the current record is served");
+
+    // Compaction keeps only the live record.
+    mixed.compact();
+    let c = ResultStore::at_path(&path).counters();
+    assert_eq!((c.loaded, c.stale, c.skipped), (1, 0, 0));
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn every_truncation_of_a_record_is_skipped_never_fatal() {
+    let path = temp_store("prefixes");
+    let _ = std::fs::remove_file(&path);
+    let grid = link_cell_grid();
+    let point = grid
+        .iter()
+        .find(|s| s.link == "arq" && s.contention == "aloha");
+    let mut seeder = SweepService::with_store(SweepRunner::new(1), ResultStore::at_path(&path));
+    seeder.run(std::slice::from_ref(point.unwrap())).unwrap();
+    drop(seeder);
+    let record = std::fs::read_to_string(&path).unwrap();
+    let record = record.trim_end();
+    let prefixes: Vec<&str> = (1..record.len())
+        .filter(|&n| record.is_char_boundary(n))
+        .map(|n| &record[..n])
+        .collect();
+    std::fs::write(&path, prefixes.join("\n") + "\n").unwrap();
+    let c = ResultStore::at_path(&path).counters();
+    assert_eq!(
+        (c.loaded, c.stale, c.skipped),
+        (0, 0, prefixes.len() as u64)
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn transient_write_faults_retry_and_the_file_stays_complete() {
     // `targeted:store_write=0` fails the FIRST attempt of every append;
@@ -696,6 +781,7 @@ fn metrics_summary_carries_the_store_health_counters() {
         [
             m.store_entries_loaded,
             m.store_lines_skipped,
+            m.store_stale,
             m.store_io_errors,
             m.store_retries,
             m.store_write_faults,
@@ -710,6 +796,7 @@ fn metrics_summary_carries_the_store_health_counters() {
     let counters = [
         c.loaded,
         c.skipped,
+        c.stale,
         c.io_errors,
         c.retries,
         c.write_faults,
