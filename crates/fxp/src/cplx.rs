@@ -1,9 +1,6 @@
-//! Floating-point complex numbers for the software side of the simulation.
-//!
-//! The co-simulation split in the paper keeps channel models in software
-//! precisely because they are floating-point heavy (§1, §3). Baseband
-//! samples cross the hardware/software boundary as complex I/Q pairs; this
-//! is that type. The *hardware* models use [`crate::CFixed`] instead.
+//! Floating-point complex baseband samples: the I/Q pairs that cross the
+//! paper's hardware/software boundary (§1, §3), used by the mapper, the
+//! FFT and every channel model.
 
 use std::fmt;
 use std::iter::Sum;

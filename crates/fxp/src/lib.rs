@@ -1,57 +1,16 @@
-//! Fixed-point arithmetic substrate for hardware-faithful wireless DSP.
+//! Complex samples and the seeded PRNG every WiLIS layer shares.
 //!
-//! The WiLIS paper's central methodological point (§1, §4.1) is that hardware
-//! implementations of wireless algorithms are *approximations* of their
-//! floating-point originals: fixed-point arithmetic, reduced bit widths,
-//! saturation, and simplified operators all distort the values flowing into
-//! downstream modules in ways that can only be characterized by simulating
-//! the whole pipeline. This crate provides the arithmetic those hardware
-//! models compute with.
-//!
-//! # Overview
-//!
-//! * [`QFormat`] — a signed Q-format descriptor (`Qm.n`: `m` integer bits,
-//!   `n` fractional bits, plus sign). Formats are runtime values because the
-//!   paper sweeps demapper output widths from 23–28 bits down to 3–8 bits.
-//! * [`Fixed`] — a fixed-point scalar: an `i64` raw value interpreted in a
-//!   [`QFormat`]. All arithmetic saturates, as hardware adders with clamp
-//!   logic do.
-//! * [`CFixed`] — a fixed-point complex number for baseband samples.
-//! * [`quantize`] — rounding modes and standalone bit-width reduction
-//!   helpers used at module boundaries (e.g. demapper → decoder).
-//!
-//! # Example
-//!
-//! ```
-//! use wilis_fxp::{Fixed, QFormat, Rounding};
-//!
-//! // An 8-bit soft value: Q4.3 (1 sign + 4 integer + 3 fraction bits).
-//! let fmt = QFormat::new(4, 3)?;
-//! let a = Fixed::from_f64(1.25, fmt, Rounding::Nearest);
-//! let b = Fixed::from_f64(2.5, fmt, Rounding::Nearest);
-//! assert_eq!((a + b).to_f64(), 3.75);
-//!
-//! // Saturation instead of wrap-around, like a hardware clamp.
-//! let max = Fixed::max_value(fmt);
-//! assert_eq!((max + b).to_f64(), max.to_f64());
-//! # Ok::<(), wilis_fxp::FormatError>(())
-//! ```
+//! [`Cplx`] is the `f64` baseband sample of the mapper, FFT and channels;
+//! [`rng`] is the xoshiro256++ generator behind every Monte-Carlo stream.
+//! The paper's fixed-point approximation of the floating-point decoder
+//! (§4.1) is modelled where it happens: the demapper's output width and
+//! clamp (`wilis-phy`), and the decoders' integer trellis metrics and
+//! `HINT_BITS`-wide SoftPHY hints (`wilis-fec`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod complex;
 mod cplx;
-mod fixed;
-mod q;
-pub mod quantize;
 pub mod rng;
 
-pub use complex::CFixed;
 pub use cplx::Cplx;
-pub use fixed::Fixed;
-pub use q::{FormatError, QFormat};
-pub use quantize::{quantize_f64, requantize, Rounding};
-
-#[cfg(test)]
-mod prop_tests;

@@ -25,7 +25,6 @@
 
 mod demapper;
 mod fft;
-pub mod fft_fixed;
 mod interleave;
 mod mapper;
 mod ofdm;

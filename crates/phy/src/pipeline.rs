@@ -369,10 +369,14 @@ impl Receiver {
         )
     }
 
-    /// The demapper width of the SoftPHY hint path for a modulation: 4
-    /// bits for BPSK/QPSK, 5 for the QAM constellations — sized so the
-    /// 6-bit hint range spans BER 10⁻¹..10⁻⁷ (kept in sync with
-    /// `wilis-softphy`'s scaling factors, which assume these widths).
+    /// The demapper soft-output width of the SoftPHY hint path, per
+    /// modulation: sized so the 6-bit hint range spans BER 10⁻¹..10⁻⁷
+    /// (the paper's stated requirement, and the span of its Figure 5
+    /// axes). BPSK/QPSK saturate a 5-bit quantizer too early (their
+    /// per-coded-bit confidences are large), so they use 4 bits; the QAM
+    /// constellations keep 5. All widths sit inside the paper's 3–8 bit
+    /// hardware envelope (§4.1). The one definition: `wilis-softphy`'s
+    /// scaling factors read it too.
     pub fn hint_demapper_bits(modulation: crate::Modulation) -> u32 {
         match modulation {
             crate::Modulation::Bpsk | crate::Modulation::Qpsk => 4,

@@ -2,7 +2,7 @@
 
 use wilis_channel::SnrDb;
 use wilis_fec::CodeRate;
-use wilis_phy::Modulation;
+use wilis_phy::{Modulation, Receiver};
 
 /// The factors converting a hardware LLR hint into a true LLR:
 /// `LLR_true = es_n0 × s_mod × s_dec × hint`.
@@ -82,17 +82,9 @@ impl ScalingFactors {
     }
 
     /// The demapper soft-output width of the SoftPHY hint path, per
-    /// modulation: sized so the 6-bit hint range spans BER 10^-1..10^-7
-    /// (the paper's stated requirement, and the span of its Figure 5
-    /// axes). BPSK/QPSK saturate a 5-bit quantizer too early (their
-    /// per-coded-bit confidences are large), so they use 4 bits; the QAM
-    /// constellations keep 5. All widths sit inside the paper's 3-8 bit
-    /// hardware envelope (section 4.1).
+    /// modulation: [`Receiver::hint_demapper_bits`], which defines it.
     pub fn hint_demapper_bits(modulation: Modulation) -> u32 {
-        match modulation {
-            Modulation::Bpsk | Modulation::Qpsk => 4,
-            Modulation::Qam16 | Modulation::Qam64 => 5,
-        }
+        Receiver::hint_demapper_bits(modulation)
     }
 
     /// The puncturing correction to the hint scale. Punctured rates erase

@@ -6,9 +6,18 @@
 //! synchronization or implementation losses), so its BER waterfalls sit a
 //! few dB lower; the reproduction therefore anchors each curve at the
 //! *same operating point relative to the waterfall* rather than the same
-//! absolute SNR: "QAM-16 at 6 dB" becomes QAM-16 at its waterfall
-//! midpoint, "at 8 dB" becomes midpoint + 1 dB, and so on. EXPERIMENTS.md
-//! tabulates the mapping.
+//! absolute SNR. Each curve runs at an offset from its modulation's
+//! waterfall midpoint ([`ScalingFactors::mid_snr`]), as `configurations()`
+//! lists them:
+//!
+//! | Paper curve | Reproduction |
+//! |---|---|
+//! | QAM-16 at 6 dB | QAM-16 1/2 at its midpoint, 7.25 dB |
+//! | QPSK at 6 dB | QPSK 1/2 at its midpoint, 2.5 dB |
+//! | QAM-16 at 8 dB | QAM-16 1/2 at midpoint + 1 dB, 8.25 dB |
+//!
+//! The bench that regenerates the figure is listed in the README,
+//! "Reproducing the paper's figures".
 
 use wilis_channel::SnrDb;
 use wilis_phy::{Modulation, PhyRate};

@@ -12,7 +12,7 @@
 //! | Layer | Crate | What it models |
 //! |---|---|---|
 //! | Platform | [`lis`] | latency-insensitive multi-clock engine, plug-n-play registry, link models |
-//! | Numerics | [`fxp`] | fixed-point and complex arithmetic |
+//! | Numerics | [`fxp`] | complex baseband samples, the seeded PRNG |
 //! | Channel | [`channel`] | AWGN, Rayleigh fading, reproducible replay noise |
 //! | FEC | [`fec`] | encoder, Viterbi, SOVA, sliding-window BCJR |
 //! | Baseband | [`phy`] | scrambler, interleaver, mapper, soft demapper, FFT, OFDM, framing |
@@ -23,7 +23,7 @@
 //!
 //! The [`experiment`] module drives every table and figure of the paper's
 //! evaluation; the `wilis-bench` crate regenerates them from the command
-//! line, and `EXPERIMENTS.md` records paper-vs-reproduction.
+//! line (README, "Reproducing the paper's figures").
 //!
 //! # Quickstart
 //!
@@ -65,7 +65,7 @@ pub use system::{DecoderSlot, SystemConfig, WilisSystem};
 /// The platform substrate (re-export of `wilis-lis`).
 pub use wilis_lis as lis;
 
-/// Fixed-point numerics (re-export of `wilis-fxp`).
+/// Complex samples and the seeded PRNG (re-export of `wilis-fxp`).
 pub use wilis_fxp as fxp;
 
 /// Channel models (re-export of `wilis-channel`).

@@ -104,7 +104,6 @@
 use std::sync::{mpsc, Arc};
 
 use wilis_channel::{AwgnModel, ChannelModel, FadingModel, ReplayModel, SnrDb, TraceModel};
-use wilis_fec::CodeRate;
 use wilis_lis::registry::{Params, Registry, RegistryError};
 use wilis_mac::cell::{CellMetrics, ContentionPolicy, CsmaBackoff, SlottedAloha, TdmaOracle};
 use wilis_mac::link::{LinkMetrics, LinkPolicy};
@@ -170,14 +169,12 @@ pub fn channel_registry() -> ChannelSlot {
     reg
 }
 
-/// The code rate a link policy will run at, resolved from the
-/// engine-filled `initial_rate_mbps` parameter the way the softrate
-/// factory resolves its initial [`PhyRate`].
-fn link_param_code_rate(p: &Params) -> CodeRate {
+/// The rate a link policy starts at, resolved from the engine-filled
+/// `initial_rate_mbps` parameter (QAM-16 1/2 when absent or unknown).
+fn link_param_initial_rate(p: &Params) -> PhyRate {
     p.get_f64("initial_rate_mbps")
         .and_then(|m| PhyRate::all().iter().copied().find(|r| r.mbps() == m))
         .unwrap_or(PhyRate::Qam16Half)
-        .code_rate()
 }
 
 /// The stock link-policy registry, mirroring [`channel_registry`]:
@@ -218,7 +215,7 @@ pub fn link_registry() -> LinkSlot {
         let bits = p.get_u64("payload_bits").unwrap_or(1704);
         let attempts = p.get_u64("attempts").unwrap_or(4) as u32;
         let combining = p.get_bool("combining").unwrap_or(true);
-        let rate = link_param_code_rate(p);
+        let rate = link_param_initial_rate(p).code_rate();
         let config = HarqConfig::chase(attempts).with_combining(combining);
         Box::new(HarqLink::new(bits, config, rate))
     });
@@ -226,7 +223,7 @@ pub fn link_registry() -> LinkSlot {
         let bits = p.get_u64("payload_bits").unwrap_or(1704);
         let attempts = p.get_u64("attempts").unwrap_or(4) as u32;
         let combining = p.get_bool("combining").unwrap_or(true);
-        let rate = link_param_code_rate(p);
+        let rate = link_param_initial_rate(p).code_rate();
         let schedule = match p.get("ir_phases") {
             None => HarqConfig::default_ir_schedule(rate),
             // An unparsable phase becomes usize::MAX — outside every mask
@@ -247,10 +244,7 @@ pub fn link_registry() -> LinkSlot {
     });
     reg.register("softrate", |p| {
         let bits = p.get_u64("payload_bits").unwrap_or(1704).max(1) as usize;
-        let initial = p
-            .get_f64("initial_rate_mbps")
-            .and_then(|m| PhyRate::all().iter().copied().find(|r| r.mbps() == m))
-            .unwrap_or(PhyRate::Qam16Half);
+        let initial = link_param_initial_rate(p);
         let controller = match (p.get_f64("pber_lo"), p.get_f64("pber_hi")) {
             (Some(lo), Some(hi)) => SoftRate::with_thresholds(initial, lo, hi),
             _ => SoftRate::for_packet_bits(initial, bits),
@@ -733,13 +727,6 @@ impl SweepRunner {
         self
     }
 
-    /// In-place variant of [`SweepRunner::record_packet_stats`], for
-    /// callers (like [`crate::service::SweepService`]) that toggle the
-    /// flag around a grid without rebuilding the runner.
-    pub fn set_record_packet_stats(&mut self, on: bool) {
-        self.record_packet_stats = on;
-    }
-
     /// Whether per-packet statistics recording is on.
     pub fn records_packet_stats(&self) -> bool {
         self.record_packet_stats
@@ -753,11 +740,6 @@ impl SweepRunner {
     pub fn with_stopping(mut self, rule: Option<StoppingRule>) -> Self {
         self.stopping = rule;
         self
-    }
-
-    /// In-place variant of [`SweepRunner::with_stopping`].
-    pub fn set_stopping(&mut self, rule: Option<StoppingRule>) {
-        self.stopping = rule;
     }
 
     /// The installed stopping rule, if any.
@@ -775,11 +757,6 @@ impl SweepRunner {
     pub fn with_faults(mut self, faults: Option<FaultInjector>) -> Self {
         self.faults = faults;
         self
-    }
-
-    /// In-place variant of [`SweepRunner::with_faults`].
-    pub fn set_faults(&mut self, faults: Option<FaultInjector>) {
-        self.faults = faults;
     }
 
     /// The installed fault injector, if any.
@@ -1663,5 +1640,35 @@ mod tests {
             results[1].per(),
             results[0].per()
         );
+    }
+
+    #[test]
+    fn every_channel_build_sees_the_scenario_snr() {
+        // Records the `snr_db` each `"awgn"` build receives: the compile
+        // probes, the p2p group job and the cell job.
+        let seen: Arc<std::sync::Mutex<Vec<Option<f64>>>> = Arc::default();
+        let log = Arc::clone(&seen);
+        let runner = SweepRunner::new(2).with_env(move || {
+            let mut channels = channel_registry();
+            let log = Arc::clone(&log);
+            channels.register("awgn", move |p| {
+                let snr = p.get_f64("snr_db");
+                log.lock().unwrap().push(snr);
+                Box::new(AwgnModel::new(SnrDb::new(snr.unwrap_or(10.0))))
+            });
+            let system = WilisSystem::new();
+            (system, channels, link_registry(), contention_registry())
+        });
+        let scenarios = SweepGrid::new()
+            .contentions(&["p2p", "tdma"])
+            .nodes(2)
+            .snrs_db(&[13.5])
+            .packets(2)
+            .payload_bits(64)
+            .scenarios();
+        runner.run(&scenarios).unwrap();
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 4, "two probes, one group, one cell: {seen:?}");
+        assert!(seen.iter().all(|&snr| snr == Some(13.5)), "{seen:?}");
     }
 }

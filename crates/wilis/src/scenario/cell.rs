@@ -12,7 +12,7 @@ use wilis_mac::link::{LinkMetrics, LinkPolicy, LinkStatus, Oracle};
 use wilis_phy::{PhyScratch, RxResult, Transmitter};
 
 use super::engine::{account, build_receiver, decode, front_end, harq_attempt_seed, PacketTally};
-use super::plan::{runtime_link_params, LinkCaps};
+use super::plan::{runtime_channel_params, runtime_link_params, LinkCaps};
 use super::{Scenario, ScenarioResult, SweepEnv, DEFAULT_CAPTURE_DB};
 
 /// Per-node state of one contention cell: the MAC decision machinery,
@@ -74,9 +74,7 @@ pub(super) fn run_cell(
     // single receiver (and estimator) serves the whole cell.
     let (mut rx, estimator) = build_receiver(system, &sc.decoder, sc.rate)?;
 
-    let mut channel_params = sc.channel_params.clone();
-    channel_params.set("snr_db", &format!("{}", sc.snr_db));
-    let mut channel = channels.build(&sc.channel, &channel_params)?;
+    let mut channel = channels.build(&sc.channel, &runtime_channel_params(sc))?;
     let noise_power = SnrDb::new(sc.snr_db).noise_power();
     let capture_db = sc
         .contention_params

@@ -23,7 +23,7 @@ use wilis_mac::link::{LinkContext, LinkMetrics, LinkPolicy, LinkStatus, LinkVerd
 use wilis_phy::{PhyRate, PhyScratch, Receiver, RxResult, Transmitter};
 use wilis_softphy::{BerEstimator, DecoderKind, HintBin, ScalingFactors};
 
-use super::plan::{runtime_link_params, LinkCaps};
+use super::plan::{runtime_channel_params, runtime_link_params, LinkCaps};
 use super::{LinkSlot, PacketStat, Scenario, ScenarioResult, StoppingRule, SweepEnv};
 use crate::{SystemConfig, WilisSystem};
 
@@ -522,9 +522,7 @@ pub(super) fn run_group(
         }
     }
 
-    let mut channel_params = lead.channel_params.clone();
-    channel_params.set("snr_db", &format!("{}", lead.snr_db));
-    let mut channel = match channels.build(&lead.channel, &channel_params) {
+    let mut channel = match channels.build(&lead.channel, &runtime_channel_params(lead)) {
         Ok(c) => c,
         Err(e) => {
             for m in group {

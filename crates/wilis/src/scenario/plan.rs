@@ -108,7 +108,7 @@ impl SweepPlan {
                 checked.insert((sc.rate, &sc.decoder, &sc.channel, &sc.link, &sc.contention));
             if fresh {
                 system.receiver(&SystemConfig::new(sc.rate, &sc.decoder))?;
-                channels.build(&sc.channel, &sc.channel_params)?;
+                channels.build(&sc.channel, &runtime_channel_params(sc))?;
             }
             let link = if sc.link == "none" {
                 LinkCaps::default()
@@ -244,6 +244,15 @@ fn check_pairing(sc: &Scenario, link: LinkCaps) -> Result<(), RegistryError> {
         )));
     }
     Ok(())
+}
+
+/// The channel parameters as the engine fills them in at run time: the
+/// grid's own parameters plus `snr_db` from the scenario. Shared by the
+/// compile probe, fused groups and cells, like [`runtime_link_params`].
+pub(super) fn runtime_channel_params(sc: &Scenario) -> Params {
+    let mut channel_params = sc.channel_params.clone();
+    channel_params.set("snr_db", &format!("{}", sc.snr_db));
+    channel_params
 }
 
 /// The link-policy parameters as the engine fills them in at run time:

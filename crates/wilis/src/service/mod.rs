@@ -181,7 +181,7 @@ impl SweepService {
     /// Installs (or clears) a fault injector on both the runner (worker
     /// panics) and the store (IO, torn-write, corrupt-record sites).
     pub fn set_faults(&mut self, faults: Option<FaultInjector>) {
-        self.runner.set_faults(faults.clone());
+        self.runner = self.runner.clone().with_faults(faults.clone());
         self.store.set_faults(faults);
     }
 
@@ -226,14 +226,14 @@ impl SweepService {
     /// rule. The rule is part of the cache key: results computed under
     /// different rules never alias.
     pub fn set_stopping(&mut self, rule: Option<StoppingRule>) {
-        self.runner.set_stopping(rule);
+        self.runner = self.runner.clone().with_stopping(rule);
     }
 
     /// Toggles per-packet scatter recording on the runner. Also part of
     /// the cache key — a result with scatter data is a different record
     /// than one without.
     pub fn set_record_packet_stats(&mut self, on: bool) {
-        self.runner.set_record_packet_stats(on);
+        self.runner = self.runner.clone().record_packet_stats(on);
     }
 
     /// The cache key of `sc` under the service's current configuration.
