@@ -14,12 +14,18 @@
 //! * `ofdm.<op>.planned/reference` and `<map|demap>.<modulation>.planned/reference`
 //!   — the planned front-end kernels against the frozen per-symbol
 //!   `*_reference` bodies;
+//! * `channel.fading.stream/reference` — the fading gain stream
+//!   `RayleighFading::fill_gains` against per-sample `gain_at` over one
+//!   2000-sample packet span at a large sample index;
 //! * `service.time.warm/cold` — a grid served from the memoized store
 //!   against the same grid simulated by a fresh service;
 //! * `stopping.packets.adaptive/fixed` — packets a fixed budget spends
 //!   over packets the Wilson stopping rule spends (deterministic).
 //!
-//! Every pair is asserted bit-identical before it is timed. A timed
+//! Every pair is asserted bit-identical before it is timed, except the
+//! one tolerance-checked pair: `channel.fading.stream/reference` rotates
+//! phasors between exact anchors, so it is asserted to stay within 1e-12
+//! of the reference instead. A timed
 //! ratio is the median, with its MAD, over the trials; inside each trial
 //! the two sides run back to back. `WILIS_FAST=1` (the CI
 //! configuration) runs 15 trials, otherwise 31; `WILIS_BITS` scales the
@@ -39,7 +45,9 @@
 //! }
 //! ```
 
-use wilis::channel::{AwgnChannel, Channel, SnrDb};
+use wilis::channel::{
+    AwgnChannel, Channel, RayleighFading, ReplayModel, SnrDb, MODEL_SAMPLE_RATE_HZ,
+};
 use wilis::experiment::bits_budget;
 use wilis::fec::{
     hard_llr, BcjrDecoder, ConvCode, ConvEncoder, DecodeOutput, Llr, SoftDecoder, SovaDecoder,
@@ -381,6 +389,48 @@ fn map_ratios(
     ));
 }
 
+/// `channel.fading.stream/reference`: one 2000-sample packet span of
+/// fading gains near the end of the replay window, where the stream's
+/// drift from the reference is largest.
+fn channel_ratios(reps: u32, trials: u32, ratios: &mut Vec<Ratio>) {
+    let fading = RayleighFading::new(20.0, 0xFAD3);
+    let first = (ReplayModel::WINDOW_SECS * MODEL_SAMPLE_RATE_HZ) as u64 - 2_037;
+    let reference_gains = |out: &mut [Cplx]| {
+        for (i, g) in out.iter_mut().enumerate() {
+            *g = fading.gain_at((first + i as u64) as f64 / MODEL_SAMPLE_RATE_HZ);
+        }
+    };
+    let mut stream = vec![Cplx::ZERO; 2000];
+    let mut reference = vec![Cplx::ZERO; 2000];
+    fading.fill_gains(first, MODEL_SAMPLE_RATE_HZ, &mut stream);
+    reference_gains(&mut reference);
+    let drift = stream
+        .iter()
+        .zip(&reference)
+        .map(|(a, b)| (*a - *b).norm())
+        .fold(0.0, f64::max);
+    assert!(
+        drift <= 1e-12,
+        "fading gain stream drifted {drift:e} from gain_at"
+    );
+    ratios.push(time_ratio(
+        "channel.fading.stream/reference",
+        trials,
+        || {
+            for _ in 0..reps {
+                fading.fill_gains(first, MODEL_SAMPLE_RATE_HZ, &mut stream);
+            }
+            std::hint::black_box(&stream);
+        },
+        || {
+            for _ in 0..reps {
+                reference_gains(&mut reference);
+            }
+            std::hint::black_box(&reference);
+        },
+    ));
+}
+
 /// `service.time.warm/cold` and `stopping.packets.adaptive/fixed` on a
 /// Figure-5-shaped grid. Each trial runs it cold (a fresh service, fixed
 /// budget), warm (a pre-populated service) and adaptive (a fresh service
@@ -533,6 +583,7 @@ fn main() {
     ] {
         map_ratios(modulation, name, 8 * bits, trials, &mut rng, &mut ratios);
     }
+    channel_ratios((bits / 40_000).max(1) as u32, trials, &mut ratios);
     service_ratios((bits / 25_000).max(8) as u32, trials, &mut ratios);
 
     println!(

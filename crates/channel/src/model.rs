@@ -122,7 +122,7 @@ pub struct FadingModel {
 }
 
 /// One seed's fading realization: the Jakes path table and the prefix of
-/// its per-sample gains `gain_at(i / MODEL_SAMPLE_RATE_HZ)`.
+/// its gain stream at [`MODEL_SAMPLE_RATE_HZ`], from sample 0.
 #[derive(Debug, Clone)]
 struct Realization {
     seed: u64,
@@ -156,9 +156,11 @@ impl FadingModel {
             r.gains.clear();
         }
         let len = len.max(1);
-        for i in r.gains.len()..len {
-            r.gains
-                .push(r.fading.gain_at(i as f64 / MODEL_SAMPLE_RATE_HZ));
+        let known = r.gains.len();
+        if known < len {
+            r.gains.resize(len, Cplx::ZERO);
+            r.fading
+                .fill_gains(known as u64, MODEL_SAMPLE_RATE_HZ, &mut r.gains[known..]);
         }
         &r.gains[..len]
     }

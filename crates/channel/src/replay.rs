@@ -123,7 +123,7 @@ impl ReplayChannel {
     /// The fading gain at the current position (unity when fading is off).
     pub fn current_gain(&self) -> Cplx {
         match &self.fading {
-            Some(f) => f.gain_at(self.now_secs()),
+            Some(f) => f.gain_at_index(self.position, self.sample_rate_hz),
             None => Cplx::ONE,
         }
     }
@@ -138,10 +138,10 @@ impl ReplayChannel {
 
 impl Channel for ReplayChannel {
     fn apply(&mut self, samples: &mut [Cplx]) {
+        if let Some(f) = &self.fading {
+            f.fade(self.position, self.sample_rate_hz, samples);
+        }
         for s in samples.iter_mut() {
-            if let Some(f) = &self.fading {
-                *s *= f.gain_at(self.position as f64 / self.sample_rate_hz);
-            }
             *s += noise_at(self.seed, self.position).scale(self.sigma);
             self.position += 1;
         }

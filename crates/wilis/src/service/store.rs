@@ -9,7 +9,7 @@
 //! (wrapped here):
 //!
 //! ```text
-//! {"v":2,"epochs":{"channel":1,"phy":1,"fec":1,"mac":1,"engine":1},
+//! {"v":2,"epochs":{"channel":2,"phy":1,"fec":1,"mac":1,"engine":1},
 //!  "key":{"rate_index":0,"decoder":"viterbi","channel":"awgn","link":"none",
 //!   "contention":"p2p","nodes":1,"snr_bits":…,"seed":…,"packets":1,"payload_bits":64},
 //!  "result":{"packets":1,"packet_errors":0,"bits":64,"bit_errors":0,
@@ -198,7 +198,9 @@ struct ResultEpochs {
 /// The epochs of the engine as built: what every record is written under
 /// and the only epochs the store serves.
 const RESULT_EPOCHS: ResultEpochs = ResultEpochs {
-    channel: 1,
+    // 2: fading gains come from the phasor-recurrence stream, which moves
+    // channel samples off anchor indices at the 1e-15 level.
+    channel: 2,
     phy: 1,
     fec: 1,
     mac: 1,
@@ -1043,6 +1045,44 @@ mod tests {
                 assert_eq!(std::fs::read_to_string(&path).ok().as_deref(), Some(""));
             }
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A record written before the fading gain stream, under channel
+    /// epoch 1: a whole version-2 fading-channel record, byte for byte.
+    const CHANNEL_EPOCH_1_RECORD: &str = concat!(
+        r#"{"v":2,"epochs":{"channel":1,"phy":1,"fec":1,"mac":1,"engine":1},"#,
+        r#""key":{"rate_index":2,"decoder":"viterbi","channel":"fading","link":"none","#,
+        r#""contention":"p2p","nodes":1,"snr_bits":4622945017495814144,"seed":7,"#,
+        r#""packets":1,"payload_bits":64},"result":{"packets":1,"packet_errors":0,"#,
+        r#""bits":64,"bit_errors":0,"bin_count":64,"hint_bins":[[0,64,0]],"#,
+        r#""predicted_pber_sum":0}}"#
+    );
+
+    #[test]
+    fn channel_epoch_1_records_are_stale_and_never_served() {
+        let path = std::env::temp_dir().join(format!(
+            "wilis_store_channel_epoch_{}.jsonl",
+            std::process::id()
+        ));
+        let (_, key, result) = read_record(CHANNEL_EPOCH_1_RECORD).expect("a whole record");
+        std::fs::write(&path, format!("{CHANNEL_EPOCH_1_RECORD}\n")).expect("write store");
+        let store = ResultStore::at_path(&path);
+        let c = store.counters();
+        assert_eq!((c.loaded, c.stale, c.skipped), (0, 1, 0));
+        assert!(
+            store.get(&key).is_none(),
+            "a channel-epoch-1 record was served"
+        );
+        drop(store);
+        // The epoch alone makes it stale: under the current channel epoch
+        // the same line loads and is served.
+        let current = format!("\"channel\":{}", RESULT_EPOCHS.channel);
+        let line = CHANNEL_EPOCH_1_RECORD.replacen("\"channel\":1", &current, 1);
+        std::fs::write(&path, format!("{line}\n")).expect("write store");
+        let store = ResultStore::at_path(&path);
+        assert_eq!(store.counters().loaded, 1);
+        assert_eq!(store.get(&key), Some(&result));
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -310,6 +310,25 @@ fn replay_sweep_allocates_nothing_per_packet() {
     });
 }
 
+/// The trace channel: successive packets walk one long realization
+/// through the fading gain stream. A fixed rate, because SoftRate on the
+/// trace builds each rate's machinery the first time the walk reaches
+/// it, which a longer run does later, not per packet.
+#[test]
+fn trace_sweep_allocates_nothing_per_packet() {
+    assert_sweep_allocates_nothing_per_packet("trace", |packets| {
+        SweepGrid::new()
+            .rates(&[RATE])
+            .decoders(&["viterbi"])
+            .channels(&["trace"])
+            .snrs_db(&[12.0])
+            .seeds(&[9])
+            .packets(packets)
+            .payload_bits(PAYLOAD_BITS)
+            .scenarios()
+    });
+}
+
 /// A 4-node CSMA cell whose nodes run HARQ-IR: contention, capture and
 /// the combined decode of every attempt, survivor or destroyed.
 #[test]

@@ -42,6 +42,7 @@ FLOORS = {
     "demap.qam16.planned/reference": 1.0,
     "map.qam64.planned/reference": 1.0,
     "demap.qam64.planned/reference": 1.0,
+    "channel.fading.stream/reference": 1.0,
     "service.time.warm/cold": 1.0,
     "stopping.packets.adaptive/fixed": 1.0,
 }
