@@ -1,5 +1,6 @@
 //! Lockstep batch decoding: B same-shape packets through one trellis walk,
-//! metrics laid out structure-of-arrays so the lane axis autovectorizes.
+//! on `i16` metrics laid out structure-of-arrays so the lane axis becomes
+//! SIMD.
 //!
 //! The compiled kernels of [`crate::compiled`] removed every per-edge
 //! branch from a *single* decode; what remains is instruction-level
@@ -7,74 +8,112 @@
 //! on the previous column. Packets, however, are independent. This module
 //! decodes up to [`MAX_LANES`] equal-length blocks *in lockstep*: one pass
 //! over the trellis where every intermediate quantity carries one value
-//! per lane, stored lane-innermost so the per-state inner loops become
-//! straight-line arithmetic over `[i32; L]` rows — exactly the shape the
-//! autovectorizer turns into SIMD.
+//! per lane, stored lane-innermost so each per-state inner loop is
+//! straight-line arithmetic over one `[i16; L]` row — at 8 lanes, exactly
+//! one 128-bit register, with saturating add and `max` in the baseline
+//! x86-64 instruction set.
 //!
 //! Layouts (`L` = lane count, `l` = lane index):
 //!
 //! * soft inputs — lane-major SoA: soft value `i` of lane `l` at
 //!   `llrs[i * L + l]`;
-//! * path-metric columns — `[state][lane]`: `pm[s * L + l]`;
-//! * branch metrics — `[pattern][lane]`: `bm[p * L + l]`;
-//! * SOVA margins — `[step][state][lane]`:
-//!   `margins[(t * n_states + s) * L + l]`;
-//! * survivors — one register-built `u64` per `(step, lane)` with bit `s`
-//!   holding state `s`'s decision: `surv[t * L + l]`. (The 64-state 802.11
-//!   code packs one word per step, so this is the `[step][state][lane]`
-//!   bit-cube with the state axis folded into the word.)
+//! * path-metric columns — `[state][lane]` `i16`: `pm[s * L + l]`;
+//! * branch metrics — one step's, `[pattern][lane]` `i16`:
+//!   `bm[p * L + l]`, recomputed from the soft inputs wherever a pass
+//!   needs them (cheaper than storing them: `2^n_out` rows per step);
+//! * SOVA margins — `[step][state][lane]` `i16`:
+//!   `margins[(t * n_states + s) * L + l]`, with `i16::MAX` standing for
+//!   [`crate::compiled::HUGE_MARGIN`];
+//! * survivors — one lane-mask byte per `(step, state)`, bit `l` holding
+//!   lane `l`'s decision: `surv[t * n_states + s]`. The ACS step builds the
+//!   byte from the row of lane compares in one go; each lane's traceback
+//!   reads bit `l`.
 //!
-//! **Bit-identity contract.** Each lane of a batch kernel performs exactly
-//! the arithmetic of the corresponding scalar compiled kernel — the same
-//! adds, the same compares, the same renormalization schedule applied
-//! per lane — and lanes never interact. Per-lane outputs are therefore
-//! bit-identical to solo [`crate::SoftDecoder::decode_terminated_into`]
-//! calls by construction, which the equivalence suite checks for every
-//! lane count, against both the scalar compiled path and the frozen `i64`
-//! reference kernels.
+//! **Bit-identity contract.** Each lane of a batch kernel computes the same
+//! path-metric *differences*, decisions and margins as the corresponding
+//! scalar `i32` compiled kernel, and lanes never interact. Per-lane outputs
+//! are therefore bit-identical to solo
+//! [`crate::SoftDecoder::decode_terminated_into`] calls, which the
+//! equivalence suite checks for every lane count, against both the scalar
+//! compiled path and the frozen `i64` reference kernels. Only absolute
+//! metric values differ:
 //!
-//! Gating mirrors the scalar fast path: any lane whose soft values exceed
-//! [`crate::compiled::fast_path_ok`], or a code whose survivors need more
-//! than one word per step (≥ 65 states), sends the whole batch through the
-//! per-lane scalar path — which itself falls back to the reference kernels
-//! exactly as before.
+//! * **Normalization** happens every step, on the branch metrics: each
+//!   step reads the previous column through metrics shifted down by that
+//!   column's per-lane maximum (`branch_rows`), which the step that wrote
+//!   the column returned. `p + (b - max)` is `(p - max) + b`, so every
+//!   column comes out as if its predecessor had been normalized first —
+//!   the scalar BCJR's per-step `normalize32` and the Viterbi/SOVA uniform
+//!   shift, at `2^n_out` rows of work instead of `n_states`. A uniform
+//!   shift changes no decision and no margin, so the cadence is invisible.
+//! * **Sentinels** are the `i16` images `NEG_INF16` / `UNREACHABLE16`, and
+//!   they shift with everything else. They stay below `UNREACHABLE16`
+//!   under the gate, so every test against it answers as in the scalar
+//!   kernels. The BCJR decision unit's outputs in the tail region, where
+//!   the terminated backward metrics still carry sentinels, differ from
+//!   the `i32` ones; they are truncated with the tail as before and never
+//!   leave the decoder.
 //!
-//! `#[inline]` / bounds-check audit: the `lane`/`lane_mut` row accessors
-//! below are the load-bearing inlines — they convert a slice index into a
-//! `&[i32; L]` array reference, so every per-lane inner loop is over a
-//! compile-time-sized row and LLVM drops all bounds checks after the one
-//! slice-to-array conversion. They mirror the `wilis_fxp::Cplx` treatment:
-//! `#[inline(always)]`, because an outlined call would re-introduce a
-//! per-row function boundary in loops executed `steps × n_states` times.
+//! **Gate and fallback.** The narrow arithmetic is exact only for soft
+//! inputs within [`CompiledTrellis::narrow_llr_limit`] (315 for the 802.11
+//! code, so both the 8-bit Viterbi demap and the 4/5-bit hint path pass;
+//! the derivation is on that method). A batch
+//! with any larger soft value, more than [`MAX_LANES`] lanes, or a Viterbi
+//! or SOVA code above 64 states decodes lane by lane through the scalar
+//! path — which itself falls back to the reference kernels beyond
+//! [`crate::compiled::FAST_LLR_LIMIT`] exactly as before. Nothing else
+//! selects a width: the batched path is `i16` only.
+//!
+//! **Lane loops are branch-free.** Every per-lane computation below is
+//! straight-line arithmetic on whole rows: selects are bitmask blends
+//! (`(m & keep) | (NEG_INF16 & !keep)`), `max` is a lane-wise `max`, and a
+//! survivor byte is an OR of shifted compares. The reason is the
+//! autovectorizer: a data-dependent `if` or `match` on a lane value, or a
+//! conditional update of a lane, compiles to one compare-and-branch (or
+//! `cmov`) per lane, and the loop stays scalar at any metric width, so the
+//! narrow type buys nothing. Compile-time `const` parameters (the warmup
+//! and margin variants) are not data-dependent and fold away. Rows are read
+//! by value (`row`) and stored whole: element-wise updates through
+//! borrowed rows let LLVM's loop vectorizer vectorize across *rows*
+//! instead, with eight strided scalar loads per vector. Every state loop
+//! reads its branch-metric rows through the trellis output masks, which
+//! keeps the loop vectorizer out and leaves each row to one SIMD
+//! instruction per operation.
+//!
+//! **Butterfly order.** The kernels walk the trellis butterfly by
+//! butterfly: destination pair `(j, j + half)` reads source pair
+//! `(2j, 2j + 1)`, so the metric rows stream sequentially with no index
+//! tables (see `CompiledTrellis::butterfly`; every trellis this repository
+//! builds has that shape, and one without it decodes lane by lane).
+//!
+//! Debug builds check every plain (non-saturating) `i16` add for overflow,
+//! so the debug equivalence tests at the gate also check the gate's
+//! derivation.
 
-use crate::compiled::{CompiledTrellis, HUGE_MARGIN, NORM_INTERVAL};
+use crate::compiled::{widen_margin, CompiledTrellis, HUGE_MARGIN16, NEG_INF16, UNREACHABLE16};
 use crate::llr::{DecodeOutput, Llr};
-use crate::pmu::NEG_INF32;
 
 /// Widest lockstep batch the kernels are monomorphized for. Matches the
 /// scenario engine's packet-block width: fused shared-channel jobs hand
 /// the receivers up to this many packets per batched decode, and ragged
-/// tails simply instantiate a narrower lane count.
+/// tails simply instantiate a narrower lane count. A survivor lane mask is
+/// one byte, so this cannot exceed 8.
 pub const MAX_LANES: usize = 8;
-
-/// Threshold separating genuine metrics from unreachable-state sentinels
-/// (same constant the scalar kernels use).
-const UNREACHABLE32: i32 = NEG_INF32 / 2;
 
 /// Working buffers for one decoder's batched decodes — the lane-major twin
 /// of [`crate::TrellisScratch`], grown on first use and reused verbatim.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BatchScratch {
     /// Path-metric column, `[state][lane]` (current step).
-    pm: Vec<i32>,
+    pm: Vec<i16>,
     /// Path-metric column, `[state][lane]` (next step).
-    next: Vec<i32>,
-    /// Survivor words, one `u64` per `(step, lane)`.
-    surv: Vec<u64>,
-    /// One step's branch metrics, `[pattern][lane]`.
-    bm: Vec<i32>,
+    next: Vec<i16>,
+    /// Survivor lane masks, one byte per `(step, state)`.
+    surv: Vec<u8>,
+    /// One step's shifted branch metrics, `[pattern][lane]`.
+    bm: Vec<i16>,
     /// ACS margins, `[step][state][lane]` (SOVA).
-    margins: Vec<i32>,
+    margins: Vec<i16>,
     /// Per-step reliabilities along one lane's ML path (SOVA; lanes trace
     /// back serially, so one column is reused across lanes).
     reliability: Vec<i32>,
@@ -82,23 +121,13 @@ pub(crate) struct BatchScratch {
     ml_states: Vec<u32>,
     /// One lane's ML input bits (SOVA).
     ml_bits: Vec<u8>,
-    /// The current window's branch metrics, `[local][pattern][lane]`
-    /// (BCJR). Streamed per window rather than precomputed whole-frame:
-    /// at 8 lanes a frame's metrics would run to ~1 MB and every pass
-    /// would stream them from L3, while one window is ~32 KB and stays
-    /// cache-resident across the three passes that read it.
-    bms: Vec<i32>,
-    /// The next window's branch metrics (the provisional backward pass
-    /// reads one window ahead; swapped into `bms` when the window
-    /// advances so each step's metrics are computed exactly once).
-    bms_next: Vec<i32>,
     /// Backward metric columns for the current block, `[local][state][lane]`
     /// (BCJR).
-    betas: Vec<i32>,
+    betas: Vec<i16>,
     /// Beta boundary column, `[state][lane]` (BCJR).
-    boundary: Vec<i32>,
+    boundary: Vec<i16>,
     /// Spare column for the provisional backward walk (BCJR).
-    col: Vec<i32>,
+    col: Vec<i16>,
     /// One lane's gathered soft inputs for the scalar fallback path.
     pub(crate) lane_llrs: Vec<Llr>,
 }
@@ -137,314 +166,328 @@ pub(crate) fn gather_lane(soa: &[Llr], lanes: usize, l: usize, out: &mut Vec<Llr
     out.extend(soa.chunks_exact(lanes).map(|row| row[l]));
 }
 
-/// A lane row of a `[index][lane]` buffer as a fixed-size array — the
-/// bounds-check-eliminating accessor every batch kernel loops over.
+/// A lane row of a `[index][lane]` buffer as a fixed-size array. Inlined
+/// always: an outlined call would put a function boundary inside loops run
+/// `steps × n_states` times.
 #[inline(always)]
-fn lane<const L: usize>(buf: &[i32], idx: usize) -> &[i32; L] {
+fn lane<const L: usize, T>(buf: &[T], idx: usize) -> &[T; L] {
     buf[idx * L..idx * L + L].try_into().unwrap() // lint: allow(panic-policy) — the slice is exactly L long by the index arithmetic
 }
 
 /// Mutable form of [`lane`].
 #[inline(always)]
-fn lane_mut<const L: usize>(buf: &mut [i32], idx: usize) -> &mut [i32; L] {
+fn lane_mut<const L: usize, T>(buf: &mut [T], idx: usize) -> &mut [T; L] {
     (&mut buf[idx * L..idx * L + L]).try_into().unwrap() // lint: allow(panic-policy) — the slice is exactly L long by the index arithmetic
 }
 
-/// One step's branch metrics for all lanes: the batched image of
-/// [`crate::CompiledBmu::compute`], including its rate-1/2 special case.
-#[inline]
-fn compute_bm_batch<const L: usize>(step_llrs: &[Llr], n_out: usize, out: &mut [i32]) {
-    debug_assert_eq!(step_llrs.len(), n_out * L);
-    debug_assert_eq!(out.len(), (1usize << n_out) * L);
+/// A lane row copied out by value: kernels compute on row values and store
+/// whole rows back (see the module docs).
+#[inline(always)]
+fn row<const L: usize>(buf: &[i16], idx: usize) -> [i16; L] {
+    *lane::<L, _>(buf, idx)
+}
+
+/// Lane-wise `max` of two rows.
+#[inline(always)]
+fn max_rows<const L: usize>(a: [i16; L], b: [i16; L]) -> [i16; L] {
+    std::array::from_fn(|l| a[l].max(b[l]))
+}
+
+/// A compare result as an all-ones / all-zeros `i16` blend mask.
+#[inline(always)]
+fn mask(keep: bool) -> i16 {
+    -i16::from(keep)
+}
+
+/// One step's branch metrics for all lanes, `[pattern][lane]`, shifted
+/// down by each lane's `shift` (see the module docs): the batched image of
+/// [`crate::CompiledBmu::compute`], including its rate-1/2 special case,
+/// narrowed to `i16` (exact under the narrow gate, where every metric is
+/// below 2¹³ in magnitude). Inlined always: its generic-`n_out` arm keeps
+/// LLVM from inlining it on its own, and outlined it costs more per step
+/// than the ACS step it feeds.
+#[inline(always)]
+fn branch_rows<const L: usize>(
+    llrs: &[Llr],
+    step: usize,
+    n_out: usize,
+    shift: [i16; L],
+    rows: &mut [i16],
+) {
+    let step_llrs = &llrs[step * n_out * L..(step + 1) * n_out * L];
     if n_out == 2 {
-        let l0 = lane::<L>(step_llrs, 0);
-        let l1 = lane::<L>(step_llrs, 1);
+        let (l0, l1) = (lane::<L, _>(step_llrs, 0), lane::<L, _>(step_llrs, 1));
         for l in 0..L {
             // Rate-1/2 special case: ±sum, ±diff — identical per lane to
             // the scalar BMU.
-            let s = l0[l] + l1[l];
-            let d = l0[l] - l1[l];
-            out[l] = -s;
-            out[L + l] = d;
-            out[2 * L + l] = -d;
-            out[3 * L + l] = s;
+            let sum = (l0[l] + l1[l]) as i16;
+            let diff = (l0[l] - l1[l]) as i16;
+            rows[l] = -sum;
+            rows[L + l] = diff;
+            rows[2 * L + l] = -diff;
+            rows[3 * L + l] = sum;
         }
     } else {
-        for (pattern, slot) in out.chunks_exact_mut(L).enumerate() {
-            for l in 0..L {
-                let mut m = 0i32;
-                for j in 0..n_out {
-                    let llr = step_llrs[j * L + l];
-                    if (pattern >> j) & 1 == 1 {
-                        m += llr;
+        for (pattern, slot) in rows.chunks_exact_mut(L).enumerate() {
+            for (l, m) in slot.iter_mut().enumerate() {
+                *m = (0..n_out)
+                    .map(|j| {
+                        let llr = step_llrs[j * L + l];
+                        if (pattern >> j) & 1 == 1 {
+                            llr
+                        } else {
+                            -llr
+                        }
+                    })
+                    .sum::<i32>() as i16;
+            }
+        }
+    }
+    for p in 0..rows.len() / L {
+        let r = row::<L>(rows, p);
+        *lane_mut::<L, _>(rows, p) = std::array::from_fn(|l| r[l] - shift[l]);
+    }
+}
+
+/// The saturating max-log recursion for all lanes:
+/// `max(a + b0, b + b1)` per lane, sentinels saturating.
+#[inline(always)]
+fn max_log<const L: usize>(a: [i16; L], b: [i16; L], b0: &[i16; L], b1: &[i16; L]) -> [i16; L] {
+    std::array::from_fn(|l| a[l].saturating_add(b0[l]).max(b[l].saturating_add(b1[l])))
+}
+
+/// The butterfly tables of a destination-indexed step, split into the
+/// destination halves `[0, half)` and `[half, n)`: output masks of the
+/// edges from source `2j` (`omask0`) and `2j + 1` (`omask1`).
+#[inline(always)]
+fn forward_masks(ct: &CompiledTrellis, half: usize) -> ([&[u8]; 2], [&[u8]; 2]) {
+    let (m0lo, m0hi) = ct.omask0[..2 * half].split_at(half);
+    let (m1lo, m1hi) = ct.omask1[..2 * half].split_at(half);
+    ([m0lo, m0hi], [m1lo, m1hi])
+}
+
+/// One forward ACS step for all lanes in butterfly order: destinations `j`
+/// and `j + half` both read the source pair `(2j, 2j + 1)`. Survivors are
+/// one lane-mask byte per state (bit `l` set where lane `l` takes the
+/// `2j + 1` edge) and, when `MARGINS` (SOVA), margins `|c1 - c0|` one row
+/// per state. Returns the new column's per-lane maxima, the next step's
+/// branch-metric shift.
+///
+/// The two destination halves run as two loops with one ACS per
+/// iteration: with both in one iteration, LLVM packs the two survivor
+/// compares into one vector and unpacks the bytes bit by bit.
+///
+/// `WARMUP` is the sentinel-aware form of the first `memory` steps, the
+/// batched image of [`CompiledTrellis::forward_step_warmup`]. Its metrics
+/// and decisions need no special case: a sentinel-derived candidate is
+/// always below a genuine one, so `max` and `c1 > c0` already let an
+/// unreachable competitor lose. Only its margin differs — the competitor
+/// concedes [`HUGE_MARGIN16`] — which is a blend.
+#[inline]
+fn acs_step_batch<const L: usize, const WARMUP: bool, const MARGINS: bool>(
+    ct: &CompiledTrellis,
+    bm: &[i16],
+    prev: &[i16],
+    out: &mut [i16],
+    surv: &mut [u8],
+    margins: &mut [i16],
+) -> [i16; L] {
+    let half = out.len() / (2 * L);
+    let prev = &prev[..2 * half * L];
+    let ([m0lo, m0hi], [m1lo, m1hi]) = forward_masks(ct, half);
+    let mut maxs = [i16::MIN; L];
+    for (h, (m0, m1)) in [(m0lo, m1lo), (m0hi, m1hi)].into_iter().enumerate() {
+        let out = &mut out[h * half * L..(h + 1) * half * L];
+        let surv = &mut surv[h * half..(h + 1) * half];
+        for j in 0..half {
+            let (p0, p1) = (row::<L>(prev, 2 * j), row::<L>(prev, 2 * j + 1));
+            let b0 = row::<L>(bm, usize::from(m0[j]));
+            let b1 = row::<L>(bm, usize::from(m1[j]));
+            let c0: [i16; L] = std::array::from_fn(|l| p0[l] + b0[l]);
+            let c1: [i16; L] = std::array::from_fn(|l| p1[l] + b1[l]);
+            let r = max_rows(c0, c1);
+            *lane_mut::<L, _>(out, j) = r;
+            maxs = max_rows(maxs, r);
+            surv[j] = (0..L).fold(0u8, |byte, l| byte | (u8::from(c1[l] > c0[l]) << l));
+            if MARGINS {
+                *lane_mut::<L, _>(margins, h * half + j) = std::array::from_fn(|l| {
+                    let margin = (c1[l] - c0[l]).abs();
+                    if WARMUP {
+                        let huge = mask((c0[l] > UNREACHABLE16) != (c1[l] > UNREACHABLE16));
+                        (HUGE_MARGIN16 & huge) | (margin & !huge)
                     } else {
-                        m -= llr;
+                        margin
                     }
-                }
-                slot[l] = m;
+                });
             }
         }
     }
+    maxs
 }
 
-/// Per-lane uniform-shift renormalization: each lane's column maximum is
-/// subtracted from that lane's entries —
-/// [`crate::compiled::renormalize_uniform`] applied independently per lane.
-#[inline]
-fn renormalize_uniform_batch<const L: usize>(col: &mut [i32]) {
-    let mut maxs = [i32::MIN; L];
-    for row in col.chunks_exact(L) {
-        for l in 0..L {
-            maxs[l] = maxs[l].max(row[l]);
-        }
-    }
-    for row in col.chunks_exact_mut(L) {
-        for l in 0..L {
-            row[l] -= maxs[l];
-        }
-    }
-}
-
-/// Per-lane sentinel-preserving normalization — [`crate::pmu::normalize32`]
-/// applied independently per lane. The shift is forced to zero for lanes
-/// whose column is all-sentinel, which makes the scalar kernel's outer
-/// `if max > NEG_INF32/2` guard equivalent to an unconditional pass.
-#[inline]
-fn normalize32_batch<const L: usize>(col: &mut [i32]) {
-    let mut maxs = [i32::MIN; L];
-    for row in col.chunks_exact(L) {
-        for l in 0..L {
-            maxs[l] = maxs[l].max(row[l]);
-        }
-    }
-    let mut shifts = [0i32; L];
-    for l in 0..L {
-        if maxs[l] > UNREACHABLE32 {
-            shifts[l] = maxs[l];
-        }
-    }
-    for row in col.chunks_exact_mut(L) {
-        for l in 0..L {
-            if row[l] > UNREACHABLE32 {
-                row[l] -= shifts[l];
-            }
-        }
-    }
-}
-
-/// One post-warmup forward ACS step for all lanes, survivors packed one
-/// word per lane. State-ordered like the generic scalar kernel; the
-/// butterfly streaming form computes identical values in a different
-/// visit order, so the lane results match both.
-#[inline]
-fn forward_step_viterbi_batch<const L: usize>(
-    ct: &CompiledTrellis,
-    bm: &[i32],
-    prev: &[i32],
-    out: &mut [i32],
-    surv: &mut [u64],
-) {
-    let n = ct.n_states();
-    debug_assert!(n <= 64);
-    let mut words = [0u64; L];
-    for s in 0..n {
-        let p0 = lane::<L>(prev, ct.prev0[s] as usize);
-        let p1 = lane::<L>(prev, ct.prev1[s] as usize);
-        let b0 = lane::<L>(bm, ct.omask0[s] as usize);
-        let b1 = lane::<L>(bm, ct.omask1[s] as usize);
-        let row = lane_mut::<L>(out, s);
-        for l in 0..L {
-            let c0 = p0[l] + b0[l];
-            let c1 = p1[l] + b1[l];
-            let take1 = c1 > c0;
-            row[l] = if take1 { c1 } else { c0 };
-            words[l] |= u64::from(take1) << s;
-        }
-    }
-    surv[..L].copy_from_slice(&words);
-}
-
-/// The SOVA variant of [`forward_step_viterbi_batch`]: additionally
-/// records the per-state ACS margin `|c1 - c0|` for every lane.
-#[inline]
-fn forward_step_sova_batch<const L: usize>(
-    ct: &CompiledTrellis,
-    bm: &[i32],
-    prev: &[i32],
-    out: &mut [i32],
-    surv: &mut [u64],
-    margins: &mut [i32],
-) {
-    let n = ct.n_states();
-    debug_assert!(n <= 64);
-    let mut words = [0u64; L];
-    for s in 0..n {
-        let p0 = lane::<L>(prev, ct.prev0[s] as usize);
-        let p1 = lane::<L>(prev, ct.prev1[s] as usize);
-        let b0 = lane::<L>(bm, ct.omask0[s] as usize);
-        let b1 = lane::<L>(bm, ct.omask1[s] as usize);
-        let mg = lane_mut::<L>(margins, s);
-        let row = lane_mut::<L>(out, s);
-        for l in 0..L {
-            let c0 = p0[l] + b0[l];
-            let c1 = p1[l] + b1[l];
-            let take1 = c1 > c0;
-            row[l] = if take1 { c1 } else { c0 };
-            mg[l] = (c1 - c0).abs();
-            words[l] |= u64::from(take1) << s;
-        }
-    }
-    surv[..L].copy_from_slice(&words);
-}
-
-/// The sentinel-aware warmup step for all lanes — the batched image of
-/// [`CompiledTrellis::forward_step_warmup`]: an unreachable competitor
-/// always loses and concedes a [`HUGE_MARGIN`].
-fn forward_step_warmup_batch<const L: usize>(
-    ct: &CompiledTrellis,
-    bm: &[i32],
-    prev: &[i32],
-    out: &mut [i32],
-    surv: &mut [u64],
-    mut margins: Option<&mut [i32]>,
-) {
-    let n = ct.n_states();
-    debug_assert!(n <= 64);
-    let mut words = [0u64; L];
-    for s in 0..n {
-        let p0 = lane::<L>(prev, ct.prev0[s] as usize);
-        let p1 = lane::<L>(prev, ct.prev1[s] as usize);
-        let b0 = lane::<L>(bm, ct.omask0[s] as usize);
-        let b1 = lane::<L>(bm, ct.omask1[s] as usize);
-        let row = lane_mut::<L>(out, s);
-        for l in 0..L {
-            let c0 = p0[l] + b0[l];
-            let c1 = p1[l] + b1[l];
-            let r0 = c0 > UNREACHABLE32;
-            let r1 = c1 > UNREACHABLE32;
-            let (take1, metric, margin) = match (r0, r1) {
-                (true, false) => (false, c0, HUGE_MARGIN),
-                (false, true) => (true, c1, HUGE_MARGIN),
-                _ => {
-                    let take1 = c1 > c0;
-                    (take1, if take1 { c1 } else { c0 }, (c1 - c0).abs())
-                }
-            };
-            row[l] = metric;
-            words[l] |= u64::from(take1) << s;
-            if let Some(m) = margins.as_deref_mut() {
-                m[s * L + l] = margin;
-            }
-        }
-    }
-    surv[..L].copy_from_slice(&words);
-}
-
-/// One BCJR α step for all lanes (saturating, sentinel-carrying).
+/// One BCJR α step for all lanes (saturating, sentinel-carrying), in the
+/// butterfly order of [`acs_step_batch`]. Returns the new column's
+/// per-lane maxima.
 #[inline]
 fn alpha_step_batch<const L: usize>(
     ct: &CompiledTrellis,
-    bm: &[i32],
-    prev: &[i32],
-    out: &mut [i32],
-) {
-    for s in 0..ct.n_states() {
-        let p0 = lane::<L>(prev, ct.prev0[s] as usize);
-        let p1 = lane::<L>(prev, ct.prev1[s] as usize);
-        let b0 = lane::<L>(bm, ct.omask0[s] as usize);
-        let b1 = lane::<L>(bm, ct.omask1[s] as usize);
-        let row = lane_mut::<L>(out, s);
-        for l in 0..L {
-            let c0 = p0[l].saturating_add(b0[l]);
-            let c1 = p1[l].saturating_add(b1[l]);
-            row[l] = c0.max(c1);
-        }
+    bm: &[i16],
+    prev: &[i16],
+    out: &mut [i16],
+) -> [i16; L] {
+    let half = out.len() / (2 * L);
+    let prev = &prev[..2 * half * L];
+    let (out_lo, out_hi) = out.split_at_mut(half * L);
+    let ([m0lo, m0hi], [m1lo, m1hi]) = forward_masks(ct, half);
+    let mut maxs = [i16::MIN; L];
+    for j in 0..half {
+        let (a, b) = (row::<L>(prev, 2 * j), row::<L>(prev, 2 * j + 1));
+        let lo = max_log(
+            a,
+            b,
+            &row(bm, usize::from(m0lo[j])),
+            &row(bm, usize::from(m1lo[j])),
+        );
+        let hi = max_log(
+            a,
+            b,
+            &row(bm, usize::from(m0hi[j])),
+            &row(bm, usize::from(m1hi[j])),
+        );
+        *lane_mut::<L, _>(out_lo, j) = lo;
+        *lane_mut::<L, _>(out_hi, j) = hi;
+        maxs = max_rows(maxs, max_rows(lo, hi));
     }
+    maxs
 }
 
-/// One BCJR β step for all lanes over the source-indexed tables.
+/// One BCJR β step for all lanes in butterfly order: source pair
+/// `(2j, 2j + 1)` reads the destination pair `(j, j + half)` through the
+/// source-indexed output masks. Returns the new column's per-lane maxima.
 #[inline]
 fn beta_step_batch<const L: usize>(
     ct: &CompiledTrellis,
-    bm: &[i32],
-    next: &[i32],
-    out: &mut [i32],
-) {
-    for s in 0..ct.n_states() {
-        let n0 = lane::<L>(next, ct.next0[s] as usize);
-        let n1 = lane::<L>(next, ct.next1[s] as usize);
-        let b0 = lane::<L>(bm, ct.fout0[s] as usize);
-        let b1 = lane::<L>(bm, ct.fout1[s] as usize);
-        let row = lane_mut::<L>(out, s);
-        for l in 0..L {
-            let c0 = n0[l].saturating_add(b0[l]);
-            let c1 = n1[l].saturating_add(b1[l]);
-            row[l] = c0.max(c1);
+    bm: &[i16],
+    next: &[i16],
+    out: &mut [i16],
+) -> [i16; L] {
+    let half = out.len() / (2 * L);
+    let (next_lo, next_hi) = next[..2 * half * L].split_at(half * L);
+    let out = &mut out[..2 * half * L];
+    let (fout0, fout1) = (&ct.fout0[..2 * half], &ct.fout1[..2 * half]);
+    let mut maxs = [i16::MIN; L];
+    for j in 0..half {
+        let (x, y) = (row::<L>(next_lo, j), row::<L>(next_hi, j));
+        for s in [2 * j, 2 * j + 1] {
+            let r = max_log(
+                x,
+                y,
+                &row(bm, usize::from(fout0[s])),
+                &row(bm, usize::from(fout1[s])),
+            );
+            *lane_mut::<L, _>(out, s) = r;
+            maxs = max_rows(maxs, r);
         }
     }
+    maxs
 }
 
 /// The BCJR decision maxima for one step, all lanes at once: best
 /// `α + branch + β` over input-0 and input-1 transitions, skipping
 /// forward-unreachable states per lane exactly as the scalar decision
-/// unit does (the discarded speculative sums use the same saturating
-/// arithmetic, so skipped lanes are unaffected).
+/// unit does. The skip is a blend: an unreachable state contributes the
+/// maxima's floor `NEG_INF16` instead of its (saturating) sums.
 #[inline]
 fn decision_best_batch<const L: usize>(
     ct: &CompiledTrellis,
-    bm: &[i32],
-    alpha: &[i32],
-    beta_after: &[i32],
-    best0: &mut [i32; L],
-    best1: &mut [i32; L],
-) {
-    *best0 = [NEG_INF32; L];
-    *best1 = [NEG_INF32; L];
-    for s in 0..ct.n_states() {
-        let a = lane::<L>(alpha, s);
-        let b0 = lane::<L>(bm, ct.fout0[s] as usize);
-        let b1 = lane::<L>(bm, ct.fout1[s] as usize);
-        let n0 = lane::<L>(beta_after, ct.next0[s] as usize);
-        let n1 = lane::<L>(beta_after, ct.next1[s] as usize);
-        for l in 0..L {
-            let reachable = a[l] > UNREACHABLE32;
-            let m0 = a[l].saturating_add(b0[l]).saturating_add(n0[l]);
-            let m1 = a[l].saturating_add(b1[l]).saturating_add(n1[l]);
-            // Branchless skip: an unreachable state contributes the
-            // running maxima's floor instead of branching around the
-            // update, which keeps the lane loop a pure select chain.
-            best0[l] = best0[l].max(if reachable { m0 } else { NEG_INF32 });
-            best1[l] = best1[l].max(if reachable { m1 } else { NEG_INF32 });
+    bm: &[i16],
+    alpha: &[i16],
+    beta_after: &[i16],
+) -> ([i16; L], [i16; L]) {
+    let half = alpha.len() / (2 * L);
+    let alpha = &alpha[..2 * half * L];
+    let (beta_lo, beta_hi) = beta_after[..2 * half * L].split_at(half * L);
+    let (fout0, fout1) = (&ct.fout0[..2 * half], &ct.fout1[..2 * half]);
+    let mut best0 = [NEG_INF16; L];
+    let mut best1 = [NEG_INF16; L];
+    for j in 0..half {
+        let (x, y) = (row::<L>(beta_lo, j), row::<L>(beta_hi, j));
+        for s in [2 * j, 2 * j + 1] {
+            let a = row::<L>(alpha, s);
+            let (b0, b1) = (
+                row::<L>(bm, usize::from(fout0[s])),
+                row::<L>(bm, usize::from(fout1[s])),
+            );
+            let keep: [i16; L] = std::array::from_fn(|l| mask(a[l] > UNREACHABLE16));
+            let m0: [i16; L] = std::array::from_fn(|l| {
+                let m = a[l].saturating_add(b0[l]).saturating_add(x[l]);
+                (m & keep[l]) | (NEG_INF16 & !keep[l])
+            });
+            let m1: [i16; L] = std::array::from_fn(|l| {
+                let m = a[l].saturating_add(b1[l]).saturating_add(y[l]);
+                (m & keep[l]) | (NEG_INF16 & !keep[l])
+            });
+            best0 = max_rows(best0, m0);
+            best1 = max_rows(best1, m1);
         }
     }
+    (best0, best1)
 }
 
 /// Resets the path-metric columns to the known-state-zero start, one
 /// sentinel column per lane.
 fn init_columns_batch<const L: usize>(s: &mut BatchScratch, n_states: usize) {
     s.pm.clear();
-    s.pm.resize(n_states * L, NEG_INF32);
+    s.pm.resize(n_states * L, NEG_INF16);
     s.pm[..L].fill(0);
     s.next.clear();
     s.next.resize(n_states * L, 0);
 }
 
-/// Traceback of one lane from the terminal state-zero over the per-lane
-/// survivor words (`surv[t * L + l]`, bit `s` = state `s`'s decision).
-fn traceback_lane<const L: usize>(
+/// Lane `l`'s survivor decision for `state` at step `t` of the lane-mask
+/// matrix.
+#[inline]
+fn winner(surv: &[u8], n_states: usize, t: usize, state: usize, l: usize) -> u8 {
+    (surv[t * n_states + state] >> l) & 1
+}
+
+/// The shared forward pass of the batched Viterbi and SOVA kernels:
+/// sentinel-aware warmup for the first `memory` steps, then plain ACS
+/// steps, each on branch metrics shifted by the previous column's maxima.
+/// Fills `s.surv` (and `s.margins` when `MARGINS`); returns the step count.
+fn forward_pass_batch<const L: usize, const MARGINS: bool>(
     ct: &CompiledTrellis,
-    surv: &[u64],
-    steps: usize,
-    l: usize,
-    bits: &mut [u8],
-) {
-    let mut state = 0usize;
-    for t in (0..steps).rev() {
-        let winner = ((surv[t * L + l] >> state) & 1) as u8;
-        let (bit, prev) = ct.traceback_edge(state, winner);
-        bits[t] = bit;
-        state = prev;
+    memory: usize,
+    llrs: &[Llr],
+    s: &mut BatchScratch,
+) -> usize {
+    let n_out = ct.n_out();
+    let n_states = ct.n_states();
+    let steps = llrs.len() / (n_out * L);
+    let warmup = memory.min(steps);
+
+    init_columns_batch::<L>(s, n_states);
+    s.surv.clear();
+    s.surv.resize(steps * n_states, 0);
+    let margin_row = if MARGINS { n_states * L } else { 0 };
+    s.margins.clear();
+    s.margins.resize(steps * margin_row, 0);
+    s.bm.clear();
+    s.bm.resize((1 << n_out) * L, 0);
+    // The start column's maximum (state zero's 0).
+    let mut shift = [0i16; L];
+    for step in 0..steps {
+        branch_rows::<L>(llrs, step, n_out, shift, &mut s.bm);
+        let surv = &mut s.surv[step * n_states..(step + 1) * n_states];
+        let margins = &mut s.margins[step * margin_row..(step + 1) * margin_row];
+        shift = if step < warmup {
+            acs_step_batch::<L, true, MARGINS>(ct, &s.bm, &s.pm, &mut s.next, surv, margins)
+        } else {
+            acs_step_batch::<L, false, MARGINS>(ct, &s.bm, &s.pm, &mut s.next, surv, margins)
+        };
+        std::mem::swap(&mut s.pm, &mut s.next);
     }
+    steps
 }
 
 /// Lockstep Viterbi over `L` lanes: the batched image of the scalar
@@ -458,40 +501,18 @@ fn viterbi_kernel<const L: usize>(
     s: &mut BatchScratch,
     outs: &mut [DecodeOutput],
 ) {
-    let n_out = ct.n_out();
+    let steps = forward_pass_batch::<L, false>(ct, memory, llrs, s);
     let n_states = ct.n_states();
-    let n_patterns = 1usize << n_out;
-    let steps = llrs.len() / (n_out * L);
-    let warmup = memory.min(steps);
-
-    init_columns_batch::<L>(s, n_states);
-    s.surv.clear();
-    s.surv.resize(steps * L, 0);
-    s.bm.clear();
-    s.bm.resize(n_patterns * L, 0);
-    for step in 0..steps {
-        compute_bm_batch::<L>(
-            &llrs[step * n_out * L..(step + 1) * n_out * L],
-            n_out,
-            &mut s.bm,
-        );
-        let surv = &mut s.surv[step * L..(step + 1) * L];
-        if step < warmup {
-            forward_step_warmup_batch::<L>(ct, &s.bm, &s.pm, &mut s.next, surv, None);
-        } else {
-            if (step - warmup) % NORM_INTERVAL == 0 {
-                renormalize_uniform_batch::<L>(&mut s.pm);
-            }
-            forward_step_viterbi_batch::<L>(ct, &s.bm, &s.pm, &mut s.next, surv);
-        }
-        std::mem::swap(&mut s.pm, &mut s.next);
-    }
-
     let info = steps - tail_len;
     for (l, out) in outs.iter_mut().enumerate() {
         out.bits.clear();
         out.bits.resize(steps, 0);
-        traceback_lane::<L>(ct, &s.surv, steps, l, &mut out.bits);
+        let mut state = 0usize;
+        for t in (0..steps).rev() {
+            let (bit, prev) = ct.traceback_edge(state, winner(&s.surv, n_states, t, state, l));
+            out.bits[t] = bit;
+            state = prev;
+        }
         out.bits.truncate(info);
         out.soft.clear();
         out.soft.resize(info, 0);
@@ -511,43 +532,13 @@ fn sova_kernel<const L: usize>(
     s: &mut BatchScratch,
     outs: &mut [DecodeOutput],
 ) {
-    let n_out = ct.n_out();
+    let steps = forward_pass_batch::<L, true>(ct, memory, llrs, s);
     let n_states = ct.n_states();
-    let n_patterns = 1usize << n_out;
-    let steps = llrs.len() / (n_out * L);
-    let warmup = memory.min(steps);
-
-    init_columns_batch::<L>(s, n_states);
-    s.surv.clear();
-    s.surv.resize(steps * L, 0);
-    s.bm.clear();
-    s.bm.resize(n_patterns * L, 0);
-    s.margins.clear();
-    s.margins.resize(steps * n_states * L, 0);
-    for step in 0..steps {
-        compute_bm_batch::<L>(
-            &llrs[step * n_out * L..(step + 1) * n_out * L],
-            n_out,
-            &mut s.bm,
-        );
-        let surv = &mut s.surv[step * L..(step + 1) * L];
-        let margins = &mut s.margins[step * n_states * L..(step + 1) * n_states * L];
-        if step < warmup {
-            forward_step_warmup_batch::<L>(ct, &s.bm, &s.pm, &mut s.next, surv, Some(margins));
-        } else {
-            if (step - warmup) % NORM_INTERVAL == 0 {
-                renormalize_uniform_batch::<L>(&mut s.pm);
-            }
-            forward_step_sova_batch::<L>(ct, &s.bm, &s.pm, &mut s.next, surv, margins);
-        }
-        std::mem::swap(&mut s.pm, &mut s.next);
-    }
-
     let surv = &s.surv;
     let margins = &s.margins;
     let info = steps - tail_len;
     for (l, out) in outs.iter_mut().enumerate() {
-        // TU1: this lane's ML state sequence off the packed survivors.
+        // TU1: this lane's ML state sequence off the lane-mask survivors.
         s.ml_states.clear();
         s.ml_states.resize(steps + 1, 0);
         s.ml_bits.clear();
@@ -555,8 +546,7 @@ fn sova_kernel<const L: usize>(
         let (ml_states, ml_bits) = (&mut s.ml_states, &mut s.ml_bits);
         for t in (0..steps).rev() {
             let state = ml_states[t + 1] as usize;
-            let winner = ((surv[t * L + l] >> state) & 1) as u8;
-            let (bit, prev) = ct.traceback_edge(state, winner);
+            let (bit, prev) = ct.traceback_edge(state, winner(surv, n_states, t, state, l));
             ml_bits[t] = bit;
             ml_states[t] = prev as u32;
         }
@@ -568,17 +558,16 @@ fn sova_kernel<const L: usize>(
         let reliability = &mut s.reliability;
         for t in 0..steps {
             let s_next = ml_states[t + 1] as usize;
-            let winner = ((surv[t * L + l] >> s_next) & 1) as u8;
-            let margin = margins[(t * n_states + s_next) * L + l];
-            let (loser_bit, loser_prev) = ct.traceback_edge(s_next, 1 - winner);
+            let w = winner(surv, n_states, t, s_next, l);
+            let margin = widen_margin(margins[(t * n_states + s_next) * L + l]);
+            let (loser_bit, loser_prev) = ct.traceback_edge(s_next, 1 - w);
             if loser_bit != ml_bits[t] && margin < reliability[t] {
                 reliability[t] = margin;
             }
             let mut state = loser_prev;
             let window_start = t.saturating_sub(k);
             for i in (window_start..t).rev() {
-                let winner = ((surv[i * L + l] >> state) & 1) as u8;
-                let (bit, prev) = ct.traceback_edge(state, winner);
+                let (bit, prev) = ct.traceback_edge(state, winner(surv, n_states, i, state, l));
                 if bit != ml_bits[i] && margin < reliability[i] {
                     reliability[i] = margin;
                 }
@@ -605,8 +594,12 @@ fn sova_kernel<const L: usize>(
 
 /// Lockstep sliding-window BCJR over `L` lanes: both recursions, the
 /// provisional backward pass, and the decision unit all carry one value
-/// per lane, with [`normalize32_batch`] applied per column exactly where
-/// the scalar kernel normalizes.
+/// per lane. Every α and β column is normalized where the scalar kernel
+/// normalizes it, through the shifted branch metrics of the step that
+/// reads it; the stored columns are one step past normalized, which changes
+/// no `best1 - best0` difference. Each step's metrics are recomputed from
+/// the soft inputs for each of the three passes that read them, which
+/// costs less than storing a window of them.
 // lint: no_alloc
 fn bcjr_kernel<const L: usize>(
     ct: &CompiledTrellis,
@@ -618,16 +611,13 @@ fn bcjr_kernel<const L: usize>(
 ) {
     let n_out = ct.n_out();
     let n_states = ct.n_states();
-    let n_patterns = 1usize << n_out;
     let steps = llrs.len() / (n_out * L);
-    let np_l = n_patterns * L;
 
     init_columns_batch::<L>(s, n_states);
     let BatchScratch {
         pm: alpha,
         next: next_alpha,
-        bms,
-        bms_next,
+        bm,
         betas,
         boundary,
         col,
@@ -638,85 +628,70 @@ fn bcjr_kernel<const L: usize>(
         out.soft.clear();
     }
 
-    // One window's branch metrics, `[local][pattern][lane]`.
-    let fill_bms = |buf: &mut Vec<i32>, a: usize, b: usize| {
-        buf.clear();
-        buf.resize((b - a) * np_l, 0);
-        for (i, t) in (a..b).enumerate() {
-            compute_bm_batch::<L>(
-                &llrs[t * n_out * L..(t + 1) * n_out * L],
-                n_out,
-                &mut buf[i * np_l..(i + 1) * np_l],
-            );
-        }
-    };
-
     let row_len = n_states * L;
-    let mut best0 = [0i32; L];
-    let mut best1 = [0i32; L];
+    bm.clear();
+    bm.resize((1 << n_out) * L, 0);
+    // The start column's maximum (state zero's 0).
+    let mut alpha_shift = [0i16; L];
     let mut t0 = 0usize;
-    fill_bms(bms, 0, block_len.min(steps));
     while t0 < steps {
         let t1 = (t0 + block_len).min(steps);
+        let mut boundary_shift = [0i16; L];
         if t1 == steps {
             // Terminated frame: every lane's path ends in state zero.
             boundary.clear();
-            boundary.resize(row_len, NEG_INF32);
+            boundary.resize(row_len, NEG_INF16);
             boundary[..L].fill(0);
-            bms_next.clear();
         } else {
             // Provisional backward pass over the next block from the
             // uniform "uncertain" column, keeping only the column at t1.
             let t2 = (t1 + block_len).min(steps);
-            fill_bms(bms_next, t1, t2);
             boundary.clear();
             boundary.resize(row_len, 0);
             col.clear();
             col.resize(row_len, 0);
             for t in (t1..t2).rev() {
-                let bm = &bms_next[(t - t1) * np_l..(t - t1 + 1) * np_l];
-                beta_step_batch::<L>(ct, bm, boundary, col);
-                normalize32_batch::<L>(col);
+                branch_rows::<L>(llrs, t, n_out, boundary_shift, bm);
+                boundary_shift = beta_step_batch::<L>(ct, bm, boundary, col);
                 std::mem::swap(boundary, col);
             }
         }
         betas.clear();
         betas.resize((t1 - t0) * row_len, 0);
         let len = t1 - t0;
-        for (local, _t) in (t0..t1).enumerate().rev() {
-            let bm = &bms[local * np_l..(local + 1) * np_l];
+        let mut after_shift = boundary_shift;
+        for local in (0..len).rev() {
+            branch_rows::<L>(llrs, t0 + local, n_out, after_shift, bm);
             let (head, tail) = betas.split_at_mut((local + 1) * row_len);
-            let after: &[i32] = if local + 1 < len {
+            let after: &[i16] = if local + 1 < len {
                 &tail[..row_len]
             } else {
                 boundary
             };
-            let row = &mut head[local * row_len..];
-            beta_step_batch::<L>(ct, bm, after, row);
-            normalize32_batch::<L>(row);
+            after_shift = beta_step_batch::<L>(ct, bm, after, &mut head[local * row_len..]);
         }
 
         for t in t0..t1 {
-            let bm = &bms[(t - t0) * np_l..(t - t0 + 1) * np_l];
-            let beta_after: &[i32] = if t + 1 < t1 {
+            let beta_after: &[i16] = if t + 1 < t1 {
                 &betas[(t + 1 - t0) * row_len..(t + 2 - t0) * row_len]
             } else {
                 boundary
             };
-            decision_best_batch::<L>(ct, bm, alpha, beta_after, &mut best0, &mut best1);
+            // The decision unit and the α step both read α through the
+            // same shifted metrics.
+            branch_rows::<L>(llrs, t, n_out, alpha_shift, bm);
+            let (best0, best1) = decision_best_batch::<L>(ct, bm, alpha, beta_after);
             for (l, out) in outs.iter_mut().enumerate() {
-                let llr = best1[l].saturating_sub(best0[l]);
+                // Widened before the subtraction, so the difference of two
+                // narrow maxima is exact.
+                let llr = i32::from(best1[l]) - i32::from(best0[l]);
                 out.bits.push(u8::from(llr > 0));
                 out.soft.push(llr);
             }
-            alpha_step_batch::<L>(ct, bm, alpha, next_alpha);
-            normalize32_batch::<L>(next_alpha);
+            alpha_shift = alpha_step_batch::<L>(ct, bm, alpha, next_alpha);
             std::mem::swap(alpha, next_alpha);
         }
         t0 = t1;
-        // The provisional window becomes the real one; its metrics were
-        // computed once and are reused verbatim.
-        std::mem::swap(bms, bms_next);
     }
 
     let info = steps - tail_len;

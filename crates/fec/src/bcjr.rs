@@ -303,8 +303,8 @@ impl SoftDecoder for BcjrDecoder {
             outs.len(),
         );
         // No survivor matrix here, so the lockstep path has no state-count
-        // gate — only the lane-count and LLR-magnitude ones.
-        if lanes <= batch::MAX_LANES && fast_path_ok(llrs) {
+        // gate — only the lane-count and narrow LLR-magnitude ones.
+        if lanes <= batch::MAX_LANES && self.compiled.narrow_path_ok(llrs) {
             batch::bcjr_batch(
                 &self.compiled,
                 self.code.tail_len(),

@@ -31,7 +31,14 @@
 //!    saturate to the same `i32::MAX` soft output.
 //! 3. With |LLR| ≤ 2¹⁶ and at most 8 coded bits per step, branch metrics
 //!    are below 2¹⁹ and the renormalized metric spread stays below 2²⁶,
-//!    so no `i32` ever wraps between renormalizations.
+//!    so no `i32` ever wraps between renormalizations. On the narrow path,
+//!    the `i16` batched kernels of [`crate::batch`], the same holds behind
+//!    a per-code gate, [`CompiledTrellis::narrow_llr_limit`] (its docs
+//!    carry the derivation). At or below it no `i16` wraps and no genuine
+//!    metric saturates, sentinels stay apart from genuine metrics, and
+//!    every genuine margin stays below the `i16` image of
+//!    [`HUGE_MARGIN`]. The narrow kernels therefore compute the same
+//!    differences, decisions and margins as the `i32` ones.
 //!
 //! Inputs outside [`fast_path_ok`] take the frozen reference path
 //! (each decoder's `decode_terminated_reference_into`), preserving exact
@@ -62,6 +69,41 @@ pub const HUGE_MARGIN: i32 = i32::MAX;
 /// Threshold separating genuine path metrics from unreachable-state
 /// sentinels in the warmup steps (mirrors `pmu::NEG_INF / 2` in `i32`).
 const UNREACHABLE32: i32 = NEG_INF32 / 2;
+
+/// The `i16` image of [`NEG_INF32`]: the unreachable-state sentinel of the
+/// narrow batched kernels ([`crate::batch`]).
+pub(crate) const NEG_INF16: i16 = -(1 << 14);
+
+/// Threshold separating genuine narrow metrics from sentinel-derived ones
+/// (the `i16` image of `NEG_INF32 / 2`).
+pub(crate) const UNREACHABLE16: i16 = NEG_INF16 / 2;
+
+/// The `i16` image of [`HUGE_MARGIN`]. Under the narrow gate every genuine
+/// margin is below it, so [`widen_margin`] maps it back to `HUGE_MARGIN`
+/// and every other margin to itself.
+pub(crate) const HUGE_MARGIN16: i16 = i16::MAX;
+
+/// An `i16` margin of the narrow kernels read back as the `i32` margin the
+/// compiled kernels record.
+#[inline]
+pub(crate) fn widen_margin(m: i16) -> i32 {
+    if m == HUGE_MARGIN16 {
+        HUGE_MARGIN
+    } else {
+        i32::from(m)
+    }
+}
+
+/// The narrow gate of a code of `memory` delay elements and `n_out` coded
+/// bits per step; see [`CompiledTrellis::narrow_llr_limit`].
+pub(crate) const fn narrow_llr_limit_for(memory: u32, n_out: usize) -> u32 {
+    let per_g = (2 * memory as usize + 1) * n_out;
+    (((1 << 13) - 1) / per_g) as u32
+}
+
+// The 8-bit Viterbi demap (|LLR| ≤ 127) and the 4/5-bit hint path must
+// both take the narrow kernels on the 802.11 code.
+const _: () = assert!(narrow_llr_limit_for(6, 2) >= 127);
 
 /// Whether a soft-input block is eligible for the compiled `i32` kernels.
 ///
@@ -139,6 +181,8 @@ pub struct CompiledTrellis {
     /// data-dependent gathers at all. True for every [`Trellis`] this
     /// repository builds; the generic kernels remain as the fallback.
     pub(crate) butterfly: bool,
+    /// See [`CompiledTrellis::narrow_llr_limit`].
+    narrow_llr_limit: u32,
 }
 
 impl CompiledTrellis {
@@ -178,6 +222,7 @@ impl CompiledTrellis {
                     && next0[s] as usize == s / 2
                     && next1[s] as usize == half + s / 2
             });
+        let narrow_llr_limit = narrow_llr_limit_for(code.memory(), code.n_out());
         Self {
             code: code.clone(),
             trellis,
@@ -191,7 +236,63 @@ impl CompiledTrellis {
             fout0,
             fout1,
             butterfly,
+            narrow_llr_limit,
         }
+    }
+
+    /// Largest |LLR| the narrow `i16` batched kernels accept for this code,
+    /// computed once from its memory and `n_out`. A batch with any larger
+    /// soft value decodes lane by lane on the scalar kernels instead.
+    ///
+    /// Let `m = memory`, `G` the gate, `B = n_out · G` the largest branch
+    /// metric magnitude and `S = 2·m·B`. The batched kernels normalize every
+    /// step by shifting the branch metrics down by the previous column's
+    /// per-lane maximum (see [`crate::batch`]), so every stored column is one
+    /// step past a normalized one.
+    ///
+    /// * **Metric spread.** Every state reaches every other in exactly `m`
+    ///   steps, so each genuine metric of a column is within `m·B` of the best
+    ///   metric `m` steps earlier (or of the start, within the first `m`
+    ///   steps): two genuine metrics of one column differ by at most `S`. A
+    ///   normalized column lies in `[-S, 0]`; a stored column and every ACS
+    ///   candidate in `[-(S + B), B]`; a stored column's maximum in `[-B, B]`,
+    ///   so shifted branch metrics lie in `[-2B, 2B]`.
+    /// * **Decision sums.** Normalized `α`, plus a branch metric, plus a
+    ///   stored `β` lies in `[-(2S + 2B), 2B]`.
+    /// * **Sentinel headroom.** Sentinels start at `NEG_INF16 = -2¹⁴` and move
+    ///   by a shifted branch metric per step for at most `m` steps, after which
+    ///   every state is reachable: they stay within `[-2¹⁴ - 2m·B, -2¹⁴ + 2m·B]`.
+    ///
+    /// The gate is the largest `G` with `S + B < 2¹³`, i.e.
+    /// `(2m + 1) · n_out · G ≤ 2¹³ - 1`. Then genuine metrics stay above
+    /// `UNREACHABLE16 = -2¹³` and sentinel-derived ones below it; decision sums
+    /// stay above `NEG_INF16`, the decision unit's floor; no plain `i16` add
+    /// wraps, including the warmup margin between a genuine and a sentinel
+    /// candidate (below `2¹⁴ + 2¹³`); and every genuine ACS margin (at most
+    /// `S + 2B < 2¹⁴`) stays below `HUGE_MARGIN16`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use wilis_fec::{CompiledTrellis, ConvCode};
+    ///
+    /// // The 802.11 code (m = 6, n_out = 2) admits every 8-bit demapper LLR.
+    /// let ct = CompiledTrellis::new(&ConvCode::ieee80211());
+    /// assert_eq!(ct.narrow_llr_limit(), 315);
+    /// ```
+    pub fn narrow_llr_limit(&self) -> u32 {
+        self.narrow_llr_limit
+    }
+
+    /// Whether a lane-major block may take the narrow batched kernels:
+    /// every soft value within [`CompiledTrellis::narrow_llr_limit`], on
+    /// tables of the butterfly shape those kernels walk (every trellis this
+    /// repository builds has it).
+    pub(crate) fn narrow_path_ok(&self, llrs: &[Llr]) -> bool {
+        self.butterfly
+            && llrs
+                .iter()
+                .all(|l| l.unsigned_abs() <= self.narrow_llr_limit)
     }
 
     /// The incoming edge `(input_bit, source_state)` selected by `winner`

@@ -365,3 +365,235 @@ impl ReferenceDecode for BcjrDecoder {
         self.decode_terminated_reference_into(llrs, out);
     }
 }
+
+// ---------------------------------------------------------------------------
+// The narrow `i16` gate of the batched kernels.
+//
+// Tier-1 runs these tests in a debug build, where every plain
+// (non-saturating) `i16` add, subtract and negation in the batched kernels
+// is overflow-checked: a block inside the gate that wrapped a metric would
+// panic there instead of silently decoding wrong. CI runs them again at
+// release optimisation, where the equality assertions alone catch a
+// wrapped or saturated metric.
+
+/// The narrow gate of `code`, as a soft value.
+fn narrow_gate(code: &ConvCode) -> Llr {
+    crate::CompiledTrellis::new(code).narrow_llr_limit() as Llr
+}
+
+/// A worst-case block at magnitude `mag`: every soft value is exactly
+/// `±mag`. Odd-salted blocks take random signs (large metrics in every
+/// direction); even ones follow a random codeword with one sign in 11
+/// flipped, which drives the survivor metrics to their widest spread.
+fn worst_case_llrs(
+    rng: &mut SmallRng,
+    code: &ConvCode,
+    steps: usize,
+    mag: Llr,
+    salt: usize,
+) -> Vec<Llr> {
+    if salt % 2 == 1 {
+        return (0..steps * code.n_out())
+            .map(|_| if rng.gen_bit() == 1 { mag } else { -mag })
+            .collect();
+    }
+    let data: Vec<u8> = (0..steps - code.tail_len())
+        .map(|_| rng.gen_bit())
+        .collect();
+    ConvEncoder::new(code)
+        .encode_terminated(&data)
+        .iter()
+        .enumerate()
+        .map(|(i, &b)| {
+            let l = hard_llr(b, mag);
+            if i % 11 == salt % 11 {
+                -l
+            } else {
+                l
+            }
+        })
+        .collect()
+}
+
+/// The 802.11 code's gate admits the 8-bit Viterbi demap (|LLR| ≤ 127)
+/// and so the 4/5-bit hint path, and it is the documented formula.
+#[test]
+fn narrow_gate_admits_every_8_bit_llr_on_the_80211_code() {
+    let gate = crate::CompiledTrellis::new(&ConvCode::ieee80211()).narrow_llr_limit();
+    assert!(gate >= 127, "802.11 narrow gate {gate} is below 127");
+    assert_eq!(gate, crate::compiled::narrow_llr_limit_for(6, 2));
+    for code in codes() {
+        assert_eq!(
+            narrow_gate(&code) as u32,
+            crate::compiled::narrow_llr_limit_for(code.memory(), code.n_out()),
+            "{code}"
+        );
+    }
+}
+
+/// Every decoder, every lane count 1..=8 and every test code, on blocks
+/// exactly at the narrow gate: all-±gate worst cases and uniform random
+/// values up to ±gate. The batched `i16` kernels must match solo decodes
+/// lane for lane, and the solo decodes must match the `i64` reference.
+#[test]
+fn batched_decodes_at_the_narrow_gate_match_solo_and_reference() {
+    let mut rng = SmallRng::seed_from_u64(0x6A7E_0001);
+    for code in codes() {
+        let gate = narrow_gate(&code);
+        for lanes in 1..=crate::MAX_BATCH_LANES {
+            let steps = code.tail_len() + rng.gen_i64(8, 48) as usize;
+            let worst: Vec<Vec<Llr>> = (0..lanes)
+                .map(|l| worst_case_llrs(&mut rng, &code, steps, gate, l))
+                .collect();
+            assert!(worst.iter().flatten().all(|v| v.abs() == gate));
+            assert_batch_matches_solo(&code, &worst, &format!("{code} worst case at gate {gate}"));
+            assert_equiv(
+                &code,
+                &worst[lanes - 1],
+                &format!("{code} worst case at gate {gate}"),
+            );
+
+            let random: Vec<Vec<Llr>> = (0..lanes)
+                .map(|_| random_llrs(&mut rng, &code, steps, i64::from(gate)))
+                .collect();
+            assert_batch_matches_solo(&code, &random, &format!("{code} random at gate {gate}"));
+            assert_equiv(&code, &random[0], &format!("{code} random at gate {gate}"));
+        }
+    }
+}
+
+/// One soft value at gate + 1 in any lane sends the whole batch down the
+/// per-lane scalar path, which must still match solo decodes (and so the
+/// reference) for every decoder, lane count and code.
+#[test]
+fn batches_one_past_the_narrow_gate_fall_back_and_match() {
+    let mut rng = SmallRng::seed_from_u64(0x6A7E_0002);
+    for code in codes() {
+        let gate = narrow_gate(&code);
+        for lanes in 1..=crate::MAX_BATCH_LANES {
+            let steps = code.tail_len() + rng.gen_i64(8, 48) as usize;
+            let mut blocks: Vec<Vec<Llr>> = (0..lanes)
+                .map(|l| worst_case_llrs(&mut rng, &code, steps, gate, l))
+                .collect();
+            let lane = rng.gen_i64(0, lanes as i64 - 1) as usize;
+            let at = rng.gen_i64(0, blocks[lane].len() as i64 - 1) as usize;
+            blocks[lane][at] = if blocks[lane][at] < 0 {
+                -(gate + 1)
+            } else {
+                gate + 1
+            };
+            assert_batch_matches_solo(&code, &blocks, &format!("{code} gate + 1 in lane {lane}"));
+            assert_equiv(&code, &blocks[lane], &format!("{code} gate + 1"));
+        }
+    }
+}
+
+/// A 20 000-step frame at the gate on the 802.11 code: the batched kernels
+/// normalize every column through shifted branch metrics, and that must
+/// hold a long frame at the worst-case metric growth exactly, with no
+/// drift and no `i16` overflow.
+#[test]
+fn long_frame_at_the_narrow_gate_stays_exact() {
+    let code = ConvCode::ieee80211();
+    let gate = narrow_gate(&code);
+    let mut rng = SmallRng::seed_from_u64(0x6A7E_0003);
+    let info = 20_000usize;
+    let steps = info + code.tail_len();
+    let blocks: Vec<Vec<Llr>> = (0..2)
+        .map(|l| {
+            let data: Vec<u8> = (0..info).map(|_| rng.gen_bit()).collect();
+            let coded = ConvEncoder::new(&code).encode_terminated(&data);
+            let llrs: Vec<Llr> = coded
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| {
+                    let v = hard_llr(b, gate);
+                    if i % (97 - 44 * l) == 0 {
+                        -v
+                    } else {
+                        v
+                    }
+                })
+                .collect();
+            assert_eq!(llrs.len(), steps * code.n_out());
+            llrs
+        })
+        .collect();
+    assert_batch_matches_solo(&code, &blocks, "20k-step frame at the gate");
+}
+
+/// HARQ-combined planes: four attempts of hint-width LLRs (|LLR| ≤ 15,
+/// with erasures) summed through `combine_llrs_into` reach |LLR| ≤ 60, well
+/// inside every test code's gate, and decode batched exactly as solo.
+#[test]
+fn harq_combined_hint_planes_decode_batched_like_solo() {
+    let mut rng = SmallRng::seed_from_u64(0x6A7E_0004);
+    for code in codes() {
+        for lanes in 1..=crate::MAX_BATCH_LANES {
+            let info = rng.gen_i64(16, 64) as usize;
+            let blocks: Vec<Vec<Llr>> = (0..lanes)
+                .map(|_| {
+                    let data: Vec<u8> = (0..info).map(|_| rng.gen_bit()).collect();
+                    let coded = ConvEncoder::new(&code).encode_terminated(&data);
+                    let mut acc = vec![0 as Llr; coded.len()];
+                    for _ in 0..4 {
+                        let fresh: Vec<Llr> = coded
+                            .iter()
+                            .map(|&b| {
+                                if rng.gen_i64(0, 4) == 0 {
+                                    0
+                                } else {
+                                    (hard_llr(b, 9) + rng.gen_i64(-14, 14) as Llr).clamp(-15, 15)
+                                }
+                            })
+                            .collect();
+                        crate::combine_llrs_into(&mut acc, &fresh);
+                    }
+                    acc
+                })
+                .collect();
+            assert!(blocks.iter().flatten().all(|v| v.abs() <= 60));
+            assert_batch_matches_solo(&code, &blocks, &format!("{code} HARQ x4"));
+        }
+    }
+}
+
+/// SOVA with a reliability window shorter than the code memory, on short
+/// frames: the traceback windows then cover the warmup steps, where the
+/// batched kernels record sentinel margins as `i16::MAX`, and many soft
+/// outputs saturate at `±Llr::MAX`. Batched decodes must match solo ones.
+#[test]
+fn short_window_sova_batches_match_solo() {
+    let mut rng = SmallRng::seed_from_u64(0x6A7E_0005);
+    for code in codes() {
+        let mut saturated = 0usize;
+        for k in 1..=3usize {
+            for lanes in 1..=crate::MAX_BATCH_LANES {
+                let steps = code.tail_len() + rng.gen_i64(1, 8) as usize;
+                let blocks: Vec<Vec<Llr>> = (0..lanes)
+                    .map(|_| random_llrs(&mut rng, &code, steps, 7))
+                    .collect();
+                let soa = interleave_lanes(&blocks);
+                let mut outs = vec![DecodeOutput::default(); lanes];
+                let mut solo = DecodeOutput::default();
+                let mut dec = SovaDecoder::new(&code, 64, k);
+                dec.decode_terminated_batch_into(&soa, lanes, &mut outs);
+                for (l, lane) in blocks.iter().enumerate() {
+                    dec.decode_terminated_into(lane, &mut solo);
+                    assert_eq!(outs[l], solo, "{code} k = {k} lane {l}/{lanes}");
+                    saturated += solo
+                        .soft
+                        .iter()
+                        .filter(|v| v.unsigned_abs() == Llr::MAX as u32)
+                        .count();
+                }
+            }
+        }
+        if code.memory() > 3 {
+            assert!(
+                saturated > 0,
+                "{code}: no sentinel margin reached an output"
+            );
+        }
+    }
+}

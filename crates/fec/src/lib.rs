@@ -30,7 +30,9 @@
 //! bit-identical to the compiled path and used as fallback for soft
 //! inputs beyond [`compiled::FAST_LLR_LIMIT`]. Compiled trellises are
 //! `Arc`-shared: one table build can serve every decoder instance of a
-//! code (see `with_shared_trellis` on each decoder).
+//! code (see `with_shared_trellis` on each decoder). Batched decodes
+//! (`decode_terminated_batch_into`) run up to eight same-length blocks in
+//! lockstep on the `i16` lane kernels of [`batch`], bit-identical per lane.
 //!
 //! Soft inputs and outputs use the [`Llr`] convention: positive means the
 //! bit is more likely a `1`, and magnitude is confidence.

@@ -294,7 +294,10 @@ impl SoftDecoder for SovaDecoder {
             lanes,
             outs.len(),
         );
-        if lanes <= batch::MAX_LANES && self.compiled.words_per_step() == 1 && fast_path_ok(llrs) {
+        if lanes <= batch::MAX_LANES
+            && self.compiled.words_per_step() == 1
+            && self.compiled.narrow_path_ok(llrs)
+        {
             batch::sova_batch(
                 &self.compiled,
                 self.code.memory() as usize,

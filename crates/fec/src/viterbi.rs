@@ -211,10 +211,13 @@ impl SoftDecoder for ViterbiDecoder {
             lanes,
             outs.len(),
         );
-        // Lockstep requires one survivor word per (step, lane) — i.e. at
-        // most 64 states — and every lane inside the fast-path LLR bound;
-        // anything else decodes per lane through the scalar gate.
-        if lanes <= batch::MAX_LANES && self.compiled.words_per_step() == 1 && fast_path_ok(llrs) {
+        // Lockstep runs codes of at most 64 states with every lane inside
+        // the narrow `i16` gate; anything else decodes per lane through
+        // the scalar gate.
+        if lanes <= batch::MAX_LANES
+            && self.compiled.words_per_step() == 1
+            && self.compiled.narrow_path_ok(llrs)
+        {
             batch::viterbi_batch(
                 &self.compiled,
                 self.code.memory() as usize,
