@@ -5,12 +5,15 @@
 //! ratio is named `<stage>.<variant>.<A>/<B>` and is B's cost over A's
 //! cost, so a value above 1 means side A is that many times cheaper:
 //!
-//! * `decode.<decoder>.compiled/reference` — the compiled trellis
-//!   kernels against the frozen `decode_terminated_reference_into`;
+//! * `decode.<decoder>.compiled/reference` — a solo
+//!   `decode_terminated_into`, which runs the `i16` lane kernels at one
+//!   lane, against the frozen `decode_terminated_reference_into`;
 //! * `decode.<decoder>.batched/scalar` — one 8-lane lockstep
-//!   `decode_terminated_batch_into` against eight scalar decodes;
+//!   `decode_terminated_batch_into` against eight solo (one-lane)
+//!   decodes, so it measures what lockstep adds over the same kernels;
 //! * `rx.<decoder>.batched/scalar` — the batched receive pipeline
-//!   `rx_batch_from` against eight scalar `rx_from` calls;
+//!   `rx_batch_from` against eight solo `rx_from` calls, whose decodes
+//!   are one-lane;
 //! * `ofdm.<op>.planned/reference` and `<map|demap>.<modulation>.planned/reference`
 //!   — the planned front-end kernels against the frozen per-symbol
 //!   `*_reference` bodies;
@@ -84,8 +87,9 @@ fn noisy_block(code: &ConvCode, info_bits: usize, seed: u64) -> Vec<Llr> {
         .collect()
 }
 
-/// `decode.<name>.compiled/reference` on one block and
-/// `decode.<name>.batched/scalar` on a full lane-major batch.
+/// `decode.<name>.compiled/reference` on one block (one-lane kernels
+/// against the reference) and `decode.<name>.batched/scalar` on a full
+/// lane-major batch (eight lanes against eight one-lane decodes).
 #[allow(clippy::too_many_arguments)]
 fn decode_ratios<D: SoftDecoder>(
     name: &str,
@@ -103,7 +107,7 @@ fn decode_ratios<D: SoftDecoder>(
     reference(&mut slow, &blocks[0], &mut ref_out);
     assert_eq!(
         out, ref_out,
-        "{name}: compiled and reference kernels must stay bit-identical"
+        "{name}: lane and reference kernels must stay bit-identical"
     );
     ratios.push(time_ratio(
         &format!("decode.{name}.compiled/reference"),
@@ -130,7 +134,7 @@ fn decode_ratios<D: SoftDecoder>(
     }
     assert_eq!(
         batch_outs, scalar_outs,
-        "{name}: batched and scalar decodes must stay bit-identical per lane"
+        "{name}: batched and solo decodes must stay bit-identical per lane"
     );
     let batch_reps = (reps as usize).div_ceil(lanes) as u32;
     ratios.push(time_ratio(

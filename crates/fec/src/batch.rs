@@ -1,12 +1,12 @@
-//! Lockstep batch decoding: B same-shape packets through one trellis walk,
-//! on `i16` metrics laid out structure-of-arrays so the lane axis becomes
-//! SIMD.
+//! The lane kernels: every in-gate decode, solo or batched, walks the
+//! trellis here, on `i16` metrics laid out structure-of-arrays so the lane
+//! axis becomes SIMD.
 //!
-//! The compiled kernels of [`crate::compiled`] removed every per-edge
-//! branch from a *single* decode; what remains is instruction-level
-//! parallelism the scalar recurrence cannot expose — each ACS step depends
-//! on the previous column. Packets, however, are independent. This module
-//! decodes up to [`MAX_LANES`] equal-length blocks *in lockstep*: one pass
+//! The butterfly tables of [`crate::compiled`] remove every per-edge
+//! branch from a decode; what remains is instruction-level parallelism a
+//! single recurrence cannot expose — each ACS step depends on the previous
+//! column. Packets, however, are independent. This module decodes up to
+//! [`MAX_LANES`] equal-length blocks *in lockstep*: one pass
 //! over the trellis where every intermediate quantity carries one value
 //! per lane, stored lane-innermost so each per-state inner loop is
 //! straight-line arithmetic over one `[i16; L]` row — at 8 lanes, exactly
@@ -22,47 +22,43 @@
 //!   `bm[p * L + l]`, recomputed from the soft inputs wherever a pass
 //!   needs them (cheaper than storing them: `2^n_out` rows per step);
 //! * SOVA margins — `[step][state][lane]` `i16`:
-//!   `margins[(t * n_states + s) * L + l]`, with `i16::MAX` standing for
-//!   [`crate::compiled::HUGE_MARGIN`];
+//!   `margins[(t * n_states + s) * L + l]`;
 //! * survivors — one lane-mask byte per `(step, state)`, bit `l` holding
 //!   lane `l`'s decision: `surv[t * n_states + s]`. The ACS step builds the
 //!   byte from the row of lane compares in one go; each lane's traceback
 //!   reads bit `l`.
 //!
-//! **Bit-identity contract.** Each lane of a batch kernel computes the same
-//! path-metric *differences*, decisions and margins as the corresponding
-//! scalar `i32` compiled kernel, and lanes never interact. Per-lane outputs
-//! are therefore bit-identical to solo
-//! [`crate::SoftDecoder::decode_terminated_into`] calls, which the
-//! equivalence suite checks for every lane count, against both the scalar
-//! compiled path and the frozen `i64` reference kernels. Only absolute
-//! metric values differ:
+//! **Bit-identity contract.** Each lane computes the same path-metric
+//! *differences*, decisions and soft outputs as the frozen `i64` reference
+//! kernels, and lanes never interact. Per-lane outputs are therefore
+//! bit-identical to solo [`crate::SoftDecoder::decode_terminated_into`]
+//! calls and to the reference, which the equivalence suite checks for
+//! every lane count. Only absolute metric values differ:
 //!
 //! * **Normalization** happens every step, on the branch metrics: each
 //!   step reads the previous column through metrics shifted down by that
 //!   column's per-lane maximum (`branch_rows`), which the step that wrote
 //!   the column returned. `p + (b - max)` is `(p - max) + b`, so every
-//!   column comes out as if its predecessor had been normalized first —
-//!   the scalar BCJR's per-step `normalize32` and the Viterbi/SOVA uniform
-//!   shift, at `2^n_out` rows of work instead of `n_states`. A uniform
-//!   shift changes no decision and no margin, so the cadence is invisible.
+//!   column comes out as if its predecessor had been normalized first, at
+//!   `2^n_out` rows of work instead of `n_states`. A uniform shift changes
+//!   no decision and no margin, so the cadence is invisible.
 //! * **Sentinels** are the `i16` images `NEG_INF16` / `UNREACHABLE16`, and
 //!   they shift with everything else. They stay below `UNREACHABLE16`
-//!   under the gate, so every test against it answers as in the scalar
-//!   kernels. The BCJR decision unit's outputs in the tail region, where
-//!   the terminated backward metrics still carry sentinels, differ from
-//!   the `i32` ones; they are truncated with the tail as before and never
-//!   leave the decoder.
+//!   under the gate, so every test against it answers as the reference
+//!   kernels' sentinel tests do. The BCJR decision unit's outputs in the
+//!   tail region, where the terminated backward metrics still carry
+//!   sentinels, differ from the reference ones; they are truncated with
+//!   the tail and never leave the decoder.
 //!
 //! **Gate and fallback.** The narrow arithmetic is exact only for soft
 //! inputs within [`CompiledTrellis::narrow_llr_limit`] (315 for the 802.11
 //! code, so both the 8-bit Viterbi demap and the 4/5-bit hint path pass;
-//! the derivation is on that method). A batch
-//! with any larger soft value, more than [`MAX_LANES`] lanes, or a Viterbi
-//! or SOVA code above 64 states decodes lane by lane through the scalar
-//! path — which itself falls back to the reference kernels beyond
-//! [`crate::compiled::FAST_LLR_LIMIT`] exactly as before. Nothing else
-//! selects a width: the batched path is `i16` only.
+//! the derivation is on that method), for codes of any state count. A solo
+//! decode within the gate runs here at one lane: a contiguous block is
+//! already lane-major for one lane. A solo block with any larger soft
+//! value decodes on the reference kernels, and a batch with one, or with
+//! more than [`MAX_LANES`] lanes, decodes lane by lane through the solo
+//! path. Nothing else selects a width: the lane kernels are `i16` only.
 //!
 //! **Lane loops are branch-free.** Every per-lane computation below is
 //! straight-line arithmetic on whole rows: selects are bitmask blends
@@ -71,26 +67,27 @@
 //! autovectorizer: a data-dependent `if` or `match` on a lane value, or a
 //! conditional update of a lane, compiles to one compare-and-branch (or
 //! `cmov`) per lane, and the loop stays scalar at any metric width, so the
-//! narrow type buys nothing. Compile-time `const` parameters (the warmup
-//! and margin variants) are not data-dependent and fold away. Rows are read
-//! by value (`row`) and stored whole: element-wise updates through
-//! borrowed rows let LLVM's loop vectorizer vectorize across *rows*
-//! instead, with eight strided scalar loads per vector. Every state loop
-//! reads its branch-metric rows through the trellis output masks, which
-//! keeps the loop vectorizer out and leaves each row to one SIMD
+//! narrow type buys nothing. Compile-time `const` parameters (the lane
+//! count and the margin variant) are not data-dependent and fold away.
+//! Rows are read by value (`row`) and stored whole: element-wise updates
+//! through borrowed rows let LLVM's loop vectorizer vectorize across
+//! *rows* instead, with eight strided scalar loads per vector. Every state
+//! loop reads its branch-metric rows through the trellis output masks,
+//! which keeps the loop vectorizer out and leaves each row to one SIMD
 //! instruction per operation.
 //!
 //! **Butterfly order.** The kernels walk the trellis butterfly by
 //! butterfly: destination pair `(j, j + half)` reads source pair
 //! `(2j, 2j + 1)`, so the metric rows stream sequentially with no index
 //! tables (see `CompiledTrellis::butterfly`; every trellis this repository
-//! builds has that shape, and one without it decodes lane by lane).
+//! builds has that shape, and one without it decodes on the reference
+//! kernels).
 //!
 //! Debug builds check every plain (non-saturating) `i16` add for overflow,
 //! so the debug equivalence tests at the gate also check the gate's
 //! derivation.
 
-use crate::compiled::{widen_margin, CompiledTrellis, HUGE_MARGIN16, NEG_INF16, UNREACHABLE16};
+use crate::compiled::{CompiledTrellis, NEG_INF16, UNREACHABLE16};
 use crate::llr::{DecodeOutput, Llr};
 
 /// Widest lockstep batch the kernels are monomorphized for. Matches the
@@ -100,8 +97,9 @@ use crate::llr::{DecodeOutput, Llr};
 /// one byte, so this cannot exceed 8.
 pub const MAX_LANES: usize = 8;
 
-/// Working buffers for one decoder's batched decodes — the lane-major twin
-/// of [`crate::TrellisScratch`], grown on first use and reused verbatim.
+/// Working buffers for one decoder's lane-kernel decodes, solo and batched
+/// (the reference kernels keep theirs in [`crate::TrellisScratch`]), grown
+/// on first use and reused verbatim.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BatchScratch {
     /// Path-metric column, `[state][lane]` (current step).
@@ -128,7 +126,7 @@ pub(crate) struct BatchScratch {
     boundary: Vec<i16>,
     /// Spare column for the provisional backward walk (BCJR).
     col: Vec<i16>,
-    /// One lane's gathered soft inputs for the scalar fallback path.
+    /// One lane's gathered soft inputs for the lane-by-lane fallback.
     pub(crate) lane_llrs: Vec<Llr>,
 }
 
@@ -160,7 +158,7 @@ pub(crate) fn validate_batch(
 }
 
 /// Copies lane `l` of a lane-major block into a contiguous buffer — the
-/// de-interlacing step of the scalar fallback path.
+/// de-interlacing step of the lane-by-lane fallback.
 pub(crate) fn gather_lane(soa: &[Llr], lanes: usize, l: usize, out: &mut Vec<Llr>) {
     out.clear();
     out.extend(soa.chunks_exact(lanes).map(|row| row[l]));
@@ -200,14 +198,14 @@ fn mask(keep: bool) -> i16 {
 }
 
 /// One step's branch metrics for all lanes, `[pattern][lane]`, shifted
-/// down by each lane's `shift` (see the module docs): the batched image of
-/// [`crate::CompiledBmu::compute`], including its rate-1/2 special case,
-/// narrowed to `i16` (exact under the narrow gate, where every metric is
-/// below 2¹³ in magnitude). Inlined always: its generic-`n_out` arm keeps
-/// LLVM from inlining it on its own, and outlined it costs more per step
-/// than the ACS step it feeds.
+/// down by each lane's `shift` (see the module docs): per lane the values
+/// of [`crate::bmu::branch_metrics`], with a rate-1/2 special case, narrowed
+/// to `i16` (exact under the narrow gate, where every metric is below 2¹³
+/// in magnitude). Inlined always: its generic-`n_out` arm keeps LLVM from
+/// inlining it on its own, and outlined it costs more per step than the
+/// ACS step it feeds.
 #[inline(always)]
-fn branch_rows<const L: usize>(
+pub(crate) fn branch_rows<const L: usize>(
     llrs: &[Llr],
     step: usize,
     n_out: usize,
@@ -218,8 +216,7 @@ fn branch_rows<const L: usize>(
     if n_out == 2 {
         let (l0, l1) = (lane::<L, _>(step_llrs, 0), lane::<L, _>(step_llrs, 1));
         for l in 0..L {
-            // Rate-1/2 special case: ±sum, ±diff — identical per lane to
-            // the scalar BMU.
+            // Rate-1/2 special case: the four correlations are ±sum, ±diff.
             let sum = (l0[l] + l1[l]) as i16;
             let diff = (l0[l] - l1[l]) as i16;
             rows[l] = -sum;
@@ -277,14 +274,18 @@ fn forward_masks(ct: &CompiledTrellis, half: usize) -> ([&[u8]; 2], [&[u8]; 2]) 
 /// iteration: with both in one iteration, LLVM packs the two survivor
 /// compares into one vector and unpacks the bytes bit by bit.
 ///
-/// `WARMUP` is the sentinel-aware form of the first `memory` steps, the
-/// batched image of [`CompiledTrellis::forward_step_warmup`]. Its metrics
-/// and decisions need no special case: a sentinel-derived candidate is
+/// The first `memory` steps of a frame, while some states are still
+/// unreachable, need no special case: a sentinel-derived candidate is
 /// always below a genuine one, so `max` and `c1 > c0` already let an
-/// unreachable competitor lose. Only its margin differs — the competitor
-/// concedes [`HUGE_MARGIN16`] — which is a blend.
+/// unreachable competitor lose, as in the reference kernels. Its margin is
+/// recorded plainly, where the reference records a sentinel-sized one, and
+/// no output reads it. The competitor into a state of the ML path at such a
+/// step differs from the ML predecessor only in its oldest bit, an input
+/// from before step 0. Both edges into one state carry the same input bit,
+/// and the competitor's traceback reproduces the ML bits of every step
+/// from 0 on, so the TU2 update with that margin changes no reliability.
 #[inline]
-fn acs_step_batch<const L: usize, const WARMUP: bool, const MARGINS: bool>(
+pub(crate) fn acs_step_batch<const L: usize, const MARGINS: bool>(
     ct: &CompiledTrellis,
     bm: &[i16],
     prev: &[i16],
@@ -310,15 +311,8 @@ fn acs_step_batch<const L: usize, const WARMUP: bool, const MARGINS: bool>(
             maxs = max_rows(maxs, r);
             surv[j] = (0..L).fold(0u8, |byte, l| byte | (u8::from(c1[l] > c0[l]) << l));
             if MARGINS {
-                *lane_mut::<L, _>(margins, h * half + j) = std::array::from_fn(|l| {
-                    let margin = (c1[l] - c0[l]).abs();
-                    if WARMUP {
-                        let huge = mask((c0[l] > UNREACHABLE16) != (c1[l] > UNREACHABLE16));
-                        (HUGE_MARGIN16 & huge) | (margin & !huge)
-                    } else {
-                        margin
-                    }
-                });
+                *lane_mut::<L, _>(margins, h * half + j) =
+                    std::array::from_fn(|l| (c1[l] - c0[l]).abs());
             }
         }
     }
@@ -394,7 +388,7 @@ fn beta_step_batch<const L: usize>(
 
 /// The BCJR decision maxima for one step, all lanes at once: best
 /// `α + branch + β` over input-0 and input-1 transitions, skipping
-/// forward-unreachable states per lane exactly as the scalar decision
+/// forward-unreachable states per lane exactly as the reference decision
 /// unit does. The skip is a blend: an unreachable state contributes the
 /// maxima's floor `NEG_INF16` instead of its (saturating) sums.
 #[inline]
@@ -451,20 +445,17 @@ fn winner(surv: &[u8], n_states: usize, t: usize, state: usize, l: usize) -> u8 
     (surv[t * n_states + state] >> l) & 1
 }
 
-/// The shared forward pass of the batched Viterbi and SOVA kernels:
-/// sentinel-aware warmup for the first `memory` steps, then plain ACS
+/// The shared forward pass of the batched Viterbi and SOVA kernels: ACS
 /// steps, each on branch metrics shifted by the previous column's maxima.
 /// Fills `s.surv` (and `s.margins` when `MARGINS`); returns the step count.
 fn forward_pass_batch<const L: usize, const MARGINS: bool>(
     ct: &CompiledTrellis,
-    memory: usize,
     llrs: &[Llr],
     s: &mut BatchScratch,
 ) -> usize {
     let n_out = ct.n_out();
     let n_states = ct.n_states();
     let steps = llrs.len() / (n_out * L);
-    let warmup = memory.min(steps);
 
     init_columns_batch::<L>(s, n_states);
     s.surv.clear();
@@ -480,28 +471,23 @@ fn forward_pass_batch<const L: usize, const MARGINS: bool>(
         branch_rows::<L>(llrs, step, n_out, shift, &mut s.bm);
         let surv = &mut s.surv[step * n_states..(step + 1) * n_states];
         let margins = &mut s.margins[step * margin_row..(step + 1) * margin_row];
-        shift = if step < warmup {
-            acs_step_batch::<L, true, MARGINS>(ct, &s.bm, &s.pm, &mut s.next, surv, margins)
-        } else {
-            acs_step_batch::<L, false, MARGINS>(ct, &s.bm, &s.pm, &mut s.next, surv, margins)
-        };
+        shift = acs_step_batch::<L, MARGINS>(ct, &s.bm, &s.pm, &mut s.next, surv, margins);
         std::mem::swap(&mut s.pm, &mut s.next);
     }
     steps
 }
 
-/// Lockstep Viterbi over `L` lanes: the batched image of the scalar
-/// compiled decode — shared forward pass, per-lane traceback.
+/// Lockstep Viterbi over `L` lanes: shared forward pass, per-lane
+/// traceback from state zero (the frame is terminated).
 // lint: no_alloc
 fn viterbi_kernel<const L: usize>(
     ct: &CompiledTrellis,
-    memory: usize,
     tail_len: usize,
     llrs: &[Llr],
     s: &mut BatchScratch,
     outs: &mut [DecodeOutput],
 ) {
-    let steps = forward_pass_batch::<L, false>(ct, memory, llrs, s);
+    let steps = forward_pass_batch::<L, false>(ct, llrs, s);
     let n_states = ct.n_states();
     let info = steps - tail_len;
     for (l, out) in outs.iter_mut().enumerate() {
@@ -525,14 +511,13 @@ fn viterbi_kernel<const L: usize>(
 // lint: no_alloc
 fn sova_kernel<const L: usize>(
     ct: &CompiledTrellis,
-    memory: usize,
     tail_len: usize,
     k: usize,
     llrs: &[Llr],
     s: &mut BatchScratch,
     outs: &mut [DecodeOutput],
 ) {
-    let steps = forward_pass_batch::<L, true>(ct, memory, llrs, s);
+    let steps = forward_pass_batch::<L, true>(ct, llrs, s);
     let n_states = ct.n_states();
     let surv = &s.surv;
     let margins = &s.margins;
@@ -551,15 +536,15 @@ fn sova_kernel<const L: usize>(
             ml_states[t] = prev as u32;
         }
 
-        // TU2: Hagenauer-rule reliability update, identical control flow to
-        // the scalar kernel with lane-strided survivor/margin reads.
+        // TU2: Hagenauer-rule reliability update, the reference kernel's
+        // control flow with lane-strided survivor/margin reads.
         s.reliability.clear();
         s.reliability.resize(steps, i32::MAX);
         let reliability = &mut s.reliability;
         for t in 0..steps {
             let s_next = ml_states[t + 1] as usize;
             let w = winner(surv, n_states, t, s_next, l);
-            let margin = widen_margin(margins[(t * n_states + s_next) * L + l]);
+            let margin = i32::from(margins[(t * n_states + s_next) * L + l]);
             let (loser_bit, loser_prev) = ct.traceback_edge(s_next, 1 - w);
             if loser_bit != ml_bits[t] && margin < reliability[t] {
                 reliability[t] = margin;
@@ -594,7 +579,7 @@ fn sova_kernel<const L: usize>(
 
 /// Lockstep sliding-window BCJR over `L` lanes: both recursions, the
 /// provisional backward pass, and the decision unit all carry one value
-/// per lane. Every α and β column is normalized where the scalar kernel
+/// per lane. Every α and β column is normalized where the reference kernel
 /// normalizes it, through the shifted branch metrics of the step that
 /// reads it; the stored columns are one step past normalized, which changes
 /// no `best1 - best0` difference. Each step's metrics are recomputed from
@@ -721,21 +706,18 @@ macro_rules! dispatch_lanes {
 /// Batched Viterbi entry point (lane-count dispatch).
 pub(crate) fn viterbi_batch(
     ct: &CompiledTrellis,
-    memory: usize,
     tail_len: usize,
     llrs: &[Llr],
     lanes: usize,
     s: &mut BatchScratch,
     outs: &mut [DecodeOutput],
 ) {
-    dispatch_lanes!(lanes, viterbi_kernel(ct, memory, tail_len, llrs, s, outs));
+    dispatch_lanes!(lanes, viterbi_kernel(ct, tail_len, llrs, s, outs));
 }
 
 /// Batched SOVA entry point (lane-count dispatch).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn sova_batch(
     ct: &CompiledTrellis,
-    memory: usize,
     tail_len: usize,
     k: usize,
     llrs: &[Llr],
@@ -743,7 +725,7 @@ pub(crate) fn sova_batch(
     s: &mut BatchScratch,
     outs: &mut [DecodeOutput],
 ) {
-    dispatch_lanes!(lanes, sova_kernel(ct, memory, tail_len, k, llrs, s, outs));
+    dispatch_lanes!(lanes, sova_kernel(ct, tail_len, k, llrs, s, outs));
 }
 
 /// Batched BCJR entry point (lane-count dispatch).

@@ -14,10 +14,10 @@
 //! most likely input-1 and input-0 transitions and subtracts their path
 //! metrics (max-log LLR).
 //!
-//! Both recursions run on the compiled-trellis `i32` kernels
-//! ([`crate::compiled`]) with per-step normalization — the same
-//! normalization policy as the reference decoder, so outputs stay
-//! bit-identical.
+//! Both recursions run on the `i16` lane kernels of [`crate::batch`] (one
+//! lane for a solo decode) with per-step normalization — the reference
+//! decoder's normalization points, so outputs stay bit-identical. Soft
+//! inputs beyond the narrow gate decode on the reference kernels.
 //!
 //! Latency: `2n + 7` cycles, dominated by the two reversal buffers; see
 //! [`BcjrDecoder::latency_cycles`].
@@ -26,9 +26,8 @@ use std::sync::Arc;
 
 use crate::batch;
 use crate::bmu::Bmu;
-use crate::compiled::{fast_path_ok, CompiledBmu, CompiledTrellis};
+use crate::compiled::CompiledTrellis;
 use crate::llr::{DecodeOutput, Llr, SoftDecoder};
-use crate::pmu::{normalize32, NEG_INF32};
 use crate::reference;
 use crate::scratch::TrellisScratch;
 use crate::ConvCode;
@@ -54,7 +53,6 @@ pub struct BcjrDecoder {
     code: ConvCode,
     compiled: Arc<CompiledTrellis>,
     bmu: Bmu,
-    cbmu: CompiledBmu,
     scratch: TrellisScratch,
     /// Sliding-window block length; the paper uses 64 and notes blocks
     /// smaller than 32 degrade accuracy.
@@ -83,7 +81,6 @@ impl BcjrDecoder {
         Self {
             code: trellis.code().clone(),
             bmu: Bmu::new(trellis.n_out()),
-            cbmu: CompiledBmu::new(trellis.n_out()),
             compiled: trellis,
             scratch: TrellisScratch::new(),
             block_len,
@@ -111,20 +108,8 @@ impl BcjrDecoder {
         &self.compiled
     }
 
-    fn validate(&self, llrs: &[Llr]) -> usize {
-        let n_out = self.compiled.n_out();
-        assert!(
-            llrs.len() % n_out == 0,
-            "soft input length {} not a multiple of n_out {}",
-            llrs.len(),
-            n_out
-        );
-        let steps = llrs.len() / n_out;
-        assert!(
-            steps > self.code.tail_len(),
-            "block shorter than the code tail"
-        );
-        steps
+    fn validate(&self, llrs: &[Llr]) {
+        batch::validate_batch(self.compiled.n_out(), self.code.tail_len(), llrs, 1, 1);
     }
 
     /// Decodes through the frozen `i64` reference kernels (see
@@ -134,6 +119,7 @@ impl BcjrDecoder {
     ///
     /// Panics under the same conditions as
     /// [`SoftDecoder::decode_terminated_into`].
+    // lint: no_alloc
     pub fn decode_terminated_reference_into(&mut self, llrs: &[Llr], out: &mut DecodeOutput) {
         self.validate(llrs);
         reference::bcjr_decode(
@@ -146,145 +132,25 @@ impl BcjrDecoder {
             out,
         );
     }
-
-    /// The `beta` column applying *before* step `t` of `range`, for every
-    /// `t`, written into `betas` (flattened, indexed relative to the range
-    /// start). `boundary` is the column just *after* the last step.
-    fn backward_block_flat32(
-        ct: &CompiledTrellis,
-        bms: &[i32],
-        n_patterns: usize,
-        range: std::ops::Range<usize>,
-        boundary: &[i32],
-        betas: &mut [i32],
-    ) {
-        let n_states = ct.n_states();
-        let len = range.len();
-        debug_assert_eq!(betas.len(), len * n_states);
-        for (local, t) in range.clone().enumerate().rev() {
-            let bm = &bms[t * n_patterns..(t + 1) * n_patterns];
-            let (head, tail) = betas.split_at_mut((local + 1) * n_states);
-            let after: &[i32] = if local + 1 < len {
-                &tail[..n_states]
-            } else {
-                boundary
-            };
-            let row = &mut head[local * n_states..];
-            ct.beta_step(bm, after, row);
-            normalize32(row);
-        }
-    }
-
-    fn decode_fast(&mut self, steps: usize, llrs: &[Llr], out: &mut DecodeOutput) {
-        let Self {
-            code,
-            compiled,
-            cbmu,
-            scratch,
-            block_len,
-            ..
-        } = self;
-        let block_len = *block_len;
-        let ct = &**compiled;
-        let n_out = ct.n_out();
-        let n_states = ct.n_states();
-        let n_patterns = 1usize << n_out;
-
-        // Branch metrics for every step, computed once into the scratch.
-        scratch.bms32.clear();
-        scratch.bms32.resize(steps * n_patterns, 0);
-        for t in 0..steps {
-            let bm = cbmu.compute(&llrs[t * n_out..(t + 1) * n_out]);
-            scratch.bms32[t * n_patterns..(t + 1) * n_patterns].copy_from_slice(bm);
-        }
-
-        scratch.init_columns32(n_states, 0);
-        let TrellisScratch {
-            pm32: alpha,
-            next32: next_alpha,
-            bms32: bms,
-            betas32: betas,
-            boundary32: boundary,
-            col32: col,
-            ..
-        } = scratch;
-        out.bits.clear();
-        out.soft.clear();
-
-        let mut t0 = 0usize;
-        while t0 < steps {
-            let t1 = (t0 + block_len).min(steps);
-            // Beta boundary for the end of this block.
-            if t1 == steps {
-                // Terminated frame: the path ends in state zero.
-                boundary.clear();
-                boundary.resize(n_states, NEG_INF32);
-                boundary[0] = 0;
-            } else {
-                // Provisional backward pass over the *next* block, started
-                // from the "uncertain" uniform column (§4.3.2), keeping
-                // only the column that lands on t1.
-                let t2 = (t1 + block_len).min(steps);
-                boundary.clear();
-                boundary.resize(n_states, 0);
-                col.clear();
-                col.resize(n_states, 0);
-                for t in (t1..t2).rev() {
-                    let bm = &bms[t * n_patterns..(t + 1) * n_patterns];
-                    ct.beta_step(bm, boundary, col);
-                    normalize32(col);
-                    std::mem::swap(boundary, col);
-                }
-            }
-            betas.clear();
-            betas.resize((t1 - t0) * n_states, 0);
-            Self::backward_block_flat32(ct, bms, n_patterns, t0..t1, boundary, betas);
-
-            // Forward pass + decision unit over this block.
-            for t in t0..t1 {
-                let bm = &bms[t * n_patterns..(t + 1) * n_patterns];
-                // beta that applies after consuming step t:
-                let beta_after: &[i32] = if t + 1 < t1 {
-                    &betas[(t + 1 - t0) * n_states..(t + 2 - t0) * n_states]
-                } else {
-                    boundary
-                };
-                let best = ct.decision_best(bm, alpha, beta_after);
-                // The decision unit: most-likely-1 minus most-likely-0
-                // path metrics — the single added subtracter of §4.3.2.
-                let llr = best[1].saturating_sub(best[0]);
-                out.bits.push(u8::from(llr > 0));
-                out.soft.push(llr);
-
-                ct.alpha_step(bm, alpha, next_alpha);
-                normalize32(next_alpha);
-                std::mem::swap(alpha, next_alpha);
-            }
-            t0 = t1;
-        }
-
-        let info = steps - code.tail_len();
-        out.bits.truncate(info);
-        out.soft.truncate(info);
-    }
 }
 
 impl SoftDecoder for BcjrDecoder {
     // lint: no_alloc
     fn decode_terminated_into(&mut self, llrs: &[Llr], out: &mut DecodeOutput) {
-        let steps = self.validate(llrs);
-        if fast_path_ok(llrs) {
-            self.decode_fast(steps, llrs, out);
-        } else {
-            reference::bcjr_decode(
-                self.compiled.trellis(),
+        if self.compiled.narrow_path_ok(llrs) {
+            self.validate(llrs);
+            // A contiguous block is already lane-major for one lane.
+            batch::bcjr_batch(
+                &self.compiled,
                 self.code.tail_len(),
                 self.block_len,
-                &mut self.bmu,
-                &mut self.scratch,
                 llrs,
-                out,
+                1,
+                &mut self.scratch.batch,
+                std::slice::from_mut(out),
             );
+        } else {
+            self.decode_terminated_reference_into(llrs, out);
         }
     }
 
@@ -302,8 +168,8 @@ impl SoftDecoder for BcjrDecoder {
             lanes,
             outs.len(),
         );
-        // No survivor matrix here, so the lockstep path has no state-count
-        // gate — only the lane-count and narrow LLR-magnitude ones.
+        // Lockstep runs whenever every lane is inside the narrow `i16`
+        // gate; anything else decodes lane by lane through the solo path.
         if lanes <= batch::MAX_LANES && self.compiled.narrow_path_ok(llrs) {
             batch::bcjr_batch(
                 &self.compiled,

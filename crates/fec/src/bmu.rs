@@ -34,8 +34,9 @@ use crate::llr::Llr;
 /// ```
 /// This form allocates a fresh table per call and is kept for tests and
 /// one-shot inspection only; per-step metric computation on decode hot
-/// paths goes through the reusable [`Bmu`] / [`crate::compiled::CompiledBmu`]
-/// state (or [`branch_metrics_into`] when a caller owns the buffer).
+/// paths goes through the reusable [`Bmu`] state, or the lane kernels'
+/// own branch unit (or [`branch_metrics_into`] when a caller owns the
+/// buffer).
 pub fn branch_metrics(step_llrs: &[Llr]) -> Vec<i64> {
     let mut metrics = Vec::new();
     branch_metrics_into(step_llrs, &mut metrics);

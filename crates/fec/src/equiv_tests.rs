@@ -1,12 +1,11 @@
-//! Old-vs-new kernel equivalence: the compiled `i32` trellis kernels must
-//! reproduce the frozen `i64` reference path **bit for bit** — identical
-//! hard decisions *and* identical saturated soft outputs — for every
-//! decoder, code, and soft-input distribution. These tests are the
+//! Old-vs-new kernel equivalence: the `i16` lane kernels must reproduce
+//! the frozen `i64` reference path **bit for bit** — identical hard
+//! decisions *and* identical saturated soft outputs — for every decoder,
+//! code, lane count and soft-input distribution. These tests are the
 //! enforcement arm of the contract documented in [`crate::compiled`].
 
 use wilis_fxp::rng::SmallRng;
 
-use crate::compiled::FAST_LLR_LIMIT;
 use crate::{
     hard_llr, BcjrDecoder, ConvCode, ConvEncoder, DecodeOutput, Llr, SoftDecoder, SovaDecoder,
     ViterbiDecoder,
@@ -14,8 +13,8 @@ use crate::{
 
 /// Codes the differential suite sweeps: the paper's 802.11 code, the tiny
 /// exhaustible K=3 code, a K=5 rate-1/3 code (n_out ≠ 2 exercises the
-/// generic BMU), and a K=9 code whose 256 states need multi-word survivor
-/// packing.
+/// generic branch unit), and a K=9 code of 256 states, which the lane-mask
+/// survivors serve in lockstep like any other.
 fn codes() -> Vec<ConvCode> {
     vec![
         ConvCode::ieee80211(),
@@ -94,22 +93,32 @@ fn compiled_kernels_match_reference_on_clean_frames() {
     }
 }
 
-/// Magnitudes straddling `FAST_LLR_LIMIT`: at the limit the compiled path
-/// runs; one past it the decode falls back to the reference path. Both
-/// must agree with the reference output.
+/// Solo decodes straddling the narrow gate, for every code and decoder:
+/// a block reaching the gate takes the lane kernels, one reaching gate + 1
+/// (or far beyond) takes the reference path. Both must agree with the
+/// reference output.
 #[test]
 fn compiled_kernels_match_reference_at_the_fast_path_boundary() {
     let mut rng = SmallRng::seed_from_u64(0xC0DE_0003);
-    let code = ConvCode::ieee80211();
-    for mag in [
-        i64::from(FAST_LLR_LIMIT) - 1,
-        i64::from(FAST_LLR_LIMIT),
-        i64::from(FAST_LLR_LIMIT) + 1,
-        i64::from(i32::MAX / 2),
-    ] {
-        let steps = code.tail_len() + 80;
-        let llrs = random_llrs(&mut rng, &code, steps, mag);
-        assert_equiv(&code, &llrs, &format!("magnitude {mag}"));
+    for code in codes() {
+        let ct = crate::CompiledTrellis::new(&code);
+        let gate = ct.narrow_llr_limit() as Llr;
+        for (mag, lane_kernels) in [
+            (gate - 1, true),
+            (gate, true),
+            (gate + 1, false),
+            (i32::MAX / 2, false),
+        ] {
+            let steps = code.tail_len() + 80;
+            let mut llrs = random_llrs(&mut rng, &code, steps, i64::from(mag));
+            llrs[steps / 2] = -mag;
+            assert_eq!(
+                ct.narrow_path_ok(&llrs),
+                lane_kernels,
+                "{code} magnitude {mag}"
+            );
+            assert_equiv(&code, &llrs, &format!("{code} magnitude {mag}"));
+        }
     }
 }
 
@@ -133,10 +142,10 @@ fn compiled_kernels_match_reference_under_puncturing() {
     }
 }
 
-/// The long-frame regression for the renormalization invariant: a frame
-/// tens of thousands of steps long with LLRs at the fast-path limit. The
-/// unnormalized drift would wrap an `i32` within ~4k steps; periodic
-/// renormalization must keep the compiled kernels exact all the way out.
+/// The long-frame regression for the normalization invariant: a frame
+/// tens of thousands of steps long with LLRs at the narrow gate. The
+/// unnormalized drift would wrap an `i16` within about fifty steps; per-step
+/// normalization must keep the solo lane kernels exact all the way out.
 #[test]
 fn long_frame_renormalization_regression() {
     let code = ConvCode::ieee80211();
@@ -144,7 +153,7 @@ fn long_frame_renormalization_regression() {
     let info = 20_000usize;
     let data: Vec<u8> = (0..info).map(|_| rng.gen_bit()).collect();
     let coded = ConvEncoder::new(&code).encode_terminated(&data);
-    let limit = i64::from(FAST_LLR_LIMIT);
+    let limit = i64::from(narrow_gate(&code));
     // Max-magnitude evidence with some corruption keeps metric growth at
     // the theoretical worst case while still being decodable.
     let llrs: Vec<Llr> = coded
@@ -223,7 +232,7 @@ fn interleave_lanes(lanes: &[Vec<Llr>]) -> Vec<Llr> {
 }
 
 /// Every decoder's batched decode must be bit-identical, lane for lane, to
-/// solo scalar decodes of the same blocks.
+/// solo decodes of the same blocks.
 fn assert_batch_matches_solo(code: &ConvCode, lanes_llrs: &[Vec<Llr>], ctx: &str) {
     let lanes = lanes_llrs.len();
     let soa = interleave_lanes(lanes_llrs);
@@ -254,7 +263,7 @@ fn assert_batch_matches_solo(code: &ConvCode, lanes_llrs: &[Vec<Llr>], ctx: &str
 
 /// Lockstep batches of every width the engine uses (1, 2, 4, 8) decode
 /// each lane bit-identically to solo execution, for every code — including
-/// the K=9 code whose Viterbi/SOVA batches take the per-lane fallback.
+/// the 256-state K=9 code.
 #[test]
 fn batched_decodes_match_solo_for_every_lane_count() {
     let mut rng = SmallRng::seed_from_u64(0xBA7C_0001);
@@ -270,8 +279,8 @@ fn batched_decodes_match_solo_for_every_lane_count() {
 }
 
 /// Ragged widths — the tail of a packet group that doesn't fill the batch
-/// — and oversized batches beyond `MAX_LANES` (which must take the scalar
-/// per-lane path) both stay lane-identical to solo.
+/// — and oversized batches beyond `MAX_LANES` (which must take the
+/// lane-by-lane path) both stay lane-identical to solo.
 #[test]
 fn ragged_and_oversized_batches_match_solo() {
     let mut rng = SmallRng::seed_from_u64(0xBA7C_0002);
@@ -287,8 +296,8 @@ fn ragged_and_oversized_batches_match_solo() {
 
 /// Mixed batches: clean full-confidence lanes in lockstep with heavily
 /// corrupted ones (the sentinel-margin corner next to the noisy-margin
-/// corner, in the same batch), plus a lane past `FAST_LLR_LIMIT` that
-/// pushes the whole batch through the reference-backed fallback.
+/// corner, in the same batch), plus a lane past the narrow gate that
+/// pushes the whole batch through the lane-by-lane fallback.
 #[test]
 fn mixed_noisy_and_clean_lanes_match_solo() {
     let mut rng = SmallRng::seed_from_u64(0xBA7C_0003);
@@ -314,16 +323,16 @@ fn mixed_noisy_and_clean_lanes_match_solo() {
         .collect();
     assert_batch_matches_solo(&code, &blocks, "mixed clean/noisy");
 
-    // One lane beyond the fast-path bound: the batch gate must reject the
-    // whole group and the per-lane scalar path (reference for that lane)
+    // One lane beyond the narrow gate: the batch gate must reject the
+    // whole group and the lane-by-lane path (reference for that lane)
     // must still match solo execution exactly.
     let mut spiked = blocks;
     let mid = spiked[3].len() / 2;
-    spiked[3][mid] = FAST_LLR_LIMIT as Llr + 1;
-    assert_batch_matches_solo(&code, &spiked, "fast-path spike");
+    spiked[3][mid] = narrow_gate(&code) + 1;
+    assert_batch_matches_solo(&code, &spiked, "narrow-gate spike");
 }
 
-/// The batched entry points inherit the scalar panics on malformed shapes.
+/// The batched entry points inherit the solo panics on malformed shapes.
 #[test]
 #[should_panic(expected = "not a multiple of lane count")]
 fn misaligned_batch_input_panics() {
@@ -463,7 +472,7 @@ fn batched_decodes_at_the_narrow_gate_match_solo_and_reference() {
 }
 
 /// One soft value at gate + 1 in any lane sends the whole batch down the
-/// per-lane scalar path, which must still match solo decodes (and so the
+/// lane-by-lane path, which must still match solo decodes (and so the
 /// reference) for every decoder, lane count and code.
 #[test]
 fn batches_one_past_the_narrow_gate_fall_back_and_match() {
@@ -559,8 +568,8 @@ fn harq_combined_hint_planes_decode_batched_like_solo() {
 }
 
 /// SOVA with a reliability window shorter than the code memory, on short
-/// frames: the traceback windows then cover the warmup steps, where the
-/// batched kernels record sentinel margins as `i16::MAX`, and many soft
+/// frames: the traceback windows then cover the warmup steps, whose
+/// margins against unreachable competitors no output reads, and many soft
 /// outputs saturate at `±Llr::MAX`. Batched decodes must match solo ones.
 #[test]
 fn short_window_sova_batches_match_solo() {

@@ -23,16 +23,16 @@
 //!
 //! At construction each decoder lowers its trellis into a
 //! [`CompiledTrellis`] — flat structure-of-arrays butterfly tables — and
-//! runs its hot loops on the branchless `i32` kernels of [`compiled`],
-//! with survivors bit-packed one `u64` word per step for the 64-state
-//! 802.11 code. The original `i64` kernels are preserved verbatim as the
-//! reference path (each decoder's `decode_terminated_reference_into`),
-//! bit-identical to the compiled path and used as fallback for soft
-//! inputs beyond [`compiled::FAST_LLR_LIMIT`]. Compiled trellises are
-//! `Arc`-shared: one table build can serve every decoder instance of a
-//! code (see `with_shared_trellis` on each decoder). Batched decodes
-//! (`decode_terminated_batch_into`) run up to eight same-length blocks in
-//! lockstep on the `i16` lane kernels of [`batch`], bit-identical per lane.
+//! each decoder has two datapaths. Soft inputs within the code's narrow
+//! gate ([`CompiledTrellis::narrow_llr_limit`], 315 for the 802.11 code)
+//! decode on the branchless `i16` lane kernels of [`batch`]: a solo decode
+//! at one lane, a batched decode (`decode_terminated_batch_into`) of up to
+//! eight same-length blocks in lockstep. Any other input decodes on the
+//! original `i64` kernels, preserved verbatim as the reference path (each
+//! decoder's `decode_terminated_reference_into`). The two paths are
+//! bit-identical. Compiled trellises are `Arc`-shared: one table build can
+//! serve every decoder instance of a code (see `with_shared_trellis` on
+//! each decoder).
 //!
 //! Soft inputs and outputs use the [`Llr`] convention: positive means the
 //! bit is more likely a `1`, and magnitude is confidence.
@@ -76,7 +76,7 @@ mod viterbi;
 pub use batch::MAX_LANES as MAX_BATCH_LANES;
 pub use bcjr::BcjrDecoder;
 pub use code::ConvCode;
-pub use compiled::{CompiledBmu, CompiledTrellis};
+pub use compiled::CompiledTrellis;
 pub use encoder::ConvEncoder;
 pub use llr::{hard_llr, DecodeOutput, Llr, SoftDecoder, HINT_BITS, MAX_HINT};
 pub use puncture::{combine_llrs_into, CodeRate, Depuncturer, Puncturer};

@@ -112,7 +112,7 @@ pub trait SoftDecoder {
     /// Per-lane results are bit-identical to `lanes` separate
     /// [`SoftDecoder::decode_terminated_into`] calls — batching is purely
     /// a throughput lever. The default implementation de-interlaces and
-    /// decodes each lane through the scalar path; the workspace decoders
+    /// decodes each lane through the solo path; the workspace decoders
     /// override it with the lockstep structure-of-arrays kernels of
     /// `wilis_fec::batch` for lane counts up to
     /// [`crate::batch::MAX_LANES`].

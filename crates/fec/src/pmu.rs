@@ -12,11 +12,6 @@ use crate::trellis::Trellis;
 /// branch metrics can never wrap.
 pub const NEG_INF: i64 = i64::MIN / 4;
 
-/// The `i32` image of [`NEG_INF`] used by the compiled kernels
-/// ([`crate::compiled`]). Far enough from `i32::MIN` that the bounded
-/// branch metrics of the fast path can never wrap it.
-pub const NEG_INF32: i32 = i32::MIN / 4;
-
 /// One forward Add-Compare-Select step.
 ///
 /// For every destination state, adds each incoming edge's branch metric to
@@ -82,29 +77,6 @@ pub fn normalize(column: &mut [i64]) {
     if max > NEG_INF / 2 {
         for m in column {
             if *m > NEG_INF / 2 {
-                *m -= max;
-            }
-        }
-    }
-}
-
-/// The `i32` form of [`normalize`], bit-for-bit the same policy on the
-/// compiled kernels' narrow metrics: reachable entries are shifted so the
-/// column maximum is zero, sentinels stay put.
-///
-/// Renormalization is an *invariant* of the compiled kernels, not an
-/// optional cleanup: the reference kernels lean on 64-bit headroom and
-/// `saturating_add` to survive long frames unnormalized, but an `i32`
-/// recursion would wrap within thousands of steps. The BCJR kernels call
-/// this every step (mirroring the reference decoder); the Viterbi/SOVA
-/// kernels apply the uniform-shift variant
-/// ([`crate::compiled::renormalize_uniform`]) every
-/// [`crate::compiled::NORM_INTERVAL`] steps.
-pub fn normalize32(column: &mut [i32]) {
-    let max = column.iter().copied().max().unwrap_or(0);
-    if max > NEG_INF32 / 2 {
-        for m in column {
-            if *m > NEG_INF32 / 2 {
                 *m -= max;
             }
         }
@@ -200,21 +172,6 @@ mod tests {
         assert_eq!(col[0], 0);
         assert_eq!(col[1], -50);
         assert_eq!(col[2], NEG_INF, "unreachable stays unreachable");
-    }
-
-    #[test]
-    fn normalize32_mirrors_normalize() {
-        let mut wide = vec![100, 50, NEG_INF, 75];
-        let mut narrow = vec![100i32, 50, NEG_INF32, 75];
-        normalize(&mut wide);
-        normalize32(&mut narrow);
-        for (w, n) in wide.iter().zip(&narrow) {
-            if *w == NEG_INF {
-                assert_eq!(*n, NEG_INF32, "sentinel preserved in both widths");
-            } else {
-                assert_eq!(*w, i64::from(*n));
-            }
-        }
     }
 
     #[test]

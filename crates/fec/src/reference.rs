@@ -3,11 +3,11 @@
 //! These are the pre-compiled-trellis decoder bodies, preserved verbatim
 //! for three jobs:
 //!
-//! 1. **Fallback** — soft inputs outside the compiled kernels' LLR bound
-//!    ([`crate::compiled::fast_path_ok`]) decode here, so the public
-//!    decoders behave identically for *any* `i32` input.
+//! 1. **Fallback** — soft inputs beyond the lane kernels' narrow gate
+//!    ([`crate::CompiledTrellis::narrow_llr_limit`]) decode here, so the
+//!    public decoders behave identically for *any* `i32` input.
 //! 2. **Differential oracle** — the equivalence property tests assert the
-//!    compiled kernels reproduce these outputs bit-for-bit.
+//!    lane kernels reproduce these outputs bit-for-bit.
 //! 3. **Perf baseline** — the `perf_ratios` bench times this path as the
 //!    B side of its gated `decode.<decoder>.compiled/reference` ratios.
 //!

@@ -7,9 +7,10 @@
 //! on first use and retained across calls, so the steady-state decode path
 //! of the scenario engine allocates nothing per packet.
 
-use crate::pmu::{NEG_INF, NEG_INF32};
+use crate::pmu::NEG_INF;
 
-/// Working buffers for one decoder instance.
+/// Working buffers for one decoder instance: the `i64` reference kernels'
+/// buffers, and the lane kernels' in `batch`.
 ///
 /// Matrices are flattened row-major: step `t`, state `s` lives at
 /// `t * n_states + s`. Buffers grow monotonically to the largest block
@@ -39,29 +40,8 @@ pub struct TrellisScratch {
     pub(crate) boundary: Vec<i64>,
     /// Spare column for the provisional backward walk (BCJR).
     pub(crate) col: Vec<i64>,
-    // --- compiled-kernel (i32) buffers; the reference path above is kept
-    // --- verbatim for the fallback and differential tests.
-    /// Forward path-metric column, compiled kernels (current step).
-    pub(crate) pm32: Vec<i32>,
-    /// Forward path-metric column, compiled kernels (next step).
-    pub(crate) next32: Vec<i32>,
-    /// Bit-packed survivors, `steps × words_per_step` `u64` words (one bit
-    /// per state instead of the reference path's one byte).
-    pub(crate) surv_words: Vec<u64>,
-    /// ACS decision margins, `steps × n_states` (SOVA, compiled).
-    pub(crate) margins32: Vec<i32>,
-    /// Per-step reliabilities along the ML path (SOVA, compiled).
-    pub(crate) reliability32: Vec<i32>,
-    /// Branch metrics, `steps × 2^n_out` (BCJR, compiled).
-    pub(crate) bms32: Vec<i32>,
-    /// Backward metric columns for the current block (BCJR, compiled).
-    pub(crate) betas32: Vec<i32>,
-    /// Beta boundary column (BCJR, compiled).
-    pub(crate) boundary32: Vec<i32>,
-    /// Spare column for the provisional backward walk (BCJR, compiled).
-    pub(crate) col32: Vec<i32>,
-    /// Lane-major buffers for the lockstep batch kernels
-    /// ([`crate::batch`]); empty until the first batched decode.
+    /// Lane-major buffers for the lane kernels ([`crate::batch`]), which
+    /// run every in-gate decode; empty until the first one.
     pub(crate) batch: crate::batch::BatchScratch,
 }
 
@@ -86,23 +66,6 @@ impl TrellisScratch {
         self.survivors.clear();
         self.survivors.resize(steps * n_states, 0);
     }
-
-    /// Resets `pm32` to the known-state column and sizes `next32` — the
-    /// compiled-kernel analog of [`TrellisScratch::init_columns`].
-    pub(crate) fn init_columns32(&mut self, n_states: usize, state: usize) {
-        self.pm32.clear();
-        self.pm32.resize(n_states, NEG_INF32);
-        self.pm32[state] = 0;
-        self.next32.clear();
-        self.next32.resize(n_states, 0);
-    }
-
-    /// Sizes the bit-packed survivor matrix for `steps` trellis steps of
-    /// `words` `u64` words each.
-    pub(crate) fn init_surv_words(&mut self, steps: usize, words: usize) {
-        self.surv_words.clear();
-        self.surv_words.resize(steps * words, 0);
-    }
 }
 
 #[cfg(test)]
@@ -124,15 +87,5 @@ mod tests {
         let cap = s.survivors.capacity();
         s.init_survivors(50, 64);
         assert!(s.survivors.capacity() >= cap, "shrank a reusable buffer");
-    }
-
-    #[test]
-    fn compiled_columns_initialize_to_known_state() {
-        let mut s = TrellisScratch::new();
-        s.init_columns32(4, 1);
-        assert_eq!(s.pm32, vec![NEG_INF32, 0, NEG_INF32, NEG_INF32]);
-        s.init_surv_words(10, 2);
-        assert_eq!(s.surv_words.len(), 20);
-        assert!(s.surv_words.iter().all(|&w| w == 0));
     }
 }

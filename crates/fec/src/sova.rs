@@ -16,9 +16,10 @@
 //! has its reliability lowered to the ACS margin if smaller. This is the
 //! functional content of TU2's dual traceback.
 //!
-//! The forward pass runs on the compiled-trellis kernels
-//! ([`crate::compiled`]): branchless `i32` butterflies, bit-packed
-//! survivors, `i32` margins — bit-identical to the `i64` reference path.
+//! The forward pass runs on the lane kernels of [`crate::batch`] (one lane
+//! for a solo decode): branchless `i16` butterflies, lane-mask survivors,
+//! `i16` margins — bit-identical to the `i64` reference path, which decodes
+//! soft inputs beyond the narrow gate.
 //!
 //! Latency: `l + k + 12` cycles (1 BMU + 1 PMU + 5 two-entry FIFOs at 2
 //! cycles each + the two windows); see [`SovaDecoder::latency_cycles`] and
@@ -29,9 +30,7 @@ use std::sync::Arc;
 
 use crate::batch;
 use crate::bmu::Bmu;
-use crate::compiled::{
-    fast_path_ok, renormalize_uniform, CompiledBmu, CompiledTrellis, NORM_INTERVAL,
-};
+use crate::compiled::CompiledTrellis;
 use crate::llr::{DecodeOutput, Llr, SoftDecoder};
 use crate::reference;
 use crate::scratch::TrellisScratch;
@@ -58,7 +57,6 @@ pub struct SovaDecoder {
     code: ConvCode,
     compiled: Arc<CompiledTrellis>,
     bmu: Bmu,
-    cbmu: CompiledBmu,
     scratch: TrellisScratch,
     /// TU1 window (hard-decision convergence).
     l: usize,
@@ -88,7 +86,6 @@ impl SovaDecoder {
         Self {
             code: trellis.code().clone(),
             bmu: Bmu::new(trellis.n_out()),
-            cbmu: CompiledBmu::new(trellis.n_out()),
             compiled: trellis,
             scratch: TrellisScratch::new(),
             l,
@@ -123,20 +120,8 @@ impl SovaDecoder {
         &self.compiled
     }
 
-    fn validate(&self, llrs: &[Llr]) -> usize {
-        let n_out = self.compiled.n_out();
-        assert!(
-            llrs.len() % n_out == 0,
-            "soft input length {} not a multiple of n_out {}",
-            llrs.len(),
-            n_out
-        );
-        let steps = llrs.len() / n_out;
-        assert!(
-            steps > self.code.tail_len(),
-            "block shorter than the code tail"
-        );
-        steps
+    fn validate(&self, llrs: &[Llr]) {
+        batch::validate_batch(self.compiled.n_out(), self.code.tail_len(), llrs, 1, 1);
     }
 
     /// Decodes through the frozen `i64` reference kernels (see
@@ -146,6 +131,7 @@ impl SovaDecoder {
     ///
     /// Panics under the same conditions as
     /// [`SoftDecoder::decode_terminated_into`].
+    // lint: no_alloc
     pub fn decode_terminated_reference_into(&mut self, llrs: &[Llr], out: &mut DecodeOutput) {
         self.validate(llrs);
         reference::sova_decode(
@@ -158,125 +144,25 @@ impl SovaDecoder {
             out,
         );
     }
-
-    fn decode_fast(&mut self, steps: usize, llrs: &[Llr], out: &mut DecodeOutput) {
-        let Self {
-            code,
-            compiled,
-            cbmu,
-            scratch,
-            k,
-            ..
-        } = self;
-        let k = *k;
-        let ct = &**compiled;
-        let n_out = ct.n_out();
-        let n_states = ct.n_states();
-        let wps = ct.words_per_step();
-        let warmup = (code.memory() as usize).min(steps);
-
-        // Forward pass: packed survivors plus i32 ACS margins per step.
-        scratch.init_columns32(n_states, 0);
-        scratch.init_surv_words(steps, wps);
-        scratch.margins32.clear();
-        scratch.margins32.resize(steps * n_states, 0);
-        for step in 0..steps {
-            let bm = cbmu.compute(&llrs[step * n_out..(step + 1) * n_out]);
-            let surv = &mut scratch.surv_words[step * wps..(step + 1) * wps];
-            let margins = &mut scratch.margins32[step * n_states..(step + 1) * n_states];
-            if step < warmup {
-                ct.forward_step_warmup(bm, &scratch.pm32, &mut scratch.next32, surv, Some(margins));
-            } else {
-                if (step - warmup) % NORM_INTERVAL == 0 {
-                    renormalize_uniform(&mut scratch.pm32);
-                }
-                ct.forward_step_sova(bm, &scratch.pm32, &mut scratch.next32, surv, margins);
-            }
-            std::mem::swap(&mut scratch.pm32, &mut scratch.next32);
-        }
-        let surv_words = &scratch.surv_words;
-        let margins = &scratch.margins32;
-
-        // TU1: maximum-likelihood state sequence. Terminated frame ends in
-        // state zero; ml_states[t] is the state entering step t.
-        scratch.ml_states.clear();
-        scratch.ml_states.resize(steps + 1, 0);
-        scratch.ml_bits.clear();
-        scratch.ml_bits.resize(steps, 0);
-        let (ml_states, ml_bits) = (&mut scratch.ml_states, &mut scratch.ml_bits);
-        for t in (0..steps).rev() {
-            let state = ml_states[t + 1] as usize;
-            let winner = ct.survivor_bit(surv_words, wps, t, state);
-            let (bit, prev) = ct.traceback_edge(state, winner);
-            ml_bits[t] = bit;
-            ml_states[t] = prev as u32;
-        }
-
-        // TU2: Hagenauer-rule reliability update over the packed survivors
-        // and i32 margins (HUGE_MARGIN plays the role of the reference's
-        // sentinel margins; both saturate to the same soft output).
-        scratch.reliability32.clear();
-        scratch.reliability32.resize(steps, i32::MAX);
-        let reliability = &mut scratch.reliability32;
-        for t in 0..steps {
-            let s_next = ml_states[t + 1] as usize;
-            let winner = ct.survivor_bit(surv_words, wps, t, s_next);
-            let margin = margins[t * n_states + s_next];
-            // The competing (second-best) edge into the ML state.
-            let (loser_bit, loser_prev) = ct.traceback_edge(s_next, 1 - winner);
-            // The competing hypothesis for bit t itself.
-            if loser_bit != ml_bits[t] && margin < reliability[t] {
-                reliability[t] = margin;
-            }
-            // Trace the competing path backwards up to k steps, comparing
-            // decisions against the ML path.
-            let mut state = loser_prev;
-            let window_start = t.saturating_sub(k);
-            for i in (window_start..t).rev() {
-                let winner = ct.survivor_bit(surv_words, wps, i, state);
-                let (bit, prev) = ct.traceback_edge(state, winner);
-                if bit != ml_bits[i] && margin < reliability[i] {
-                    reliability[i] = margin;
-                }
-                state = prev;
-                if state == ml_states[i] as usize {
-                    // Paths have remerged; earlier decisions coincide.
-                    break;
-                }
-            }
-        }
-
-        let info = steps - code.tail_len();
-        out.bits.clear();
-        out.bits.extend_from_slice(&ml_bits[..info]);
-        out.soft.clear();
-        out.soft.extend((0..info).map(|t| {
-            let mag = reliability[t];
-            if ml_bits[t] == 1 {
-                mag
-            } else {
-                -mag
-            }
-        }));
-    }
 }
 
 impl SoftDecoder for SovaDecoder {
     // lint: no_alloc
     fn decode_terminated_into(&mut self, llrs: &[Llr], out: &mut DecodeOutput) {
-        let steps = self.validate(llrs);
-        if fast_path_ok(llrs) {
-            self.decode_fast(steps, llrs, out);
-        } else {
-            reference::sova_decode(
-                self.compiled.trellis(),
+        if self.compiled.narrow_path_ok(llrs) {
+            self.validate(llrs);
+            // A contiguous block is already lane-major for one lane.
+            batch::sova_batch(
+                &self.compiled,
                 self.code.tail_len(),
                 self.k,
-                &mut self.bmu,
-                &mut self.scratch,
                 llrs,
-                out,
+                1,
+                &mut self.scratch.batch,
+                std::slice::from_mut(out),
             );
+        } else {
+            self.decode_terminated_reference_into(llrs, out);
         }
     }
 
@@ -294,13 +180,11 @@ impl SoftDecoder for SovaDecoder {
             lanes,
             outs.len(),
         );
-        if lanes <= batch::MAX_LANES
-            && self.compiled.words_per_step() == 1
-            && self.compiled.narrow_path_ok(llrs)
-        {
+        // Lockstep runs whenever every lane is inside the narrow `i16`
+        // gate; anything else decodes lane by lane through the solo path.
+        if lanes <= batch::MAX_LANES && self.compiled.narrow_path_ok(llrs) {
             batch::sova_batch(
                 &self.compiled,
-                self.code.memory() as usize,
                 self.code.tail_len(),
                 self.k,
                 llrs,

@@ -5,9 +5,7 @@ use std::sync::Arc;
 
 use crate::batch;
 use crate::bmu::Bmu;
-use crate::compiled::{
-    fast_path_ok, renormalize_uniform, CompiledBmu, CompiledTrellis, NORM_INTERVAL,
-};
+use crate::compiled::CompiledTrellis;
 use crate::llr::{DecodeOutput, Llr, SoftDecoder};
 use crate::reference;
 use crate::scratch::TrellisScratch;
@@ -15,11 +13,12 @@ use crate::ConvCode;
 
 /// A block Viterbi decoder for tail-terminated frames.
 ///
-/// Runs the compiled-trellis forward ACS ([`crate::compiled`]): branchless
-/// butterfly steps over `i32` metrics with periodic renormalization,
-/// survivors bit-packed one `u64` word per step for the 64-state 802.11
-/// code. Produces hard decisions only; the `soft` outputs are all zero
-/// (this is precisely what SoftPHY adds on top).
+/// Runs the lane kernels of [`crate::batch`] (one lane for a solo decode):
+/// branchless butterfly ACS steps over `i16` metrics with lane-mask
+/// survivors, and the `i64` reference kernels for soft inputs beyond the
+/// narrow gate ([`CompiledTrellis::narrow_llr_limit`]). Produces hard
+/// decisions only; the `soft` outputs are all zero (this is precisely what
+/// SoftPHY adds on top).
 ///
 /// # Example
 ///
@@ -38,7 +37,6 @@ pub struct ViterbiDecoder {
     code: ConvCode,
     compiled: Arc<CompiledTrellis>,
     bmu: Bmu,
-    cbmu: CompiledBmu,
     scratch: TrellisScratch,
     /// Traceback window length; retained for the latency/area models (the
     /// block decode itself is exact).
@@ -73,7 +71,6 @@ impl ViterbiDecoder {
         Self {
             code: compiled.code().clone(),
             bmu: Bmu::new(compiled.n_out()),
-            cbmu: CompiledBmu::new(compiled.n_out()),
             compiled,
             scratch: TrellisScratch::new(),
             traceback_len,
@@ -95,30 +92,19 @@ impl ViterbiDecoder {
         &self.compiled
     }
 
-    fn validate(&self, llrs: &[Llr]) -> usize {
-        let n_out = self.compiled.n_out();
-        assert!(
-            llrs.len() % n_out == 0,
-            "soft input length {} not a multiple of n_out {}",
-            llrs.len(),
-            n_out
-        );
-        let steps = llrs.len() / n_out;
-        assert!(
-            steps > self.code.tail_len(),
-            "block shorter than the code tail"
-        );
-        steps
+    fn validate(&self, llrs: &[Llr]) {
+        batch::validate_batch(self.compiled.n_out(), self.code.tail_len(), llrs, 1, 1);
     }
 
-    /// Decodes through the frozen `i64` reference kernels — the pre-PR
-    /// decode path, kept callable for differential tests and as the
-    /// baseline the `perf_ratios` bench times the compiled path against.
+    /// Decodes through the frozen `i64` reference kernels — the fallback
+    /// beyond the narrow gate, kept callable for differential tests and as
+    /// the baseline the `perf_ratios` bench times the lane kernels against.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as
     /// [`SoftDecoder::decode_terminated_into`].
+    // lint: no_alloc
     pub fn decode_terminated_reference_into(&mut self, llrs: &[Llr], out: &mut DecodeOutput) {
         self.validate(llrs);
         reference::viterbi_decode(
@@ -130,70 +116,24 @@ impl ViterbiDecoder {
             out,
         );
     }
-
-    fn decode_fast(&mut self, steps: usize, llrs: &[Llr], out: &mut DecodeOutput) {
-        let Self {
-            code,
-            compiled,
-            cbmu,
-            scratch,
-            ..
-        } = self;
-        let ct = &**compiled;
-        let n_out = ct.n_out();
-        let n_states = ct.n_states();
-        let wps = ct.words_per_step();
-        let warmup = (code.memory() as usize).min(steps);
-
-        scratch.init_columns32(n_states, 0);
-        scratch.init_surv_words(steps, wps);
-        for step in 0..steps {
-            let bm = cbmu.compute(&llrs[step * n_out..(step + 1) * n_out]);
-            let surv = &mut scratch.surv_words[step * wps..(step + 1) * wps];
-            if step < warmup {
-                ct.forward_step_warmup(bm, &scratch.pm32, &mut scratch.next32, surv, None);
-            } else {
-                if (step - warmup) % NORM_INTERVAL == 0 {
-                    renormalize_uniform(&mut scratch.pm32);
-                }
-                ct.forward_step_viterbi(bm, &scratch.pm32, &mut scratch.next32, surv);
-            }
-            std::mem::swap(&mut scratch.pm32, &mut scratch.next32);
-        }
-
-        // Terminated frame: the true path ends in state zero. Traceback
-        // reads one survivor bit per step from the packed words.
-        out.bits.clear();
-        out.bits.resize(steps, 0);
-        let mut state = 0usize;
-        for t in (0..steps).rev() {
-            let winner = ct.survivor_bit(&scratch.surv_words, wps, t, state);
-            let (bit, prev) = ct.traceback_edge(state, winner);
-            out.bits[t] = bit;
-            state = prev;
-        }
-        let info = steps - code.tail_len();
-        out.bits.truncate(info);
-        out.soft.clear();
-        out.soft.resize(info, 0);
-    }
 }
 
 impl SoftDecoder for ViterbiDecoder {
     // lint: no_alloc
     fn decode_terminated_into(&mut self, llrs: &[Llr], out: &mut DecodeOutput) {
-        let steps = self.validate(llrs);
-        if fast_path_ok(llrs) {
-            self.decode_fast(steps, llrs, out);
-        } else {
-            reference::viterbi_decode(
-                self.compiled.trellis(),
+        if self.compiled.narrow_path_ok(llrs) {
+            self.validate(llrs);
+            // A contiguous block is already lane-major for one lane.
+            batch::viterbi_batch(
+                &self.compiled,
                 self.code.tail_len(),
-                &mut self.bmu,
-                &mut self.scratch,
                 llrs,
-                out,
+                1,
+                &mut self.scratch.batch,
+                std::slice::from_mut(out),
             );
+        } else {
+            self.decode_terminated_reference_into(llrs, out);
         }
     }
 
@@ -211,16 +151,11 @@ impl SoftDecoder for ViterbiDecoder {
             lanes,
             outs.len(),
         );
-        // Lockstep runs codes of at most 64 states with every lane inside
-        // the narrow `i16` gate; anything else decodes per lane through
-        // the scalar gate.
-        if lanes <= batch::MAX_LANES
-            && self.compiled.words_per_step() == 1
-            && self.compiled.narrow_path_ok(llrs)
-        {
+        // Lockstep runs whenever every lane is inside the narrow `i16`
+        // gate; anything else decodes lane by lane through the solo path.
+        if lanes <= batch::MAX_LANES && self.compiled.narrow_path_ok(llrs) {
             batch::viterbi_batch(
                 &self.compiled,
-                self.code.memory() as usize,
                 self.code.tail_len(),
                 llrs,
                 lanes,
@@ -309,8 +244,8 @@ mod tests {
 
     #[test]
     fn oversized_llrs_fall_back_to_the_reference_path() {
-        // Inputs beyond the fast-path bound decode through the i64
-        // kernels and still invert the encoder.
+        // Inputs beyond the narrow gate decode through the i64 kernels
+        // and still invert the encoder.
         let code = ConvCode::ieee80211();
         let data: Vec<u8> = (0..40).map(|i| (i % 3 == 1) as u8).collect();
         let coded = ConvEncoder::new(&code).encode_terminated(&data);
