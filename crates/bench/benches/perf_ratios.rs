@@ -11,12 +11,14 @@
 //! * `decode.<decoder>.batched/scalar` — one 8-lane lockstep
 //!   `decode_terminated_batch_into` against eight solo (one-lane)
 //!   decodes, so it measures what lockstep adds over the same kernels;
-//! * `rx.<decoder>.batched/scalar` — the batched receive pipeline
-//!   `rx_batch_from` against eight solo `rx_from` calls, whose decodes
-//!   are one-lane;
+//! * `rx.<decoder>.batched/scalar` — the receive pipeline `rx_batch_from`
+//!   over 8 lanes against eight solo `rx_from` calls, which run the same
+//!   front-end bodies and decode kernels at one lane, so it measures what
+//!   lockstep adds;
 //! * `ofdm.<op>.planned/reference` and `<map|demap>.<modulation>.planned/reference`
 //!   — the planned front-end kernels against the frozen per-symbol
-//!   `*_reference` bodies;
+//!   `*_reference` bodies; the demodulator and demapper sides are the
+//!   receive front end's lane bodies at one lane;
 //! * `channel.fading.stream/reference` — the fading gain stream
 //!   `RayleighFading::fill_gains` against per-sample `gain_at` over one
 //!   2000-sample packet span at a large sample index;
@@ -290,7 +292,7 @@ fn ofdm_ratios(n_sym: usize, reps: u32, trials: u32, rng: &mut SmallRng, ratios:
     let mut reference_rx = OfdmDemodulator::new();
     let mut recovered = Vec::new();
     let mut reference_sym = Vec::new();
-    planned_rx.demodulate_packet_into(&samples, &mut recovered);
+    planned_rx.demodulate_packet_batch_into(&[&samples], &mut recovered);
     let mut reference_recovered = Vec::new();
     for sym in samples.chunks_exact(SYMBOL_LEN) {
         reference_rx.demodulate_into_reference(sym, &mut reference_sym);
@@ -305,14 +307,12 @@ fn ofdm_ratios(n_sym: usize, reps: u32, trials: u32, rng: &mut SmallRng, ratios:
         trials,
         || {
             for _ in 0..reps {
-                planned_rx.reset();
-                planned_rx.demodulate_packet_into(&samples, &mut recovered);
+                planned_rx.demodulate_packet_batch_into(&[&samples], &mut recovered);
             }
             std::hint::black_box(&recovered);
         },
         || {
             for _ in 0..reps {
-                reference_rx.reset();
                 for sym in samples.chunks_exact(SYMBOL_LEN) {
                     reference_rx.demodulate_into_reference(sym, &mut reference_sym);
                 }

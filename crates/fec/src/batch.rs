@@ -702,6 +702,7 @@ macro_rules! dispatch_lanes {
         }
     };
 }
+pub(crate) use dispatch_lanes;
 
 /// Batched Viterbi entry point (lane-count dispatch).
 pub(crate) fn viterbi_batch(

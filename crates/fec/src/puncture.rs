@@ -1,9 +1,14 @@
 //! Puncturing: deriving the 802.11a code rates from the rate-1/2 mother
 //! code by deleting coded bits on a fixed pattern, and re-inserting
 //! metric-neutral erasures at the receiver.
+//!
+//! The receiver's depuncturing has one lane-major body, compiled per lane
+//! count like the decoders' lane kernels: a solo receive runs it at one
+//! lane, a batched receive at up to [`crate::MAX_BATCH_LANES`].
 
 use std::fmt;
 
+use crate::batch::{dispatch_lanes, MAX_LANES};
 use crate::llr::Llr;
 
 /// The three 802.11a code rates.
@@ -216,44 +221,28 @@ impl Depuncturer {
     }
 
     /// Expands received soft values back to `mother_len` positions,
-    /// appending to `out` (the allocation-free hot-path form).
+    /// appending to `out` (the allocation-free form):
+    /// [`Depuncturer::depuncture_lanes_into`] at one lane.
     ///
     /// # Panics
     ///
     /// Panics if `llrs.len()` does not match the number of transmitted bits
     /// implied by `mother_len`.
     pub fn depuncture_into(&self, llrs: &[Llr], mother_len: usize, out: &mut Vec<Llr>) {
-        let expect = Puncturer::with_phase(self.rate, self.phase).punctured_len(mother_len);
-        assert_eq!(
-            llrs.len(),
-            expect,
-            "received {} soft values, expected {expect} for {mother_len} mother bits",
-            llrs.len()
-        );
-        let mask = self.rate.mask();
-        out.reserve(mother_len);
-        let mut src = llrs.iter();
-        for i in 0..mother_len {
-            if mask[(i + self.phase) % mask.len()] == 1 {
-                out.push(*src.next().expect("length checked above")); // lint: allow(panic-policy) — the assert above sized `llrs` to the mask weight
-            } else {
-                out.push(0);
-            }
-        }
+        self.depuncture_lanes_into(llrs, 1, mother_len, out);
     }
 
-    /// The lane-major form of [`Depuncturer::depuncture_into`] for the
-    /// lockstep batch path: `llrs` holds `lanes` punctured streams
-    /// interlaced (soft value `i` of lane `l` at `llrs[i * lanes + l]`),
-    /// and the output is the `mother_len`-row lane-major mother stream.
-    /// The puncturing pattern is position-, not value-, dependent, so
-    /// every lane shares the same erasure rows and whole rows copy at
-    /// once — per lane this is exactly the scalar expansion.
+    /// Expands `lanes` interlaced punctured streams (soft value `i` of
+    /// lane `l` at `llrs[i * lanes + l]`) to the `mother_len`-row
+    /// lane-major mother stream, appended to `out`. The puncturing
+    /// pattern depends on position, not value, so every lane shares the
+    /// same erasure rows and whole rows copy at once.
     ///
     /// # Panics
     ///
-    /// Panics if `lanes` is zero or `llrs.len()` does not match the
-    /// transmitted-bit count implied by `mother_len` times `lanes`.
+    /// Panics if `lanes` is outside `1..=`[`crate::MAX_BATCH_LANES`] or `llrs.len()`
+    /// does not match the transmitted-bit count implied by `mother_len`
+    /// times `lanes`.
     pub fn depuncture_lanes_into(
         &self,
         llrs: &[Llr],
@@ -261,7 +250,10 @@ impl Depuncturer {
         mother_len: usize,
         out: &mut Vec<Llr>,
     ) {
-        assert!(lanes > 0, "at least one lane");
+        assert!(
+            (1..=MAX_LANES).contains(&lanes),
+            "lane count {lanes} outside 1..={MAX_LANES}"
+        );
         let expect = Puncturer::with_phase(self.rate, self.phase).punctured_len(mother_len);
         assert_eq!(
             llrs.len(),
@@ -270,17 +262,23 @@ impl Depuncturer {
              {mother_len} mother bits",
             llrs.len()
         );
-        let mask = self.rate.mask();
-        out.reserve(mother_len * lanes);
-        let mut rows = llrs.chunks_exact(lanes);
-        for i in 0..mother_len {
-            if mask[(i + self.phase) % mask.len()] == 1 {
-                // lint: allow(panic-policy) — the assert above sized `llrs` to the mask weight
-                out.extend_from_slice(rows.next().expect("length checked above"));
-            } else {
-                out.extend(std::iter::repeat(0).take(lanes));
-            }
-        }
+        let start = out.len();
+        // Fresh rows are zero: every erasure row is already in place.
+        out.resize(start + mother_len * lanes, 0);
+        let (mask, mother) = (self.rate.mask(), &mut out[start..]);
+        dispatch_lanes!(lanes, depuncture_lanes(mask, self.phase, llrs, mother));
+    }
+}
+
+/// The one depuncture body, at `L` lanes: copies each kept row of `llrs`
+/// into its place in the zeroed lane-major `mother` plane.
+fn depuncture_lanes<const L: usize>(mask: &[u8], phase: usize, llrs: &[Llr], mother: &mut [Llr]) {
+    let kept = mother
+        .chunks_exact_mut(L)
+        .zip(mask.iter().cycle().skip(phase))
+        .filter(|&(_, &keep)| keep == 1);
+    for ((dst, _), src) in kept.zip(llrs.chunks_exact(L)) {
+        dst.copy_from_slice(src);
     }
 }
 
@@ -327,34 +325,52 @@ mod tests {
         }
     }
 
+    /// The lane body against the expansion written out: each lane's kept
+    /// mother values in place, zero where the rotated mask stole a bit,
+    /// appended after what `out` already held.
     #[test]
     fn lane_major_depuncture_matches_per_lane_scalar() {
+        let mother_len = 24;
         for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
-            let p = Puncturer::new(rate);
-            let d = Depuncturer::new(rate);
-            let mother_len = 24;
-            for lanes in [1usize, 3, 8] {
-                let lane_tx: Vec<Vec<Llr>> = (0..lanes)
-                    .map(|l| {
-                        let mother: Vec<Llr> = (0..mother_len)
-                            .map(|i| (i as Llr + 1) * (l as Llr + 1))
-                            .collect();
-                        p.puncture(&mother)
-                    })
-                    .collect();
-                // Interlace lane-major, expand, and compare row by row.
-                let mut soa = Vec::new();
-                for i in 0..lane_tx[0].len() {
-                    for lane in &lane_tx {
-                        soa.push(lane[i]);
+            let period = rate.mask().len();
+            for phase in 0..period {
+                let p = Puncturer::with_phase(rate, phase);
+                let d = Depuncturer::with_phase(rate, phase);
+                for lanes in 1..=crate::MAX_BATCH_LANES {
+                    let mothers: Vec<Vec<Llr>> = (0..lanes)
+                        .map(|l| {
+                            (0..mother_len)
+                                .map(|i| (i as Llr + 1) * (l as Llr + 1))
+                                .collect()
+                        })
+                        .collect();
+                    let lane_tx: Vec<Vec<Llr>> = mothers.iter().map(|m| p.puncture(m)).collect();
+                    let mut soa = Vec::new();
+                    for i in 0..lane_tx[0].len() {
+                        for lane in &lane_tx {
+                            soa.push(lane[i]);
+                        }
                     }
-                }
-                let mut got = Vec::new();
-                d.depuncture_lanes_into(&soa, lanes, mother_len, &mut got);
-                for (l, lane) in lane_tx.iter().enumerate() {
-                    let solo = d.depuncture(lane, mother_len);
-                    let gathered: Vec<Llr> = got.chunks_exact(lanes).map(|row| row[l]).collect();
-                    assert_eq!(gathered, solo, "{rate} lane {l} of {lanes}");
+                    let mut got = vec![-9];
+                    d.depuncture_lanes_into(&soa, lanes, mother_len, &mut got);
+                    assert_eq!(got.len(), 1 + mother_len * lanes);
+                    assert_eq!(got[0], -9, "the call appends");
+                    for (l, mother) in mothers.iter().enumerate() {
+                        let want: Vec<Llr> = mother
+                            .iter()
+                            .enumerate()
+                            .map(|(i, &v)| {
+                                if rate.mask()[(i + phase) % period] == 1 {
+                                    v
+                                } else {
+                                    0
+                                }
+                            })
+                            .collect();
+                        let gathered: Vec<Llr> =
+                            got[1..].chunks_exact(lanes).map(|row| row[l]).collect();
+                        assert_eq!(gathered, want, "{rate} phase {phase} lane {l} of {lanes}");
+                    }
                 }
             }
         }

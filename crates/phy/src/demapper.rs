@@ -148,14 +148,40 @@ impl Demapper {
     }
 
     /// Demaps received symbols into `out`, reusing its capacity (the
-    /// allocation-free hot-path form).
+    /// allocation-free form): [`Demapper::demap_batch_into`] at one lane.
+    pub fn demap_into(&self, symbols: &[Cplx], out: &mut Vec<Llr>) {
+        self.demap_batch_into(symbols, 1, out);
+    }
+
+    /// Demaps `lanes` interlaced carrier streams in lockstep: symbol `i`
+    /// of lane `l` is `symbols[i * lanes + l]` (the layout
+    /// [`crate::OfdmDemodulator::demodulate_packet_batch_into`] emits),
+    /// and soft bit `j` of lane `l` lands at `out[j * lanes + l]`. One
+    /// lane is a plain symbol stream.
     ///
     /// This is the compiled path: one match on the modulation selects a
-    /// monomorphic per-modulation kernel whose inner loop is branchless
-    /// (the Tosato–Bisaglia piecewise pieces run on `abs`, the quantizer
-    /// on `clamp`), bit-identical to the interpreted reference body frozen
-    /// as [`Demapper::demap_into_reference`].
-    pub fn demap_into(&self, symbols: &[Cplx], out: &mut Vec<Llr>) {
+    /// monomorphic per-modulation kernel, compiled per lane count, whose
+    /// inner loop is branchless (the Tosato–Bisaglia piecewise pieces run
+    /// on `abs`, the quantizer on `clamp`) with the lane index innermost.
+    /// Every lane is bit-identical to the interpreted reference body
+    /// frozen as [`Demapper::demap_into_reference`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is outside `1..=wilis_fec::MAX_BATCH_LANES` or
+    /// `symbols.len()` is not a multiple of `lanes`.
+    pub fn demap_batch_into(&self, symbols: &[Cplx], lanes: usize, out: &mut Vec<Llr>) {
+        dispatch_lanes!(lanes, L => self.demap_lanes::<L>(symbols, out));
+    }
+
+    /// The one demap body, at `L` lanes: one symbol row of lanes in,
+    /// `bits_per_symbol` LLR rows of lanes out.
+    fn demap_lanes<const L: usize>(&self, symbols: &[Cplx], out: &mut Vec<Llr>) {
+        assert!(
+            symbols.len() % L == 0,
+            "lane-major input length {} not a multiple of lane count {L}",
+            symbols.len()
+        );
         let bps = self.modulation.bits_per_symbol();
         // No `clear()` first: every slot is overwritten below, so resizing
         // in place zero-fills only newly grown tail elements (a no-op in
@@ -166,81 +192,12 @@ impl Demapper {
         let gain = self.gain;
         let fs = self.full_scale();
         // Work in grid units: constellation points at odd integers. Each
-        // arm writes a fixed-width LLR group per symbol, so the output is
-        // filled by indexed stores instead of length-checked pushes.
+        // arm writes a fixed-width group of LLR rows per symbol row, so the
+        // output is filled by indexed stores instead of length-checked
+        // pushes.
         match self.modulation {
             Modulation::Bpsk => {
-                for (s, dst) in symbols.iter().zip(out.iter_mut()) {
-                    let ui = s.re * inv_k;
-                    *dst = quantize(ui * factor, gain, fs);
-                }
-            }
-            Modulation::Qpsk => {
-                for (s, dst) in symbols.iter().zip(out.chunks_exact_mut(2)) {
-                    let ui = s.re * inv_k;
-                    let uq = s.im * inv_k;
-                    dst[0] = quantize(ui * factor, gain, fs);
-                    dst[1] = quantize(uq * factor, gain, fs);
-                }
-            }
-            Modulation::Qam16 => {
-                for (s, dst) in symbols.iter().zip(out.chunks_exact_mut(4)) {
-                    let ui = s.re * inv_k;
-                    let uq = s.im * inv_k;
-                    // Tosato–Bisaglia: Λ(b_high) = u, Λ(b_low) = 2 − |u|.
-                    dst[0] = quantize(ui * factor, gain, fs);
-                    dst[1] = quantize((2.0 - ui.abs()) * factor, gain, fs);
-                    dst[2] = quantize(uq * factor, gain, fs);
-                    dst[3] = quantize((2.0 - uq.abs()) * factor, gain, fs);
-                }
-            }
-            Modulation::Qam64 => {
-                for (s, dst) in symbols.iter().zip(out.chunks_exact_mut(6)) {
-                    let ui = s.re * inv_k;
-                    let uq = s.im * inv_k;
-                    dst[0] = quantize(ui * factor, gain, fs);
-                    dst[1] = quantize((4.0 - ui.abs()) * factor, gain, fs);
-                    dst[2] = quantize((2.0 - (ui.abs() - 4.0).abs()) * factor, gain, fs);
-                    dst[3] = quantize(uq * factor, gain, fs);
-                    dst[4] = quantize((4.0 - uq.abs()) * factor, gain, fs);
-                    dst[5] = quantize((2.0 - (uq.abs() - 4.0).abs()) * factor, gain, fs);
-                }
-            }
-        }
-    }
-
-    /// The lane-major lockstep form of [`Demapper::demap_into`]:
-    /// `symbols` interlaces `lanes` equal-length carrier streams (symbol
-    /// `i` of lane `l` at `symbols[i * lanes + l]`, the layout
-    /// [`crate::OfdmDemodulator::demodulate_packet_batch_into`] emits),
-    /// and the output interlaces the LLR streams the same way (soft bit
-    /// `j` of lane `l` at `out[j * lanes + l]`). Per lane the arithmetic
-    /// is exactly the scalar kernel's — same piecewise pieces, same
-    /// `quantize` — so every lane's LLRs are bit-identical to a scalar
-    /// demap of that lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero or `symbols.len()` is not a multiple of
-    /// `lanes`.
-    pub fn demap_batch_into(&self, symbols: &[Cplx], lanes: usize, out: &mut Vec<Llr>) {
-        assert!(lanes > 0, "at least one lane");
-        assert!(
-            symbols.len() % lanes == 0,
-            "lane-major input length {} not a multiple of lane count {lanes}",
-            symbols.len()
-        );
-        let bps = self.modulation.bits_per_symbol();
-        out.resize(symbols.len() * bps, 0);
-        let inv_k = self.inv_k;
-        let factor = self.factor;
-        let gain = self.gain;
-        let fs = self.full_scale();
-        // One symbol row of lanes in, `bps` LLR rows of lanes out; the
-        // lane index is the innermost, unit-stride axis in both.
-        match self.modulation {
-            Modulation::Bpsk => {
-                for (row, dst) in symbols.chunks_exact(lanes).zip(out.chunks_exact_mut(lanes)) {
+                for (row, dst) in symbols.chunks_exact(L).zip(out.chunks_exact_mut(L)) {
                     for (s, d) in row.iter().zip(dst.iter_mut()) {
                         let ui = s.re * inv_k;
                         *d = quantize(ui * factor, gain, fs);
@@ -248,48 +205,40 @@ impl Demapper {
                 }
             }
             Modulation::Qpsk => {
-                for (row, dst) in symbols
-                    .chunks_exact(lanes)
-                    .zip(out.chunks_exact_mut(2 * lanes))
-                {
+                for (row, dst) in symbols.chunks_exact(L).zip(out.chunks_exact_mut(2 * L)) {
                     for (l, s) in row.iter().enumerate() {
                         let ui = s.re * inv_k;
                         let uq = s.im * inv_k;
                         dst[l] = quantize(ui * factor, gain, fs);
-                        dst[lanes + l] = quantize(uq * factor, gain, fs);
+                        dst[L + l] = quantize(uq * factor, gain, fs);
                     }
                 }
             }
             Modulation::Qam16 => {
-                for (row, dst) in symbols
-                    .chunks_exact(lanes)
-                    .zip(out.chunks_exact_mut(4 * lanes))
-                {
+                for (row, dst) in symbols.chunks_exact(L).zip(out.chunks_exact_mut(4 * L)) {
                     for (l, s) in row.iter().enumerate() {
                         let ui = s.re * inv_k;
                         let uq = s.im * inv_k;
+                        // Tosato–Bisaglia: Λ(b_high) = u, Λ(b_low) = 2 − |u|.
                         dst[l] = quantize(ui * factor, gain, fs);
-                        dst[lanes + l] = quantize((2.0 - ui.abs()) * factor, gain, fs);
-                        dst[2 * lanes + l] = quantize(uq * factor, gain, fs);
-                        dst[3 * lanes + l] = quantize((2.0 - uq.abs()) * factor, gain, fs);
+                        dst[L + l] = quantize((2.0 - ui.abs()) * factor, gain, fs);
+                        dst[2 * L + l] = quantize(uq * factor, gain, fs);
+                        dst[3 * L + l] = quantize((2.0 - uq.abs()) * factor, gain, fs);
                     }
                 }
             }
             Modulation::Qam64 => {
-                for (row, dst) in symbols
-                    .chunks_exact(lanes)
-                    .zip(out.chunks_exact_mut(6 * lanes))
-                {
+                for (row, dst) in symbols.chunks_exact(L).zip(out.chunks_exact_mut(6 * L)) {
                     for (l, s) in row.iter().enumerate() {
                         let ui = s.re * inv_k;
                         let uq = s.im * inv_k;
                         dst[l] = quantize(ui * factor, gain, fs);
-                        dst[lanes + l] = quantize((4.0 - ui.abs()) * factor, gain, fs);
-                        dst[2 * lanes + l] =
+                        dst[L + l] = quantize((4.0 - ui.abs()) * factor, gain, fs);
+                        dst[2 * L + l] =
                             quantize((2.0 - (ui.abs() - 4.0).abs()) * factor, gain, fs);
-                        dst[3 * lanes + l] = quantize(uq * factor, gain, fs);
-                        dst[4 * lanes + l] = quantize((4.0 - uq.abs()) * factor, gain, fs);
-                        dst[5 * lanes + l] =
+                        dst[3 * L + l] = quantize(uq * factor, gain, fs);
+                        dst[4 * L + l] = quantize((4.0 - uq.abs()) * factor, gain, fs);
+                        dst[5 * L + l] =
                             quantize((2.0 - (uq.abs() - 4.0).abs()) * factor, gain, fs);
                     }
                 }

@@ -10,6 +10,7 @@
 
 use std::f64::consts::PI;
 
+use wilis_fec::MAX_BATCH_LANES;
 use wilis_fxp::rng::SmallRng;
 use wilis_fxp::Cplx;
 
@@ -144,9 +145,8 @@ fn planned_ofdm_modulator_matches_reference() {
     }
 }
 
-/// Planned OFDM demodulation reproduces the reference body bit for bit,
-/// including the whole-packet streaming form and the lazily-computed
-/// pilot phase.
+/// Planned OFDM demodulation of one packet (the lane body at one lane)
+/// reproduces the reference body bit for bit, symbol by symbol.
 #[test]
 fn planned_ofdm_demodulator_matches_reference() {
     let mut rng = SmallRng::seed_from_u64(0x0FD1_0004);
@@ -157,36 +157,22 @@ fn planned_ofdm_demodulator_matches_reference() {
             .map(|_| random_cplx(&mut rng, 2.0))
             .collect();
 
-        let mut planned_demod = OfdmDemodulator::new();
         let mut packet_demod = OfdmDemodulator::new();
         let mut reference_demod = OfdmDemodulator::new();
 
         let mut packet = Vec::new();
-        packet_demod.demodulate_packet_into(&samples, &mut packet);
+        packet_demod.demodulate_packet_batch_into(&[&samples], &mut packet);
+        assert_eq!(packet.len(), n_sym * DATA_CARRIERS);
 
-        let mut planned_sym = Vec::new();
         let mut reference_sym = Vec::new();
         for (s, sym) in samples.chunks_exact(SYMBOL_LEN).enumerate() {
-            planned_demod.demodulate_into(sym, &mut planned_sym);
             reference_demod.demodulate_into_reference(sym, &mut reference_sym);
-            let ctx = format!("demodulate round={round} symbol={s}");
-            assert_bits_eq(&planned_sym, &reference_sym, &ctx);
             assert_bits_eq(
                 &packet[s * DATA_CARRIERS..(s + 1) * DATA_CARRIERS],
                 &reference_sym,
-                &format!("{ctx} (packet form)"),
-            );
-            assert_eq!(
-                planned_demod.last_pilot_phase().to_bits(),
-                reference_demod.last_pilot_phase().to_bits(),
-                "{ctx}: pilot phase"
+                &format!("demodulate round={round} symbol={s}"),
             );
         }
-        assert_eq!(
-            packet_demod.last_pilot_phase().to_bits(),
-            reference_demod.last_pilot_phase().to_bits(),
-            "round={round}: packet-form pilot phase"
-        );
     }
 }
 
@@ -243,12 +229,13 @@ fn interleave_lanes<T: Copy>(lanes: &[Vec<T>]) -> Vec<T> {
     soa
 }
 
-/// The lockstep OFDM demodulator reproduces the scalar packet path bit
-/// for bit in every lane, for every lane count the engine dispatches.
+/// The lane-major OFDM demodulator reproduces the frozen per-symbol
+/// reference bit for bit in every lane, at every lane count it is
+/// compiled for.
 #[test]
 fn batched_ofdm_demodulator_matches_scalar_per_lane() {
     let mut rng = SmallRng::seed_from_u64(0x0FD1_0007);
-    for &lanes in &[1usize, 2, 3, 5, 8] {
+    for lanes in 1..=MAX_BATCH_LANES {
         let n_sym = 1 + rng.gen_i64(0, 7) as usize;
         let lane_samples: Vec<Vec<Cplx>> = (0..lanes)
             .map(|_| {
@@ -264,24 +251,28 @@ fn batched_ofdm_demodulator_matches_scalar_per_lane() {
         batch_demod.demodulate_packet_batch_into(&refs, &mut batch);
         assert_eq!(batch.len(), n_sym * DATA_CARRIERS * lanes);
 
+        let mut reference_demod = OfdmDemodulator::new();
+        let mut reference_sym = Vec::new();
         for (l, lane) in lane_samples.iter().enumerate() {
-            let mut solo_demod = OfdmDemodulator::new();
-            let mut solo = Vec::new();
-            solo_demod.demodulate_packet_into(lane, &mut solo);
+            let mut reference = Vec::new();
+            for sym in lane.chunks_exact(SYMBOL_LEN) {
+                reference_demod.demodulate_into_reference(sym, &mut reference_sym);
+                reference.extend_from_slice(&reference_sym);
+            }
             let gathered: Vec<Cplx> = batch.chunks_exact(lanes).map(|row| row[l]).collect();
-            assert_bits_eq(&gathered, &solo, &format!("lanes={lanes} lane={l}"));
+            assert_bits_eq(&gathered, &reference, &format!("lanes={lanes} lane={l}"));
         }
     }
 }
 
-/// The lane-major demap kernels reproduce the scalar kernels bit for bit
-/// in every lane, for every modulation.
+/// The lane-major demap kernels reproduce the interpreted reference bit
+/// for bit in every lane, for every modulation and lane count.
 #[test]
 fn batched_demap_matches_scalar_per_lane() {
     let mut rng = SmallRng::seed_from_u64(0x0FD1_0008);
     for m in MODULATIONS {
         let d = Demapper::new(m, 5, SnrScaling::Off);
-        for &lanes in &[1usize, 4, 7] {
+        for lanes in 1..=MAX_BATCH_LANES {
             let lane_syms: Vec<Vec<Cplx>> = (0..lanes)
                 .map(|_| (0..96).map(|_| random_cplx(&mut rng, 2.0)).collect())
                 .collect();
@@ -289,107 +280,112 @@ fn batched_demap_matches_scalar_per_lane() {
             let mut batch = Vec::new();
             d.demap_batch_into(&soa, lanes, &mut batch);
             for (l, lane) in lane_syms.iter().enumerate() {
-                let mut solo = Vec::new();
-                d.demap_into(lane, &mut solo);
+                let mut reference = Vec::new();
+                d.demap_into_reference(lane, &mut reference);
                 let gathered: Vec<_> = batch.chunks_exact(lanes).map(|row| row[l]).collect();
-                assert_eq!(gathered, solo, "{m} lanes={lanes} lane={l}");
+                assert_eq!(gathered, reference, "{m} lanes={lanes} lane={l}");
             }
         }
     }
 }
 
-/// The lane-major mapper reproduces the scalar table lookup bit for bit
-/// in every lane.
-#[test]
-fn batched_map_matches_scalar_per_lane() {
-    let mut rng = SmallRng::seed_from_u64(0x0FD1_0009);
-    for m in MODULATIONS {
-        let mapper = Mapper::new(m);
-        let bps = m.bits_per_symbol();
-        for &lanes in &[1usize, 2, 6] {
-            let lane_bits: Vec<Vec<u8>> = (0..lanes)
-                .map(|_| (0..bps * 33).map(|_| rng.gen_bit()).collect())
-                .collect();
-            let refs: Vec<&[u8]> = lane_bits.iter().map(|v| v.as_slice()).collect();
-            let mut batch = Vec::new();
-            mapper.map_batch_append(&refs, &mut batch);
-            for (l, lane) in lane_bits.iter().enumerate() {
-                let solo = mapper.map(lane);
-                let gathered: Vec<Cplx> = batch.chunks_exact(lanes).map(|row| row[l]).collect();
-                assert_bits_eq(&gathered, &solo, &format!("{m} lanes={lanes} lane={l}"));
-            }
+/// Noisy packets at `rate`, one per lane: per-lane payloads, seeds, and
+/// noise all differ, and the noise is strong enough to flip decisions in
+/// some lanes.
+fn noisy_lanes(
+    rng: &mut SmallRng,
+    rate: PhyRate,
+    lanes: usize,
+    payload_bits: usize,
+) -> (Vec<Vec<Cplx>>, Vec<u8>) {
+    let mut lane_samples = Vec::with_capacity(lanes);
+    let mut seeds = Vec::with_capacity(lanes);
+    for l in 0..lanes {
+        let payload: Vec<u8> = (0..payload_bits).map(|_| rng.gen_bit()).collect();
+        let seed = (l % 127 + 1) as u8;
+        let mut samples = Transmitter::new(rate).transmit(&payload, seed).samples;
+        for s in samples.iter_mut() {
+            *s += random_cplx(rng, 0.4);
         }
+        lane_samples.push(samples);
+        seeds.push(seed);
     }
+    (lane_samples, seeds)
 }
 
-/// The full batched receive pipeline — lockstep OFDM, demap,
-/// deinterleave, depuncture, and the structure-of-arrays decoders —
-/// reproduces the scalar [`Receiver::rx_from`] bit for bit in every lane:
-/// payloads, hints, and soft magnitudes, across rates, decoders, and
-/// every dispatched lane count (9 exercises the beyond-`MAX_LANES`
-/// per-lane fallback).
+/// The full lane-major receive pipeline — OFDM, demap, deinterleave,
+/// depuncture, and the decoders' lane kernels — reproduces the frozen
+/// reference receive [`Receiver::rx_from_reference`] bit for bit in every
+/// lane: payloads, hints, and soft magnitudes, on all eight rates, every
+/// decoder, and every lane count the front end is compiled for.
 #[test]
 fn batched_rx_pipeline_matches_scalar_per_lane() {
     let mut rng = SmallRng::seed_from_u64(0x0FD1_000A);
-    for rate in [
-        PhyRate::BpskHalf,
-        PhyRate::Qam16Half,
-        PhyRate::Qam64TwoThirds,
-    ] {
+    for rate in PhyRate::all() {
         for make_rx in [
             Receiver::viterbi as fn(PhyRate) -> Receiver,
             Receiver::sova,
             Receiver::bcjr,
         ] {
-            for &lanes in &[1usize, 2, 4, 8, 9] {
+            for lanes in 1..=MAX_BATCH_LANES {
                 let payload_bits = 3 + rng.gen_i64(0, 400) as usize;
-                // Per-lane payloads, seeds, and noise all differ; the
-                // noise is strong enough to flip decisions in some lanes.
-                let mut lane_samples: Vec<Vec<Cplx>> = Vec::with_capacity(lanes);
-                let mut seeds: Vec<u8> = Vec::with_capacity(lanes);
-                let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(lanes);
-                for l in 0..lanes {
-                    let payload: Vec<u8> = (0..payload_bits).map(|_| rng.gen_bit()).collect();
-                    let seed = (l % 127 + 1) as u8;
-                    let tx = Transmitter::new(rate).transmit(&payload, seed);
-                    let mut samples = tx.samples;
-                    for s in samples.iter_mut() {
-                        *s += random_cplx(&mut rng, 0.4);
-                    }
-                    lane_samples.push(samples);
-                    seeds.push(seed);
-                    payloads.push(payload);
-                }
-                let refs: Vec<&[Cplx]> = lane_samples.iter().map(|v| v.as_slice()).collect();
+                let (lane_samples, seeds) = noisy_lanes(&mut rng, rate, lanes, payload_bits);
 
                 let mut batch_rx = make_rx(rate);
                 let mut scratch = PhyScratch::new();
                 let mut outs: Vec<RxResult> = vec![RxResult::default(); lanes];
-                batch_rx.rx_batch_from(&refs, payload_bits, &seeds, &mut scratch, &mut outs);
+                batch_rx.rx_batch_from(
+                    &lane_samples,
+                    payload_bits,
+                    &seeds,
+                    &mut scratch,
+                    &mut outs,
+                );
 
-                let mut solo_rx = make_rx(rate);
-                let mut solo_scratch = PhyScratch::new();
-                let mut solo = RxResult::default();
+                let mut reference_rx = make_rx(rate);
+                let mut reference_scratch = PhyScratch::new();
+                let mut reference = RxResult::default();
                 for l in 0..lanes {
-                    solo_rx.rx_from(
+                    reference_rx.rx_from_reference(
                         &lane_samples[l],
                         payload_bits,
                         seeds[l],
-                        &mut solo_scratch,
-                        &mut solo,
+                        &mut reference_scratch,
+                        &mut reference,
                     );
-                    let ctx = format!("{rate} {} lanes={lanes} lane={l}", solo.decoder_id);
-                    assert_eq!(outs[l].payload, solo.payload, "{ctx}: payload");
-                    assert_eq!(outs[l].hints, solo.hints, "{ctx}: hints");
+                    let ctx = format!("{rate} {} lanes={lanes} lane={l}", reference.decoder_id);
+                    assert_eq!(outs[l].payload, reference.payload, "{ctx}: payload");
+                    assert_eq!(outs[l].hints, reference.hints, "{ctx}: hints");
                     assert_eq!(
-                        outs[l].soft_magnitudes, solo.soft_magnitudes,
+                        outs[l].soft_magnitudes, reference.soft_magnitudes,
                         "{ctx}: soft magnitudes"
                     );
-                    assert_eq!(outs[l].decoder_id, solo.decoder_id, "{ctx}: decoder id");
+                    assert_eq!(
+                        outs[l].decoder_id, reference.decoder_id,
+                        "{ctx}: decoder id"
+                    );
                 }
             }
         }
     }
+}
+
+/// The front end is compiled for `1..=MAX_BATCH_LANES` lanes only; a
+/// wider receive is refused rather than split.
+#[test]
+#[should_panic(expected = "lane count 9 outside 1..=8")]
+fn batched_rx_pipeline_refuses_more_than_max_batch_lanes() {
+    let mut rng = SmallRng::seed_from_u64(0x0FD1_000B);
+    let rate = PhyRate::QpskHalf;
+    let (lane_samples, seeds) = noisy_lanes(&mut rng, rate, MAX_BATCH_LANES + 1, 40);
+    let mut outs = vec![RxResult::default(); MAX_BATCH_LANES + 1];
+    Receiver::viterbi(rate).rx_batch_from(
+        &lane_samples,
+        40,
+        &seeds,
+        &mut PhyScratch::new(),
+        &mut outs,
+    );
 }
 
 /// The specialized demap kernels reproduce the interpreted reference for

@@ -5,6 +5,12 @@
 //! subcarriers; the second alternates them between more- and
 //! less-significant constellation bit positions so that runs of low
 //! reliability do not land on one codeword neighborhood.
+//!
+//! The receiver deinterleaves a whole packet in one lane-major body,
+//! compiled per lane count, which solo receives run at one lane. The
+//! per-symbol [`Deinterleaver::deinterleave_append`] is what the frozen
+//! reference receive path accumulates with, and what the lane body is
+//! checked against.
 
 use wilis_fec::Llr;
 
@@ -133,57 +139,34 @@ impl Deinterleaver {
         }
     }
 
-    /// Restores transmission order for a whole packet of soft values in
-    /// one call: the packet-level form of [`Deinterleaver::deinterleave_append`]
-    /// that walks every per-symbol window itself, so receive paths reserve
-    /// once and gather straight through instead of re-entering per symbol.
-    /// Element for element this produces exactly the symbol-by-symbol
-    /// accumulation.
+    /// Restores transmission order for `lanes` interlaced packets of soft
+    /// values in lockstep: soft bit `i` of lane `l` is `llrs[i * lanes + l]`,
+    /// and the output keeps the same interlacing. One lane is a plain
+    /// packet stream. The permutation is position-driven, so all lanes
+    /// share each gather index and whole lane rows move at once — per
+    /// lane this is exactly the symbol-by-symbol
+    /// [`Deinterleaver::deinterleave_append`] accumulation.
     ///
     /// # Panics
     ///
-    /// Panics if `llrs.len()` is not a whole number of symbols.
-    pub fn deinterleave_packet_into(&self, llrs: &[Llr], out: &mut Vec<Llr>) {
-        let cbps = self.rate.coded_bits_per_symbol();
-        assert_eq!(
-            llrs.len() % cbps,
-            0,
-            "deinterleaver operates on whole OFDM symbols"
-        );
-        out.clear();
-        out.reserve(llrs.len());
-        for sym in llrs.chunks_exact(cbps) {
-            for &p in self.perm.iter() {
-                out.push(sym[p]);
-            }
-        }
+    /// Panics if `lanes` is outside `1..=wilis_fec::MAX_BATCH_LANES` or
+    /// `llrs.len()` is not a whole number of symbols times `lanes`.
+    pub fn deinterleave_packet_lanes_into(&self, llrs: &[Llr], lanes: usize, out: &mut Vec<Llr>) {
+        dispatch_lanes!(lanes, L => self.deinterleave_lanes::<L>(llrs, out));
     }
 
-    /// The lane-major lockstep form of
-    /// [`Deinterleaver::deinterleave_packet_into`]: `llrs` interlaces
-    /// `lanes` equal-length packet streams (soft bit `i` of lane `l` at
-    /// `llrs[i * lanes + l]`), and the output keeps the same interlacing.
-    /// The permutation is position-driven, so all lanes share each gather
-    /// index and whole lane rows move at once — per lane this is exactly
-    /// the scalar packet deinterleave.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero or `llrs.len()` is not a whole number of
-    /// symbols times `lanes`.
-    pub fn deinterleave_packet_lanes_into(&self, llrs: &[Llr], lanes: usize, out: &mut Vec<Llr>) {
-        assert!(lanes > 0, "at least one lane");
-        let cbps = self.rate.coded_bits_per_symbol();
+    /// The one deinterleave body, at `L` lanes.
+    fn deinterleave_lanes<const L: usize>(&self, llrs: &[Llr], out: &mut Vec<Llr>) {
+        let rows = self.rate.coded_bits_per_symbol() * L;
         assert_eq!(
-            llrs.len() % (cbps * lanes),
+            llrs.len() % rows,
             0,
             "deinterleaver operates on whole OFDM symbols in every lane"
         );
-        out.clear();
-        out.reserve(llrs.len());
-        for sym in llrs.chunks_exact(cbps * lanes) {
-            for &p in self.perm.iter() {
-                out.extend_from_slice(&sym[p * lanes..(p + 1) * lanes]);
+        out.resize(llrs.len(), 0);
+        for (sym, dst) in llrs.chunks_exact(rows).zip(out.chunks_exact_mut(rows)) {
+            for (row, &p) in dst.chunks_exact_mut(L).zip(self.perm.iter()) {
+                row.copy_from_slice(&sym[p * L..(p + 1) * L]);
             }
         }
     }
@@ -218,6 +201,8 @@ mod tests {
         }
     }
 
+    /// The lane body equals the symbol-by-symbol accumulation of the
+    /// reference path in every lane at every lane count.
     #[test]
     fn packet_forms_match_symbol_accumulation() {
         for rate in PhyRate::all() {
@@ -229,13 +214,10 @@ mod tests {
             for sym in llrs.chunks_exact(cbps) {
                 d.deinterleave_append(sym, &mut symbolwise);
             }
-            let mut packet = Vec::new();
-            d.deinterleave_packet_into(&llrs, &mut packet);
-            assert_eq!(packet, symbolwise, "{rate}: packet form");
-
-            for lanes in [1usize, 3, 8] {
+            for lanes in 1..=wilis_fec::MAX_BATCH_LANES {
                 // Interlace `lanes` shifted copies, deinterleave in
-                // lockstep, and expect each lane to match its solo run.
+                // lockstep, and expect each lane to match its own
+                // accumulation.
                 let mut soa = Vec::with_capacity(llrs.len() * lanes);
                 for &v in &llrs {
                     for l in 0..lanes {
@@ -246,8 +228,8 @@ mod tests {
                 d.deinterleave_packet_lanes_into(&soa, lanes, &mut got);
                 for l in 0..lanes {
                     let gathered: Vec<Llr> = got.chunks_exact(lanes).map(|row| row[l]).collect();
-                    let solo: Vec<Llr> = symbolwise.iter().map(|&v| v + 1000 * l as Llr).collect();
-                    assert_eq!(gathered, solo, "{rate}: lane {l} of {lanes}");
+                    let want: Vec<Llr> = symbolwise.iter().map(|&v| v + 1000 * l as Llr).collect();
+                    assert_eq!(gathered, want, "{rate}: lane {l} of {lanes}");
                 }
             }
         }

@@ -19,9 +19,50 @@
 //! let rx = Receiver::viterbi(rate).receive(&tx.samples, tx.payload_bits, 1);
 //! assert_eq!(rx.payload, payload);
 //! ```
+//!
+//! # One receive front end
+//!
+//! Every receive, solo or batched, runs one lane-major body per front-end
+//! stage — OFDM demodulation (with its FFT), demapping, deinterleaving
+//! and `wilis_fec`'s depuncturing — monomorphized for a lane count of
+//! `1..=`[`wilis_fec::MAX_BATCH_LANES`] and picked by one `match`, as the
+//! decoders' lane kernels are. A solo receive
+//! ([`Receiver::rx_from`]) is that body at one lane; a batched receive
+//! ([`Receiver::rx_batch_from`]) runs the same code over many packets in
+//! lockstep. The frozen per-symbol bodies of `reference.rs` are what
+//! both are checked against, bit for bit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+/// Runs `$body` with the runtime lane count `$lanes` bound to the `const`
+/// `$L`, one arm per lane count the front-end bodies are monomorphized
+/// for (the same `1..=MAX_BATCH_LANES` as `wilis_fec`'s lane kernels).
+///
+/// # Panics
+///
+/// Panics when `$lanes` is outside `1..=wilis_fec::MAX_BATCH_LANES`.
+macro_rules! dispatch_lanes {
+    ($lanes:expr, $L:ident => $body:expr) => {
+        match $lanes {
+            1 => { const $L: usize = 1; $body }
+            2 => { const $L: usize = 2; $body }
+            3 => { const $L: usize = 3; $body }
+            4 => { const $L: usize = 4; $body }
+            5 => { const $L: usize = 5; $body }
+            6 => { const $L: usize = 6; $body }
+            7 => { const $L: usize = 7; $body }
+            8 => { const $L: usize = 8; $body }
+            // lint: allow(panic-policy) — a lane count outside the monomorphized range is a caller bug the entry points document
+            n => panic!("lane count {n} outside 1..={}", wilis_fec::MAX_BATCH_LANES),
+        }
+    };
+}
+
+const _: () = assert!(
+    wilis_fec::MAX_BATCH_LANES == 8,
+    "dispatch_lanes! has one arm per lane count up to 8"
+);
 
 mod demapper;
 mod fft;

@@ -241,43 +241,6 @@ impl Mapper {
         }
     }
 
-    /// Maps `lanes` equal-length bit streams in lockstep, appending one
-    /// lane-major constellation stream (symbol `i` of lane `l` at
-    /// `out[len_before + i * lanes + l]`) — the batch-path counterpart of
-    /// [`Mapper::map_append`]. Each lane reads the same shared Gray table,
-    /// so every lane's points are the scalar mapping bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane_bits` is empty, the lanes differ in length, or the
-    /// common length is not a multiple of `bits_per_symbol`.
-    pub fn map_batch_append(&self, lane_bits: &[&[u8]], out: &mut Vec<Cplx>) {
-        let lanes = lane_bits.len();
-        assert!(lanes > 0, "at least one lane");
-        let len = lane_bits[0].len();
-        assert!(
-            lane_bits.iter().all(|b| b.len() == len),
-            "all lanes must hold the same number of bits"
-        );
-        let bps = self.modulation.bits_per_symbol();
-        assert!(len % bps == 0, "bit count {len} not a multiple of {bps}",);
-        debug_assert!(
-            lane_bits.iter().all(|l| l.iter().all(|&b| b <= 1)),
-            "inputs are bit slices"
-        );
-        let table = map_table(self.modulation);
-        out.reserve((len / bps) * lanes);
-        for i in 0..len / bps {
-            for lane in lane_bits {
-                let mut idx = 0usize;
-                for &b in &lane[i * bps..(i + 1) * bps] {
-                    idx = (idx << 1) | usize::from(b == 1);
-                }
-                out.push(table[idx]);
-            }
-        }
-    }
-
     /// Average symbol energy of the full constellation — exactly 1.0 after
     /// K_mod normalization (used by tests and the SNR bookkeeping).
     pub fn average_energy(&self) -> f64 {

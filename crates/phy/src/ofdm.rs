@@ -1,9 +1,12 @@
 //! OFDM symbol assembly: 64-point FFT, 48 data + 4 pilot subcarriers,
 //! 16-sample cyclic prefix (802.11-2007 §17.3.5.9).
 //!
-//! The per-symbol hot loops run against a shared [`OfdmPlan`]
-//! (precomputed bin tables, cached twiddles, hoisted scale constants) and
-//! are **bit-identical** to the frozen reference bodies in
+//! Both directions run against a shared [`OfdmPlan`] (precomputed bin
+//! tables, cached twiddles, hoisted scale constants). The modulator
+//! streams one symbol at a time; the demodulator has one lane-major body,
+//! monomorphized per lane count, that a solo receive runs at one lane and
+//! a batched receive at up to `wilis_fec::MAX_BATCH_LANES`. Both are
+//! **bit-identical** to the frozen per-symbol reference bodies in
 //! [`crate::reference`], reachable as `*_into_reference` — the
 //! differential oracle the equivalence suite decodes against.
 
@@ -79,7 +82,8 @@ impl PilotPolarity {
 /// assert_eq!(samples.len(), SYMBOL_LEN);
 ///
 /// let mut rx = OfdmDemodulator::new();
-/// let back = rx.demodulate(&samples);
+/// let mut back = Vec::new();
+/// rx.demodulate_packet_batch_into(&[&samples], &mut back);
 /// for (a, b) in data.iter().zip(&back) {
 ///     assert!((*a - *b).norm() < 1e-10);
 /// }
@@ -196,176 +200,86 @@ impl Default for OfdmModulator {
 }
 
 /// Recovers data-subcarrier values from time-domain OFDM samples.
+///
+/// The paper's pipeline omits synchronization (§4.4.4), so every packet
+/// is assumed sample-aligned, and it applies no channel estimation, so
+/// the pilots are never read.
 #[derive(Debug, Clone)]
 pub struct OfdmDemodulator {
-    pub(crate) polarity: PilotPolarity,
     /// The shared symbol-layout plan.
-    pub(crate) plan: Arc<OfdmPlan>,
-    /// Reusable frequency-domain working buffer, always `FFT_LEN` long.
+    plan: Arc<OfdmPlan>,
+    /// One symbol's frequency-domain buffer for the frozen reference
+    /// body, always `FFT_LEN` long.
     pub(crate) freq: Vec<Cplx>,
-    /// Lane-major frequency-domain buffer of the batched path
-    /// ([`OfdmDemodulator::demodulate_packet_batch_into`]); empty until
-    /// the first batched demodulation.
-    pub(crate) freq_lanes: Vec<Cplx>,
-    /// Pilot correlation of the last demodulated symbol; the common phase
-    /// error is derived lazily in [`OfdmDemodulator::last_pilot_phase`] so
-    /// the hot loop never pays the `atan2`.
-    pub(crate) last_pilot_sum: Cplx,
+    /// Lane-major frequency-domain buffer, `FFT_LEN` rows of lanes.
+    freq_lanes: Vec<Cplx>,
 }
 
 impl OfdmDemodulator {
-    /// A demodulator aligned to the start of a frame.
+    /// A demodulator on the shared plan.
     pub fn new() -> Self {
         Self {
-            polarity: PilotPolarity::new(),
             plan: OfdmPlan::shared(),
             freq: vec![Cplx::ZERO; FFT_LEN],
             freq_lanes: Vec::new(),
-            last_pilot_sum: Cplx::ZERO,
         }
     }
 
-    /// Rewinds to the start of a frame (pilot polarity index 0) without
-    /// reallocating — the per-packet reset of the scenario engine.
-    pub fn reset(&mut self) {
-        self.polarity = PilotPolarity::new();
-        self.last_pilot_sum = Cplx::ZERO;
-    }
-
-    /// Demodulates one 80-sample OFDM symbol back to 48 data-subcarrier
-    /// values. Assumes sample alignment (the paper's pipeline omits
-    /// synchronization, §4.4.4).
+    /// Demodulates `lane_samples.len()` equal-length packets in lockstep
+    /// into one lane-major carrier stream: carrier `c` of symbol `s` for
+    /// lane `l` lands at `out[(s * DATA_CARRIERS + c) * lanes + l]`. One
+    /// lane is a solo packet, whose carriers come out in plain symbol
+    /// order.
+    ///
+    /// Each lane's carriers are bit-identical to the frozen per-symbol
+    /// [`OfdmDemodulator::demodulate_into_reference`] of that lane: the
+    /// per-lane FFT is the reference operation sequence run with the lane
+    /// axis innermost (see [`crate::FftPlan`]).
     ///
     /// # Panics
     ///
-    /// Panics if `samples.len() != SYMBOL_LEN`.
-    pub fn demodulate(&mut self, samples: &[Cplx]) -> Vec<Cplx> {
-        let mut out = Vec::new();
-        self.demodulate_into(samples, &mut out);
-        out
-    }
-
-    /// Demodulates one symbol into `out`, reusing its capacity (the
-    /// allocation-free hot-path form).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples.len() != SYMBOL_LEN`.
-    pub fn demodulate_into(&mut self, samples: &[Cplx], out: &mut Vec<Cplx>) {
-        out.clear();
-        self.demodulate_append(samples, out);
-    }
-
-    /// Demodulates a whole packet of samples into `out` (48 carriers per
-    /// symbol, appended in symbol order), streaming every symbol through
-    /// the shared plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples.len()` is not a multiple of `SYMBOL_LEN`.
-    pub fn demodulate_packet_into(&mut self, samples: &[Cplx], out: &mut Vec<Cplx>) {
-        assert_eq!(
-            samples.len() % SYMBOL_LEN,
-            0,
-            "whole OFDM symbols of samples"
-        );
-        out.clear();
-        for sym in samples.chunks_exact(SYMBOL_LEN) {
-            self.demodulate_append(sym, out);
-        }
-    }
-
-    /// Demodulates `lanes` equal-length packets in lockstep into one
-    /// lane-major carrier stream: carrier `c` of symbol `s` for lane `l`
-    /// lands at `out[(s * DATA_CARRIERS + c) * lanes + l]`. Every lane is
-    /// assumed to start at its own frame boundary, so all lanes share one
-    /// pilot-polarity sequence (reset here, exactly as the scalar
-    /// per-packet path resets) and one plan; the per-lane FFT arithmetic
-    /// is the scalar operation sequence run with the lane axis innermost
-    /// (see [`crate::plan::FftPlan`]'s lane forms), making each lane's
-    /// carriers bit-identical to a scalar
-    /// [`OfdmDemodulator::demodulate_packet_into`] of that lane.
-    ///
-    /// The pilot diagnostic (`last_pilot_phase`) is *not* updated by this
-    /// path: pilot sums never feed the data output, and the batch path
-    /// exists purely for throughput.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane_samples` is empty, the lanes differ in length, or
-    /// the common length is not a multiple of `SYMBOL_LEN`.
+    /// Panics if the lane count is outside `1..=wilis_fec::MAX_BATCH_LANES`,
+    /// the lanes differ in length, or the common length is not a multiple
+    /// of `SYMBOL_LEN`.
     pub fn demodulate_packet_batch_into<S: AsRef<[Cplx]>>(
         &mut self,
         lane_samples: &[S],
         out: &mut Vec<Cplx>,
     ) {
-        let lanes = lane_samples.len();
-        assert!(lanes > 0, "at least one lane");
-        let len = lane_samples[0].as_ref().len();
+        let len = lane_samples.first().map_or(0, |s| s.as_ref().len());
         assert!(
             lane_samples.iter().all(|s| s.as_ref().len() == len),
             "all lanes must hold the same number of samples"
         );
         assert_eq!(len % SYMBOL_LEN, 0, "whole OFDM symbols of samples");
-        let n_symbols = len / SYMBOL_LEN;
-        self.polarity = PilotPolarity::new();
-        let plan = &self.plan;
-        let freq = &mut self.freq_lanes;
-        freq.resize(FFT_LEN * lanes, Cplx::ZERO);
-        let scale = plan.rx_scale();
-        out.clear();
-        out.reserve(n_symbols * DATA_CARRIERS * lanes);
-        for s in 0..n_symbols {
-            let base = s * SYMBOL_LEN + CP_LEN;
-            // Fused prefix-strip + bit-reversal gather, one row of lanes
-            // per FFT bin.
-            for (i, row) in freq.chunks_exact_mut(lanes).enumerate() {
-                let j = base + plan.fft().bitrev_of(i);
-                for (slot, lane) in row.iter_mut().zip(lane_samples) {
-                    *slot = lane.as_ref()[j];
+        dispatch_lanes!(lane_samples.len(), L => self.demodulate_lanes::<L, S>(lane_samples, out));
+    }
+
+    /// The one demodulation body, at `L` lanes: per symbol, a fused
+    /// prefix-strip and bit-reversal gather, the lockstep FFT, then the
+    /// scaled data bins.
+    fn demodulate_lanes<const L: usize, S: AsRef<[Cplx]>>(
+        &mut self,
+        lane_samples: &[S],
+        out: &mut Vec<Cplx>,
+    ) {
+        let n_symbols = lane_samples[0].as_ref().len() / SYMBOL_LEN;
+        let (plan, freq) = (&self.plan, &mut self.freq_lanes);
+        let (fft, scale) = (plan.fft(), plan.rx_scale());
+        freq.resize(FFT_LEN * L, Cplx::ZERO);
+        out.resize(n_symbols * DATA_CARRIERS * L, Cplx::ZERO);
+        for (s, carriers) in out.chunks_exact_mut(DATA_CARRIERS * L).enumerate() {
+            let start = s * SYMBOL_LEN + CP_LEN;
+            let window: [&[Cplx]; L] =
+                std::array::from_fn(|l| &lane_samples[l].as_ref()[start..start + FFT_LEN]);
+            fft.gather(window, freq);
+            fft.fft_stages::<L>(freq);
+            for (dst, &b) in carriers.chunks_exact_mut(L).zip(plan.data_bins()) {
+                for (d, v) in dst.iter_mut().zip(&freq[b * L..(b + 1) * L]) {
+                    *d = v.scale(scale);
                 }
             }
-            plan.fft().fft_stages_lanes(freq, lanes);
-            // Advance the shared polarity to keep the pilot sequence
-            // position identical to the scalar path (the polarity value
-            // itself only feeds the skipped pilot diagnostic).
-            let _ = self.polarity.next();
-            for &b in plan.data_bins().iter() {
-                out.extend(
-                    freq[b * lanes..(b + 1) * lanes]
-                        .iter()
-                        .map(|v| v.scale(scale)),
-                );
-            }
         }
-    }
-
-    /// One planned symbol, appended to `out`.
-    fn demodulate_append(&mut self, samples: &[Cplx], out: &mut Vec<Cplx>) {
-        assert_eq!(samples.len(), SYMBOL_LEN, "one OFDM symbol of samples");
-        let plan = &self.plan;
-        let freq = &mut self.freq;
-        // Fused copy + bit-reversal: one gather replaces the prefix-strip
-        // copy and the transform's swap pass.
-        plan.fft().gather(&samples[CP_LEN..], freq);
-        plan.fft().fft_stages(freq);
-        let scale = plan.rx_scale();
-        let p = self.polarity.next();
-        // Pilot-based common phase estimate (diagnostic only; no channel
-        // estimation is applied, faithful to the paper's pipeline). Only
-        // the complex correlation is accumulated here; the `atan2` waits
-        // until instrumentation asks for the angle.
-        let mut pilot_sum = Cplx::ZERO;
-        for (i, &b) in plan.pilot_bins().iter().enumerate() {
-            pilot_sum += freq[b].scale(PILOT_BASE[i] * p);
-        }
-        self.last_pilot_sum = pilot_sum;
-        out.extend(plan.data_bins().iter().map(|&b| freq[b].scale(scale)));
-    }
-
-    /// Common phase (radians) measured from the last symbol's pilots.
-    pub fn last_pilot_phase(&self) -> f64 {
-        self.last_pilot_sum.arg()
     }
 }
 
@@ -397,15 +311,19 @@ mod tests {
             .collect();
         let mut tx = OfdmModulator::new();
         let mut rx = OfdmDemodulator::new();
+        let mut back = Vec::new();
         for _ in 0..5 {
             let samples = tx.modulate(&data);
-            let back = rx.demodulate(&samples);
+            rx.demodulate_packet_batch_into(&[&samples], &mut back);
             for (i, (a, b)) in data.iter().zip(&back).enumerate() {
                 assert!((*a - *b).norm() < 1e-10, "carrier {i}: {a} vs {b}");
             }
         }
     }
 
+    /// The modulator's packet form equals its symbol form, and the
+    /// demodulator's lane body equals the frozen per-symbol reference in
+    /// every lane at every lane count.
     #[test]
     fn packet_forms_match_symbol_forms() {
         let n_sym = 7;
@@ -421,14 +339,27 @@ mod tests {
             assert_eq!(&packet[s * SYMBOL_LEN..(s + 1) * SYMBOL_LEN], &sym[..]);
         }
 
-        let mut rx_packet = OfdmDemodulator::new();
-        let mut rx_symbol = OfdmDemodulator::new();
-        let mut all = Vec::new();
-        rx_packet.demodulate_packet_into(&packet, &mut all);
-        assert_eq!(all.len(), n_sym * DATA_CARRIERS);
-        for (s, sym) in packet.chunks_exact(SYMBOL_LEN).enumerate() {
-            let back = rx_symbol.demodulate(sym);
-            assert_eq!(&all[s * DATA_CARRIERS..(s + 1) * DATA_CARRIERS], &back[..]);
+        let mut rx_reference = OfdmDemodulator::new();
+        let mut rx = OfdmDemodulator::new();
+        let mut symbol = Vec::new();
+        let mut got = Vec::new();
+        for lanes in 1..=wilis_fec::MAX_BATCH_LANES {
+            // Lane `l` carries the packet scaled by `l + 1`, so a lane
+            // mix-up shows.
+            let lane_samples: Vec<Vec<Cplx>> = (0..lanes)
+                .map(|l| packet.iter().map(|v| v.scale((l + 1) as f64)).collect())
+                .collect();
+            rx.demodulate_packet_batch_into(&lane_samples, &mut got);
+            assert_eq!(got.len(), n_sym * DATA_CARRIERS * lanes);
+            for (l, lane) in lane_samples.iter().enumerate() {
+                let mut want = Vec::new();
+                for sym in lane.chunks_exact(SYMBOL_LEN) {
+                    rx_reference.demodulate_into_reference(sym, &mut symbol);
+                    want.extend_from_slice(&symbol);
+                }
+                let lane_got: Vec<Cplx> = got.chunks_exact(lanes).map(|row| row[l]).collect();
+                assert_eq!(lane_got, want, "lane {l} of {lanes}");
+            }
         }
     }
 
@@ -456,20 +387,5 @@ mod tests {
         let mut p = PilotPolarity::new();
         let seq: Vec<f64> = (0..5).map(|_| p.next()).collect();
         assert_eq!(seq, vec![1.0, 1.0, 1.0, 1.0, -1.0]);
-    }
-
-    #[test]
-    fn demodulator_tracks_symbol_index_for_pilots() {
-        // If TX and RX pilot sequences desynchronize, the pilot phase
-        // estimate flips sign on polarity mismatches; keeping them in step
-        // must hold the estimate near zero on a clean channel.
-        let data = vec![Cplx::new(0.5, 0.5); DATA_CARRIERS];
-        let mut tx = OfdmModulator::new();
-        let mut rx = OfdmDemodulator::new();
-        for _ in 0..10 {
-            let s = tx.modulate(&data);
-            let _ = rx.demodulate(&s);
-            assert!(rx.last_pilot_phase().abs() < 1e-9);
-        }
     }
 }

@@ -3,7 +3,7 @@
 
 use wilis_fec::{
     BcjrDecoder, CompiledTrellis, ConvCode, ConvEncoder, DecodeOutput, Depuncturer, Llr, Puncturer,
-    SoftDecoder, SovaDecoder, ViterbiDecoder,
+    SoftDecoder, SovaDecoder, ViterbiDecoder, MAX_BATCH_LANES,
 };
 use wilis_fxp::Cplx;
 
@@ -60,17 +60,16 @@ pub struct PhyScratch {
     points: Vec<Cplx>,
     /// A whole packet of constellation points (planned TX streaming).
     packet_points: Vec<Cplx>,
-    /// Recovered data carriers: a whole packet on the planned path, one
-    /// symbol at a time on the reference path.
+    /// Recovered data carriers: a whole lane-major block on the lane
+    /// path, one symbol at a time on the reference path.
     carriers: Vec<Cplx>,
-    /// Demapped LLRs: a whole packet on the planned path, one symbol at a
-    /// time on the reference path.
+    /// Demapped LLRs: a whole lane-major block on the lane path, one
+    /// symbol at a time on the reference path.
     symbol_llrs: Vec<Llr>,
     punctured_llrs: Vec<Llr>,
     mother: Vec<Llr>,
-    decoded: DecodeOutput,
-    /// Per-lane decoder outputs of the batched RX path
-    /// ([`Receiver::rx_batch_from`]); empty until the first batched call.
+    /// Per-lane decoder outputs; only ever grown, so a change of lane
+    /// count keeps every lane's buffers.
     decoded_lanes: Vec<DecodeOutput>,
 }
 
@@ -91,7 +90,6 @@ impl PhyScratch {
             symbol_llrs: Vec::new(),
             punctured_llrs: Vec::new(),
             mother: Vec::new(),
-            decoded: DecodeOutput::default(),
             decoded_lanes: Vec::new(),
         }
     }
@@ -116,6 +114,14 @@ impl Default for PhyScratch {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// The first `lanes` decoder outputs of `decoded`, grown on first need.
+fn lane_outputs(decoded: &mut Vec<DecodeOutput>, lanes: usize) -> &mut [DecodeOutput] {
+    if decoded.len() < lanes {
+        decoded.resize_with(lanes, DecodeOutput::default);
+    }
+    &mut decoded[..lanes]
 }
 
 /// The transmit pipeline: scramble → encode → puncture → interleave → map
@@ -359,8 +365,8 @@ impl Receiver {
     }
 
     /// [`Receiver::viterbi`] built on an already-compiled trellis — the
-    /// form the scenario engine's per-rate oracle bank uses so one table
-    /// build serves all eight rates.
+    /// form the scenario engine's oracle bank uses, so the system's one
+    /// table build serves it.
     pub fn viterbi_shared(rate: PhyRate, trellis: std::sync::Arc<CompiledTrellis>) -> Self {
         Self::new(
             rate,
@@ -429,6 +435,21 @@ impl Receiver {
         self.phase = phase;
     }
 
+    /// Re-aims the receiver at `rate` without allocating: the demapper is
+    /// rebuilt for the rate's modulation at the same output width and
+    /// scaling, the puncture phase goes back to 0 (the standard mask), and
+    /// the decoder, which does not depend on the rate, is kept with its
+    /// scratch.
+    pub fn set_rate(&mut self, rate: PhyRate) {
+        self.rate = rate;
+        self.demapper = Demapper::new(
+            rate.modulation(),
+            self.demapper.output_bits(),
+            self.demapper.scaling(),
+        );
+        self.phase = 0;
+    }
+
     /// Demodulates and decodes a packet of known payload length.
     ///
     /// # Panics
@@ -449,7 +470,8 @@ impl Receiver {
 
     /// Demodulates and decodes a packet into `out`, reusing `scratch` —
     /// the allocation-free form of [`Receiver::receive`] the scenario
-    /// engine's workers run in their steady state.
+    /// engine's workers run in their steady state. It is
+    /// [`Receiver::rx_batch_from`] at one lane.
     ///
     /// # Panics
     ///
@@ -464,10 +486,13 @@ impl Receiver {
         scratch: &mut PhyScratch,
         out: &mut RxResult,
     ) {
-        let mut mother = std::mem::take(&mut scratch.mother);
-        self.rx_front_end_into(samples, payload_bits, scratch, &mut mother);
-        self.rx_decode_from(&mother, payload_bits, scramble_seed, scratch, out);
-        scratch.mother = mother;
+        self.rx_batch_from(
+            std::slice::from_ref(&samples),
+            payload_bits,
+            std::slice::from_ref(&scramble_seed),
+            scratch,
+            std::slice::from_mut(out),
+        );
     }
 
     /// The front half of [`Receiver::rx_from`]: demodulates, demaps,
@@ -475,7 +500,8 @@ impl Receiver {
     /// mother-code LLR plane in `mother_out`. This is the plane HARQ
     /// soft-combining retains across retransmissions — combine planes with
     /// [`wilis_fec::combine_llrs_into`], then re-enter the decoder through
-    /// [`Receiver::rx_decode_from`].
+    /// [`Receiver::rx_decode_from`]. It is
+    /// [`Receiver::rx_batch_front_end_into`] at one lane.
     ///
     /// # Panics
     ///
@@ -488,45 +514,18 @@ impl Receiver {
         scratch: &mut PhyScratch,
         mother_out: &mut Vec<Llr>,
     ) {
-        let fields = PacketFields::for_payload(self.rate, payload_bits);
-        assert_eq!(
-            samples.len(),
-            fields.n_symbols * SYMBOL_LEN,
-            "sample count does not match packet layout"
-        );
-        scratch.ensure_rate(self.rate);
-        let PhyScratch {
-            machinery,
-            ofdm_rx,
-            carriers,
-            symbol_llrs,
-            punctured_llrs,
-            ..
-        } = scratch;
-        let m = machinery.first().expect("machinery ensured above"); // lint: allow(panic-policy) — ensure_rate() at function entry filled the machinery slot
-
-        ofdm_rx.reset();
-        let cbps = self.rate.coded_bits_per_symbol();
-        // Whole-packet streaming through every stage: all symbols through
-        // the shared OFDM plan, one demap call over the full carrier
-        // stream, one packet-level deinterleave over the full LLR stream.
-        ofdm_rx.demodulate_packet_into(samples, carriers);
-        self.demapper.demap_into(carriers, symbol_llrs);
-        debug_assert_eq!(symbol_llrs.len(), fields.n_symbols * cbps);
-        m.deinterleaver
-            .deinterleave_packet_into(symbol_llrs, punctured_llrs);
-        let mother_len = fields.data_bits() * 2;
-        mother_out.clear();
-        Depuncturer::with_phase(self.rate.code_rate(), self.phase).depuncture_into(
-            punctured_llrs,
-            mother_len,
+        self.rx_batch_front_end_into(
+            std::slice::from_ref(&samples),
+            payload_bits,
+            scratch,
             mother_out,
         );
     }
 
     /// The back half of [`Receiver::rx_from`]: decodes a mother-code LLR
     /// plane (fresh from [`Receiver::rx_front_end_into`], or a
-    /// HARQ-combined one) and unpacks the payload into `out`.
+    /// HARQ-combined one) and unpacks the payload into `out`. It is
+    /// [`Receiver::rx_batch_decode_from`] at one lane.
     ///
     /// # Panics
     ///
@@ -541,44 +540,34 @@ impl Receiver {
         scratch: &mut PhyScratch,
         out: &mut RxResult,
     ) {
-        let fields = PacketFields::for_payload(self.rate, payload_bits);
-        assert_eq!(
-            mother.len(),
-            fields.data_bits() * 2,
-            "mother stream length does not match the packet layout"
-        );
-        let decoded = &mut scratch.decoded;
-        self.decoder.decode_terminated_into(mother, decoded);
-        debug_assert_eq!(decoded.bits.len(), fields.data_bits() - TAIL_BITS);
-
-        Self::unpack_decoded(
-            self.rate,
-            &*self.decoder,
-            decoded,
-            &fields,
-            scramble_seed,
-            out,
+        self.rx_batch_decode_from(
+            mother,
+            1,
+            payload_bits,
+            std::slice::from_ref(&scramble_seed),
+            scratch,
+            std::slice::from_mut(out),
         );
     }
 
     /// Demodulates and decodes `lane_samples.len()` same-rate,
-    /// same-length packets in lockstep — the batch form of
-    /// [`Receiver::rx_from`] behind the scenario engine's fused
-    /// shared-channel groups. Every stage runs lane-major: one shared
-    /// OFDM plan drives all lanes' FFTs, one demap/deinterleave/depuncture
-    /// pass moves whole lane rows, and the decoder's
-    /// [`SoftDecoder::decode_terminated_batch_into`] runs the lanes
-    /// through the structure-of-arrays trellis kernels (falling back to
-    /// per-lane scalar decode beyond `wilis_fec::MAX_BATCH_LANES`). A
-    /// single lane runs the scalar bodies, which are cheaper at width 1.
+    /// same-length packets in lockstep — the one receive body: a solo
+    /// receive ([`Receiver::rx_from`]) is this at one lane, and the
+    /// scenario engine's fused shared-channel groups run it at up to
+    /// `wilis_fec::MAX_BATCH_LANES`. Every front-end stage runs one
+    /// lane-major body compiled for the lane count (see
+    /// [`Receiver::rx_batch_front_end_into`]), and the decode runs the
+    /// decoder's lane kernels (see [`Receiver::rx_batch_decode_from`]).
     ///
-    /// Per lane, every `RxResult` is **bit-identical** to a scalar
-    /// [`Receiver::rx_from`] of that lane — batching is purely a
-    /// throughput lever; the equivalence suite enforces this.
+    /// Per lane, every `RxResult` is **bit-identical** to the frozen
+    /// reference receive [`Receiver::rx_from_reference`] of that lane —
+    /// batching is purely a throughput lever; the equivalence suite
+    /// enforces this.
     ///
     /// # Panics
     ///
-    /// Panics if `lane_samples` is empty, `scramble_seeds` or `outs`
+    /// Panics if the lane count is outside
+    /// `1..=wilis_fec::MAX_BATCH_LANES`, `scramble_seeds` or `outs`
     /// disagree with it in length, any lane is not exactly the packet's
     /// symbol count, or a scramble seed is invalid.
     // lint: no_alloc
@@ -616,17 +605,20 @@ impl Receiver {
             && self.phase == other.phase
     }
 
-    /// The front half of [`Receiver::rx_batch_from`]: demodulates,
-    /// demaps, deinterleaves, and depunctures all lanes in lockstep,
-    /// leaving the lane-major mother LLR stream in `mother_out` (soft bit
-    /// `i` of lane `l` at `mother_out[i * lanes + l]`). Split out so
+    /// The front half of [`Receiver::rx_batch_from`], and the only
+    /// front-end body: demodulates, demaps, deinterleaves, and
+    /// depunctures all lanes in lockstep, leaving the lane-major mother
+    /// LLR stream in `mother_out` (soft bit `i` of lane `l` at
+    /// `mother_out[i * lanes + l]`; one lane is a plain stream). Each
+    /// stage runs its one body compiled for the lane count. Split out so
     /// callers holding several receivers whose front ends agree (see
     /// [`Receiver::front_end_matches`]) can run this once and decode the
     /// same stream through each receiver's decoder.
     ///
     /// # Panics
     ///
-    /// Panics if `lane_samples` is empty or any lane is not exactly the
+    /// Panics if the lane count is outside
+    /// `1..=wilis_fec::MAX_BATCH_LANES` or any lane is not exactly the
     /// packet's symbol count.
     // lint: no_alloc
     pub fn rx_batch_front_end_into<S: AsRef<[Cplx]>>(
@@ -637,13 +629,10 @@ impl Receiver {
         mother_out: &mut Vec<Llr>,
     ) {
         let lanes = lane_samples.len();
-        assert!(lanes > 0, "at least one lane");
-        // A one-lane lane-major plane has the scalar layout, and the
-        // scalar body costs about half the lockstep one at width 1.
-        if let [lane] = lane_samples {
-            self.rx_front_end_into(lane.as_ref(), payload_bits, scratch, mother_out);
-            return;
-        }
+        assert!(
+            (1..=MAX_BATCH_LANES).contains(&lanes),
+            "lane count {lanes} outside 1..={MAX_BATCH_LANES}"
+        );
         let fields = PacketFields::for_payload(self.rate, payload_bits);
         for lane in lane_samples {
             assert_eq!(
@@ -663,27 +652,31 @@ impl Receiver {
         } = scratch;
         let m = machinery.first().expect("machinery ensured above"); // lint: allow(panic-policy) — ensure_rate() at function entry filled the machinery slot
 
-        ofdm_rx.reset();
-        let cbps = self.rate.coded_bits_per_symbol();
         ofdm_rx.demodulate_packet_batch_into(lane_samples, carriers);
         self.demapper.demap_batch_into(carriers, lanes, symbol_llrs);
-        debug_assert_eq!(symbol_llrs.len(), fields.n_symbols * cbps * lanes);
+        debug_assert_eq!(
+            symbol_llrs.len(),
+            fields.n_symbols * self.rate.coded_bits_per_symbol() * lanes
+        );
         m.deinterleaver
             .deinterleave_packet_lanes_into(symbol_llrs, lanes, punctured_llrs);
-        let mother_len = fields.data_bits() * 2;
         mother_out.clear();
         Depuncturer::with_phase(self.rate.code_rate(), self.phase).depuncture_lanes_into(
             punctured_llrs,
             lanes,
-            mother_len,
+            fields.data_bits() * 2,
             mother_out,
         );
     }
 
-    /// The back half of [`Receiver::rx_batch_from`]: decodes a lane-major
-    /// mother LLR stream (as produced by
+    /// The back half of [`Receiver::rx_batch_from`], and the only decode
+    /// body: decodes a lane-major mother LLR stream (as produced by
     /// [`Receiver::rx_batch_front_end_into`] on a front-end-compatible
-    /// receiver) and unpacks each lane into its `RxResult`.
+    /// receiver) and unpacks each lane into its `RxResult`. One lane
+    /// decodes through [`SoftDecoder::decode_terminated_into`], more
+    /// through [`SoftDecoder::decode_terminated_batch_into`]; both run
+    /// the decoder's lane kernels, and keeping the two calls apart keeps
+    /// solo and batched decodes countable.
     ///
     /// # Panics
     ///
@@ -703,42 +696,33 @@ impl Receiver {
         assert!(lanes > 0, "at least one lane");
         assert_eq!(scramble_seeds.len(), lanes, "one scramble seed per lane");
         assert_eq!(outs.len(), lanes, "one RxResult per lane");
-        // One lane: the scalar decode of the same plane (see
-        // `rx_batch_front_end_into`).
-        if let ([seed], [out]) = (scramble_seeds, &mut *outs) {
-            self.rx_decode_from(mother, payload_bits, *seed, scratch, out);
-            return;
-        }
         let fields = PacketFields::for_payload(self.rate, payload_bits);
         assert_eq!(
             mother.len(),
             fields.data_bits() * 2 * lanes,
             "mother stream length does not match the packet layout"
         );
-        let decoded_lanes = &mut scratch.decoded_lanes;
-        decoded_lanes.resize_with(lanes, DecodeOutput::default);
-        self.decoder
-            .decode_terminated_batch_into(mother, lanes, &mut decoded_lanes[..lanes]);
-
-        for (l, out) in outs.iter_mut().enumerate() {
-            debug_assert_eq!(decoded_lanes[l].bits.len(), fields.data_bits() - TAIL_BITS);
-            Self::unpack_decoded(
-                self.rate,
-                &*self.decoder,
-                &decoded_lanes[l],
-                &fields,
-                scramble_seeds[l],
-                out,
-            );
+        let decoded = lane_outputs(&mut scratch.decoded_lanes, lanes);
+        match decoded {
+            [one] => self.decoder.decode_terminated_into(mother, one),
+            _ => self
+                .decoder
+                .decode_terminated_batch_into(mother, lanes, decoded),
+        }
+        for ((out, decoded), &seed) in outs.iter_mut().zip(decoded.iter()).zip(scramble_seeds) {
+            debug_assert_eq!(decoded.bits.len(), fields.data_bits() - TAIL_BITS);
+            Self::unpack_decoded(self.rate, &*self.decoder, decoded, &fields, seed, out);
         }
     }
 
     /// The frozen pre-plan form of [`Receiver::rx_from`]: per-symbol
-    /// demodulation and demapping through the reference bodies
-    /// ([`crate::OfdmDemodulator::demodulate_into_reference`],
-    /// [`Demapper::demap_into_reference`]), then the same decoder.
-    /// Differential oracle and perf baseline; the LLR stream and
-    /// therefore the whole `RxResult` are bit-identical by contract.
+    /// demodulation, demapping and deinterleaving through the reference
+    /// bodies ([`crate::OfdmDemodulator::demodulate_into_reference`],
+    /// [`Demapper::demap_into_reference`],
+    /// [`crate::Deinterleaver::deinterleave_append`]), then the same
+    /// depuncturer and decoder. Differential oracle and perf baseline;
+    /// the LLR stream and therefore the whole `RxResult` are
+    /// bit-identical by contract.
     ///
     /// # Panics
     ///
@@ -766,12 +750,11 @@ impl Receiver {
             symbol_llrs,
             punctured_llrs,
             mother,
-            decoded,
+            decoded_lanes,
             ..
         } = scratch;
         let m = machinery.first().expect("machinery ensured above"); // lint: allow(panic-policy) — ensure_rate() at function entry filled the machinery slot
 
-        ofdm_rx.reset();
         let cbps = self.rate.coded_bits_per_symbol();
         punctured_llrs.clear();
         punctured_llrs.reserve(fields.coded_bits());
@@ -782,16 +765,15 @@ impl Receiver {
             m.deinterleaver
                 .deinterleave_append(symbol_llrs, punctured_llrs);
         }
-        let mother_len = fields.data_bits() * 2;
         mother.clear();
         Depuncturer::with_phase(self.rate.code_rate(), self.phase).depuncture_into(
             punctured_llrs,
-            mother_len,
+            fields.data_bits() * 2,
             mother,
         );
+        let decoded = &mut lane_outputs(decoded_lanes, 1)[0];
         self.decoder.decode_terminated_into(mother, decoded);
         debug_assert_eq!(decoded.bits.len(), fields.data_bits() - TAIL_BITS);
-
         Self::unpack_decoded(
             self.rate,
             &*self.decoder,
@@ -802,7 +784,7 @@ impl Receiver {
         );
     }
 
-    /// Shared tail of both RX forms: descramble the payload region and
+    /// Shared tail of the lane and reference RX forms: descramble the payload region and
     /// copy out hints and soft magnitudes.
     fn unpack_decoded(
         rate: PhyRate,

@@ -138,63 +138,36 @@ impl FftPlan {
                 data.swap(i, j);
             }
         }
-        self.stages(data, twiddles);
+        self.stages::<1>(data, twiddles);
     }
 
-    /// The butterfly stages alone — the caller has already arranged the
-    /// input in bit-reversed order (by assembling into
-    /// [`FftPlan::bitrev_of`] positions, or via [`FftPlan::gather`]),
-    /// which is how the OFDM hot paths skip the swap pass entirely.
-    fn stages(&self, data: &mut [Cplx], twiddles: &[Cplx]) {
+    /// The butterfly stages over `L` transforms in lockstep, on input
+    /// already in bit-reversed order (assembled at
+    /// [`FftPlan::bitrev_of`] positions, or by [`FftPlan::gather`]), which
+    /// is how the OFDM paths skip the swap pass. `data` is lane-major —
+    /// `data[i * L + l]` is element `i` of lane `l` — so each butterfly
+    /// touches one contiguous row per operand and the lane loop is the
+    /// innermost, unit-stride axis the autovectorizer sees; at `L = 1` it
+    /// is the plain in-place transform.
+    ///
+    /// Per lane this is the reference transform's exact operation
+    /// sequence: stages in order, butterflies `k` ascending within each
+    /// block and blocks ascending, the same cached twiddles. Every lane is
+    /// therefore bit-identical to [`crate::fft`] of that lane. The
+    /// split-slice iteration proves every access in range, so the loops
+    /// compile without bounds checks.
+    fn stages<const L: usize>(&self, data: &mut [Cplx], twiddles: &[Cplx]) {
         let n = self.n;
-        assert_eq!(data.len(), n, "buffer length must match the plan");
+        assert_eq!(data.len(), n * L, "buffer length must match the plan");
         let mut half = 1;
         let mut offset = 0;
         while half < n {
             let stage = &twiddles[offset..offset + half];
-            // Split-slice iteration keeps the reference transform's exact
-            // butterfly order (k ascending within each block, blocks
-            // ascending) while proving every access in range, so the
-            // inner loop compiles without bounds checks.
-            for block in data.chunks_exact_mut(2 * half) {
-                let (lo, hi) = block.split_at_mut(half);
-                for ((a_slot, b_slot), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
-                    let a = *a_slot;
-                    let b = *b_slot * w;
-                    *a_slot = a + b;
-                    *b_slot = a - b;
-                }
-            }
-            offset += half;
-            half <<= 1;
-        }
-    }
-
-    /// The butterfly stages over `lanes` transforms in lockstep: `data`
-    /// is lane-major (`data[i * lanes + l]` is element `i` of lane `l`),
-    /// so each butterfly touches one contiguous row per operand and the
-    /// lane loop is the innermost, unit-stride axis the autovectorizer
-    /// sees. Per lane this performs the exact operation sequence of
-    /// [`FftPlan::stages`] — same stage order, same butterfly order, same
-    /// cached twiddles — so every lane's result is bit-identical to a
-    /// scalar transform of that lane.
-    fn stages_lanes(&self, data: &mut [Cplx], lanes: usize, twiddles: &[Cplx]) {
-        let n = self.n;
-        assert!(lanes > 0, "at least one lane");
-        assert_eq!(
-            data.len(),
-            n * lanes,
-            "buffer length must match the plan times the lane count"
-        );
-        let mut half = 1;
-        let mut offset = 0;
-        while half < n {
-            let stage = &twiddles[offset..offset + half];
-            for block in data.chunks_exact_mut(2 * half * lanes) {
-                let (lo, hi) = block.split_at_mut(half * lanes);
+            for block in data.chunks_exact_mut(2 * half * L) {
+                let (lo, hi) = block.split_at_mut(half * L);
                 for ((a_row, b_row), &w) in lo
-                    .chunks_exact_mut(lanes)
-                    .zip(hi.chunks_exact_mut(lanes))
+                    .chunks_exact_mut(L)
+                    .zip(hi.chunks_exact_mut(L))
                     .zip(stage)
                 {
                     for (a_slot, b_slot) in a_row.iter_mut().zip(b_row.iter_mut()) {
@@ -210,38 +183,38 @@ impl FftPlan {
         }
     }
 
-    /// Forward transform of `lanes` already-bit-reversed lane-major
-    /// buffers in lockstep (see [`FftPlan::stages_lanes`]).
-    pub(crate) fn fft_stages_lanes(&self, data: &mut [Cplx], lanes: usize) {
-        self.stages_lanes(data, lanes, &self.fwd);
-    }
-
     /// The bit-reversed position of index `i` — where a value must be
     /// assembled for the stage-only transforms to see it at `i`.
     pub(crate) fn bitrev_of(&self, i: usize) -> usize {
         self.bitrev[i] as usize
     }
 
-    /// Fused copy + permutation: `dst[i] = src[bitrev(i)]` — exactly the
-    /// arrangement the in-place swap pass produces, in one gather.
-    pub(crate) fn gather(&self, src: &[Cplx], dst: &mut [Cplx]) {
-        assert_eq!(src.len(), self.n, "source length must match the plan");
-        assert_eq!(dst.len(), self.n, "buffer length must match the plan");
-        for (d, &j) in dst.iter_mut().zip(self.bitrev.iter()) {
-            *d = src[j as usize];
+    /// Fused copy + permutation of `L` lanes into one lane-major buffer:
+    /// `dst[i * L + l] = src[l][bitrev(i)]`, exactly the arrangement the
+    /// in-place swap pass produces, in one gather.
+    pub(crate) fn gather<const L: usize>(&self, src: [&[Cplx]; L], dst: &mut [Cplx]) {
+        assert!(
+            src.iter().all(|lane| lane.len() == self.n),
+            "source length must match the plan"
+        );
+        assert_eq!(dst.len(), self.n * L, "buffer length must match the plan");
+        for (row, &j) in dst.chunks_exact_mut(L).zip(self.bitrev.iter()) {
+            for (slot, lane) in row.iter_mut().zip(src) {
+                *slot = lane[j as usize];
+            }
         }
     }
 
-    /// Forward transform of already-bit-reversed data (see
-    /// [`FftPlan::gather`]/[`FftPlan::bitrev_of`]).
-    pub(crate) fn fft_stages(&self, data: &mut [Cplx]) {
-        self.stages(data, &self.fwd);
+    /// Forward transform of `L` already-bit-reversed lane-major buffers
+    /// in lockstep (see [`FftPlan::stages`]).
+    pub(crate) fn fft_stages<const L: usize>(&self, data: &mut [Cplx]) {
+        self.stages::<L>(data, &self.fwd);
     }
 
     /// Inverse transform (with `1/N` normalization) of
     /// already-bit-reversed data.
     pub(crate) fn ifft_stages(&self, data: &mut [Cplx]) {
-        self.stages(data, &self.inv);
+        self.stages::<1>(data, &self.inv);
         let scale = self.inv_scale;
         for v in data {
             *v = v.scale(scale);
@@ -282,9 +255,7 @@ pub struct OfdmPlan {
     fft: Arc<FftPlan>,
     /// FFT bin of each data carrier, in coded-bit fill order.
     data_bins: [usize; DATA_CARRIERS],
-    /// FFT bin of each pilot, in [`PILOT_CARRIERS`] order.
-    pilot_bins: [usize; PILOT_CARRIERS.len()],
-    /// The same tables composed with the FFT's bit-reversal: the
+    /// The data and pilot bins composed with the FFT's bit-reversal: the
     /// modulator assembles the symbol directly in bit-reversed order and
     /// skips the transform's permutation pass outright. `guard_bins_rev`
     /// covers the bins that carry neither data nor pilots (DC and the
@@ -344,7 +315,6 @@ impl OfdmPlan {
         Self {
             fft,
             data_bins,
-            pilot_bins,
             data_bins_rev,
             pilot_bins_rev,
             guard_bins_rev,
@@ -369,10 +339,6 @@ impl OfdmPlan {
 
     pub(crate) fn data_bins(&self) -> &[usize; DATA_CARRIERS] {
         &self.data_bins
-    }
-
-    pub(crate) fn pilot_bins(&self) -> &[usize; PILOT_CARRIERS.len()] {
-        &self.pilot_bins
     }
 
     pub(crate) fn data_bins_rev(&self) -> &[usize; DATA_CARRIERS] {
@@ -448,18 +414,18 @@ mod tests {
     #[test]
     fn ofdm_plan_partitions_all_bins() {
         let plan = OfdmPlan::new();
-        // Map the guard bins back through the (involutory) bit-reversal
-        // so all three tables speak natural bin order.
-        let guard_bins: Vec<usize> = plan
-            .guard_bins_rev()
-            .iter()
-            .map(|&b| plan.fft().bitrev_of(b))
-            .collect();
+        // Map the pilot and guard bins back through the (involutory)
+        // bit-reversal so all three tables speak natural bin order.
+        let natural = |rev: &[usize]| -> Vec<usize> {
+            rev.iter().map(|&b| plan.fft().bitrev_of(b)).collect()
+        };
+        let pilot_bins = natural(plan.pilot_bins_rev());
+        let guard_bins = natural(plan.guard_bins_rev());
         let mut seen = [0u32; FFT_LEN];
         for &b in plan.data_bins().iter() {
             seen[b] += 1;
         }
-        for &b in plan.pilot_bins().iter() {
+        for &b in &pilot_bins {
             seen[b] += 1;
         }
         for &b in &guard_bins {
@@ -473,13 +439,11 @@ mod tests {
     #[test]
     fn rev_tables_compose_bin_and_bit_reversal() {
         let plan = OfdmPlan::new();
-        for (&b, &r) in plan
-            .data_bins()
-            .iter()
-            .zip(plan.data_bins_rev().iter())
-            .chain(plan.pilot_bins().iter().zip(plan.pilot_bins_rev().iter()))
-        {
+        for (&b, &r) in plan.data_bins().iter().zip(plan.data_bins_rev().iter()) {
             assert_eq!(plan.fft().bitrev_of(b), r);
+        }
+        for (&k, &r) in PILOT_CARRIERS.iter().zip(plan.pilot_bins_rev().iter()) {
+            assert_eq!(plan.fft().bitrev_of(bin_of(k)), r);
         }
     }
 

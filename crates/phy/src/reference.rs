@@ -6,8 +6,8 @@
 //! iterator with a modulo per carrier, and branch on the modulation per
 //! point. They are preserved verbatim (modulo two output-invariant
 //! cleanups: the per-symbol `clear`/`resize` buffer wipe became a fixed
-//! 64-slot buffer reuse, and the pilots' `atan2` moved behind the lazy
-//! `last_pilot_phase` accessor) for the same three jobs
+//! 64-slot buffer reuse, and the demodulator's pilot-phase diagnostic,
+//! which never fed the data output, is gone) for the same three jobs
 //! `wilis_fec::reference` serves for the trellis kernels:
 //!
 //! 1. **Differential oracle** — the equivalence suites
@@ -69,9 +69,10 @@ impl OfdmModulator {
 }
 
 impl OfdmDemodulator {
-    /// The frozen pre-plan body of [`OfdmDemodulator::demodulate_into`].
-    /// Differential oracle and perf baseline for the planned path;
-    /// outputs are bit-identical by contract.
+    /// The frozen pre-plan body of one symbol of
+    /// [`OfdmDemodulator::demodulate_packet_batch_into`]. Differential
+    /// oracle and perf baseline for the lane body; outputs are
+    /// bit-identical by contract.
     ///
     /// # Panics
     ///
@@ -84,15 +85,6 @@ impl OfdmDemodulator {
         let scale = 1.0
             / ((FFT_LEN as f64 / (DATA_CARRIERS + PILOT_CARRIERS.len()) as f64).sqrt()
                 * (FFT_LEN as f64).sqrt());
-        let p = self.polarity.next();
-        // Pilot-based common phase estimate (diagnostic only; no channel
-        // estimation is applied, faithful to the paper's pipeline).
-        let pilot_sum: Cplx = PILOT_CARRIERS
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| freq[bin_of(k)].scale(PILOT_BASE[i] * p))
-            .sum();
-        self.last_pilot_sum = pilot_sum;
         out.clear();
         out.extend(data_subcarriers().map(|k| freq[bin_of(k)].scale(scale)));
     }
@@ -131,10 +123,10 @@ impl Mapper {
 }
 
 impl Demapper {
-    /// The frozen pre-kernel body of [`Demapper::demap_into`]: the
-    /// interpreted per-point modulation match with the branchy saturating
-    /// quantizer. Differential oracle and perf baseline for the
-    /// specialized kernels; outputs are bit-identical by contract.
+    /// The frozen pre-kernel body of [`Demapper::demap_batch_into`] at
+    /// one lane: the interpreted per-point modulation match with the
+    /// branchy saturating quantizer. Differential oracle and perf baseline
+    /// for the lane kernels; outputs are bit-identical by contract.
     pub fn demap_into_reference(&self, symbols: &[Cplx], out: &mut Vec<Llr>) {
         out.clear();
         out.reserve(symbols.len() * self.modulation.bits_per_symbol());

@@ -41,18 +41,17 @@ pub(super) fn build_receiver(
     Ok((system.receiver(&config)?, estimator))
 }
 
-/// The Figure 7 oracle's working memory: one Viterbi receiver per rate,
-/// built on first use, all sharing the system's one compiled trellis
-/// instead of rebuilding decoder state per rate. Hard decisions suffice
-/// for ground truth.
+/// The Figure 7 oracle's working memory: one Viterbi receiver on the
+/// system's compiled trellis, re-aimed at each rate it tries
+/// ([`Receiver::set_rate`]), so one decoder scratch serves all eight
+/// rates. Hard decisions suffice for ground truth.
 ///
 /// The scan runs fastest rate first and stops at the first error-free
 /// decode, so a packet costs only the rates from the fastest down to its
 /// answer (all eight when no rate decodes it). The fastest rates are also
 /// the shortest packets.
 struct OracleBank {
-    trellis: Arc<CompiledTrellis>,
-    rx: Vec<Option<Receiver>>,
+    rx: Receiver,
     scratch: PhyScratch,
     samples: Vec<Cplx>,
     got: RxResult,
@@ -61,8 +60,7 @@ struct OracleBank {
 impl OracleBank {
     fn new(trellis: Arc<CompiledTrellis>) -> Self {
         Self {
-            trellis,
-            rx: PhyRate::all().map(|_| None).into(),
+            rx: Receiver::viterbi_shared(PhyRate::all()[0], trellis),
             scratch: PhyScratch::new(),
             samples: Vec::new(),
             got: RxResult::default(),
@@ -99,8 +97,7 @@ impl OracleBank {
         scramble_seed: u8,
     ) -> bool {
         let rate = PhyRate::all()[i];
-        let rx = self.rx[i]
-            .get_or_insert_with(|| Receiver::viterbi_shared(rate, Arc::clone(&self.trellis)));
+        self.rx.set_rate(rate);
         Transmitter::new(rate).tx_into(
             payload,
             scramble_seed,
@@ -108,7 +105,7 @@ impl OracleBank {
             &mut self.samples,
         );
         channel.apply(&mut self.samples, chan_seed);
-        rx.rx_from(
+        self.rx.rx_from(
             &self.samples,
             payload.len(),
             scramble_seed,

@@ -72,7 +72,7 @@ fn rx_llrs_bit_identical_on_all_rates() {
             let mut reference_llrs = Vec::new();
             let mut reference_all = Vec::new();
 
-            planned_demod.demodulate_packet_into(&samples, &mut planned_carriers);
+            planned_demod.demodulate_packet_batch_into(&[&samples], &mut planned_carriers);
             demapper.demap_into(&planned_carriers, &mut planned_llrs);
             for sym in samples.chunks_exact(SYMBOL_LEN) {
                 reference_demod.demodulate_into_reference(sym, &mut reference_carriers);
