@@ -64,7 +64,7 @@ const _: () = assert!(narrow_llr_limit_for(6, 2) >= 127);
 ///
 /// Shared across decoders via `Arc`: the scenario engine builds one
 /// compiled trellis per code and hands clones of the handle to every
-/// decoder instance (all rates, the oracle's receiver bank, …) instead of
+/// decoder instance (every receive chain, the oracle's receiver, …) instead of
 /// rebuilding the tables per decoder.
 ///
 /// # Example

@@ -60,8 +60,8 @@ impl ViterbiDecoder {
     }
 
     /// A decoder sharing an already-compiled trellis — the construction
-    /// the scenario engine's receiver banks use so one table build serves
-    /// every rate and every oracle replica of a code.
+    /// the scenario engine's receive chains and oracle use so one table
+    /// build serves every decoder of a code.
     pub fn with_shared_trellis(trellis: Arc<CompiledTrellis>) -> Self {
         Self::assemble(trellis, 64)
     }

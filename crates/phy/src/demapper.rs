@@ -70,13 +70,6 @@ pub struct Demapper {
 }
 
 impl Demapper {
-    /// The configuration triple that fully determines this demapper's
-    /// output for a given symbol stream — two demappers with equal
-    /// configs produce bit-identical LLRs.
-    pub(crate) fn config(&self) -> (Modulation, u32, SnrScaling) {
-        (self.modulation, self.output_bits, self.scaling)
-    }
-
     /// A demapper emitting `output_bits`-wide soft values.
     ///
     /// The paper's "exact" configuration is 23–28 bits; its hardware

@@ -10,7 +10,7 @@
 
 use std::f64::consts::PI;
 
-use wilis_fec::MAX_BATCH_LANES;
+use wilis_fec::{BcjrDecoder, ConvCode, SoftDecoder, SovaDecoder, ViterbiDecoder, MAX_BATCH_LANES};
 use wilis_fxp::rng::SmallRng;
 use wilis_fxp::Cplx;
 
@@ -364,6 +364,73 @@ fn batched_rx_pipeline_matches_scalar_per_lane() {
                         outs[l].decoder_id, reference.decoder_id,
                         "{ctx}: decoder id"
                     );
+                }
+            }
+        }
+    }
+}
+
+/// [`Receiver::set_rate`] re-aims one receiver, decoder scratch and all,
+/// at any rate: walked across all eight rates slowest first and fastest
+/// first, at the 8-bit width and at each modulation's hint width, every
+/// receive of noisy packets (solo and at three lanes) equals the receive
+/// of a receiver built fresh for that rate, with a fresh scratch.
+#[test]
+fn set_rate_matches_a_fresh_receiver_at_every_rate() {
+    let mut rng = SmallRng::seed_from_u64(0x0FD1_000C);
+    let decoders: [fn() -> Box<dyn SoftDecoder>; 3] = [
+        || Box::new(ViterbiDecoder::new(&ConvCode::ieee80211())),
+        || Box::new(SovaDecoder::new(&ConvCode::ieee80211(), 64, 64)),
+        || Box::new(BcjrDecoder::new(&ConvCode::ieee80211(), 64)),
+    ];
+    let widths: [fn(PhyRate) -> u32; 2] = [
+        |_| 8,
+        |rate| Receiver::hint_demapper_bits(rate.modulation()),
+    ];
+    let fresh = |rate: PhyRate, width: u32, decoder: fn() -> Box<dyn SoftDecoder>| {
+        let demapper = Demapper::new(rate.modulation(), width, SnrScaling::Off);
+        Receiver::new(rate, demapper, decoder())
+    };
+    let slowest_first = PhyRate::all();
+    let mut fastest_first = PhyRate::all();
+    fastest_first.reverse();
+    for decoder in decoders {
+        for width in widths {
+            for walk in [slowest_first, fastest_first] {
+                let mut walker = fresh(walk[0], width(walk[0]), decoder);
+                let mut scratch = PhyScratch::new();
+                for rate in walk {
+                    walker.set_rate(rate, width(rate));
+                    for lanes in [1, 3] {
+                        let payload_bits = 3 + rng.gen_i64(0, 300) as usize;
+                        let (lane_samples, seeds) =
+                            noisy_lanes(&mut rng, rate, lanes, payload_bits);
+                        let mut walked = vec![RxResult::default(); lanes];
+                        let mut want = vec![RxResult::default(); lanes];
+                        walker.rx_batch_from(
+                            &lane_samples,
+                            payload_bits,
+                            &seeds,
+                            &mut scratch,
+                            &mut walked,
+                        );
+                        fresh(rate, width(rate), decoder).rx_batch_from(
+                            &lane_samples,
+                            payload_bits,
+                            &seeds,
+                            &mut PhyScratch::new(),
+                            &mut want,
+                        );
+                        for (l, (got, want)) in walked.iter().zip(&want).enumerate() {
+                            let ctx = format!("{rate} {} lane {l} of {lanes}", want.decoder_id);
+                            assert_eq!(got.payload, want.payload, "{ctx}: payload");
+                            assert_eq!(got.hints, want.hints, "{ctx}: hints");
+                            assert_eq!(
+                                got.soft_magnitudes, want.soft_magnitudes,
+                                "{ctx}: soft magnitudes"
+                            );
+                        }
+                    }
                 }
             }
         }

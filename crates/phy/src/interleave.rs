@@ -12,21 +12,29 @@
 //! reference receive path accumulates with, and what the lane body is
 //! checked against.
 
+use std::sync::OnceLock;
+
 use wilis_fec::Llr;
 
 use crate::rate::PhyRate;
 
-fn permutation(rate: PhyRate) -> Vec<usize> {
-    let n_cbps = rate.coded_bits_per_symbol();
-    let bpsc = rate.modulation().bits_per_symbol();
-    let s = (bpsc / 2).max(1);
-    (0..n_cbps)
-        .map(|k| {
-            // IEEE 802.11-2007 §17.3.5.6, interleaver permutations.
-            let i = (n_cbps / 16) * (k % 16) + k / 16;
-            (s * (i / s)) + (i + n_cbps - (16 * i / n_cbps)) % s
-        })
-        .collect()
+/// The permutation of one symbol at `rate`, built once per process. It
+/// depends only on the modulation, so four tables serve all eight rates,
+/// shared by every interleaver and deinterleaver (and sweep worker).
+fn permutation(rate: PhyRate) -> &'static [usize] {
+    static TABLES: [OnceLock<Vec<usize>>; 4] = [const { OnceLock::new() }; 4];
+    TABLES[rate.modulation() as usize].get_or_init(|| {
+        let n_cbps = rate.coded_bits_per_symbol();
+        let bpsc = rate.modulation().bits_per_symbol();
+        let s = (bpsc / 2).max(1);
+        (0..n_cbps)
+            .map(|k| {
+                // IEEE 802.11-2007 §17.3.5.6, interleaver permutations.
+                let i = (n_cbps / 16) * (k % 16) + k / 16;
+                (s * (i / s)) + (i + n_cbps - (16 * i / n_cbps)) % s
+            })
+            .collect()
+    })
 }
 
 /// Interleaves the coded bits of one OFDM symbol.
@@ -45,15 +53,16 @@ fn permutation(rate: PhyRate) -> Vec<usize> {
 ///     assert_eq!(*orig == 1, *soft > 0);
 /// }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Interleaver {
     rate: PhyRate,
     /// `perm[k]` = position after interleaving of input bit `k`.
-    perm: Vec<usize>,
+    perm: &'static [usize],
 }
 
 impl Interleaver {
-    /// An interleaver for one symbol of `rate`.
+    /// An interleaver for one symbol of `rate`; allocation-free once the
+    /// process has built the rate's shared permutation.
     pub fn new(rate: PhyRate) -> Self {
         Self {
             rate,
@@ -94,14 +103,15 @@ impl Interleaver {
 
 /// Inverts the per-symbol interleaver (operating on soft values at the
 /// receiver).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Deinterleaver {
     rate: PhyRate,
-    perm: Vec<usize>,
+    perm: &'static [usize],
 }
 
 impl Deinterleaver {
-    /// A deinterleaver for one symbol of `rate`.
+    /// A deinterleaver for one symbol of `rate`; allocation-free once the
+    /// process has built the rate's shared permutation.
     pub fn new(rate: PhyRate) -> Self {
         Self {
             rate,
@@ -181,7 +191,7 @@ mod tests {
         for rate in PhyRate::all() {
             let perm = permutation(rate);
             let mut seen = vec![false; perm.len()];
-            for &p in &perm {
+            for &p in perm {
                 assert!(!seen[p], "{rate}: position {p} hit twice");
                 seen[p] = true;
             }

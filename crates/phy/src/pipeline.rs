@@ -14,42 +14,20 @@ use crate::ofdm::{OfdmDemodulator, OfdmModulator, SYMBOL_LEN};
 use crate::packet::{PacketBuilder, PacketFields, SERVICE_BITS, TAIL_BITS};
 use crate::rate::PhyRate;
 
-/// Rate-specific pipeline machinery cached inside a [`PhyScratch`]:
-/// permutation tables and the encoder trellis are built once per rate, not
-/// once per packet.
-#[derive(Debug, Clone)]
-struct RateMachinery {
-    rate: PhyRate,
-    encoder: ConvEncoder,
-    interleaver: Interleaver,
-    deinterleaver: Deinterleaver,
-    mapper: Mapper,
-}
-
-impl RateMachinery {
-    fn new(rate: PhyRate) -> Self {
-        Self {
-            rate,
-            encoder: ConvEncoder::new(&ConvCode::ieee80211()),
-            interleaver: Interleaver::new(rate),
-            deinterleaver: Deinterleaver::new(rate),
-            mapper: Mapper::new(rate.modulation()),
-        }
-    }
-}
-
 /// Reusable working memory for the TX and RX chains.
 ///
 /// One `PhyScratch` per worker turns [`Transmitter::tx_into`] and
 /// [`Receiver::rx_from`] into allocation-free operations in the steady
 /// state: every intermediate buffer — coded bits, interleaved symbols,
 /// constellation points, LLR streams, decoder output — is retained and
-/// reused between packets, and the rate-specific machinery (permutation
-/// tables, encoder trellis) is built once per rate the scratch serves.
+/// reused between packets. Nothing in it depends on the rate: the one
+/// encoder serves every rate (the mother code is rate-independent), and
+/// the interleaver permutations and constellation tables are
+/// process-wide, so a chain that changes rate packet by packet builds
+/// no per-rate state.
 #[derive(Debug, Clone)]
 pub struct PhyScratch {
-    /// Machinery for every rate served so far; the current rate first.
-    machinery: Vec<RateMachinery>,
+    encoder: ConvEncoder,
     ofdm_tx: OfdmModulator,
     ofdm_rx: OfdmDemodulator,
     data_bits: Vec<u8>,
@@ -77,7 +55,7 @@ impl PhyScratch {
     /// Empty scratch; buffers are sized lazily on first use.
     pub fn new() -> Self {
         Self {
-            machinery: Vec::new(),
+            encoder: ConvEncoder::new(&ConvCode::ieee80211()),
             ofdm_tx: OfdmModulator::new(),
             ofdm_rx: OfdmDemodulator::new(),
             data_bits: Vec::new(),
@@ -92,21 +70,6 @@ impl PhyScratch {
             mother: Vec::new(),
             decoded_lanes: Vec::new(),
         }
-    }
-
-    /// Moves the machinery for `rate` to the front, building it the first
-    /// time the scratch serves `rate`. Nothing is rebuilt when a chain
-    /// switches back to a rate it used before, so rate adaptation that
-    /// changes the rate packet by packet stays allocation-free.
-    fn ensure_rate(&mut self, rate: PhyRate) {
-        let i = match self.machinery.iter().position(|m| m.rate == rate) {
-            Some(i) => i,
-            None => {
-                self.machinery.push(RateMachinery::new(rate));
-                self.machinery.len() - 1
-            }
-        };
-        self.machinery.swap(0, i);
     }
 }
 
@@ -211,9 +174,8 @@ impl Transmitter {
         scratch: &mut PhyScratch,
         out: &mut Vec<Cplx>,
     ) -> PacketFields {
-        scratch.ensure_rate(self.rate);
         let PhyScratch {
-            machinery,
+            encoder,
             ofdm_tx,
             data_bits,
             coded,
@@ -222,12 +184,13 @@ impl Transmitter {
             packet_points,
             ..
         } = scratch;
-        let m = machinery.first_mut().expect("machinery ensured above"); // lint: allow(panic-policy) — ensure_rate() at function entry filled the machinery slot
+        let interleaver = Interleaver::new(self.rate);
+        let mapper = Mapper::new(self.rate.modulation());
 
         let fields = PacketBuilder::new(self.rate).assemble_into(payload, scramble_seed, data_bits);
-        m.encoder.reset();
+        encoder.reset();
         coded.clear();
-        m.encoder.encode_into(data_bits, coded);
+        encoder.encode_into(data_bits, coded);
         punctured.clear();
         Puncturer::with_phase(self.rate.code_rate(), self.phase).puncture_into(coded, punctured);
         debug_assert_eq!(punctured.len(), fields.coded_bits());
@@ -240,8 +203,8 @@ impl Transmitter {
         // every symbol through the shared OFDM plan in one call.
         packet_points.clear();
         for sym_bits in punctured.chunks(cbps) {
-            m.interleaver.interleave_into(sym_bits, interleaved);
-            m.mapper.map_append(interleaved, packet_points);
+            interleaver.interleave_into(sym_bits, interleaved);
+            mapper.map_append(interleaved, packet_points);
         }
         ofdm_tx.modulate_packet_into(packet_points, out);
         fields
@@ -264,9 +227,8 @@ impl Transmitter {
         scratch: &mut PhyScratch,
         out: &mut Vec<Cplx>,
     ) -> PacketFields {
-        scratch.ensure_rate(self.rate);
         let PhyScratch {
-            machinery,
+            encoder,
             ofdm_tx,
             data_bits,
             coded,
@@ -275,12 +237,13 @@ impl Transmitter {
             points,
             ..
         } = scratch;
-        let m = machinery.first_mut().expect("machinery ensured above"); // lint: allow(panic-policy) — ensure_rate() at function entry filled the machinery slot
+        let interleaver = Interleaver::new(self.rate);
+        let mapper = Mapper::new(self.rate.modulation());
 
         let fields = PacketBuilder::new(self.rate).assemble_into(payload, scramble_seed, data_bits);
-        m.encoder.reset();
+        encoder.reset();
         coded.clear();
-        m.encoder.encode_into(data_bits, coded);
+        encoder.encode_into(data_bits, coded);
         punctured.clear();
         Puncturer::with_phase(self.rate.code_rate(), self.phase).puncture_into(coded, punctured);
         debug_assert_eq!(punctured.len(), fields.coded_bits());
@@ -290,8 +253,8 @@ impl Transmitter {
         out.resize(fields.n_symbols * SYMBOL_LEN, Cplx::ZERO);
         let cbps = self.rate.coded_bits_per_symbol();
         for (i, sym_bits) in punctured.chunks(cbps).enumerate() {
-            m.interleaver.interleave_into(sym_bits, interleaved);
-            m.mapper.map_into_reference(interleaved, points);
+            interleaver.interleave_into(sym_bits, interleaved);
+            mapper.map_into_reference(interleaved, points);
             ofdm_tx.modulate_into_reference(points, &mut out[i * SYMBOL_LEN..(i + 1) * SYMBOL_LEN]);
         }
         fields
@@ -436,17 +399,14 @@ impl Receiver {
     }
 
     /// Re-aims the receiver at `rate` without allocating: the demapper is
-    /// rebuilt for the rate's modulation at the same output width and
-    /// scaling, the puncture phase goes back to 0 (the standard mask), and
-    /// the decoder, which does not depend on the rate, is kept with its
-    /// scratch.
-    pub fn set_rate(&mut self, rate: PhyRate) {
+    /// rebuilt for the rate's modulation at `demapper_bits` of output width
+    /// with the same scaling, the puncture phase goes back to 0 (the
+    /// standard mask), and the decoder, which does not depend on the rate,
+    /// is kept with its scratch. The result is bit-identical to a receiver
+    /// built fresh for `rate` with that demapper and decoder.
+    pub fn set_rate(&mut self, rate: PhyRate, demapper_bits: u32) {
         self.rate = rate;
-        self.demapper = Demapper::new(
-            rate.modulation(),
-            self.demapper.output_bits(),
-            self.demapper.scaling(),
-        );
+        self.demapper = Demapper::new(rate.modulation(), demapper_bits, self.demapper.scaling());
         self.phase = 0;
     }
 
@@ -592,28 +552,15 @@ impl Receiver {
         scratch.mother = mother;
     }
 
-    /// True when `other`'s receive front end — demodulator, demapper,
-    /// deinterleaver, depuncturer — produces bit-identical mother LLR
-    /// streams to this receiver's for the same samples: same rate, same
-    /// demapper configuration. Receivers that differ only in decoder
-    /// (e.g. SOVA vs BCJR on the hint-width demapper) satisfy this, which
-    /// lets one [`Receiver::rx_batch_front_end_into`] feed several
-    /// [`Receiver::rx_batch_decode_from`] calls.
-    pub fn front_end_matches(&self, other: &Receiver) -> bool {
-        self.rate == other.rate
-            && self.demapper.config() == other.demapper.config()
-            && self.phase == other.phase
-    }
-
     /// The front half of [`Receiver::rx_batch_from`], and the only
     /// front-end body: demodulates, demaps, deinterleaves, and
     /// depunctures all lanes in lockstep, leaving the lane-major mother
     /// LLR stream in `mother_out` (soft bit `i` of lane `l` at
     /// `mother_out[i * lanes + l]`; one lane is a plain stream). Each
     /// stage runs its one body compiled for the lane count. Split out so
-    /// callers holding several receivers whose front ends agree (see
-    /// [`Receiver::front_end_matches`]) can run this once and decode the
-    /// same stream through each receiver's decoder.
+    /// a caller holding several receivers at one rate and demapper width
+    /// (the scenario engine's group chains) runs this once and decodes
+    /// the same stream through each receiver's decoder.
     ///
     /// # Panics
     ///
@@ -641,16 +588,13 @@ impl Receiver {
                 "sample count does not match packet layout"
             );
         }
-        scratch.ensure_rate(self.rate);
         let PhyScratch {
-            machinery,
             ofdm_rx,
             carriers,
             symbol_llrs,
             punctured_llrs,
             ..
         } = scratch;
-        let m = machinery.first().expect("machinery ensured above"); // lint: allow(panic-policy) — ensure_rate() at function entry filled the machinery slot
 
         ofdm_rx.demodulate_packet_batch_into(lane_samples, carriers);
         self.demapper.demap_batch_into(carriers, lanes, symbol_llrs);
@@ -658,8 +602,11 @@ impl Receiver {
             symbol_llrs.len(),
             fields.n_symbols * self.rate.coded_bits_per_symbol() * lanes
         );
-        m.deinterleaver
-            .deinterleave_packet_lanes_into(symbol_llrs, lanes, punctured_llrs);
+        Deinterleaver::new(self.rate).deinterleave_packet_lanes_into(
+            symbol_llrs,
+            lanes,
+            punctured_llrs,
+        );
         mother_out.clear();
         Depuncturer::with_phase(self.rate.code_rate(), self.phase).depuncture_lanes_into(
             punctured_llrs,
@@ -742,9 +689,7 @@ impl Receiver {
             fields.n_symbols * SYMBOL_LEN,
             "sample count does not match packet layout"
         );
-        scratch.ensure_rate(self.rate);
         let PhyScratch {
-            machinery,
             ofdm_rx,
             carriers,
             symbol_llrs,
@@ -753,7 +698,7 @@ impl Receiver {
             decoded_lanes,
             ..
         } = scratch;
-        let m = machinery.first().expect("machinery ensured above"); // lint: allow(panic-policy) — ensure_rate() at function entry filled the machinery slot
+        let deinterleaver = Deinterleaver::new(self.rate);
 
         let cbps = self.rate.coded_bits_per_symbol();
         punctured_llrs.clear();
@@ -762,8 +707,7 @@ impl Receiver {
             ofdm_rx.demodulate_into_reference(sym_samples, carriers);
             self.demapper.demap_into_reference(carriers, symbol_llrs);
             debug_assert_eq!(symbol_llrs.len(), cbps);
-            m.deinterleaver
-                .deinterleave_append(symbol_llrs, punctured_llrs);
+            deinterleaver.deinterleave_append(symbol_llrs, punctured_llrs);
         }
         mother.clear();
         Depuncturer::with_phase(self.rate.code_rate(), self.phase).depuncture_into(

@@ -25,28 +25,26 @@ pub const BER_CEIL: f64 = 0.5;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct BerTable {
-    entries: Vec<f64>,
+    /// Inline, so building a table (a rate change rebuilds the SoftPHY
+    /// estimator) never allocates.
+    entries: [f64; MAX_HINT as usize + 1],
 }
 
 impl BerTable {
     /// Builds the table analytically from equation 4 + 5:
     /// `BER(h) = 1 / (1 + exp(scale × h))`.
     pub fn from_scaling(factors: &ScalingFactors) -> Self {
-        let entries = (0..=u32::from(MAX_HINT))
-            .map(|h| {
-                let llr = factors.true_llr(h as u16);
-                (1.0 / (1.0 + llr.exp())).clamp(BER_FLOOR, BER_CEIL)
-            })
-            .collect();
+        let entries = std::array::from_fn(|h| {
+            let llr = factors.true_llr(h as u16);
+            (1.0 / (1.0 + llr.exp())).clamp(BER_FLOOR, BER_CEIL)
+        });
         Self { entries }
     }
 
     /// Builds the table from a measured log-linear fit (the Figure 5
     /// procedure: simulate, bin by hint, fit, tabulate).
     pub fn from_fit(fit: &LogLinearFit) -> Self {
-        let entries = (0..=u32::from(MAX_HINT))
-            .map(|h| fit.ber_at(h as u16).clamp(BER_FLOOR, BER_CEIL))
-            .collect();
+        let entries = std::array::from_fn(|h| fit.ber_at(h as u16).clamp(BER_FLOOR, BER_CEIL));
         Self { entries }
     }
 

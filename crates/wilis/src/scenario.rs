@@ -13,16 +13,16 @@
 //! [`wilis_channel::parallel::apply_awgn_parallel`] proves at the sample
 //! level).
 //!
-//! The hot path is allocation-free in the steady state: each scenario
-//! execution owns one [`PhyScratch`](wilis_phy::PhyScratch) and one
-//! reusable [`RxResult`](wilis_phy::RxResult), reused across all of its
-//! packets, the decoders reuse their trellis
-//! scratch, and channels are seed-addressed [`ChannelModel`]s — so
-//! Monte-Carlo depth (packets per point) costs arithmetic, not the
-//! allocator. Decoder construction shares one compiled trellis per
-//! system ([`WilisSystem::compiled_ieee80211`]): the per-rate receiver
-//! banks and the all-rates oracle reuse a single table lowering instead
-//! of rebuilding decoder state per rate.
+//! The hot path is allocation-free in the steady state: each job owns
+//! its [`PhyScratch`](wilis_phy::PhyScratch)es and reusable
+//! [`RxResult`](wilis_phy::RxResult)s, reused across all of its packets,
+//! the decoders reuse their trellis scratch, and channels are
+//! seed-addressed [`ChannelModel`]s — so Monte-Carlo depth (packets per
+//! point) costs arithmetic, not the allocator. Decoder construction
+//! shares one compiled trellis per system
+//! ([`WilisSystem::compiled_ieee80211`]), and a rate change re-aims a
+//! receive chain in place: neither a rate-adapting point nor the
+//! all-rates oracle builds decoder state per rate.
 //!
 //! Redundant per-packet work is amortized *across* grid points too:
 //! scenarios that share `(rate, channel, params, SNR, seed, packets,

@@ -1,8 +1,9 @@
 //! The packet engine: the one point-to-point packet loop, [`run_group`],
 //! and the receive and accounting steps it shares with the cell loop.
 //!
-//! Every point-to-point grid point runs as a member of a group job. A
-//! fixed-rate member decodes in lockstep blocks of up to
+//! Every point-to-point grid point runs as an accounting member of a
+//! group job, which receives through one chain per decoder (see
+//! [`run_group`]). A fixed-rate group decodes in lockstep blocks of up to
 //! [`MAX_BATCH_LANES`] packets; a member whose transmission changes after
 //! every packet — SoftRate steering the rate, a HARQ packet that stays
 //! open for another attempt — is alone in its group (the plan sees to it),
@@ -97,7 +98,8 @@ impl OracleBank {
         scramble_seed: u8,
     ) -> bool {
         let rate = PhyRate::all()[i];
-        self.rx.set_rate(rate);
+        // The 8-bit demapper `Receiver::viterbi_shared` built.
+        self.rx.set_rate(rate, 8);
         Transmitter::new(rate).tx_into(
             payload,
             scramble_seed,
@@ -319,22 +321,51 @@ pub(super) fn account(
     (bit_errors, verdict)
 }
 
-/// One grid point of a group job: everything that is *not* shared —
-/// receiver, estimator, scratch, link policy, and its own tally.
+/// One receive chain of a group: a decoder's receiver at the group's
+/// rate, its SoftPHY estimator, its decode scratch, and its results for
+/// the current block. Members running the same builtin soft decoder share
+/// a chain; every other decoder gets one chain per member.
+struct Chain {
+    rx: Receiver,
+    estimator: Option<BerEstimator>,
+    scratch: PhyScratch,
+    /// One receive result per lane of the current block.
+    got_lanes: Vec<RxResult>,
+}
+
+impl Chain {
+    fn build(system: &WilisSystem, decoder: &str, rate: PhyRate) -> Result<Self, RegistryError> {
+        let (rx, estimator) = build_receiver(system, decoder, rate)?;
+        Ok(Self {
+            rx,
+            estimator,
+            scratch: PhyScratch::new(),
+            got_lanes: Vec::new(),
+        })
+    }
+
+    /// Re-aims the chain at `rate` in place, allocation-free: the
+    /// receiver's demapper moves to the rate's hint width and the
+    /// estimator to the rate's table — exactly the chain
+    /// [`Chain::build`] would build for `rate`.
+    fn set_rate(&mut self, rate: PhyRate) {
+        self.rx
+            .set_rate(rate, ScalingFactors::hint_demapper_bits(rate.modulation()));
+        if let Some(estimator) = &mut self.estimator {
+            *estimator = BerEstimator::analytic_for_rate(rate, estimator.decoder());
+        }
+    }
+}
+
+/// One grid point of a group job: only its accounting — link policy,
+/// tally and counters. It reads its receives from one of the group's
+/// chains.
 struct GroupMember<'a> {
     index: usize,
     scenario: &'a Scenario,
     caps: LinkCaps,
-    /// The rate the member transmits and receives at; only a
-    /// rate-steering member ever moves it.
-    rate: PhyRate,
-    rx: Receiver,
-    estimator: Option<BerEstimator>,
-    /// Receivers for the other rates a rate-steering member has used.
-    parked: Vec<(PhyRate, Receiver, Option<BerEstimator>)>,
-    scratch: PhyScratch,
-    /// One receive result per lane of the current block.
-    got_lanes: Vec<RxResult>,
+    /// Index of the chain this member receives through.
+    chain: usize,
     policy: Option<Box<dyn LinkPolicy>>,
     tally: PacketTally,
     /// Receives tallied: packets, or attempts under HARQ.
@@ -346,90 +377,73 @@ struct GroupMember<'a> {
     /// would have stopped, so fused results stay bit-identical to solo
     /// results even when co-members keep running.
     stopped: bool,
-    /// A receiver the member failed to build mid-run; it stops and
-    /// reports the error.
-    failed: Option<RegistryError>,
 }
 
 impl<'a> GroupMember<'a> {
-    fn build(
+    /// Builds the member onto `chains`. Members that run the same builtin
+    /// soft decoder produce bit-identical `RxResult`s lane for lane, so a
+    /// member joins the chain of an earlier one: this is what makes
+    /// link-policy grid axes nearly free — `none` and `arq` variants of
+    /// one decoder differ only in accounting. Those decoders are
+    /// known-pure functions of (name, rate); a user registration could be
+    /// stateful, so it never shares.
+    fn join(
         system: &WilisSystem,
         links: &LinkSlot,
         caps: LinkCaps,
         index: usize,
         sc: &'a Scenario,
+        members: &[GroupMember],
+        chains: &mut Vec<Chain>,
     ) -> Result<Self, RegistryError> {
-        let (rx, estimator) = build_receiver(system, &sc.decoder, sc.rate)?;
+        let shared = DecoderKind::from_registry_name(&sc.decoder)
+            .and_then(|_| members.iter().find(|m| m.scenario.decoder == sc.decoder))
+            .map(|m| m.chain);
+        let new_chain = match shared {
+            Some(_) => None,
+            None => Some(Chain::build(system, &sc.decoder, sc.rate)?),
+        };
         let policy = match sc.link.as_str() {
             "none" => None,
             link => Some(links.build(link, &runtime_link_params(sc))?),
         };
+        let chain = shared.unwrap_or(chains.len());
+        chains.extend(new_chain);
         Ok(Self {
             index,
             scenario: sc,
             caps,
-            rate: sc.rate,
-            rx,
-            estimator,
-            parked: Vec::new(),
-            scratch: PhyScratch::new(),
-            got_lanes: Vec::new(),
+            chain,
             policy,
             tally: PacketTally::new(),
             receives: 0,
             closed: 0,
             stopped: false,
-            failed: None,
         })
     }
 
-    /// The member's next transmission: its rate, plus the puncture phase
-    /// and attempt index of its HARQ packet (phase and attempt 0 without
-    /// one).
-    fn next_tx(&mut self) -> (PhyRate, usize, u32) {
-        match self.policy.as_mut().and_then(|p| p.harq()) {
-            Some(core) => (self.rate, core.tx_phase(), core.attempt()),
-            None => (self.rate, 0, 0),
-        }
-    }
-
-    /// Moves a rate-steering member onto `rate`, parking the receiver of
-    /// the rate it leaves; each rate's receiver is built on first use.
-    fn switch_rate(&mut self, system: &WilisSystem, rate: PhyRate) -> Result<(), RegistryError> {
-        let (rx, estimator) = match self.parked.iter().position(|(r, ..)| *r == rate) {
-            Some(i) => {
-                let (_, rx, estimator) = self.parked.swap_remove(i);
-                (rx, estimator)
-            }
-            None => build_receiver(system, &self.scenario.decoder, rate)?,
-        };
-        let left_rx = std::mem::replace(&mut self.rx, rx);
-        let left_estimator = std::mem::replace(&mut self.estimator, estimator);
-        self.parked.push((self.rate, left_rx, left_estimator));
-        self.rate = rate;
-        Ok(())
-    }
-
-    /// Accounts lane `k` of the block and applies the verdict: a new rate,
-    /// the stopping rule once the logical packet closes. Returns whether
-    /// the member's HARQ packet stays open for another attempt.
+    /// Accounts lane `k` of the block, received through `chain`, and
+    /// applies the verdict: a new rate re-aims the chain, the stopping
+    /// rule runs once the logical packet closes. Returns whether the
+    /// member's HARQ packet stays open for another attempt.
     fn account_lane(
         &mut self,
-        system: &WilisSystem,
+        chain: &mut Chain,
         k: usize,
         sent: &[u8],
         oracle: Oracle,
         record: bool,
         stopping: Option<StoppingRule>,
     ) -> bool {
+        let rate = chain.rx.rate();
         let (_, verdict) = account(
             Some(&mut self.tally),
-            self.estimator.as_ref(),
+            chain.estimator.as_ref(),
             self.policy.as_mut(),
             self.caps,
             sent,
-            &self.got_lanes[k],
-            self.rate,
+            &chain.got_lanes[k],
+            rate,
             oracle,
             record,
         );
@@ -438,13 +452,11 @@ impl<'a> GroupMember<'a> {
             return true;
         }
         self.closed += 1;
+        // A rate-steering member is alone in its group, so its chain is
+        // its own.
         let steer = verdict.and_then(|v| v.next_rate);
-        if let Some(next) = steer.filter(|&r| self.caps.adapts_rate && r != self.rate) {
-            if let Err(e) = self.switch_rate(system, next) {
-                self.failed = Some(e);
-                self.stopped = true;
-                return false;
-            }
+        if let Some(next) = steer.filter(|&r| self.caps.adapts_rate && r != rate) {
+            chain.set_rate(next);
         }
         // The boundary walks the logical packet axis — the seed schedule —
         // while the interval watches the receive-level tally, the same
@@ -459,14 +471,10 @@ impl<'a> GroupMember<'a> {
         false
     }
 
-    fn finish(self) -> Result<ScenarioResult, RegistryError> {
-        if let Some(e) = self.failed {
-            return Err(e);
-        }
+    fn finish(self) -> ScenarioResult {
         let link = self.policy.map(|p| p.metrics());
-        Ok(self
-            .tally
-            .into_result(self.index, self.scenario, self.receives, link, None))
+        self.tally
+            .into_result(self.index, self.scenario, self.receives, link, None)
     }
 }
 
@@ -490,15 +498,14 @@ fn batch_blocks(packets: u32, max_lanes: u32) -> impl Iterator<Item = u32> {
 /// member would have derived from its own (equal) seed.
 ///
 /// Packets run in blocks (see [`batch_blocks`]): each block transmits and
-/// corrupts its packets first, then every member decodes the whole block
-/// with one receive step, then the accounting replays in packet order so
-/// tallies and link policies observe the exact sequence a lone run
-/// produces. Members whose receive chains coincide share work inside a
-/// block — one front end per demapper class, one decode per (rate,
-/// builtin decoder) class — because equal configurations produce
-/// bit-identical intermediate streams. While a HARQ packet stays open the
-/// block repeats as its next attempt: the same payload at the attempt's
-/// puncture phase, through fresh channel noise from
+/// corrupts its packets first, then runs one front end into the group's
+/// mother plane — every member receives at the group's rate on the
+/// hint-width demapper, so every chain's front end agrees — and one
+/// decode per chain that still serves a running member, then the
+/// accounting replays in packet order so tallies and link policies
+/// observe the exact sequence a lone run produces. While a HARQ packet
+/// stays open the block repeats as its next attempt: the same payload at
+/// the attempt's puncture phase, through fresh channel noise from
 /// [`harq_attempt_seed`].
 pub(super) fn run_group(
     env: &SweepEnv,
@@ -512,8 +519,17 @@ pub(super) fn run_group(
     let lead = &scenarios[members[0]];
     let mut out = Vec::with_capacity(members.len());
     let mut group: Vec<GroupMember> = Vec::with_capacity(members.len());
+    let mut chains: Vec<Chain> = Vec::new();
     for &i in members {
-        match GroupMember::build(system, links, caps[i], i, &scenarios[i]) {
+        match GroupMember::join(
+            system,
+            links,
+            caps[i],
+            i,
+            &scenarios[i],
+            &group,
+            &mut chains,
+        ) {
             Ok(m) => group.push(m),
             Err(e) => out.push((i, Err(e))),
         }
@@ -537,57 +553,13 @@ pub(super) fn run_group(
         .any(|m| m.caps.needs_oracle)
         .then(|| OracleBank::new(system.compiled_ieee80211()));
     let payload_bits = lead.payload_bits;
-    let mut tx_scratch = PhyScratch::new();
+    // Serves the transmit chain and the one front end of each block.
+    let mut scratch = PhyScratch::new();
+    let mut mother: Vec<Llr> = Vec::new();
     let mut lane_samples: Vec<Vec<Cplx>> = Vec::new();
     let mut payloads: Vec<Vec<u8>> = Vec::new();
     let mut scramble_seeds: Vec<u8> = Vec::new();
     let mut oracles: Vec<Oracle> = Vec::new();
-
-    // Front-end classes: members whose receive front ends agree (same
-    // rate, same demapper configuration) produce bit-identical mother LLR
-    // streams, so each class runs demod/demap/deinterleave/depuncture
-    // once per block and every member decodes the shared stream. In a
-    // typical grid group the two hint decoders (SOVA, BCJR) share one
-    // class while Viterbi's full-width demapper forms another.
-    let mut class_reps: Vec<usize> = Vec::new();
-    let mut class_of: Vec<usize> = Vec::with_capacity(group.len());
-    for i in 0..group.len() {
-        let c = class_reps
-            .iter()
-            .position(|&r| group[r].rx.front_end_matches(&group[i].rx))
-            .unwrap_or_else(|| {
-                class_reps.push(i);
-                class_reps.len() - 1
-            });
-        class_of.push(c);
-    }
-    let mut class_mothers: Vec<Vec<Llr>> = class_reps.iter().map(|_| Vec::new()).collect();
-
-    // Full-receiver classes: members that also run the same decoder
-    // produce bit-identical `RxResult`s lane for lane, so only the class
-    // representative decodes and the rest copy its results. This is what
-    // makes link-policy grid axes nearly free — `none` and `arq` variants
-    // of one decoder differ only in accounting. Restricted to the builtin
-    // decoders, which are known-pure functions of (name, rate); a user
-    // registration could be stateful, so it never shares.
-    let mut rx_reps: Vec<usize> = Vec::new();
-    let mut rx_of: Vec<usize> = Vec::with_capacity(group.len());
-    for i in 0..group.len() {
-        let sc = group[i].scenario;
-        let builtin = DecoderKind::from_registry_name(&sc.decoder).is_some();
-        let c = rx_reps
-            .iter()
-            .position(|&r| {
-                builtin
-                    && group[r].scenario.rate == sc.rate
-                    && group[r].scenario.decoder == sc.decoder
-            })
-            .unwrap_or_else(|| {
-                rx_reps.push(i);
-                rx_reps.len() - 1
-            });
-        rx_of.push(c);
-    }
 
     // A member that changes its transmission after every packet is alone
     // in its group (the plan sees to it) and runs one packet per block.
@@ -604,11 +576,13 @@ pub(super) fn run_group(
             payloads.resize_with(lanes, Vec::new);
         }
         loop {
-            // Fixed-rate members all transmit the lead's stream; a member
-            // that steers its own transmission is alone, so the group
-            // transmits whatever its first member asks for.
-            let (rate, phase, attempt) = group[0].next_tx();
-            let transmitter = Transmitter::with_phase(rate, phase);
+            // Fixed-rate members all transmit the lead's stream at the
+            // rate every chain is aimed at; a member that steers its own
+            // transmission is alone, so the group transmits whatever its
+            // first member asks for.
+            let harq = group[0].policy.as_mut().and_then(|p| p.harq());
+            let (phase, attempt) = harq.map_or((0, 0), |core| (core.tx_phase(), core.attempt()));
+            let transmitter = Transmitter::with_phase(chains[0].rx.rate(), phase);
             scramble_seeds.clear();
             oracles.clear();
 
@@ -629,7 +603,7 @@ pub(super) fn run_group(
                 let scramble_seed = (p % 127 + 1) as u8;
                 let chan_seed = mix_seed(harq_attempt_seed(packet_seed, attempt), 1);
                 let samples = &mut lane_samples[k];
-                transmitter.tx_into(payload, scramble_seed, &mut tx_scratch, samples);
+                transmitter.tx_into(payload, scramble_seed, &mut scratch, samples);
                 channel.apply(samples, chan_seed);
                 oracles.push(match oracle.as_mut() {
                     Some(bank) => bank.replay(channel.as_mut(), chan_seed, payload, scramble_seed),
@@ -638,51 +612,32 @@ pub(super) fn run_group(
                 scramble_seeds.push(scramble_seed);
             }
 
-            // Stage 2 — the receive step: one front end per class, then
-            // each decoder class representative decodes its class's plane.
-            for (c, &r) in class_reps.iter().enumerate() {
-                let rep = &mut group[r];
-                front_end(
-                    &mut rep.rx,
-                    phase,
-                    &lane_samples[..lanes],
-                    payload_bits,
-                    &mut rep.scratch,
-                    &mut class_mothers[c],
-                );
-            }
-            for &r in &rx_reps {
-                let rep = &mut group[r];
-                rep.got_lanes.resize_with(lanes, RxResult::default);
+            // Stage 2 — the receive step: one front end, then one decode
+            // per chain; a chain whose members have all stopped is read by
+            // no one, so it stops decoding. A HARQ member is alone, so its
+            // chain decodes with its core.
+            front_end(
+                &mut chains[0].rx,
+                phase,
+                &lane_samples[..lanes],
+                payload_bits,
+                &mut scratch,
+                &mut mother,
+            );
+            for (c, chain) in chains.iter_mut().enumerate() {
+                let Some(member) = group.iter_mut().find(|m| m.chain == c && !m.stopped) else {
+                    continue;
+                };
+                chain.got_lanes.resize_with(lanes, RxResult::default);
                 decode(
-                    &mut rep.rx,
-                    &class_mothers[class_of[r]],
-                    rep.policy.as_mut().and_then(|p| p.harq()),
+                    &mut chain.rx,
+                    &mother,
+                    member.policy.as_mut().and_then(|p| p.harq()),
                     payload_bits,
                     &scramble_seeds,
-                    &mut rep.scratch,
-                    &mut rep.got_lanes[..lanes],
+                    &mut chain.scratch,
+                    &mut chain.got_lanes[..lanes],
                 );
-            }
-            for i in 0..group.len() {
-                let r = rx_reps[rx_of[i]];
-                if r == i {
-                    continue;
-                }
-                // The representative always precedes its class members, so
-                // a split at `i` puts it in the head. Field-wise
-                // `clone_from` keeps the copy allocation-free in the steady
-                // state.
-                let (head, tail) = group.split_at_mut(i);
-                let dst_member = &mut tail[0];
-                dst_member.got_lanes.resize_with(lanes, RxResult::default);
-                let src_lanes = &head[r].got_lanes[..lanes];
-                for (dst, src) in dst_member.got_lanes[..lanes].iter_mut().zip(src_lanes) {
-                    dst.payload.clone_from(&src.payload);
-                    dst.hints.clone_from(&src.hints);
-                    dst.soft_magnitudes.clone_from(&src.soft_magnitudes);
-                    dst.decoder_id = src.decoder_id;
-                }
             }
 
             // Stage 3 — accounting, packet-major then member, so each
@@ -691,7 +646,8 @@ pub(super) fn run_group(
             let mut open = false;
             for (k, payload) in payloads[..lanes].iter().enumerate() {
                 for member in group.iter_mut().filter(|m| !m.stopped) {
-                    open |= member.account_lane(system, k, payload, oracles[k], record, stopping);
+                    let chain = &mut chains[member.chain];
+                    open |= member.account_lane(chain, k, payload, oracles[k], record, stopping);
                 }
             }
             if !open {
@@ -704,15 +660,21 @@ pub(super) fn run_group(
         }
     }
 
-    out.extend(group.into_iter().map(|m| (m.index, m.finish())));
+    out.extend(group.into_iter().map(|m| (m.index, Ok(m.finish()))));
     out
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use wilis_channel::{AwgnModel, FadingModel, ReplayModel, SnrDb, TraceModel};
+    use wilis_fec::{BcjrDecoder, ConvCode, DecodeOutput, SoftDecoder, ViterbiDecoder};
 
     use super::*;
+    use crate::scenario::{
+        channel_registry, contention_registry, link_registry, SweepGrid, SweepRunner,
+    };
 
     impl OracleBank {
         /// The scan the early exit replaced, kept as the reference: every
@@ -856,5 +818,153 @@ mod tests {
             verdicts.contains(&Oracle::NoRate),
             "deep fades lose packets"
         );
+    }
+
+    /// A user registration that counts its decode calls, solo and
+    /// batched alike, and otherwise is the decoder it wraps.
+    struct Counting {
+        inner: Box<dyn SoftDecoder>,
+        calls: Arc<AtomicUsize>,
+    }
+
+    impl SoftDecoder for Counting {
+        fn decode_terminated_into(&mut self, llrs: &[Llr], out: &mut DecodeOutput) {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.decode_terminated_into(llrs, out);
+        }
+
+        fn decode_terminated_batch_into(
+            &mut self,
+            llrs: &[Llr],
+            lanes: usize,
+            outs: &mut [DecodeOutput],
+        ) {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.decode_terminated_batch_into(llrs, lanes, outs);
+        }
+
+        fn id(&self) -> &'static str {
+            self.inner.id()
+        }
+    }
+
+    /// A one-thread runner (so a fused group is never split) whose
+    /// system also registers two user decoders: `"my-viterbi"`, a
+    /// [`Counting`] Viterbi adding to `calls`, and `"bcjr-w4"`, BCJR on a
+    /// 4-step window — far weaker than the stock 64-step one, so it needs
+    /// more packets to close a stopping interval.
+    fn user_runner(calls: &Arc<AtomicUsize>, stopping: Option<StoppingRule>) -> SweepRunner {
+        let calls = Arc::clone(calls);
+        SweepRunner::new(1)
+            .with_stopping(stopping)
+            .with_env(move || {
+                let mut system = WilisSystem::new();
+                let calls = Arc::clone(&calls);
+                system.decoders_mut().register("my-viterbi", move |_| {
+                    Box::new(Counting {
+                        inner: Box::new(ViterbiDecoder::new(&ConvCode::ieee80211())),
+                        calls: Arc::clone(&calls),
+                    })
+                });
+                system.decoders_mut().register("bcjr-w4", |_| {
+                    Box::new(BcjrDecoder::new(&ConvCode::ieee80211(), 4))
+                });
+                (
+                    system,
+                    channel_registry(),
+                    link_registry(),
+                    contention_registry(),
+                )
+            })
+    }
+
+    /// Runs `scenarios` as one fused job and each point alone, asserting
+    /// every result of the fused run equals its solo run, and returns the
+    /// fused results with the decode calls `"my-viterbi"` made in the
+    /// fused run.
+    fn fused_matches_solo(
+        runner: &SweepRunner,
+        calls: &AtomicUsize,
+        scenarios: &[Scenario],
+    ) -> (Vec<ScenarioResult>, usize) {
+        let fused = runner.run(scenarios).unwrap();
+        let fused_calls = calls.load(Ordering::Relaxed);
+        for (sc, f) in scenarios.iter().zip(&fused) {
+            let mut solo = runner.run(std::slice::from_ref(sc)).unwrap().remove(0);
+            solo.scenario = f.scenario;
+            assert_eq!(&solo, f, "{}", sc.label());
+        }
+        (fused, fused_calls)
+    }
+
+    #[test]
+    fn user_registrations_in_fused_groups_match_solo() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let scenarios = SweepGrid::new()
+            .decoders(&["my-viterbi", "viterbi", "sova"])
+            .links(&["none", "arq"])
+            .snrs_db(&[6.5])
+            .packets(11)
+            .payload_bits(300)
+            .scenarios();
+        let (fused, fused_calls) =
+            fused_matches_solo(&user_runner(&calls, None), &calls, &scenarios);
+        // One group of two blocks (6 + 5 packets); a user registration
+        // never shares, so each of its two points decodes every block.
+        assert_eq!(fused_calls, 2 * 2);
+        for link in ["none", "arq"] {
+            let of = |decoder: &str| {
+                let i = scenarios
+                    .iter()
+                    .position(|sc| sc.decoder == decoder && sc.link == link)
+                    .unwrap();
+                &fused[i]
+            };
+            let (user, builtin) = (of("my-viterbi"), of("viterbi"));
+            assert!(
+                builtin.bit_errors > 0,
+                "{link}: the waterfall decodes clean"
+            );
+            assert_eq!(user.packets, builtin.packets, "{link}");
+            assert_eq!(user.packet_errors, builtin.packet_errors, "{link}");
+            assert_eq!(user.bit_errors, builtin.bit_errors, "{link}");
+            assert_eq!(user.hint_bins, builtin.hint_bins, "{link}");
+            assert_eq!(
+                user.predicted_pber_sum.to_bits(),
+                builtin.predicted_pber_sum.to_bits(),
+                "{link}"
+            );
+            assert_eq!(user.link, builtin.link, "{link}");
+        }
+    }
+
+    #[test]
+    fn a_chain_whose_members_all_stopped_stops_decoding() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let scenarios = SweepGrid::new()
+            .decoders(&["my-viterbi", "bcjr-w4"])
+            .snrs_db(&[7.0])
+            .packets(24)
+            .payload_bits(300)
+            .scenarios();
+        let rule = StoppingRule::ber(5e-3).with_chunk(2);
+        let (fused, fused_calls) =
+            fused_matches_solo(&user_runner(&calls, Some(rule)), &calls, &scenarios);
+        let (user, co) = (&fused[0], &fused[1]);
+        // The group runs blocks of 8 packets; the co-member keeps it
+        // going for blocks after `"my-viterbi"` stopped.
+        assert!(
+            user.packets <= 8 && co.packets > 16,
+            "{} then {} packets",
+            user.packets,
+            co.packets
+        );
+        let starts = batch_blocks(24, 8).scan(0u64, |start, block| {
+            let at = *start;
+            *start += u64::from(block);
+            Some(at)
+        });
+        let blocks_run = starts.filter(|&at| at < user.packets).count();
+        assert_eq!(fused_calls, blocks_run);
     }
 }

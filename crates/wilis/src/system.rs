@@ -44,9 +44,9 @@ impl SystemConfig {
 ///
 /// One [`CompiledTrellis`] for the 802.11 code is built at system
 /// construction and shared (via `Arc`) by every stock decoder the system
-/// instantiates — the scenario engine's per-rate receiver banks therefore
-/// reuse one trellis lowering per system instead of recompiling tables
-/// per rate and per decoder.
+/// instantiates — the scenario engine's receive chains and its oracle
+/// therefore reuse one trellis lowering per system instead of
+/// recompiling tables per decoder.
 pub struct WilisSystem {
     decoders: DecoderSlot,
     compiled: Arc<CompiledTrellis>,
@@ -78,7 +78,7 @@ impl WilisSystem {
 
     /// The system's shared compiled 802.11 trellis — one table build
     /// serving every stock decoder this system creates (and the scenario
-    /// engine's oracle receiver bank).
+    /// engine's oracle receiver).
     pub fn compiled_ieee80211(&self) -> Arc<CompiledTrellis> {
         Arc::clone(&self.compiled)
     }
