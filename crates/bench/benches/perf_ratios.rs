@@ -25,12 +25,19 @@
 //! * `service.time.warm/cold` — a grid served from the memoized store
 //!   against the same grid simulated by a fresh service;
 //! * `stopping.packets.adaptive/fixed` — packets a fixed budget spends
-//!   over packets the Wilson stopping rule spends (deterministic).
+//!   over packets the Wilson stopping rule spends (deterministic);
+//! * `sweep.one_packet/full_block` — the packets/s of 64 one-packet points
+//!   (a Monte-Carlo seed axis of short points, which the plan packs eight
+//!   streams to a job) over the packets/s of 8 eight-packet points, each
+//!   one full block: how close packing brings light points to full
+//!   batches.
 //!
-//! Every pair is asserted bit-identical before it is timed, except the
-//! one tolerance-checked pair: `channel.fading.stream/reference` rotates
-//! phasors between exact anchors, so it is asserted to stay within 1e-12
-//! of the reference instead. A timed
+//! Every pair is asserted bit-identical before it is timed, except two.
+//! `channel.fading.stream/reference` rotates phasors between exact
+//! anchors, so it is asserted to stay within 1e-12 of the reference
+//! instead. The two sides of `sweep.one_packet/full_block` send different
+//! packets, so its packed side is asserted equal to each point's solo
+//! run instead. A timed
 //! ratio is the median, with its MAD, over the trials; inside each trial
 //! the two sides run back to back. `WILIS_FAST=1` (the CI
 //! configuration) runs 15 trials, otherwise 31; `WILIS_BITS` scales the
@@ -513,6 +520,48 @@ fn service_ratios(packets: u32, trials: u32, ratios: &mut Vec<Ratio>) {
     });
 }
 
+/// `sweep.one_packet/full_block`: 64 one-packet points against 8
+/// eight-packet points — the same 64 packets of `store_resume`-shaped work
+/// (BPSK 1/2 Viterbi, 64-bit payloads, AWGN at 20 dB) on one worker, so
+/// the ratio sees the engine's per-point and per-job cost, not the pool.
+fn sweep_ratios(reps: u32, trials: u32, ratios: &mut Vec<Ratio>) {
+    let grid = |points: u64, packets: u32| {
+        SweepGrid::new()
+            .rates(&[PhyRate::BpskHalf])
+            .decoders(&["viterbi"])
+            .snrs_db(&[20.0])
+            .seeds(&(0..points).collect::<Vec<_>>())
+            .packets(packets)
+            .payload_bits(64)
+            .scenarios()
+    };
+    let (one_packet, full_block) = (grid(64, 1), grid(8, 8));
+    let runner = SweepRunner::new(1);
+    let packed = runner.run(&one_packet).unwrap();
+    for (sc, got) in one_packet.iter().zip(&packed) {
+        let mut solo = runner.run(std::slice::from_ref(sc)).unwrap().remove(0);
+        solo.scenario = got.scenario;
+        assert_eq!(
+            &solo, got,
+            "packed one-packet points must equal their solo runs"
+        );
+    }
+    ratios.push(time_ratio(
+        "sweep.one_packet/full_block",
+        trials,
+        || {
+            for _ in 0..reps {
+                runner.run(&one_packet).unwrap();
+            }
+        },
+        || {
+            for _ in 0..reps {
+                runner.run(&full_block).unwrap();
+            }
+        },
+    ));
+}
+
 fn main() {
     // Fifteen trials: on a shared 2-vCPU host the median of five or
     // nine still moved between runs by enough to straddle a floor of 1.0.
@@ -589,6 +638,7 @@ fn main() {
     }
     channel_ratios((bits / 40_000).max(1) as u32, trials, &mut ratios);
     service_ratios((bits / 25_000).max(8) as u32, trials, &mut ratios);
+    sweep_ratios((bits / 4_000).max(1) as u32, trials, &mut ratios);
 
     println!(
         "\n{:<36} {:>9} {:>8} {:>8}",

@@ -52,8 +52,15 @@ pub struct PhyScratch {
 }
 
 impl PhyScratch {
-    /// Empty scratch; buffers are sized lazily on first use.
+    /// Empty scratch; buffers are sized lazily on first use, except the
+    /// one-symbol interleave buffer, sized for the widest symbol of any
+    /// rate so a chain whose rate moves up never grows it.
     pub fn new() -> Self {
+        let widest_symbol = PhyRate::all()
+            .iter()
+            .map(|r| r.coded_bits_per_symbol())
+            .max()
+            .unwrap_or(0);
         Self {
             encoder: ConvEncoder::new(&ConvCode::ieee80211()),
             ofdm_tx: OfdmModulator::new(),
@@ -61,7 +68,7 @@ impl PhyScratch {
             data_bits: Vec::new(),
             coded: Vec::new(),
             punctured: Vec::new(),
-            interleaved: Vec::new(),
+            interleaved: Vec::with_capacity(widest_symbol),
             points: Vec::new(),
             packet_points: Vec::new(),
             carriers: Vec::new(),

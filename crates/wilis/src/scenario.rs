@@ -28,27 +28,34 @@
 //! scenarios that share `(rate, channel, params, SNR, seed, packets,
 //! payload)` and differ only in decoder or in a non-rate-adapting link
 //! policy (see [`LinkPolicy::adapts_rate`]) are fused into one
-//! shared-channel job — each packet is built, transmitted, and pushed
+//! shared-channel stream — each packet is built, transmitted, and pushed
 //! through the channel **once**, then received and decoded per member.
 //! Because every member would have seen the identical realization solo
 //! (randomness is a pure function of the scenario seed and packet index),
 //! the fused results are bit-identical to the unfused ones, and the
-//! determinism contract is untouched. Fusion never starves the worker
-//! pool: when a grid collapses into fewer jobs than workers, the largest
-//! groups are split until every worker has work.
+//! determinism contract is untouched. Light streams share a job too:
+//! streams of the same rate, payload and stock-decoder member list whose
+//! packets fit one lockstep block between them — a seed axis of
+//! one-packet points, say — pack into one job, one environment and one
+//! batched decode per decoder, each stream keeping its own channel and
+//! seeds. Fusion never starves the worker pool: when a grid collapses
+//! into fewer jobs than workers, the largest jobs are split until every
+//! worker has work.
 //!
 //! That group loop is the engine's **one packet loop**. A point whose
 //! transmission changes after every packet — a rate-adapting policy, a
 //! soft-combining HARQ packet open for another attempt — or that is
-//! scheduled to panic runs as a group of one, one packet per block; a
-//! contention cell runs its own slot loop but receives and accounts
-//! through the same two steps. Before any packet runs, one compile step
-//! resolves every name, validates every pairing, probes each link
-//! configuration once, and partitions the grid into these jobs.
+//! scheduled to panic runs as a stream of one in a job of its own, one
+//! packet per block; a contention cell runs its own slot loop but
+//! receives and accounts through the same two steps. Before any packet
+//! runs, one compile step resolves every name, validates every pairing,
+//! probes each link configuration once, resolves each distinct channel
+//! and link parameter set once, and partitions the grid into these jobs.
 //!
 //! Execution is one worker pool. Jobs are dealt round-robin to scoped
 //! workers, every job runs under the supervisor's unwind boundary (a
-//! panicking job is quarantined, not fatal), and each finished job's
+//! panicking job re-runs each of its points alone, and a point that
+//! panics alone is quarantined, not fatal), and each finished job's
 //! outcomes travel back to the calling thread over one channel. The
 //! calling thread delivers them — to
 //! [`SweepRunner::run_streaming_supervised`]'s callback, and through it
@@ -767,12 +774,19 @@ impl SweepRunner {
     /// Replaces the environment factory, for sweeps over user decoder,
     /// channel, link-policy, or contention-policy registrations. The
     /// factory runs once for the compile step and once per *job* — a
-    /// contention cell, or a shared-channel group of scenarios that differ
-    /// only in decoder/link, possibly a group of one (each job is
-    /// self-contained — that is what makes the determinism contract
-    /// trivial) — so keep it cheap relative to a scenario's packet budget:
-    /// register implementations inside it, load big assets outside and
-    /// share them via `Arc`.
+    /// contention cell, or one or more shared-channel streams of
+    /// scenarios that differ only in decoder/link (up to eight light
+    /// streams packed together, or a point alone) — plus once per point
+    /// a panicking job re-runs alone. Each job is self-contained — that is
+    /// what makes the determinism contract trivial — so keep the factory
+    /// cheap relative to a job's packets: register implementations inside
+    /// it, load big assets outside and share them via `Arc`.
+    ///
+    /// A decoder registered under a stock name (`"viterbi"`, `"sova"`,
+    /// `"bcjr"`) takes the stock decoder's place: the engine shares one of
+    /// its instances among every point decoding with it, across packed
+    /// streams too, so it must be a pure function of its input, like the
+    /// decoder it replaces. Register a stateful decoder under a new name.
     pub fn with_env(mut self, env: impl Fn() -> SweepEnv + Send + Sync + 'static) -> Self {
         self.env = Arc::new(env);
         self
@@ -810,7 +824,9 @@ impl SweepRunner {
     /// Determinism extends to failure: equal grids under equal injectors
     /// produce equal outcome vectors and equal reports at any thread
     /// count — an injected panic is keyed by the point's grid index,
-    /// never by scheduling.
+    /// never by scheduling, and a job that panics re-runs each of its
+    /// points alone, so only a point that panics alone is quarantined,
+    /// whatever job the thread count put it in.
     ///
     /// # Errors
     ///
@@ -869,25 +885,25 @@ impl SweepRunner {
         // completion order from the report.
         let mut first_err: Option<(usize, RegistryError)> = None;
         let mut quarantined: Vec<Quarantine> = Vec::new();
-        let run_job = |j: usize| {
-            let job = &plan.jobs[j];
-            // The unwind boundary wraps the whole job — environment
-            // construction included — so any worker panic becomes a
-            // quarantine instead of a pool abort.
-            supervisor::run_quarantined(|| {
+        // Each point's outcome: its result or error, or the panic message
+        // of the job that unwound. The unwind boundary wraps the whole
+        // job — environment construction included — so any worker panic
+        // becomes a quarantine instead of a pool abort.
+        let execute = |job: &Job| {
+            let computed = supervisor::run_quarantined(|| {
                 let env = (self.env)();
                 if let Some(inj) = faults {
-                    for &i in job.members() {
+                    for i in job.members() {
                         if inj.fires(FaultSite::WorkerPanic, i as u64) {
                             supervisor::inject_panic(i);
                         }
                     }
                 }
                 match job {
-                    Job::Group(members) => run_group(
+                    Job::Group(streams) => run_group(
                         &env,
-                        &plan.caps,
-                        members,
+                        &plan,
+                        streams,
                         scenarios,
                         self.record_packet_stats,
                         self.stopping,
@@ -898,42 +914,47 @@ impl SweepRunner {
                             &env,
                             *i,
                             &scenarios[*i],
-                            plan.caps[*i],
+                            &plan.points[*i],
                             self.record_packet_stats,
                         ),
                     )],
                 }
-            })
-        };
-        self.fan_out(plan.jobs.len(), run_job, |j, outcome| match outcome {
-            Ok(computed) => {
-                for (i, result) in computed {
-                    match result {
-                        Ok(res) => on_outcome(i, PointOutcome::Completed(res)),
-                        Err(e) if first_err.as_ref().map_or(true, |(held, _)| j < *held) => {
-                            first_err = Some((j, e));
-                        }
-                        Err(_) => {}
-                    }
-                }
+            });
+            match computed {
+                Ok(computed) => computed.into_iter().map(|(i, r)| (i, Ok(r))).collect(),
+                Err(message) => job.members().map(|i| (i, Err(message.clone()))).collect(),
             }
-            Err(message) => {
-                // Every member of the unwound job is quarantined.
-                // Injected panics always run alone (the plan forces it),
-                // so this multi-member case only fires for organic
-                // panics inside fused groups.
-                for &i in plan.jobs[j].members() {
-                    quarantined.push(Quarantine {
-                        point: i,
-                        message: message.clone(),
-                    });
-                    on_outcome(
-                        i,
-                        PointOutcome::Failed {
-                            job: i,
+        };
+        // A job of several points that unwinds re-runs each point alone,
+        // each under its own boundary, so only a point that panics alone
+        // is quarantined — whatever the job's co-members, and so whatever
+        // the thread count's split.
+        let run_job = |j: usize| {
+            let job = &plan.jobs[j];
+            let outcomes: Vec<_> = execute(job);
+            if job.members().nth(1).is_some() && outcomes.iter().any(|(_, o)| o.is_err()) {
+                return job
+                    .members()
+                    .flat_map(|i| execute(&Job::Group(vec![vec![i]])))
+                    .collect();
+            }
+            outcomes
+        };
+        self.fan_out(plan.jobs.len(), run_job, |j, outcomes| {
+            for (i, outcome) in outcomes {
+                match outcome {
+                    Ok(Ok(res)) => on_outcome(i, PointOutcome::Completed(res)),
+                    Ok(Err(e)) if first_err.as_ref().map_or(true, |(held, _)| j < *held) => {
+                        first_err = Some((j, e));
+                    }
+                    Ok(Err(_)) => {}
+                    Err(message) => {
+                        quarantined.push(Quarantine {
+                            point: i,
                             message: message.clone(),
-                        },
-                    );
+                        });
+                        on_outcome(i, PointOutcome::Failed { job: i, message });
+                    }
                 }
             }
         });

@@ -12,7 +12,7 @@ use wilis_mac::link::{LinkMetrics, LinkPolicy, LinkStatus, Oracle};
 use wilis_phy::{PhyScratch, RxResult, Transmitter};
 
 use super::engine::{account, build_receiver, decode, front_end, harq_attempt_seed, PacketTally};
-use super::plan::{runtime_channel_params, runtime_link_params, LinkCaps};
+use super::plan::PointPlan;
 use super::{Scenario, ScenarioResult, SweepEnv, DEFAULT_CAPTURE_DB};
 
 /// Per-node state of one contention cell: the MAC decision machinery,
@@ -64,7 +64,7 @@ pub(super) fn run_cell(
     env: &SweepEnv,
     index: usize,
     sc: &Scenario,
-    caps: LinkCaps,
+    plan: &PointPlan,
     record: bool,
 ) -> Result<ScenarioResult, RegistryError> {
     let (system, channels, links, contentions) = env;
@@ -74,7 +74,7 @@ pub(super) fn run_cell(
     // single receiver (and estimator) serves the whole cell.
     let (mut rx, estimator) = build_receiver(system, &sc.decoder, sc.rate)?;
 
-    let mut channel = channels.build(&sc.channel, &runtime_channel_params(sc))?;
+    let mut channel = channels.build(&sc.channel, &plan.channel_params)?;
     let noise_power = SnrDb::new(sc.snr_db).noise_power();
     let capture_db = sc
         .contention_params
@@ -87,10 +87,9 @@ pub(super) fn run_cell(
         cell_nodes.push(CellNode {
             policy: contentions.build(&sc.contention, &sc.contention_params)?,
             backoff: BackoffState::new(mix_seed(sc.seed, BACKOFF_STREAM | n as u64)),
-            link: if sc.link == "none" {
-                None
-            } else {
-                Some(links.build(&sc.link, &runtime_link_params(sc))?)
+            link: match &plan.link_params {
+                None => None,
+                Some(params) => Some(links.build(&sc.link, params)?),
             },
             arrivals: SmallRng::seed_from_u64(mix_seed(sc.seed, ARRIVAL_STREAM | n as u64)),
             attempts: 0,
@@ -219,7 +218,7 @@ pub(super) fn run_cell(
             // plane, corrupted by the other arrivals as interference noise
             // rather than discarded, and the node decodes the combined
             // plane either way.
-            let received = survived || caps.harq;
+            let received = survived || plan.caps.harq;
             if received {
                 let phase = node
                     .link
@@ -289,7 +288,7 @@ pub(super) fn run_cell(
                 received.then_some(&mut tally),
                 estimator.as_ref(),
                 node.link.as_mut(),
-                caps,
+                plan.caps,
                 &payload,
                 if received { &got } else { &collided },
                 sc.rate,

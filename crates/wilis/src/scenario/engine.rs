@@ -3,13 +3,16 @@
 //!
 //! Every point-to-point grid point runs as an accounting member of a
 //! group job, which receives through one chain per decoder (see
-//! [`run_group`]). A fixed-rate group decodes in lockstep blocks of up to
-//! [`MAX_BATCH_LANES`] packets; a member whose transmission changes after
-//! every packet — SoftRate steering the rate, a HARQ packet that stays
-//! open for another attempt — is alone in its group (the plan sees to it),
-//! which then runs blocks of one packet. The receive step ([`front_end`],
-//! [`decode`]) and the accounting step ([`account`]) are written once and
-//! called by both [`run_group`] and [`super::cell::run_cell`].
+//! [`run_group`]). A group job runs one or more shared-channel streams;
+//! each block takes its lanes from every stream, up to
+//! [`MAX_BATCH_LANES`] packets in lockstep, so light streams the plan
+//! packed together decode in one batch. A member whose transmission
+//! changes after every packet — SoftRate steering the rate, a HARQ packet
+//! that stays open for another attempt — is alone in its job (the plan
+//! sees to it), which then runs blocks of one packet. The receive step
+//! ([`front_end`], [`decode`]) and the accounting step ([`account`]) are
+//! written once and called by both [`run_group`] and
+//! [`super::cell::run_cell`].
 
 use std::sync::Arc;
 
@@ -24,8 +27,9 @@ use wilis_mac::link::{LinkContext, LinkMetrics, LinkPolicy, LinkStatus, LinkVerd
 use wilis_phy::{PhyRate, PhyScratch, Receiver, RxResult, Transmitter};
 use wilis_softphy::{BerEstimator, DecoderKind, HintBin, ScalingFactors};
 
-use super::plan::{runtime_channel_params, runtime_link_params, LinkCaps};
-use super::{LinkSlot, PacketStat, Scenario, ScenarioResult, StoppingRule, SweepEnv};
+use super::plan::{LinkCaps, PointPlan, SweepPlan};
+use super::{PacketStat, Scenario, ScenarioResult, StoppingRule, SweepEnv};
+use crate::system::is_stock_decoder;
 use crate::{SystemConfig, WilisSystem};
 
 /// A receiver for `rate` on the hint-width demapper, with the analytic
@@ -323,8 +327,9 @@ pub(super) fn account(
 
 /// One receive chain of a group: a decoder's receiver at the group's
 /// rate, its SoftPHY estimator, its decode scratch, and its results for
-/// the current block. Members running the same builtin soft decoder share
-/// a chain; every other decoder gets one chain per member.
+/// the current block. Members running the same stock decoder share a
+/// chain, whatever their stream; every other decoder gets one chain per
+/// member.
 struct Chain {
     rx: Receiver,
     estimator: Option<BerEstimator>,
@@ -357,13 +362,27 @@ impl Chain {
     }
 }
 
+/// One shared-channel stream of a group job: the lead scenario whose seed
+/// and channel every member of the stream shares, the stream's own
+/// channel instance, and where the stream stands in the current block.
+struct Stream<'a> {
+    lead: &'a Scenario,
+    channel: Box<dyn ChannelModel>,
+    /// The stream's first packet in the current block.
+    first: u32,
+    /// The stream's packets in the current block, its lanes.
+    block: u32,
+}
+
 /// One grid point of a group job: only its accounting — link policy,
-/// tally and counters. It reads its receives from one of the group's
-/// chains.
+/// tally and counters. It reads its stream's lanes from one of the
+/// group's chains.
 struct GroupMember<'a> {
     index: usize,
     scenario: &'a Scenario,
     caps: LinkCaps,
+    /// Index of the stream this member accounts.
+    stream: usize,
     /// Index of the chain this member receives through.
     chain: usize,
     policy: Option<Box<dyn LinkPolicy>>,
@@ -380,39 +399,42 @@ struct GroupMember<'a> {
 }
 
 impl<'a> GroupMember<'a> {
-    /// Builds the member onto `chains`. Members that run the same builtin
-    /// soft decoder produce bit-identical `RxResult`s lane for lane, so a
+    /// Builds the member onto `chains`. Members that run the same stock
+    /// decoder produce bit-identical `RxResult`s lane for lane, so a
     /// member joins the chain of an earlier one: this is what makes
     /// link-policy grid axes nearly free — `none` and `arq` variants of
-    /// one decoder differ only in accounting. Those decoders are
-    /// known-pure functions of (name, rate); a user registration could be
-    /// stateful, so it never shares.
+    /// one decoder differ only in accounting — and lets packed streams
+    /// decode in one batch. Stock decoders are pure functions of (name,
+    /// rate); a user registration under another name could be stateful,
+    /// so it never shares.
     fn join(
-        system: &WilisSystem,
-        links: &LinkSlot,
-        caps: LinkCaps,
+        (system, _, links, _): &SweepEnv,
+        plan: &PointPlan,
         index: usize,
+        stream: usize,
         sc: &'a Scenario,
         members: &[GroupMember],
         chains: &mut Vec<Chain>,
     ) -> Result<Self, RegistryError> {
-        let shared = DecoderKind::from_registry_name(&sc.decoder)
-            .and_then(|_| members.iter().find(|m| m.scenario.decoder == sc.decoder))
+        let shared = is_stock_decoder(&sc.decoder)
+            .then(|| members.iter().find(|m| m.scenario.decoder == sc.decoder))
+            .flatten()
             .map(|m| m.chain);
         let new_chain = match shared {
             Some(_) => None,
             None => Some(Chain::build(system, &sc.decoder, sc.rate)?),
         };
-        let policy = match sc.link.as_str() {
-            "none" => None,
-            link => Some(links.build(link, &runtime_link_params(sc))?),
+        let policy = match &plan.link_params {
+            None => None,
+            Some(params) => Some(links.build(&sc.link, params)?),
         };
         let chain = shared.unwrap_or(chains.len());
         chains.extend(new_chain);
         Ok(Self {
             index,
             scenario: sc,
-            caps,
+            caps: plan.caps,
+            stream,
             chain,
             policy,
             tally: PacketTally::new(),
@@ -478,72 +500,81 @@ impl<'a> GroupMember<'a> {
     }
 }
 
-/// Partitions a packet budget into contiguous blocks of at most
-/// `max_lanes` whose sizes differ by at most one — the batch width
-/// alignment of the group loop. A greedy split would run 9 packets as
-/// 8 + 1 and strand the remainder on a single-lane decode; the balanced
-/// split runs them as 5 + 4 so every block keeps enough lanes for the
-/// lockstep kernels to pay off.
-fn batch_blocks(packets: u32, max_lanes: u32) -> impl Iterator<Item = u32> {
+/// Block `b` of a packet budget partitioned into contiguous blocks of at
+/// most `max_lanes` whose sizes differ by at most one, or 0 past the last
+/// block — the batch width alignment of the group loop. A greedy split
+/// would run 9 packets as 8 + 1 and strand the remainder on a single-lane
+/// decode; the balanced split runs them as 5 + 4 so every block keeps
+/// enough lanes for the lockstep kernels to pay off.
+fn batch_block(packets: u32, max_lanes: u32, b: u32) -> u32 {
     let n_blocks = packets.div_ceil(max_lanes);
-    let base = packets.checked_div(n_blocks).unwrap_or(0);
-    let bumped = packets.checked_rem(n_blocks).unwrap_or(0);
-    (0..n_blocks).map(move |i| base + u32::from(i < bumped))
+    if b >= n_blocks {
+        return 0;
+    }
+    packets / n_blocks + u32::from(b < packets % n_blocks)
 }
 
-/// Executes one group job: the payload, transmit chain, and channel
-/// realization of each packet are computed once and every member
-/// receives from the identical noisy samples. Bit-identical to running
-/// each member alone — the shared inputs are exactly the inputs each
-/// member would have derived from its own (equal) seed.
+/// Executes one group job of `streams` (each a list of grid points, see
+/// [`super::plan::Job::Group`]): the payload, transmit chain, and channel
+/// realization of each packet are computed once per stream and every
+/// member of the stream receives from the identical noisy samples.
+/// Bit-identical to running each member alone — the shared inputs are
+/// exactly the inputs each member would have derived from its own (equal)
+/// seed, each stream keeps its own channel instance, and a batched decode
+/// equals a solo one lane by lane.
 ///
-/// Packets run in blocks (see [`batch_blocks`]): each block transmits and
-/// corrupts its packets first, then runs one front end into the group's
-/// mother plane — every member receives at the group's rate on the
-/// hint-width demapper, so every chain's front end agrees — and one
+/// Packets run in blocks: block `b` takes each stream's `b`-th
+/// [`batch_block`] as its lanes, stream-major (a packed job's streams fit
+/// one block between them, so it runs exactly one). Each block transmits
+/// and corrupts its packets first, then runs one front end into the
+/// group's mother plane — every member receives at the group's rate on
+/// the hint-width demapper, so every chain's front end agrees — and one
 /// decode per chain that still serves a running member, then the
-/// accounting replays in packet order so tallies and link policies
-/// observe the exact sequence a lone run produces. While a HARQ packet
-/// stays open the block repeats as its next attempt: the same payload at
-/// the attempt's puncture phase, through fresh channel noise from
-/// [`harq_attempt_seed`].
+/// accounting replays each stream's lanes in packet order, so tallies and
+/// link policies observe the exact sequence a lone run produces. While a
+/// HARQ packet stays open the block repeats as its next attempt: the same
+/// payload at the attempt's puncture phase, through fresh channel noise
+/// from [`harq_attempt_seed`].
 pub(super) fn run_group(
     env: &SweepEnv,
-    caps: &[LinkCaps],
-    members: &[usize],
+    plan: &SweepPlan,
+    job: &[Vec<usize>],
     scenarios: &[Scenario],
     record: bool,
     stopping: Option<StoppingRule>,
 ) -> Vec<(usize, Result<ScenarioResult, RegistryError>)> {
-    let (system, channels, links, _) = env;
-    let lead = &scenarios[members[0]];
-    let mut out = Vec::with_capacity(members.len());
-    let mut group: Vec<GroupMember> = Vec::with_capacity(members.len());
+    let (system, channels, _, _) = env;
+    let mut out = Vec::new();
+    let mut group: Vec<GroupMember> = Vec::with_capacity(job.iter().map(Vec::len).sum());
     let mut chains: Vec<Chain> = Vec::new();
-    for &i in members {
-        match GroupMember::join(
-            system,
-            links,
-            caps[i],
-            i,
-            &scenarios[i],
-            &group,
-            &mut chains,
-        ) {
-            Ok(m) => group.push(m),
-            Err(e) => out.push((i, Err(e))),
+    let mut streams: Vec<Stream> = Vec::with_capacity(job.len());
+    for members in job {
+        let joined = group.len();
+        for &i in members {
+            match GroupMember::join(
+                env,
+                &plan.points[i],
+                i,
+                streams.len(),
+                &scenarios[i],
+                &group,
+                &mut chains,
+            ) {
+                Ok(m) => group.push(m),
+                Err(e) => out.push((i, Err(e))),
+            }
+        }
+        let lead = &scenarios[members[0]];
+        match channels.build(&lead.channel, &plan.points[members[0]].channel_params) {
+            Ok(channel) => streams.push(Stream {
+                lead,
+                channel,
+                first: 0,
+                block: 0,
+            }),
+            Err(e) => out.extend(group.drain(joined..).map(|m| (m.index, Err(e.clone())))),
         }
     }
-
-    let mut channel = match channels.build(&lead.channel, &runtime_channel_params(lead)) {
-        Ok(c) => c,
-        Err(e) => {
-            for m in group {
-                out.push((m.index, Err(e.clone())));
-            }
-            return out;
-        }
-    };
     if group.is_empty() {
         return out;
     }
@@ -552,7 +583,7 @@ pub(super) fn run_group(
         .iter()
         .any(|m| m.caps.needs_oracle)
         .then(|| OracleBank::new(system.compiled_ieee80211()));
-    let payload_bits = lead.payload_bits;
+    let payload_bits = streams[0].lead.payload_bits;
     // Serves the transmit chain and the one front end of each block.
     let mut scratch = PhyScratch::new();
     let mut mother: Vec<Llr> = Vec::new();
@@ -562,60 +593,71 @@ pub(super) fn run_group(
     let mut oracles: Vec<Oracle> = Vec::new();
 
     // A member that changes its transmission after every packet is alone
-    // in its group (the plan sees to it) and runs one packet per block.
+    // in its job (the plan sees to it) and runs one packet per block.
     let max_lanes = if group.iter().any(|m| m.caps.adapts_rate || m.caps.harq) {
         1
     } else {
         MAX_BATCH_LANES as u32
     };
-    let mut first = 0u32;
-    for block in batch_blocks(lead.packets, max_lanes) {
-        let lanes = block as usize;
+    for b in 0.. {
+        for stream in &mut streams {
+            stream.first += stream.block;
+            stream.block = batch_block(stream.lead.packets, max_lanes, b);
+        }
+        let lanes = streams.iter().map(|s| s.block as usize).sum();
+        if lanes == 0 {
+            break;
+        }
         if lane_samples.len() < lanes {
             lane_samples.resize_with(lanes, Vec::new);
             payloads.resize_with(lanes, Vec::new);
         }
         loop {
-            // Fixed-rate members all transmit the lead's stream at the
-            // rate every chain is aimed at; a member that steers its own
-            // transmission is alone, so the group transmits whatever its
-            // first member asks for.
+            // Fixed-rate members all transmit at the rate every chain is
+            // aimed at; a member that steers its own transmission is
+            // alone, so the group transmits whatever its first member
+            // asks for.
             let harq = group[0].policy.as_mut().and_then(|p| p.harq());
             let (phase, attempt) = harq.map_or((0, 0), |core| (core.tx_phase(), core.attempt()));
             let transmitter = Transmitter::with_phase(chains[0].rx.rate(), phase);
             scramble_seeds.clear();
             oracles.clear();
 
-            // Stage 1 — the shared part, in packet order: one transmit and
-            // one channel realization per packet.
-            for k in 0..lanes {
-                let p = first + k as u32;
-                let packet_seed = mix_seed(lead.seed, u64::from(p));
-                let payload = &mut payloads[k];
-                // A retransmission resends the open packet's payload.
-                if attempt == 0 {
-                    let mut rng = SmallRng::seed_from_u64(packet_seed);
-                    payload.clear();
-                    payload.extend((0..payload_bits).map(|_| rng.gen_bit()));
+            // Stage 1 — the shared part, stream-major and in packet order
+            // within each stream: one transmit and one channel realization
+            // per packet, through the stream's own channel.
+            let mut k = 0;
+            for stream in &mut streams {
+                for p in stream.first..stream.first + stream.block {
+                    let packet_seed = mix_seed(stream.lead.seed, u64::from(p));
+                    let payload = &mut payloads[k];
+                    // A retransmission resends the open packet's payload.
+                    if attempt == 0 {
+                        let mut rng = SmallRng::seed_from_u64(packet_seed);
+                        payload.clear();
+                        payload.extend((0..payload_bits).map(|_| rng.gen_bit()));
+                    }
+                    // Scramble identity follows the logical packet: a
+                    // retransmission is the same packet on the air.
+                    let scramble_seed = (p % 127 + 1) as u8;
+                    let chan_seed = mix_seed(harq_attempt_seed(packet_seed, attempt), 1);
+                    let samples = &mut lane_samples[k];
+                    let channel = stream.channel.as_mut();
+                    transmitter.tx_into(payload, scramble_seed, &mut scratch, samples);
+                    channel.apply(samples, chan_seed);
+                    oracles.push(match oracle.as_mut() {
+                        Some(bank) => bank.replay(channel, chan_seed, payload, scramble_seed),
+                        None => Oracle::Unavailable,
+                    });
+                    scramble_seeds.push(scramble_seed);
+                    k += 1;
                 }
-                // Scramble identity follows the logical packet: a
-                // retransmission is the same packet on the air.
-                let scramble_seed = (p % 127 + 1) as u8;
-                let chan_seed = mix_seed(harq_attempt_seed(packet_seed, attempt), 1);
-                let samples = &mut lane_samples[k];
-                transmitter.tx_into(payload, scramble_seed, &mut scratch, samples);
-                channel.apply(samples, chan_seed);
-                oracles.push(match oracle.as_mut() {
-                    Some(bank) => bank.replay(channel.as_mut(), chan_seed, payload, scramble_seed),
-                    None => Oracle::Unavailable,
-                });
-                scramble_seeds.push(scramble_seed);
             }
 
             // Stage 2 — the receive step: one front end, then one decode
-            // per chain; a chain whose members have all stopped is read by
-            // no one, so it stops decoding. A HARQ member is alone, so its
-            // chain decodes with its core.
+            // per chain over every lane; a chain whose members have all
+            // stopped is read by no one, so it stops decoding. A HARQ
+            // member is alone, so its chain decodes with its core.
             front_end(
                 &mut chains[0].rx,
                 phase,
@@ -640,21 +682,26 @@ pub(super) fn run_group(
                 );
             }
 
-            // Stage 3 — accounting, packet-major then member, so each
-            // member's tally and link policy observe packets in the order
-            // a lone run delivers them.
+            // Stage 3 — accounting: each stream's lanes in packet order,
+            // each lane member by member, so every member's tally and
+            // link policy observe packets in the order a lone run
+            // delivers them.
             let mut open = false;
-            for (k, payload) in payloads[..lanes].iter().enumerate() {
-                for member in group.iter_mut().filter(|m| !m.stopped) {
-                    let chain = &mut chains[member.chain];
-                    open |= member.account_lane(chain, k, payload, oracles[k], record, stopping);
+            let mut k = 0;
+            for (s, stream) in streams.iter().enumerate() {
+                for _ in 0..stream.block {
+                    let (sent, lane_oracle) = (&payloads[k], oracles[k]);
+                    for member in group.iter_mut().filter(|m| m.stream == s && !m.stopped) {
+                        let chain = &mut chains[member.chain];
+                        open |= member.account_lane(chain, k, sent, lane_oracle, record, stopping);
+                    }
+                    k += 1;
                 }
             }
             if !open {
                 break;
             }
         }
-        first += block;
         if group.iter().all(|m| m.stopped) {
             break;
         }
@@ -959,7 +1006,8 @@ mod tests {
             user.packets,
             co.packets
         );
-        let starts = batch_blocks(24, 8).scan(0u64, |start, block| {
+        let blocks = (0..).map(|b| batch_block(24, 8, b)).take_while(|&n| n > 0);
+        let starts = blocks.scan(0u64, |start, block| {
             let at = *start;
             *start += u64::from(block);
             Some(at)

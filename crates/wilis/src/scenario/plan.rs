@@ -4,13 +4,16 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
+use wilis_fec::MAX_BATCH_LANES;
 use wilis_lis::registry::{Params, RegistryError};
 use wilis_phy::PhyRate;
 use wilis_softphy::DecoderKind;
 
 use super::{LinkSlot, Scenario, SweepEnv};
 use crate::faults::{FaultInjector, FaultSite};
+use crate::system::is_stock_decoder;
 use crate::SystemConfig;
 
 /// What a link configuration does to the packet loop, learned by building
@@ -33,32 +36,57 @@ pub(super) struct LinkCaps {
 /// One unit of worker-pool work.
 #[derive(Debug, Clone)]
 pub(super) enum Job {
-    /// Point-to-point scenarios sharing `(rate, channel, params, snr,
-    /// seed, packets, payload)`: one transmit and channel realization per
-    /// packet serves every member. A point whose link steers the rate or
-    /// combines retransmissions, or that is scheduled to panic, is a group
-    /// of one.
-    Group(Vec<usize>),
+    /// One or more shared-channel streams. A stream is the points sharing
+    /// `(rate, channel, params, snr, seed, packets, payload)`: one transmit
+    /// and channel realization per packet serves every member. A point
+    /// whose link steers the rate or combines retransmissions, or that is
+    /// scheduled to panic, is a stream of one in a job of its own. Light
+    /// streams pack into one job whose block takes its lanes from all of
+    /// them (see [`SweepPlan::compile`]).
+    Group(Vec<Vec<usize>>),
     /// One contention cell.
     Cell(usize),
 }
 
 impl Job {
-    /// The grid points this job computes.
-    pub(super) fn members(&self) -> &[usize] {
-        match self {
-            Job::Group(members) => members,
-            Job::Cell(i) => std::slice::from_ref(i),
-        }
+    /// The grid points this job computes, stream by stream.
+    pub(super) fn members(&self) -> impl Iterator<Item = usize> + '_ {
+        let (streams, cell) = match self {
+            Job::Group(streams) => (streams.as_slice(), None),
+            Job::Cell(i) => (&[][..], Some(*i)),
+        };
+        streams.iter().flatten().copied().chain(cell)
     }
 }
 
 /// The typed shared-channel coordinate two scenarios must agree on, field
-/// for field, to fuse into one [`Job::Group`]: rate, channel name and
-/// parameters, SNR (as bits — NaN-safe exact equality), seed, packet
-/// budget, payload size. A structured tuple rather than a formatted
-/// string, so free-form registry names can never collide into one key.
+/// for field, to share one stream: rate, channel name and parameters, SNR
+/// (as bits — NaN-safe exact equality), seed, packet budget, payload
+/// size. A structured tuple rather than a formatted string, so free-form
+/// registry names can never collide into one key.
 type GroupKey<'a> = (PhyRate, &'a str, &'a Params, u64, u64, u32, usize);
+
+/// A distinct link configuration: rate, payload size, link name and
+/// parameters — everything its run-time parameters and capabilities
+/// depend on.
+type LinkKey<'a> = (PhyRate, usize, &'a str, &'a Params);
+
+/// What streams must agree on to pack into one job: the rate and payload
+/// size every chain is built for, and the sorted `(decoder, link)` list of
+/// their members, so every chain serves every lane.
+type PackKey<'a> = (PhyRate, usize, Vec<(&'a str, &'a str)>);
+
+/// What the compile step resolved for one grid point: its link
+/// capabilities, and its run-time channel and link parameters, built once
+/// per distinct configuration and shared by every point and job that
+/// uses them.
+#[derive(Debug, Clone)]
+pub(super) struct PointPlan {
+    pub(super) caps: LinkCaps,
+    pub(super) channel_params: Arc<Params>,
+    /// `None` for the PHY-only `"none"` link, which builds no policy.
+    pub(super) link_params: Option<Arc<Params>>,
+}
 
 /// A grid compiled for execution: every name resolved, every pairing
 /// validated, every link configuration probed once, and the points
@@ -67,21 +95,25 @@ type GroupKey<'a> = (PhyRate, &'a str, &'a Params, u64, u64, u32, usize);
 pub(super) struct SweepPlan {
     /// The jobs, in the order the worker pool deals them.
     pub(super) jobs: Vec<Job>,
-    /// The link capabilities of each grid point, by grid index.
-    pub(super) caps: Vec<LinkCaps>,
+    /// What was resolved for each grid point, by grid index.
+    pub(super) points: Vec<PointPlan>,
 }
 
 impl SweepPlan {
     /// Compiles `scenarios` against `env`: a configuration error in any
     /// point fails here, before any Monte-Carlo work starts.
     ///
-    /// Points fuse into shared-channel groups unless their link steers the
-    /// rate or combines retransmissions (their transmit stream diverges
-    /// from a shared one), or `faults` schedules a worker panic on them (a
-    /// quarantine must not take fused co-members down with it, so the
-    /// quarantine set stays a pure function of the grid and the fault
-    /// plan). When the grid collapses into fewer jobs than `threads`, the
-    /// largest groups are split until every worker has work.
+    /// Points fuse into shared-channel streams unless their link steers
+    /// the rate or combines retransmissions (their transmit stream
+    /// diverges from a shared one), or `faults` schedules a worker panic
+    /// on them (run alone, the panic unwinds no co-member's work).
+    /// Streams of the same rate, payload size and member
+    /// `(decoder, link)` list, every member a stock decoder, pack into one
+    /// job while their packets fit one block of [`MAX_BATCH_LANES`]: a
+    /// one-packet point decodes in a full batch instead of alone. Packing
+    /// is a pure function of the grid and the fault plan. When the grid
+    /// collapses into fewer jobs than `threads`, the largest jobs are
+    /// split — by streams, then by members — until every worker has work.
     pub(super) fn compile(
         scenarios: &[Scenario],
         env: &SweepEnv,
@@ -93,8 +125,9 @@ impl SweepPlan {
         // on it: an IR phase schedule legal at one puncture period is out
         // of range at another.
         let mut checked: BTreeSet<(PhyRate, &str, &str, &str, &str)> = BTreeSet::new();
-        let mut probed: BTreeMap<(PhyRate, usize, &str, &Params), LinkCaps> = BTreeMap::new();
-        let mut caps = Vec::with_capacity(scenarios.len());
+        let mut probed: BTreeMap<LinkKey, (LinkCaps, Arc<Params>)> = BTreeMap::new();
+        let mut channel_sets: BTreeMap<(&str, &Params, u64), Arc<Params>> = BTreeMap::new();
+        let mut points = Vec::with_capacity(scenarios.len());
         for (i, sc) in scenarios.iter().enumerate() {
             let cell = sc.contention != "p2p";
             if cell && sc.nodes < 1 {
@@ -104,25 +137,35 @@ impl SweepPlan {
                     sc.contention
                 )));
             }
+            let channel_params = channel_sets
+                .entry((&sc.channel, &sc.channel_params, sc.snr_db.to_bits()))
+                .or_insert_with(|| Arc::new(runtime_channel_params(sc)))
+                .clone();
             let fresh =
                 checked.insert((sc.rate, &sc.decoder, &sc.channel, &sc.link, &sc.contention));
             if fresh {
                 system.receiver(&SystemConfig::new(sc.rate, &sc.decoder))?;
-                channels.build(&sc.channel, &runtime_channel_params(sc))?;
+                channels.build(&sc.channel, &channel_params)?;
             }
-            let link = if sc.link == "none" {
-                LinkCaps::default()
+            let (caps, link_params) = if sc.link == "none" {
+                (LinkCaps::default(), None)
             } else {
-                match probed.entry((sc.rate, sc.payload_bits, &sc.link, &sc.link_params)) {
-                    Entry::Occupied(slot) => *slot.get(),
-                    Entry::Vacant(slot) => *slot.insert(probe(links, sc)?),
-                }
+                let (caps, params) =
+                    match probed.entry((sc.rate, sc.payload_bits, &sc.link, &sc.link_params)) {
+                        Entry::Occupied(slot) => slot.get().clone(),
+                        Entry::Vacant(slot) => {
+                            let params = runtime_link_params(sc);
+                            let caps = probe(links, &sc.link, &params)?;
+                            slot.insert((caps, Arc::new(params))).clone()
+                        }
+                    };
+                (caps, Some(params))
             };
             if fresh {
-                check_pairing(sc, link)?;
+                check_pairing(sc, caps)?;
                 if cell {
                     contentions.build(&sc.contention, &sc.contention_params)?;
-                    if link.adapts_rate {
+                    if caps.adapts_rate {
                         return Err(RegistryError::invalid_config(format!(
                             "link policy {:?} steers the transmit rate, which a \
                              contention cell does not support: every node of a \
@@ -132,24 +175,31 @@ impl SweepPlan {
                     }
                 }
             }
-            caps.push(link);
+            points.push(PointPlan {
+                caps,
+                channel_params,
+                link_params,
+            });
         }
 
+        let fuses = |i: usize| {
+            let caps = points[i].caps;
+            !(caps.adapts_rate
+                || caps.harq
+                || faults.is_some_and(|f| f.fires(FaultSite::WorkerPanic, i as u64)))
+        };
         // BTreeMap, not HashMap: job order must be a pure function of the
         // scenario list, never of hasher state, for results to stay
         // bit-identical across runs and thread counts by construction.
         let mut jobs: Vec<Job> = Vec::new();
-        let mut groups: BTreeMap<GroupKey, usize> = BTreeMap::new();
+        let mut streams: BTreeMap<GroupKey, usize> = BTreeMap::new();
         for (i, sc) in scenarios.iter().enumerate() {
             if sc.contention != "p2p" {
                 jobs.push(Job::Cell(i));
                 continue;
             }
-            let alone = caps[i].adapts_rate
-                || caps[i].harq
-                || faults.is_some_and(|f| f.fires(FaultSite::WorkerPanic, i as u64));
-            if alone {
-                jobs.push(Job::Group(vec![i]));
+            if !fuses(i) {
+                jobs.push(Job::Group(vec![vec![i]]));
                 continue;
             }
             let key: GroupKey = (
@@ -161,55 +211,106 @@ impl SweepPlan {
                 sc.packets,
                 sc.payload_bits,
             );
-            match groups.entry(key) {
+            match streams.entry(key) {
                 Entry::Occupied(slot) => {
-                    if let Job::Group(members) = &mut jobs[*slot.get()] {
-                        members.push(i);
+                    if let Job::Group(streams) = &mut jobs[*slot.get()] {
+                        streams[0].push(i);
                     }
                 }
                 Entry::Vacant(slot) => {
                     slot.insert(jobs.len());
-                    jobs.push(Job::Group(vec![i]));
+                    jobs.push(Job::Group(vec![vec![i]]));
                 }
             }
         }
+        let mut jobs = pack(jobs, scenarios, fuses);
 
         // Fusion trades per-packet redundancy for scheduling granularity:
-        // split the largest groups until the pool is fed (a split group
-        // redoes tx+channel once per piece, keeping the sharing within
-        // each piece). Any partition yields bit-identical results, since
-        // group execution equals solo execution member by member, and
-        // splitting on the member axis leaves every piece's packet-axis
-        // batch width unchanged.
+        // split the largest jobs until the pool is fed — a packed job by
+        // its streams, a lone stream by its members (a split stream redoes
+        // tx+channel once per piece, keeping the sharing within each
+        // piece). Any partition yields bit-identical results, since group
+        // execution equals solo execution member by member and a batched
+        // decode equals a solo one lane by lane.
         while jobs.len() < threads {
             let Some(idx) = jobs
                 .iter()
                 .enumerate()
-                .filter(|(_, j)| matches!(j, Job::Group(m) if m.len() >= 2))
-                .max_by_key(|(_, j)| j.members().len())
+                .filter(|(_, j)| j.members().nth(1).is_some())
+                .max_by_key(|(_, j)| j.members().count())
                 .map(|(i, _)| i)
             else {
                 break;
             };
-            if let Job::Group(members) = &mut jobs[idx] {
-                let tail = members.split_off(members.len() / 2);
+            if let Job::Group(streams) = &mut jobs[idx] {
+                let tail = match streams.as_mut_slice() {
+                    [stream] => vec![stream.split_off(stream.len() / 2)],
+                    _ => streams.split_off(streams.len() / 2),
+                };
                 jobs.push(Job::Group(tail));
             }
         }
-        Ok(Self { jobs, caps })
+        Ok(Self { jobs, points })
     }
 }
 
-/// Builds one probe policy for `sc`'s link with the run-time parameters,
-/// so rate-dependent validity checks see what the jobs will build.
-fn probe(links: &LinkSlot, sc: &Scenario) -> Result<LinkCaps, RegistryError> {
-    let mut policy = links.build(&sc.link, &runtime_link_params(sc))?;
+/// Packs light streams into shared jobs, in first-stream order: a stream
+/// of fusing, stock-decoder members joins the open job of its
+/// [`PackKey`] while the job's packets still fit one block of
+/// [`MAX_BATCH_LANES`] lanes, and opens a new one otherwise. Every other
+/// job passes through unchanged.
+fn pack(jobs: Vec<Job>, scenarios: &[Scenario], fuses: impl Fn(usize) -> bool) -> Vec<Job> {
+    let max_lanes = MAX_BATCH_LANES as u32;
+    let mut packed: Vec<Job> = Vec::with_capacity(jobs.len());
+    // The open job of each key and the lanes it has filled.
+    let mut open: BTreeMap<PackKey, (usize, u32)> = BTreeMap::new();
+    for job in jobs {
+        let Job::Group(streams) = &job else {
+            packed.push(job);
+            continue;
+        };
+        let stream = &streams[0];
+        let lead = &scenarios[stream[0]];
+        let light = lead.packets <= max_lanes
+            && fuses(stream[0])
+            && stream
+                .iter()
+                .all(|&i| is_stock_decoder(&scenarios[i].decoder));
+        if !light {
+            packed.push(job);
+            continue;
+        }
+        let mut members: Vec<(&str, &str)> = stream
+            .iter()
+            .map(|&i| (scenarios[i].decoder.as_str(), scenarios[i].link.as_str()))
+            .collect();
+        members.sort_unstable();
+        let key = (lead.rate, lead.payload_bits, members);
+        match open.get_mut(&key) {
+            Some((j, lanes)) if *lanes + lead.packets <= max_lanes => {
+                *lanes += lead.packets;
+                if let (Job::Group(into), Job::Group(mut from)) = (&mut packed[*j], job) {
+                    into.append(&mut from);
+                }
+            }
+            _ => {
+                open.insert(key, (packed.len(), lead.packets));
+                packed.push(job);
+            }
+        }
+    }
+    packed
+}
+
+/// Builds one probe policy for `link` with its run-time parameters, so
+/// rate-dependent validity checks see what the jobs will build.
+fn probe(links: &LinkSlot, link: &str, params: &Params) -> Result<LinkCaps, RegistryError> {
+    let mut policy = links.build(link, params)?;
     // Factories are infallible; a policy that swallowed a bad
     // configuration reports it here instead.
     if let Some(problem) = policy.config_error() {
         return Err(RegistryError::invalid_config(format!(
-            "link policy {:?} is misconfigured: {problem}",
-            sc.link
+            "link policy {link:?} is misconfigured: {problem}"
         )));
     }
     Ok(LinkCaps {
@@ -247,9 +348,9 @@ fn check_pairing(sc: &Scenario, link: LinkCaps) -> Result<(), RegistryError> {
 }
 
 /// The channel parameters as the engine fills them in at run time: the
-/// grid's own parameters plus `snr_db` from the scenario. Shared by the
-/// compile probe, fused groups and cells, like [`runtime_link_params`].
-pub(super) fn runtime_channel_params(sc: &Scenario) -> Params {
+/// grid's own parameters plus `snr_db` from the scenario. Resolved once
+/// per distinct configuration, for the compile probe and every job.
+fn runtime_channel_params(sc: &Scenario) -> Params {
     let mut channel_params = sc.channel_params.clone();
     channel_params.set("snr_db", &format!("{}", sc.snr_db));
     channel_params
@@ -257,10 +358,10 @@ pub(super) fn runtime_channel_params(sc: &Scenario) -> Params {
 
 /// The link-policy parameters as the engine fills them in at run time:
 /// the grid's own parameters plus `payload_bits` and `initial_rate_mbps`
-/// from the scenario. One definition shared by the probe and the jobs, so
-/// a future run-time parameter cannot be added to one and missed in the
-/// other.
-pub(super) fn runtime_link_params(sc: &Scenario) -> Params {
+/// from the scenario. Resolved once per distinct configuration and shared
+/// by the probe and the jobs, so a future run-time parameter cannot reach
+/// one and miss the other.
+fn runtime_link_params(sc: &Scenario) -> Params {
     let mut link_params = sc.link_params.clone();
     link_params.set("payload_bits", &format!("{}", sc.payload_bits.max(1)));
     link_params.set("initial_rate_mbps", &format!("{}", sc.rate.mbps()));

@@ -52,6 +52,15 @@ pub struct WilisSystem {
     compiled: Arc<CompiledTrellis>,
 }
 
+/// Whether `name` is one of the decoders [`WilisSystem::new`] registers.
+/// A stock decoder is a pure function of its name and rate, so the
+/// scenario engine lets every point decoding with it share one receive
+/// chain, across points and across packed streams. A user registration
+/// under a stock name inherits that contract.
+pub(crate) fn is_stock_decoder(name: &str) -> bool {
+    matches!(name, "viterbi" | "sova" | "bcjr")
+}
+
 impl WilisSystem {
     /// A system with the stock implementations registered: `"viterbi"`,
     /// `"sova"` (params: `tu1`, `tu2`), `"bcjr"` (param: `block`).

@@ -886,12 +886,13 @@ fn runner_callback_runs_on_the_calling_thread() {
 
 #[test]
 fn failed_run_keeps_the_points_completed_before_the_error() {
-    // One worker, two points with distinct seeds: two jobs, run in order.
-    // The environment factory is called for the compile step, job 0 and
-    // job 1; the third call has no decoders, so job 1 fails.
+    // One worker, two points with distinct seeds: two jobs, run in order
+    // (a full block of packets each, so the two streams do not pack into
+    // one job). The environment factory is called for the compile step,
+    // job 0 and job 1; the third call has no decoders, so job 1 fails.
     let scenarios = SweepGrid::new()
         .seeds(&[1, 2])
-        .packets(2)
+        .packets(8)
         .payload_bits(200)
         .scenarios();
     let calls = Arc::new(AtomicUsize::new(0));

@@ -5,8 +5,8 @@
 //! global allocator (`tests/support/alloc_count.rs`).
 //!
 //! Warm-up is part of the contract: the first packet may allocate freely
-//! (`ensure_rate` builds machinery, output vectors grow to capacity);
-//! every packet after it must allocate nothing.
+//! (decoder scratch and output vectors grow to capacity); every packet
+//! after it must allocate nothing.
 //!
 //! No `#![forbid(unsafe_code)]` here: the included allocator module is
 //! the one deliberate `unsafe` in the tree.
@@ -311,15 +311,34 @@ fn replay_sweep_allocates_nothing_per_packet() {
 }
 
 /// The trace channel: successive packets walk one long realization
-/// through the fading gain stream. A fixed rate, because SoftRate on the
-/// trace builds each rate's machinery the first time the walk reaches
-/// it, which a longer run does later, not per packet.
+/// through the fading gain stream, at a fixed rate.
 #[test]
 fn trace_sweep_allocates_nothing_per_packet() {
     assert_sweep_allocates_nothing_per_packet("trace", |packets| {
         SweepGrid::new()
             .rates(&[RATE])
             .decoders(&["viterbi"])
+            .channels(&["trace"])
+            .snrs_db(&[12.0])
+            .seeds(&[9])
+            .packets(packets)
+            .payload_bits(PAYLOAD_BITS)
+            .scenarios()
+    });
+}
+
+/// SoftRate with its oracle on the trace channel: the walk through deep
+/// fades steers the transmit rate to rates a shorter run never reaches,
+/// and a rate change re-aims the chain in place, so reaching a new rate
+/// late costs nothing either.
+#[test]
+fn softrate_oracle_trace_sweep_allocates_nothing_per_packet() {
+    assert_sweep_allocates_nothing_per_packet("softrate trace", |packets| {
+        SweepGrid::new()
+            .rates(&[PhyRate::Qam16Half])
+            .decoders(&["bcjr"])
+            .links(&["softrate"])
+            .link_param("oracle", "true")
             .channels(&["trace"])
             .snrs_db(&[12.0])
             .seeds(&[9])

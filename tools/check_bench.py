@@ -45,6 +45,7 @@ FLOORS = {
     "channel.fading.stream/reference": 1.0,
     "service.time.warm/cold": 1.0,
     "stopping.packets.adaptive/fixed": 1.0,
+    "sweep.one_packet/full_block": 0.6,
 }
 
 
