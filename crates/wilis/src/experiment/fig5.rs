@@ -54,7 +54,7 @@ const PACKET_BITS: usize = 1704;
 fn calibration_from(cfg: CalibrationConfig, r: &ScenarioResult) -> HintCalibration {
     HintCalibration::from_bins(
         cfg,
-        r.hint_bins.clone(),
+        r.hint_bins.to_vec(),
         r.packets,
         r.packet_errors,
         r.ber(),

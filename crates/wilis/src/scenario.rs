@@ -349,27 +349,55 @@ pub struct Scenario {
 impl Scenario {
     /// A human-readable grid-point label.
     pub fn label(&self) -> String {
-        let link = if self.link == "none" {
-            String::new()
-        } else {
-            format!(" {}", self.link)
-        };
-        let cell = if self.contention == "p2p" {
-            String::new()
-        } else {
-            format!(" {} x{}", self.contention, self.nodes)
-        };
-        format!(
-            "{} {} {}{}{} @{:.2}dB seed{}",
-            self.rate.label(),
-            self.decoder,
-            self.channel,
-            link,
-            cell,
-            self.snr_db,
-            self.seed
-        )
+        let mut label = String::new();
+        write_label(
+            &mut label,
+            &LabelParts {
+                rate: self.rate,
+                decoder: &self.decoder,
+                channel: &self.channel,
+                link: &self.link,
+                contention: &self.contention,
+                nodes: self.nodes,
+                snr_db: self.snr_db,
+                seed: self.seed,
+            },
+        );
+        label
     }
+}
+
+/// The coordinates a grid-point label shows: every [`Scenario`] field but
+/// the parameter sets, the packet budget and the payload size.
+pub(crate) struct LabelParts<'a> {
+    pub(crate) rate: PhyRate,
+    pub(crate) decoder: &'a str,
+    pub(crate) channel: &'a str,
+    pub(crate) link: &'a str,
+    pub(crate) contention: &'a str,
+    pub(crate) nodes: u32,
+    pub(crate) snr_db: f64,
+    pub(crate) seed: u64,
+}
+
+/// Appends the label of the point `parts` names to `out`: the one label
+/// writer behind [`Scenario::label`] and the store's label elision, which
+/// writes into a reused buffer.
+pub(crate) fn write_label(out: &mut String, parts: &LabelParts) {
+    use std::fmt::Write as _;
+    let rate = parts.rate;
+    let _ = write!(out, "{} {} ", rate.modulation(), rate.code_rate());
+    out.push_str(parts.decoder);
+    out.push(' ');
+    out.push_str(parts.channel);
+    if parts.link != "none" {
+        out.push(' ');
+        out.push_str(parts.link);
+    }
+    if parts.contention != "p2p" {
+        let _ = write!(out, " {} x{}", parts.contention, parts.nodes);
+    }
+    let _ = write!(out, " @{:.2}dB seed{}", parts.snr_db, parts.seed);
 }
 
 /// Per-packet coordinates recorded when
@@ -398,8 +426,8 @@ pub struct ScenarioResult {
     /// Payload bits decoded incorrectly.
     pub bit_errors: u64,
     /// Per-hint statistics, index = hint value (0..=63) — the Figure 5
-    /// binning.
-    pub hint_bins: Vec<HintBin>,
+    /// binning, held compactly (see [`HintBins`]).
+    pub hint_bins: HintBins,
     /// Sum of predicted per-packet BERs (mean = `/ packets`); 0 for hard
     /// decoders.
     pub predicted_pber_sum: f64,
@@ -444,6 +472,89 @@ impl ScenarioResult {
         } else {
             self.predicted_pber_sum / self.packets as f64
         }
+    }
+}
+
+/// The per-hint statistics of a result: a dense list of bins indexed by
+/// hint value, held compactly. A hard decoder puts every bit in bin 0, so
+/// a list whose bins past the first are all empty keeps that one bin (and
+/// an all-empty list keeps none); any other list is kept whole. Trimming
+/// at the exact last non-empty bin would make a result's size depend on
+/// whether some packet reached a rare high hint, so two runs that differ
+/// only in packet budget would allocate different bytes. The form is
+/// canonical (equal lists compare equal), and [`HintBins::iter`],
+/// [`HintBins::get`], [`HintBins::len`] and `Debug` all show the dense
+/// list, so a result prints exactly as it did with a dense `Vec`.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct HintBins {
+    /// The dense list's length.
+    len: usize,
+    /// A prefix of the dense list past which every bin is empty.
+    bins: Box<[HintBin]>,
+}
+
+/// The bin every index past the kept prefix holds.
+static EMPTY_BIN: HintBin = HintBin { bits: 0, errors: 0 };
+
+impl HintBins {
+    /// The compact form of the dense list `dense`.
+    pub fn from_dense(dense: &[HintBin]) -> Self {
+        Self::from_prefix(dense.len(), dense)
+    }
+
+    /// The compact form of a dense list of `len` bins that starts with
+    /// `prefix` (no longer than `len`) and is empty past it.
+    pub(crate) fn from_prefix(len: usize, prefix: &[HintBin]) -> Self {
+        let kept = match prefix.iter().rposition(|b| *b != HintBin::default()) {
+            None => 0,
+            Some(0) => 1,
+            Some(_) => len,
+        };
+        Self {
+            len,
+            bins: (0..kept)
+                .map(|hint| prefix.get(hint).copied().unwrap_or_default())
+                .collect(),
+        }
+    }
+
+    /// The number of bins in the dense list.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the dense list has no bins.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bin `hint`, or `None` past the dense list's end.
+    pub fn get(&self, hint: usize) -> Option<&HintBin> {
+        match self.bins.get(hint) {
+            Some(bin) => Some(bin),
+            None => (hint < self.len).then_some(&EMPTY_BIN),
+        }
+    }
+
+    /// Every bin of the dense list, in hint order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &HintBin> + '_ {
+        (0..self.len).map(|hint| self.bins.get(hint).unwrap_or(&EMPTY_BIN))
+    }
+
+    /// The dense list.
+    pub fn to_vec(&self) -> Vec<HintBin> {
+        self.iter().copied().collect()
+    }
+
+    /// The kept prefix: every bin past it is empty.
+    pub(crate) fn prefix(&self) -> &[HintBin] {
+        &self.bins
+    }
+}
+
+impl std::fmt::Debug for HintBins {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -869,6 +980,26 @@ impl SweepRunner {
     where
         F: FnMut(usize, PointOutcome),
     {
+        self.run_streaming_jobs(scenarios, |outcomes| {
+            for (i, outcome) in outcomes {
+                on_outcome(i, outcome);
+            }
+        })
+    }
+
+    /// [`SweepRunner::run_streaming_supervised`] delivering each worker
+    /// job's outcomes together: `on_job` fires on the calling thread once
+    /// per finished job, with that job's outcomes in member order, so a
+    /// caller can batch what it does per outcome (the service commits a
+    /// job's store records in one write).
+    pub(crate) fn run_streaming_jobs<F>(
+        &self,
+        scenarios: &[Scenario],
+        mut on_job: F,
+    ) -> Result<FaultReport, RegistryError>
+    where
+        F: FnMut(std::vec::Drain<'_, (usize, PointOutcome)>),
+    {
         if let Some(rule) = self.stopping {
             rule.validate()?;
         }
@@ -940,10 +1071,11 @@ impl SweepRunner {
             }
             outcomes
         };
+        let mut delivered = Vec::new();
         self.fan_out(plan.jobs.len(), run_job, |j, outcomes| {
             for (i, outcome) in outcomes {
                 match outcome {
-                    Ok(Ok(res)) => on_outcome(i, PointOutcome::Completed(res)),
+                    Ok(Ok(res)) => delivered.push((i, PointOutcome::Completed(res))),
                     Ok(Err(e)) if first_err.as_ref().map_or(true, |(held, _)| j < *held) => {
                         first_err = Some((j, e));
                     }
@@ -953,10 +1085,11 @@ impl SweepRunner {
                             point: i,
                             message: message.clone(),
                         });
-                        on_outcome(i, PointOutcome::Failed { job: i, message });
+                        delivered.push((i, PointOutcome::Failed { job: i, message }));
                     }
                 }
             }
+            on_job(delivered.drain(..));
         });
         if let Some((_, e)) = first_err {
             return Err(e);

@@ -28,7 +28,7 @@ use wilis_phy::{PhyRate, PhyScratch, Receiver, RxResult, Transmitter};
 use wilis_softphy::{BerEstimator, DecoderKind, HintBin, ScalingFactors};
 
 use super::plan::{LinkCaps, PointPlan, SweepPlan};
-use super::{PacketStat, Scenario, ScenarioResult, StoppingRule, SweepEnv};
+use super::{HintBins, PacketStat, Scenario, ScenarioResult, StoppingRule, SweepEnv};
 use crate::system::is_stock_decoder;
 use crate::{SystemConfig, WilisSystem};
 
@@ -200,7 +200,7 @@ impl PacketTally {
             packet_errors: self.packet_errors,
             bits: packets * sc.payload_bits as u64,
             bit_errors: self.bit_errors,
-            hint_bins: self.hint_bins,
+            hint_bins: HintBins::from_dense(&self.hint_bins),
             predicted_pber_sum: self.predicted_pber_sum,
             packet_stats: self.packet_stats,
             link,
@@ -506,7 +506,7 @@ impl<'a> GroupMember<'a> {
 /// would run 9 packets as 8 + 1 and strand the remainder on a single-lane
 /// decode; the balanced split runs them as 5 + 4 so every block keeps
 /// enough lanes for the lockstep kernels to pay off.
-fn batch_block(packets: u32, max_lanes: u32, b: u32) -> u32 {
+pub(super) fn batch_block(packets: u32, max_lanes: u32, b: u32) -> u32 {
     let n_blocks = packets.div_ceil(max_lanes);
     if b >= n_blocks {
         return 0;

@@ -11,6 +11,7 @@ use wilis_lis::registry::{Params, RegistryError};
 use wilis_phy::PhyRate;
 use wilis_softphy::DecoderKind;
 
+use super::engine::batch_block;
 use super::{LinkSlot, Scenario, SweepEnv};
 use crate::faults::{FaultInjector, FaultSite};
 use crate::system::is_stock_decoder;
@@ -254,30 +255,27 @@ impl SweepPlan {
     }
 }
 
-/// Packs light streams into shared jobs, in first-stream order: a stream
-/// of fusing, stock-decoder members joins the open job of its
-/// [`PackKey`] while the job's packets still fit one block of
-/// [`MAX_BATCH_LANES`] lanes, and opens a new one otherwise. Every other
-/// job passes through unchanged.
+/// Packs light streams into shared jobs. A light stream has fusing,
+/// stock-decoder members and at most [`MAX_BATCH_LANES`] packets; the
+/// light streams of one [`PackKey`], in first-stream order, split into
+/// the balanced jobs of [`balance`], each job sitting where its first
+/// stream did. Every other job passes through unchanged.
 fn pack(jobs: Vec<Job>, scenarios: &[Scenario], fuses: impl Fn(usize) -> bool) -> Vec<Job> {
     let max_lanes = MAX_BATCH_LANES as u32;
-    let mut packed: Vec<Job> = Vec::with_capacity(jobs.len());
-    // The open job of each key and the lanes it has filled.
-    let mut open: BTreeMap<PackKey, (usize, u32)> = BTreeMap::new();
-    for job in jobs {
-        let Job::Group(streams) = &job else {
-            packed.push(job);
+    // Each key's light streams: their job index and packets.
+    let mut light: BTreeMap<PackKey, Vec<(usize, u32)>> = BTreeMap::new();
+    for (j, job) in jobs.iter().enumerate() {
+        let Job::Group(streams) = job else {
             continue;
         };
         let stream = &streams[0];
         let lead = &scenarios[stream[0]];
-        let light = lead.packets <= max_lanes
+        let is_light = lead.packets <= max_lanes
             && fuses(stream[0])
             && stream
                 .iter()
                 .all(|&i| is_stock_decoder(&scenarios[i].decoder));
-        if !light {
-            packed.push(job);
+        if !is_light {
             continue;
         }
         let mut members: Vec<(&str, &str)> = stream
@@ -286,20 +284,65 @@ fn pack(jobs: Vec<Job>, scenarios: &[Scenario], fuses: impl Fn(usize) -> bool) -
             .collect();
         members.sort_unstable();
         let key = (lead.rate, lead.payload_bits, members);
-        match open.get_mut(&key) {
-            Some((j, lanes)) if *lanes + lead.packets <= max_lanes => {
-                *lanes += lead.packets;
-                if let (Job::Group(into), Job::Group(mut from)) = (&mut packed[*j], job) {
+        light.entry(key).or_default().push((j, lead.packets));
+    }
+    // By job index: the later jobs a packed job's first stream absorbs.
+    let mut joins: Vec<Vec<usize>> = vec![Vec::new(); jobs.len()];
+    for streams in light.values() {
+        let packets: Vec<u32> = streams.iter().map(|&(_, p)| p).collect();
+        let mut rest = streams.as_slice();
+        for count in balance(&packets, max_lanes) {
+            let (chunk, tail) = rest.split_at(count);
+            joins[chunk[0].0] = chunk[1..].iter().map(|&(j, _)| j).collect();
+            rest = tail;
+        }
+    }
+    let mut slots: Vec<Option<Job>> = jobs.into_iter().map(Some).collect();
+    let mut packed = Vec::with_capacity(slots.len());
+    for (j, absorbed) in joins.iter().enumerate() {
+        // An absorbed job's slot was emptied by the job that took it in.
+        let Some(mut job) = slots[j].take() else {
+            continue;
+        };
+        if let Job::Group(into) = &mut job {
+            for &k in absorbed {
+                if let Some(Job::Group(mut from)) = slots[k].take() {
                     into.append(&mut from);
                 }
             }
-            _ => {
-                open.insert(key, (packed.len(), lead.packets));
-                packed.push(job);
-            }
         }
+        packed.push(job);
     }
     packed
+}
+
+/// Splits streams of `packets[s]` packets each, in order, into
+/// contiguous jobs of at most `max_lanes` packets, as evenly as
+/// [`batch_block`] splits one stream's packets into blocks: job `b`
+/// closes once it holds its balanced share of the total, or before a
+/// stream that would overflow it. Seventeen one-packet streams split as
+/// 6 + 6 + 5, not 8 + 8 + 1, so no job decodes a lone lane. Returns each
+/// job's stream count.
+fn balance(packets: &[u32], max_lanes: u32) -> Vec<usize> {
+    let total: u32 = packets.iter().sum();
+    let mut jobs = Vec::new();
+    let (mut lanes, mut streams) = (0, 0);
+    for &p in packets {
+        let share = match batch_block(total, max_lanes, jobs.len() as u32) {
+            0 => max_lanes,
+            share => share,
+        };
+        if streams > 0 && (lanes >= share || lanes + p > max_lanes) {
+            jobs.push(streams);
+            (lanes, streams) = (0, 0);
+        }
+        lanes += p;
+        streams += 1;
+    }
+    if streams > 0 {
+        jobs.push(streams);
+    }
+    jobs
 }
 
 /// Builds one probe policy for `link` with its run-time parameters, so
@@ -366,4 +409,39 @@ fn runtime_link_params(sc: &Scenario) -> Params {
     link_params.set("payload_bits", &format!("{}", sc.payload_bits.max(1)));
     link_params.set("initial_rate_mbps", &format!("{}", sc.rate.mbps()));
     link_params
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::{SweepGrid, SweepRunner};
+
+    /// The lanes of each job `compile` makes of `n` one-packet points.
+    fn job_lanes(n: u64) -> Vec<usize> {
+        let scenarios = SweepGrid::new()
+            .rates(&[PhyRate::BpskHalf])
+            .decoders(&["viterbi"])
+            .seeds(&(0..n).collect::<Vec<_>>())
+            .packets(1)
+            .payload_bits(64)
+            .scenarios();
+        let env = (SweepRunner::new(1).env)();
+        let plan = SweepPlan::compile(&scenarios, &env, None, 1).unwrap();
+        plan.jobs.iter().map(|job| job.members().count()).collect()
+    }
+
+    #[test]
+    fn light_streams_pack_into_balanced_jobs() {
+        assert_eq!(job_lanes(9), [5, 4]);
+        assert_eq!(job_lanes(16), [8, 8]);
+        assert_eq!(job_lanes(17), [6, 6, 5]);
+    }
+
+    #[test]
+    fn a_stream_that_would_overflow_its_share_starts_the_next_job() {
+        assert_eq!(balance(&[1; 17], 8), [6, 6, 5]);
+        assert_eq!(balance(&[5, 5, 5], 8), [1, 1, 1]);
+        assert_eq!(balance(&[3, 3, 2, 4, 4], 8), [3, 2]);
+        assert_eq!(balance(&[], 8), Vec::<usize>::new());
+    }
 }

@@ -7,9 +7,21 @@
 
 use std::fmt::Write as _;
 
-/// Appends `n` in decimal.
-pub(crate) fn put_u64(out: &mut String, n: u64) {
-    let _ = write!(out, "{n}");
+/// Appends `n` in decimal, through a stack buffer of digits.
+pub(crate) fn put_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    for &d in &digits[at..] {
+        out.push(char::from(d));
+    }
 }
 
 /// Appends `s` as a quoted, escaped JSON string.

@@ -8,12 +8,17 @@
 //! store without simulating a single packet, and fresh points stream
 //! back through [`SweepService::run_streaming_supervised`]'s per-point
 //! callback as their worker jobs finish. Workers only simulate: the
-//! runner hands each finished point to the calling thread over one
-//! channel, and the service inserts it into the store and calls the
-//! callback there, while the remaining jobs run. The store counts every
-//! load and degradation event in one [`StoreCounters`] record, which
-//! [`SweepService::metrics`] and each run's
-//! [`FaultReport`] read.
+//! runner hands each finished job's points to the calling thread over one
+//! channel, and the service calls the callback and stores each point
+//! there, while the remaining jobs run. Each point's key is built once
+//! and moved into the store with its result, and the store
+//! *group-commits*: the records of one finished job go out in one
+//! `write_all`, with torn and corrupt injections still decided per
+//! record by content. Results carry their hint bins as a compact
+//! [`HintBins`](crate::scenario::HintBins), so a hard decoder's result
+//! holds one bin instead of 64. The store counts every load and
+//! degradation event in one [`StoreCounters`] record, which
+//! [`SweepService::metrics`] and each run's [`FaultReport`] read.
 //!
 //! With `WILIS_STORE=path` (see [`SweepService::from_env`]) the store is
 //! mirrored to a JSON-lines file, so the cache survives across
@@ -340,48 +345,55 @@ impl SweepService {
 
         let mut report = FaultReport::default();
         if !pending.is_empty() {
-            let keys: Vec<&StoreKey> = pending.keys().collect();
-            let reps: Vec<Scenario> = keys
-                .iter()
-                .map(|key| scenarios[pending[*key][0]].clone())
-                .collect();
+            // The misses in key order: each key moves into the store with
+            // its result, and `fanout[j]` lists who asked for miss `j`.
+            let (keys, fanout): (Vec<StoreKey>, Vec<Vec<usize>>) = pending.into_iter().unzip();
+            let mut keys: Vec<Option<StoreKey>> = keys.into_iter().map(Some).collect();
+            let reps: Vec<Scenario> = fanout.iter().map(|f| scenarios[f[0]].clone()).collect();
             let store = &mut self.store;
             let metrics = &mut self.metrics;
-            let runner_report = self.runner.run_streaming_supervised(&reps, |j, outcome| {
-                match outcome {
-                    PointOutcome::Completed(result) => {
-                        metrics.packets_simulated += result.packets;
-                        for (fanout, &i) in pending[keys[j]].iter().enumerate() {
-                            if fanout > 0 {
-                                metrics.packets_saved += result.packets;
+            let runner_report = self.runner.run_streaming_jobs(&reps, |outcomes| {
+                for (j, outcome) in outcomes {
+                    match outcome {
+                        PointOutcome::Completed(result) => {
+                            metrics.packets_simulated += result.packets;
+                            for (n, &i) in fanout[j].iter().enumerate() {
+                                if n > 0 {
+                                    metrics.packets_saved += result.packets;
+                                }
+                                let mut copy = result.clone();
+                                copy.scenario = i;
+                                let delivered = PointOutcome::Completed(copy);
+                                on_outcome(i, &delivered);
+                                slots[i] = Some(delivered);
                             }
-                            let mut copy = result.clone();
-                            copy.scenario = i;
-                            let delivered = PointOutcome::Completed(copy);
-                            on_outcome(i, &delivered);
-                            slots[i] = Some(delivered);
+                            // Stored with a neutral submission index, so
+                            // the disk record is independent of this
+                            // call's grid layout (hits rewrite the index
+                            // anyway).
+                            let mut canonical = result;
+                            canonical.scenario = 0;
+                            if let Some(key) = keys[j].take() {
+                                store.stage(key, canonical);
+                            }
                         }
-                        // Stored with a neutral submission index, so the
-                        // disk record is independent of this call's grid
-                        // layout (hits rewrite the index anyway).
-                        let mut canonical = result;
-                        canonical.scenario = 0;
-                        store.insert(keys[j].clone(), canonical);
-                    }
-                    PointOutcome::Failed { message, .. } => {
-                        // Quarantines fan out too — every submission
-                        // index that asked for the failed coordinate gets
-                        // the typed failure. Nothing is stored.
-                        for &i in &pending[keys[j]] {
-                            let delivered = PointOutcome::Failed {
-                                job: i,
-                                message: message.clone(),
-                            };
-                            on_outcome(i, &delivered);
-                            slots[i] = Some(delivered);
+                        PointOutcome::Failed { message, .. } => {
+                            // Quarantines fan out too — every submission
+                            // index that asked for the failed coordinate
+                            // gets the typed failure. Nothing is stored.
+                            for &i in &fanout[j] {
+                                let delivered = PointOutcome::Failed {
+                                    job: i,
+                                    message: message.clone(),
+                                };
+                                on_outcome(i, &delivered);
+                                slots[i] = Some(delivered);
+                            }
                         }
                     }
                 }
+                // Group commit: the job's records go out in one write.
+                store.commit();
             })?;
             // Remap quarantines from dedup-grid indices to submission
             // indices; the injected tally follows each copy.
@@ -389,7 +401,7 @@ impl SweepService {
             for q in &runner_report.quarantined {
                 let injected =
                     faults.is_some_and(|f| f.fires(FaultSite::WorkerPanic, q.point as u64));
-                for &i in &pending[keys[q.point]] {
+                for &i in &fanout[q.point] {
                     report.quarantined.push(Quarantine {
                         point: i,
                         message: q.message.clone(),

@@ -26,6 +26,24 @@
 //! result's `label` when it equals the [`Scenario::label`] of its key.
 //! Records are encoded straight into one reused `String` and parsed
 //! straight into a [`StoreKey`] and a [`ScenarioResult`]: no value tree.
+//! The codec allocates nothing per record: the label comparison writes
+//! the key's label into a reused buffer, integers go through a digit
+//! writer, and a decoded record allocates only the values it owns.
+//!
+//! # Group commit
+//!
+//! [`ResultStore::insert`] writes its record at once. The service
+//! instead stages each record of a finished worker job and commits them
+//! together, in one `write_all`. Staging decides everything per record,
+//! exactly as a lone append would: the torn-tail repair newline, the
+//! content-addressed torn and corrupt injections, and the injected
+//! append attempts (a record whose every attempt fails is left out and
+//! counted as an IO error). So the file holds the bytes a run of lone
+//! appends would have written, and a crash inside a commit costs at most
+//! that commit's records. The commit retries organic write errors under
+//! the same budget. Staged records are written before any eviction or
+//! compaction, which rewrites the file from memory and so would
+//! otherwise repeat or drop them.
 //!
 //! # Result epochs
 //!
@@ -37,8 +55,9 @@
 //! - **stale** — a whole version-2 record of other epochs, or any
 //!   version-1 record. Never served, counted in [`StoreCounters::stale`],
 //!   and dropped by the next compaction;
-//! - **skipped** — anything else (torn, corrupt or foreign lines). Never
-//!   fatal: a store file is a cache, not a database.
+//! - **skipped** — anything else (torn, corrupt or foreign lines, and
+//!   lines that are not UTF-8, as a torn write can leave). Never fatal: a
+//!   store file is a cache, not a database.
 //!
 //! # Crash safety and degradation
 //!
@@ -72,7 +91,10 @@ use wilis_softphy::HintBin;
 
 use super::json::{self, Cursor};
 use crate::faults::{occurrence_of, FaultInjector, FaultSite};
-use crate::scenario::{PacketStat, Scenario, ScenarioResult, StopMetric, StoppingRule};
+use crate::scenario::{
+    write_label, HintBins, LabelParts, PacketStat, Scenario, ScenarioResult, StopMetric,
+    StoppingRule,
+};
 
 /// The bounded retry budget of one store operation: an append or load
 /// may fail (organically or by injection) at most `STORE_ATTEMPTS - 1`
@@ -113,60 +135,85 @@ impl From<StoppingRule> for StoppingKey {
 /// as bits — NaN-safe exact identity, like the engine's own
 /// shared-channel `GroupKey`) plus the two runner knobs that change what
 /// a result *contains* — packet-stats recording and the stopping rule.
+///
+/// The field order is the comparison order: the derived `Ord` compares
+/// fields as they are declared. `seed` leads, then `snr_bits` and the
+/// other scalars, and the names and parameter maps come last, because a
+/// sweep's points mostly differ in their seed and SNR and share every
+/// name: a store lookup then settles on one integer compare instead of
+/// walking four strings and three maps first. The disk record lists its
+/// members by name in its own fixed order, so this order moves no byte.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StoreKey {
-    /// Index of the rate in [`PhyRate::all`] — a stable small integer.
-    pub rate_index: u8,
-    /// Decoder registry name.
-    pub decoder: String,
-    /// Channel registry name.
-    pub channel: String,
-    /// Channel parameters.
-    pub channel_params: Params,
-    /// Link-policy registry name.
-    pub link: String,
-    /// Link-policy parameters.
-    pub link_params: Params,
-    /// Contention-policy registry name.
-    pub contention: String,
-    /// Contention parameters.
-    pub contention_params: Params,
-    /// Cell node count.
-    pub nodes: u32,
-    /// Operating SNR as IEEE-754 bits.
-    pub snr_bits: u64,
     /// Scenario seed.
     pub seed: u64,
+    /// Operating SNR as IEEE-754 bits.
+    pub snr_bits: u64,
+    /// Index of the rate in [`PhyRate::all`] — a stable small integer.
+    pub rate_index: u8,
     /// Packet (or slot) budget.
     pub packets: u32,
     /// Payload bits per packet.
     pub payload_bits: u64,
+    /// Cell node count.
+    pub nodes: u32,
     /// Whether per-packet scatter stats were recorded into the result.
     pub record_packet_stats: bool,
     /// The stopping rule in force, if any.
     pub stopping: Option<StoppingKey>,
+    /// Decoder registry name.
+    pub decoder: String,
+    /// Channel registry name.
+    pub channel: String,
+    /// Link-policy registry name.
+    pub link: String,
+    /// Contention-policy registry name.
+    pub contention: String,
+    /// Channel parameters.
+    pub channel_params: Params,
+    /// Link-policy parameters.
+    pub link_params: Params,
+    /// Contention parameters.
+    pub contention_params: Params,
 }
 
 impl StoreKey {
     /// The key of `sc` under the given runner configuration.
     pub fn new(sc: &Scenario, record_packet_stats: bool, stopping: Option<StoppingRule>) -> Self {
         Self {
-            rate_index: rate_index(sc.rate),
-            decoder: sc.decoder.clone(),
-            channel: sc.channel.clone(),
-            channel_params: sc.channel_params.clone(),
-            link: sc.link.clone(),
-            link_params: sc.link_params.clone(),
-            contention: sc.contention.clone(),
-            contention_params: sc.contention_params.clone(),
-            nodes: sc.nodes,
-            snr_bits: sc.snr_db.to_bits(),
             seed: sc.seed,
+            snr_bits: sc.snr_db.to_bits(),
+            rate_index: rate_index(sc.rate),
             packets: sc.packets,
             payload_bits: sc.payload_bits as u64,
+            nodes: sc.nodes,
             record_packet_stats,
             stopping: stopping.map(StoppingKey::from),
+            decoder: sc.decoder.clone(),
+            channel: sc.channel.clone(),
+            link: sc.link.clone(),
+            contention: sc.contention.clone(),
+            channel_params: sc.channel_params.clone(),
+            link_params: sc.link_params.clone(),
+            contention_params: sc.contention_params.clone(),
         }
+    }
+
+    /// Appends the label [`Scenario::label`] gives the point this key
+    /// names; `None` for a key no scenario has (a corrupt rate index).
+    fn write_label(&self, out: &mut String) -> Option<()> {
+        let parts = LabelParts {
+            rate: *PhyRate::all().get(usize::from(self.rate_index))?,
+            decoder: &self.decoder,
+            channel: &self.channel,
+            link: &self.link,
+            contention: &self.contention,
+            nodes: self.nodes,
+            snr_db: f64::from_bits(self.snr_bits),
+            seed: self.seed,
+        };
+        write_label(out, &parts);
+        Some(())
     }
 }
 
@@ -218,8 +265,21 @@ impl Default for ResultEpochs {
 const RECORD_VERSION: u64 = 2;
 
 /// A hint is a `u8` in the engine, so real results have at most 256 hint
-/// bins; the cap keeps a corrupt bin count from allocating without bound.
+/// bins; the cap keeps a corrupt record's bin indices from allocating
+/// without bound.
 const MAX_HINT_BINS: usize = 1 << 16;
+
+/// The codec's reused buffers: encoding a record allocates nothing, and
+/// decoding one allocates only the values the decoded record owns.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// One encoded record.
+    line: String,
+    /// The label a key determines, compared against a result's label.
+    label: String,
+    /// A decoded record's hint bins, up to its last listed bin.
+    bins: Vec<HintBin>,
+}
 
 /// A value with one encoding in a record line, written straight into the
 /// line and read straight back by a [`Cursor`].
@@ -362,33 +422,14 @@ object! {
     }
 }
 
-/// The label [`Scenario::label`] gives the point `key` names; `None` for
-/// a key no scenario has (a corrupt rate index).
-fn key_label(key: &StoreKey) -> Option<String> {
-    let scenario = Scenario {
-        rate: *PhyRate::all().get(usize::from(key.rate_index))?,
-        decoder: key.decoder.clone(),
-        channel: key.channel.clone(),
-        channel_params: Params::new(),
-        link: key.link.clone(),
-        link_params: Params::new(),
-        contention: key.contention.clone(),
-        contention_params: Params::new(),
-        nodes: key.nodes,
-        snr_db: f64::from_bits(key.snr_bits),
-        seed: key.seed,
-        packets: key.packets,
-        payload_bits: usize::try_from(key.payload_bits).ok()?,
-    };
-    Some(scenario.label())
-}
-
 /// The result object. `label` is written only when it differs from the
-/// label `key` determines, and hint bins go as their count plus the
-/// non-zero bins as `[index, bits, errors]` triples.
-fn put_result(out: &mut String, key: &StoreKey, r: &ScenarioResult) {
+/// label `key` determines (written into `label`, a reused buffer), and
+/// hint bins go as their count plus the non-zero bins as
+/// `[index, bits, errors]` triples.
+fn put_result(out: &mut String, label: &mut String, key: &StoreKey, r: &ScenarioResult) {
     out.push('{');
-    if key_label(key).as_deref() != Some(r.label.as_str()) {
+    label.clear();
+    if key.write_label(label).is_none() || *label != r.label {
         put_member(out, "label", &r.label);
     }
     put_member(out, "packets", &r.packets);
@@ -399,6 +440,7 @@ fn put_result(out: &mut String, key: &StoreKey, r: &ScenarioResult) {
     json::put_name(out, "hint_bins");
     let bins = r
         .hint_bins
+        .prefix()
         .iter()
         .enumerate()
         .filter(|(_, b)| **b != HintBin::default());
@@ -412,14 +454,17 @@ fn put_result(out: &mut String, key: &StoreKey, r: &ScenarioResult) {
     out.push('}');
 }
 
-fn read_result(c: &mut Cursor, key: &StoreKey) -> Option<ScenarioResult> {
+fn read_result(c: &mut Cursor, scratch: &mut Scratch, key: &StoreKey) -> Option<ScenarioResult> {
     c.lit("{")?;
-    let mut label = if c.has("label") {
-        c.string()?
+    let label = if c.has("label") {
+        let mut label = c.string()?;
+        label.shrink_to_fit();
+        label
     } else {
-        key_label(key)?
+        scratch.label.clear();
+        key.write_label(&mut scratch.label)?;
+        scratch.label.as_str().to_owned()
     };
-    label.shrink_to_fit();
     let result = ScenarioResult {
         // The submission index is call-local, not part of the point's
         // identity; the service rewrites it on every hit.
@@ -429,7 +474,7 @@ fn read_result(c: &mut Cursor, key: &StoreKey) -> Option<ScenarioResult> {
         packet_errors: read_member(c, "packet_errors")?,
         bits: read_member(c, "bits")?,
         bit_errors: read_member(c, "bit_errors")?,
-        hint_bins: read_hint_bins(c)?,
+        hint_bins: read_hint_bins(c, &mut scratch.bins)?,
         predicted_pber_sum: read_member(c, "predicted_pber_sum")?,
         packet_stats: read_member(c, "packet_stats")?,
         link: read_member(c, "link")?,
@@ -439,46 +484,59 @@ fn read_result(c: &mut Cursor, key: &StoreKey) -> Option<ScenarioResult> {
     Some(result)
 }
 
-fn read_hint_bins(c: &mut Cursor) -> Option<Vec<HintBin>> {
+/// Reads the bin count and the sparse bins, collecting the bins up to
+/// the last listed one in `bins`.
+fn read_hint_bins(c: &mut Cursor, bins: &mut Vec<HintBin>) -> Option<HintBins> {
     let count: u64 = read_member(c, "bin_count")?;
     let count = usize::try_from(count)
         .ok()
         .filter(|&n| n <= MAX_HINT_BINS)?;
-    let mut bins = vec![HintBin::default(); count];
     c.name("hint_bins")?;
     // Indices strictly increase, so one result has one encoding.
-    let mut next = 0;
+    bins.clear();
     c.list(|c| {
         let [i, bits, errors] = <[u64; 3]>::read(c)?;
-        let i = usize::try_from(i).ok().filter(|&i| i >= next)?;
-        *bins.get_mut(i)? = HintBin { bits, errors };
-        next = i + 1;
+        let i = usize::try_from(i)
+            .ok()
+            .filter(|&i| i >= bins.len() && i < count)?;
+        bins.resize(i, HintBin::default());
+        bins.push(HintBin { bits, errors });
         Some(())
     })?;
-    Some(bins)
+    Some(HintBins::from_prefix(count, bins))
 }
 
-/// Appends one record, without a newline, written under `epochs`.
-fn write_record(out: &mut String, epochs: &ResultEpochs, key: &StoreKey, result: &ScenarioResult) {
+/// Appends one record, without a newline, written under `epochs`; `label`
+/// is the reused label buffer.
+fn write_record(
+    out: &mut String,
+    label: &mut String,
+    epochs: &ResultEpochs,
+    key: &StoreKey,
+    result: &ScenarioResult,
+) {
     out.push('{');
     put_member(out, "v", &RECORD_VERSION);
     put_member(out, "epochs", epochs);
     put_member(out, "key", key);
     json::put_name(out, "result");
-    put_result(out, key, result);
+    put_result(out, label, key, result);
     out.push('}');
 }
 
 /// Parses one record line into the epochs it was written under, its key
 /// and its result; `None` for anything but a whole version-2 record.
-fn read_record(line: &str) -> Option<(ResultEpochs, StoreKey, ScenarioResult)> {
+fn read_record(
+    line: &str,
+    scratch: &mut Scratch,
+) -> Option<(ResultEpochs, StoreKey, ScenarioResult)> {
     let mut c = Cursor::new(line);
     c.lit("{")?;
     (read_member::<u64>(&mut c, "v")? == RECORD_VERSION).then_some(())?;
     let epochs = read_member(&mut c, "epochs")?;
     let key = read_member(&mut c, "key")?;
     c.name("result")?;
-    let result = read_result(&mut c, &key)?;
+    let result = read_result(&mut c, scratch, &key)?;
     c.lit("}")?;
     c.done()?;
     Some((epochs, key, result))
@@ -564,12 +622,14 @@ struct StoreEntry {
 
 /// The memoized result map, optionally mirrored to a JSON-lines file.
 ///
-/// Inserts append one line through a file handle the store keeps open;
-/// loads replay the file (later records win, so an interrupted append at
-/// worst loses its own record). IO failures are counted, never fatal — a
-/// broken disk degrades the store to in-memory. See the module docs for
-/// the crash-safety and eviction behavior; every load and degradation
-/// event is counted in [`StoreCounters`].
+/// [`ResultStore::insert`] appends one line through a file handle the
+/// store keeps open. The service group-commits instead: it stages each
+/// record of a finished job and writes them all in one `write_all`.
+/// Loads replay the file (later records win, so an interrupted append at
+/// worst loses its own records). IO failures are counted, never fatal —
+/// a broken disk degrades the store to in-memory. See the module docs
+/// for the crash-safety and eviction behavior; every load and
+/// degradation event is counted in [`StoreCounters`].
 #[derive(Debug, Default)]
 pub struct ResultStore {
     map: BTreeMap<StoreKey, StoreEntry>,
@@ -585,8 +645,13 @@ pub struct ResultStore {
     /// The append handle: opened by an append, dropped by a failed write
     /// or a compaction.
     file: Option<File>,
-    /// The record buffer, reused across appends.
-    line: String,
+    /// The staged records' bytes, written by the next commit; the buffer
+    /// is reused across commits.
+    pending: Vec<u8>,
+    /// Whether the file ends torn once `pending` is written.
+    pending_torn: bool,
+    /// The codec's reused buffers.
+    scratch: Scratch,
 }
 
 impl ResultStore {
@@ -631,22 +696,26 @@ impl ResultStore {
             epochs,
             ..Self::default()
         };
-        let text = store
-            .attempt(FaultSite::StoreRead, |_| {
-                match std::fs::read_to_string(&path) {
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(String::new()),
-                    read => read,
-                }
+        let bytes = store
+            .attempt(Some(FaultSite::StoreRead), |_| match std::fs::read(&path) {
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+                read => read,
             })
             .unwrap_or_default();
-        store.bytes_on_disk = text.len() as u64;
-        store.tail_torn = !text.is_empty() && !text.ends_with('\n');
-        for line in text.lines() {
+        store.bytes_on_disk = bytes.len() as u64;
+        store.tail_torn = !bytes.is_empty() && !bytes.ends_with(b"\n");
+        // Line by line: a torn write can end inside a multi-byte
+        // character, and that line alone is skipped.
+        for line in bytes.split(|&b| b == b'\n') {
+            let Ok(line) = std::str::from_utf8(line) else {
+                store.counters.skipped += 1;
+                continue;
+            };
             let line = line.trim();
             if line.is_empty() {
                 continue;
             }
-            match read_record(line) {
+            match read_record(line, &mut store.scratch) {
                 Some((written, key, result)) if written == epochs => {
                     let stamp = store.next_stamp;
                     store.next_stamp += 1;
@@ -728,74 +797,121 @@ impl ResultStore {
     /// Inserts (and, when mirrored, appends) one result, then enforces
     /// the eviction budget.
     pub fn insert(&mut self, key: StoreKey, result: ScenarioResult) {
+        self.stage(key, result);
+        self.commit();
+    }
+
+    /// Inserts one result and, when mirrored, stages its record for the
+    /// next [`ResultStore::commit`]. The record is served at once; it
+    /// reaches the disk with the commit.
+    pub(crate) fn stage(&mut self, key: StoreKey, result: ScenarioResult) {
         if self.path.is_some() {
-            self.append(&key, &result);
+            self.stage_record(&key, &result);
         }
         let stamp = self.next_stamp;
         self.next_stamp += 1;
         self.map.insert(key, StoreEntry { stamp, result });
+    }
+
+    /// Writes every staged record in one `write_all`, then enforces the
+    /// eviction budget.
+    pub(crate) fn commit(&mut self) {
+        self.flush();
         self.enforce_budget();
     }
 
-    /// Appends one record under the fault plan and the bounded retry
-    /// policy, in one `write_all` of the reused line buffer: the torn-tail
-    /// repair newline when the file ends torn, the record and its
-    /// terminator. Torn and corrupt injections are content-addressed (the
-    /// occurrence index is the record bytes' [`occurrence_of`] hash), so
-    /// the decision never depends on completion order.
-    fn append(&mut self, key: &StoreKey, result: &ScenarioResult) {
-        let mut line = std::mem::take(&mut self.line);
+    /// Encodes one record into the staged bytes under the fault plan:
+    /// the torn-tail repair newline when the bytes before it end torn,
+    /// the record and its terminator. Torn and corrupt injections are
+    /// content-addressed (the occurrence index is the record bytes'
+    /// [`occurrence_of`] hash), so the decision never depends on
+    /// completion order or on which records share a commit. A record
+    /// whose every injected append attempt fails is dropped from the
+    /// commit and counted as an IO error.
+    fn stage_record(&mut self, key: &StoreKey, result: &ScenarioResult) {
+        let Scratch { line, label, .. } = &mut self.scratch;
         line.clear();
+        write_record(line, label, &self.epochs, key, result);
+        let occ = occurrence_of(line.as_bytes());
+        let fires = |site| matches!(&self.faults, Some(f) if f.fires(site, occ));
+        let (corrupt, torn) = (fires(FaultSite::CorruptRecord), fires(FaultSite::TornWrite));
+        self.counters.corrupt_records += u64::from(corrupt);
+        self.counters.torn_writes += u64::from(torn);
+        if self
+            .attempt(Some(FaultSite::StoreWrite), |_| Ok(()))
+            .is_none()
+        {
+            return;
+        }
+        let pending = &mut self.pending;
+        let torn_tail = if pending.is_empty() {
+            self.tail_torn
+        } else {
+            self.pending_torn
+        };
         // The repair slot, so this record cannot merge with a torn tail.
-        line.push('\n');
-        write_record(&mut line, &self.epochs, key, result);
-        let record_len = line.len() - 1;
-        line.push('\n');
-        let occ = occurrence_of(&line.as_bytes()[1..=record_len]);
-        if matches!(&self.faults, Some(f) if f.fires(FaultSite::CorruptRecord, occ)) {
+        if torn_tail {
+            pending.push(b'\n');
+        }
+        let at = pending.len();
+        let record = self.scratch.line.as_bytes();
+        if torn {
+            // Half the bytes and no terminator: a crash mid-append.
+            pending.extend_from_slice(&record[..record.len() / 2]);
+        } else {
+            pending.extend_from_slice(record);
+            pending.push(b'\n');
+        }
+        if let Some(first) = pending.get_mut(at).filter(|_| corrupt) {
             // Same length, unparsable: the mangled record must be
             // skipped (and counted) at the next load.
-            self.counters.corrupt_records += 1;
-            line.replace_range(1..2, "!");
+            *first = b'!';
         }
-        let torn = matches!(&self.faults, Some(f) if f.fires(FaultSite::TornWrite, occ));
-        let end = if torn {
-            self.counters.torn_writes += 1;
-            1 + record_len / 2
-        } else {
-            line.len()
-        };
-        let bytes = &line.as_bytes()[usize::from(!self.tail_torn)..end];
-        if self
-            .attempt(FaultSite::StoreWrite, |store| store.write_out(bytes))
-            .is_some()
-        {
-            self.bytes_on_disk += bytes.len() as u64;
-            self.tail_torn = torn;
-        }
-        self.line = line;
+        self.pending_torn = torn;
     }
 
-    /// Runs one store operation under the fault plan and the bounded
-    /// retry policy: an attempt fails by injection when `site` fires at
+    /// Writes the staged records in one `write_all` under the bounded
+    /// retry policy; if every attempt fails they stay off the disk and
+    /// count one IO error.
+    fn flush(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let pending = std::mem::take(&mut self.pending);
+        if self
+            .attempt(None, |store| store.write_out(&pending))
+            .is_some()
+        {
+            self.bytes_on_disk += pending.len() as u64;
+            self.tail_torn = self.pending_torn;
+        }
+        self.pending = pending;
+        self.pending.clear();
+    }
+
+    /// Runs one store operation under the bounded retry policy: an
+    /// attempt fails when `op` does, or by injection when `site` fires at
     /// its attempt index, and after [`STORE_ATTEMPTS`] failed attempts the
     /// store counts an IO error and gives up with `None`.
     fn attempt<T>(
         &mut self,
-        site: FaultSite,
+        site: Option<FaultSite>,
         mut op: impl FnMut(&mut Self) -> std::io::Result<T>,
     ) -> Option<T> {
         for attempt in 0..STORE_ATTEMPTS {
             if attempt > 0 {
                 self.counters.retries += 1;
             }
-            if matches!(&self.faults, Some(f) if f.fires(site, attempt)) {
-                match site {
-                    FaultSite::StoreRead => self.counters.read_faults += 1,
-                    _ => self.counters.write_faults += 1,
+            let injected =
+                site.filter(|&site| matches!(&self.faults, Some(f) if f.fires(site, attempt)));
+            match injected {
+                Some(FaultSite::StoreRead) => self.counters.read_faults += 1,
+                Some(_) => self.counters.write_faults += 1,
+                None => {
+                    if let Ok(value) = op(self) {
+                        return Some(value);
+                    }
                 }
-            } else if let Ok(value) = op(self) {
-                return Some(value);
             }
         }
         self.counters.io_errors += 1;
@@ -819,8 +935,10 @@ impl ResultStore {
     }
 
     /// Evicts past the record budget and compacts the mirrored file when
-    /// eviction or the byte budget requires it.
+    /// eviction or the byte budget requires it. Staged records are
+    /// written first, so the compaction neither repeats nor loses one.
     fn enforce_budget(&mut self) {
+        self.flush();
         let mut evicted = false;
         if let Some(max) = self.budget.max_records {
             while self.map.len() as u64 > max {
@@ -855,11 +973,13 @@ impl ResultStore {
     /// which is then renamed over the store — a crash mid-compaction
     /// leaves the previous file intact. Under a byte budget, oldest
     /// records are evicted until the rewritten file fits (the newest
-    /// record is never evicted). A no-op for in-memory stores.
+    /// record is never evicted). Staged records are written before the
+    /// rewrite. A no-op for in-memory stores.
     pub fn compact(&mut self) {
         let Some(path) = self.path.clone() else {
             return;
         };
+        self.flush();
         // The handle would outlive the rename on the replaced file.
         self.file = None;
         let mut live: Vec<(&StoreKey, &StoreEntry)> = self.map.iter().collect();
@@ -868,7 +988,13 @@ impl ResultStore {
         let mut starts = Vec::with_capacity(live.len());
         for (key, e) in &live {
             starts.push(buf.len());
-            write_record(&mut buf, &self.epochs, key, &e.result);
+            write_record(
+                &mut buf,
+                &mut self.scratch.label,
+                &self.epochs,
+                key,
+                &e.result,
+            );
             buf.push('\n');
         }
         // The oldest record kept: the first whose suffix fits the byte
@@ -908,12 +1034,12 @@ mod tests {
 
     fn record_to_line(key: &StoreKey, result: &ScenarioResult) -> String {
         let mut line = String::new();
-        write_record(&mut line, &RESULT_EPOCHS, key, result);
+        write_record(&mut line, &mut String::new(), &RESULT_EPOCHS, key, result);
         line
     }
 
     fn record_from_line(line: &str) -> Option<(StoreKey, ScenarioResult)> {
-        read_record(line).map(|(_, key, result)| (key, result))
+        read_record(line, &mut Scratch::default()).map(|(_, key, result)| (key, result))
     }
 
     fn sample_key(seed: u64) -> StoreKey {
@@ -951,7 +1077,7 @@ mod tests {
             packet_errors: 2,
             bits: 700,
             bit_errors: 13,
-            hint_bins: vec![HintBin { bits: 5, errors: 1 }, HintBin::default()],
+            hint_bins: HintBins::from_dense(&[HintBin { bits: 5, errors: 1 }, HintBin::default()]),
             predicted_pber_sum: 0.123456789,
             packet_stats: vec![PacketStat {
                 predicted: 0.25,
@@ -1065,7 +1191,8 @@ mod tests {
             "wilis_store_channel_epoch_{}.jsonl",
             std::process::id()
         ));
-        let (_, key, result) = read_record(CHANNEL_EPOCH_1_RECORD).expect("a whole record");
+        let (_, key, result) =
+            read_record(CHANNEL_EPOCH_1_RECORD, &mut Scratch::default()).expect("a whole record");
         std::fs::write(&path, format!("{CHANNEL_EPOCH_1_RECORD}\n")).expect("write store");
         let store = ResultStore::at_path(&path);
         let c = store.counters();

@@ -241,3 +241,29 @@ fn an_organic_panic_in_a_packed_job_quarantines_only_its_point() {
         }
     }
 }
+
+#[test]
+fn seventeen_one_packet_streams_pack_balanced_and_match_solo() {
+    // 17 seeds at one SNR: 17 one-packet streams of one pack key, which
+    // pack as 6 + 6 + 5 lanes rather than 8 + 8 + 1, so no job is left
+    // with a lone lane to decode solo.
+    let scenarios: Vec<Scenario> = grid(17).into_iter().filter(|sc| sc.snr_db == 0.0).collect();
+    let calls: Calls = Arc::default();
+    let log = Arc::clone(&calls);
+    let runner = runner_with_viterbi(1, move |inner| Counting {
+        inner,
+        calls: Arc::clone(&log),
+    });
+    let reference = runner.run(&scenarios).unwrap();
+    assert_eq!(*calls.lock().unwrap(), vec![6, 6, 5]);
+    for threads in [1, 2, 8] {
+        assert_eq!(
+            SweepRunner::new(threads).run(&scenarios).unwrap(),
+            reference,
+            "{threads} threads"
+        );
+    }
+    for (i, (sc, packed)) in scenarios.iter().zip(&reference).enumerate() {
+        assert_eq!(packed, &solo(sc, i), "{}", sc.label());
+    }
+}

@@ -20,7 +20,8 @@ use wilis::fxp::rng::SmallRng;
 use wilis::mac::link::{LinkContext, Oracle};
 use wilis::mac::{HarqConfig, HarqLink, LinkPolicy};
 use wilis::phy::{PhyRate, PhyScratch, Receiver, RxResult, Transmitter};
-use wilis::scenario::{Scenario, SweepGrid, SweepRunner};
+use wilis::scenario::{Scenario, ScenarioResult, SweepGrid, SweepRunner};
+use wilis::service::{ResultStore, StoreKey};
 use wilis::FaultInjector;
 
 #[global_allocator]
@@ -516,6 +517,102 @@ fn harq_retry_path_steady_state_allocates_nothing() {
         "warm HARQ retry path requested {bytes} bytes over {STEADY_ITERS} rounds"
     );
     assert!(!out.payload.is_empty(), "the loop actually decoded packets");
+}
+
+/// `n` store records of one-packet hard-decoder points over seeds
+/// `0..n`, built before any measurement: keys, and results whose label is
+/// the one their key determines.
+fn store_records(n: u64) -> Vec<(StoreKey, ScenarioResult)> {
+    let point = SweepGrid::new()
+        .rates(&[wilis::phy::PhyRate::BpskHalf])
+        .decoders(&["viterbi"])
+        .snrs_db(&[20.0])
+        .packets(1)
+        .payload_bits(64)
+        .scenarios()
+        .remove(0);
+    let mut result = SweepRunner::new(1)
+        .run(std::slice::from_ref(&point))
+        .expect("stock names")
+        .remove(0);
+    result.scenario = 0;
+    (0..n)
+        .map(|seed| {
+            let sc = Scenario {
+                seed,
+                ..point.clone()
+            };
+            let result = ScenarioResult {
+                label: sc.label(),
+                ..result.clone()
+            };
+            (StoreKey::new(&sc, false, None), result)
+        })
+        .collect()
+}
+
+/// Warm inserts into a file-backed store encode each record into reused
+/// buffers and append it through the open handle: only the map's nodes
+/// may allocate, so N inserts allocate fewer than N times.
+#[test]
+fn warm_file_store_inserts_allocate_only_map_nodes() {
+    const WARM: usize = 8;
+    const N: u64 = 256;
+    let _serial = alloc_count::lock();
+    let path = std::env::temp_dir().join(format!(
+        "wilis_zero_alloc_store_{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let mut records = store_records(N + WARM as u64).into_iter();
+    let mut store = ResultStore::at_path(&path);
+    // Warm-up: opens the append handle and grows the codec's buffers.
+    for (key, result) in records.by_ref().take(WARM) {
+        store.insert(key, result);
+    }
+    let before = thread_allocs();
+    for (key, result) in records {
+        store.insert(key, result);
+    }
+    let delta = thread_allocs() - before;
+    let written = store.counters();
+    drop(store);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(written.io_errors, 0);
+    assert!(
+        delta < N,
+        "{N} warm file-store inserts allocated {delta} times: the record \
+         codec allocates per record"
+    );
+}
+
+/// A warm hit costs one copy of a compact result: a hard decoder's
+/// result holds its label and a single hint bin, not 64.
+#[test]
+fn a_warm_store_hit_allocates_one_compact_result() {
+    const N: u64 = 64;
+    let _serial = alloc_count::lock();
+    let records = store_records(N);
+    let keys: Vec<StoreKey> = records.iter().map(|(key, _)| key.clone()).collect();
+    let label_bytes: usize = records.iter().map(|(_, r)| r.label.len()).sum();
+    let mut store = ResultStore::in_memory();
+    for (key, result) in records {
+        store.insert(key, result);
+    }
+    let before = thread_allocs();
+    let before_bytes = thread_alloc_bytes();
+    for key in &keys {
+        std::hint::black_box(store.get(key).cloned().expect("a stored key"));
+    }
+    let delta = thread_allocs() - before;
+    let bytes = thread_alloc_bytes() - before_bytes;
+    let one_bin = std::mem::size_of::<wilis::softphy::HintBin>() as u64;
+    assert!(delta <= 2 * N, "{N} hits allocated {delta} times");
+    assert!(
+        bytes <= label_bytes as u64 + N * one_bin,
+        "{N} hits allocated {bytes} bytes: a hit copies more than its \
+         label and one hint bin"
+    );
 }
 
 /// The counter itself must catch an injected allocation — guards against
