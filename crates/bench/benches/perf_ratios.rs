@@ -6,15 +6,21 @@
 //! cost, so a value above 1 means side A is that many times cheaper:
 //!
 //! * `decode.<decoder>.compiled/reference` — a solo
-//!   `decode_terminated_into`, which runs the `i16` lane kernels at one
-//!   lane, against the frozen `decode_terminated_reference_into`;
+//!   `decode_terminated_into`, which runs the `i16` kernels at one lane,
+//!   against the frozen `decode_terminated_reference_into`;
+//! * `decode.sova.noisy.compiled/reference` — the same pair for SOVA on a
+//!   deep-fade-like block (weak soft values, 40% erased), where TU2's
+//!   competitor paths stay apart longest;
 //! * `decode.<decoder>.batched/scalar` — one 8-lane lockstep
-//!   `decode_terminated_batch_into` against eight solo (one-lane)
-//!   decodes, so it measures what lockstep adds over the same kernels;
+//!   `decode_terminated_batch_into` against eight solo decodes. At one
+//!   lane the Viterbi and SOVA forward pass vectorizes across states and
+//!   SOVA's TU2 uses register exchange, so the scalar side runs different
+//!   bodies from the batch: the ratio measures what a batch adds over the
+//!   best one-lane decode;
 //! * `rx.<decoder>.batched/scalar` — the receive pipeline `rx_batch_from`
 //!   over 8 lanes against eight solo `rx_from` calls, which run the same
-//!   front-end bodies and decode kernels at one lane, so it measures what
-//!   lockstep adds;
+//!   front-end bodies at one lane and the one-lane decode, so it measures
+//!   what a batch adds;
 //! * `ofdm.<op>.planned/reference` and `<map|demap>.<modulation>.planned/reference`
 //!   — the planned front-end kernels against the frozen per-symbol
 //!   `*_reference` bodies; the demodulator and demapper sides are the
@@ -94,6 +100,66 @@ fn noisy_block(code: &ConvCode, info_bits: usize, seed: u64) -> Vec<Llr> {
             }
         })
         .collect()
+}
+
+/// A reproducible deep-fade-like coded block: weak soft values (the
+/// transmitted sign at magnitude 4 plus up to ±3 of noise), a fifth of them
+/// pointing the wrong way, and 40% erasures. Competitor paths then stay
+/// apart from the ML path for most of SOVA's 64-step update window, which
+/// is where TU2 costs the most.
+fn faded_block(code: &ConvCode, info_bits: usize, seed: u64) -> Vec<Llr> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let data: Vec<u8> = (0..info_bits).map(|_| rng.gen_bit()).collect();
+    ConvEncoder::new(code)
+        .encode_terminated(&data)
+        .iter()
+        .map(|&b| {
+            let l = hard_llr(b, 4) + rng.gen_i64(-3, 3) as Llr;
+            match rng.gen_i64(0, 9) {
+                0..=3 => 0, // erasure
+                4..=5 => -l,
+                _ => l,
+            }
+        })
+        .collect()
+}
+
+/// `decode.sova.noisy.compiled/reference`: a solo SOVA decode of one
+/// deep-fade-like 1704-bit block (the Figure 6 packet) against the
+/// reference, `bits` coded bits per trial side.
+fn noisy_sova_ratio(code: &ConvCode, bits: u64, trials: u32, ratios: &mut Vec<Ratio>) {
+    let block = faded_block(code, 1704, 0xFADE);
+    let reps = (bits / block.len() as u64).max(1) as u32;
+    let erased = block.iter().filter(|&&l| l == 0).count();
+    assert!(
+        10 * erased >= 3 * block.len(),
+        "a deep-fade block erases at least 30% of its soft values"
+    );
+    let (mut fast, mut slow) = (
+        SovaDecoder::new(code, 64, 64),
+        SovaDecoder::new(code, 64, 64),
+    );
+    let (mut out, mut ref_out) = (DecodeOutput::default(), DecodeOutput::default());
+    fast.decode_terminated_into(&block, &mut out);
+    slow.decode_terminated_reference_into(&block, &mut ref_out);
+    assert_eq!(
+        out, ref_out,
+        "sova: lane and reference kernels must stay bit-identical on a faded block"
+    );
+    ratios.push(time_ratio(
+        "decode.sova.noisy.compiled/reference",
+        trials,
+        || {
+            for _ in 0..reps {
+                fast.decode_terminated_into(&block, &mut out);
+            }
+        },
+        || {
+            for _ in 0..reps {
+                slow.decode_terminated_reference_into(&block, &mut ref_out);
+            }
+        },
+    ));
 }
 
 /// `decode.<name>.compiled/reference` on one block (one-lane kernels
@@ -612,6 +678,7 @@ fn main() {
         trials,
         &mut ratios,
     );
+    noisy_sova_ratio(&code, bits, trials, &mut ratios);
     decode_ratios(
         "bcjr",
         || BcjrDecoder::new(&code, 64),

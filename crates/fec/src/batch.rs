@@ -1,6 +1,8 @@
 //! The lane kernels: every in-gate decode, solo or batched, walks the
-//! trellis here, on `i16` metrics laid out structure-of-arrays so the lane
-//! axis becomes SIMD.
+//! trellis here, on `i16` metrics laid out structure-of-arrays. Which axis
+//! is SIMD depends on the lane count: at `L ≥ 2` lanes it is the lane
+//! axis, and at one lane the Viterbi and SOVA forward pass makes it the
+//! state axis instead.
 //!
 //! The butterfly tables of [`crate::compiled`] remove every per-edge
 //! branch from a decode; what remains is instruction-level parallelism a
@@ -13,6 +15,36 @@
 //! one 128-bit register, with saturating add and `max` in the baseline
 //! x86-64 instruction set.
 //!
+//! **One lane: SIMD across states.** A `[i16; 1]` row is scalar code, so
+//! the one-lane Viterbi and SOVA forward pass (`acs_step_one`) vectorizes
+//! across destination states instead. Its branch metrics come from the
+//! per-state sign masks of [`CompiledTrellis`]: one pass over the states
+//! per coded bit (`branch_metrics_one`), where the lane kernels gather a
+//! pattern row per state. It splits each source column into its even and
+//! odd states, so each destination half is one loop over equal-length
+//! slices. Its survivors and margins have the lane kernels' layout at
+//! `L = 1`, so both tracebacks read them unchanged. BCJR runs the lane
+//! kernels at one lane.
+//!
+//! **SOVA's TU2.** The Hagenauer update lowers each reliability to the
+//! smallest margin of any competitor that disagrees with the ML path there
+//! within the window `k`. It is a `min`, so the order in which the
+//! competitors are visited changes nothing, and a competitor agrees with
+//! the ML path everywhere past the point where the two merge. Two bodies
+//! use that freedom:
+//!
+//! * at one lane with `k ≤ 64`, *register exchange*
+//!   (`tu2_register_exchange`): one pass over the stored survivors keeps
+//!   each state's last 64 survivor input bits in a `u64`, so a step's
+//!   disagreements are one XOR of two registers, where a trace walks up to
+//!   `k` dependent loads;
+//! * for every batch, and for `k > 64`, *lockstep traces*
+//!   (`tu2_lockstep`): at each step every lane traces its competitor back,
+//!   all lanes one step at a time together, until every lane's competitor
+//!   has merged. Register exchange at 8 lanes costs eight times the
+//!   one-lane pass on every block, which outweighs the traces on clean
+//!   ones.
+//!
 //! Layouts (`L` = lane count, `l` = lane index):
 //!
 //! * soft inputs — lane-major SoA: soft value `i` of lane `l` at
@@ -23,10 +55,14 @@
 //!   needs them (cheaper than storing them: `2^n_out` rows per step);
 //! * SOVA margins — `[step][state][lane]` `i16`:
 //!   `margins[(t * n_states + s) * L + l]`;
+//! * one-lane branch metrics — one step's, `[edge][state]` `i16`:
+//!   `bm[e * n_states + s]` for incoming edge `e` of state `s`;
 //! * survivors — one lane-mask byte per `(step, state)`, bit `l` holding
 //!   lane `l`'s decision: `surv[t * n_states + s]`. The ACS step builds the
 //!   byte from the row of lane compares in one go; each lane's traceback
-//!   reads bit `l`.
+//!   reads bit `l`;
+//! * SOVA ML paths and reliabilities — `[step][lane]`, so the lockstep
+//!   tracebacks read one row per step.
 //!
 //! **Bit-identity contract.** Each lane computes the same path-metric
 //! *differences*, decisions and soft outputs as the frozen `i64` reference
@@ -55,7 +91,8 @@
 //! code, so both the 8-bit Viterbi demap and the 4/5-bit hint path pass;
 //! the derivation is on that method), for codes of any state count. A solo
 //! decode within the gate runs here at one lane: a contiguous block is
-//! already lane-major for one lane. A solo block with any larger soft
+//! already lane-major for one lane, and the one-lane forward pass computes
+//! exactly the lane kernels' values at `L = 1`. A solo block with any larger soft
 //! value decodes on the reference kernels, and a batch with one, or with
 //! more than [`MAX_LANES`] lanes, decodes lane by lane through the solo
 //! path. Nothing else selects a width: the lane kernels are `i16` only.
@@ -108,17 +145,30 @@ pub(crate) struct BatchScratch {
     next: Vec<i16>,
     /// Survivor lane masks, one byte per `(step, state)`.
     surv: Vec<u8>,
-    /// One step's shifted branch metrics, `[pattern][lane]`.
+    /// One step's shifted branch metrics: `[pattern][lane]` in the lane
+    /// kernels, `[edge][state]` in the one-lane forward pass.
     bm: Vec<i16>,
+    /// The one-lane forward pass's source column split into its even and
+    /// odd states, `[even | odd]`.
+    split: Vec<i16>,
     /// ACS margins, `[step][state][lane]` (SOVA).
     margins: Vec<i16>,
-    /// Per-step reliabilities along one lane's ML path (SOVA; lanes trace
-    /// back serially, so one column is reused across lanes).
+    /// Per-step reliabilities along every lane's ML path, `[step][lane]`
+    /// (SOVA). Both TU2 bodies lower them with a `min`, in whatever order
+    /// they meet the competitors (see the module docs).
     reliability: Vec<i32>,
-    /// One lane's ML state sequence, `steps + 1` entries (SOVA).
-    ml_states: Vec<u32>,
-    /// One lane's ML input bits (SOVA).
+    /// Every lane's ML state sequence, `[step][lane]` over `steps + 1`
+    /// steps (SOVA; TU1 traces all lanes in lockstep, and the lockstep TU2
+    /// reads one row per step).
+    ml_states: Vec<u16>,
+    /// Every lane's ML input bits, `[step][lane]` (SOVA).
     ml_bits: Vec<u8>,
+    /// Survivor registers of the one-lane register-exchange TU2, one `u64`
+    /// per state: the last 64 input bits of the survivor path into that
+    /// state, newest in bit 0 (current step).
+    regs: Vec<u64>,
+    /// Survivor registers, one `u64` per state (next step).
+    regs_next: Vec<u64>,
     /// Backward metric columns for the current block, `[local][state][lane]`
     /// (BCJR).
     betas: Vec<i16>,
@@ -285,7 +335,7 @@ fn forward_masks(ct: &CompiledTrellis, half: usize) -> ([&[u8]; 2], [&[u8]; 2]) 
 /// and the competitor's traceback reproduces the ML bits of every step
 /// from 0 on, so the TU2 update with that margin changes no reliability.
 #[inline]
-pub(crate) fn acs_step_batch<const L: usize, const MARGINS: bool>(
+fn acs_step_batch<const L: usize, const MARGINS: bool>(
     ct: &CompiledTrellis,
     bm: &[i16],
     prev: &[i16],
@@ -317,6 +367,83 @@ pub(crate) fn acs_step_batch<const L: usize, const MARGINS: bool>(
         }
     }
     maxs
+}
+
+/// One step's branch metrics at one lane for every edge, `[edge][state]`
+/// (`bm[e * n_states + s]` for incoming edge `e` of state `s`), shifted
+/// down by `shift`: the values [`acs_step_batch`] reads through the output
+/// masks at `L = 1`, built from the per-state sign masks of
+/// [`CompiledTrellis`] in one straight-line pass over the states per coded
+/// bit.
+// lint: no_alloc
+#[inline(always)]
+pub(crate) fn branch_metrics_one(signs: &[i16], step_llrs: &[Llr], shift: i16, bm: &mut [i16]) {
+    bm.fill(-shift);
+    for (&x, masks) in step_llrs.iter().zip(signs.chunks_exact(bm.len())) {
+        // Exact: a soft value within the narrow gate fits an `i16`.
+        let x = x as i16;
+        for (b, &m) in bm.iter_mut().zip(masks) {
+            *b += (x ^ m) - m;
+        }
+    }
+}
+
+/// One forward ACS step at one lane, SIMD across destination states: the
+/// arithmetic of [`acs_step_batch`] at `L = 1`, on the branch metrics of
+/// [`branch_metrics_one`]. Destinations `j` and `j + half` both read the
+/// source pair `(2j, 2j + 1)`, so the step first splits the source column
+/// into its even and odd rows (`split`, `[even | odd]`), once for both
+/// halves; each destination half is then one loop over equal-length
+/// slices, with no index arithmetic for LLVM to bounds-check (indexing
+/// `prev[2 * j]` kept these loops scalar). Survivors (`0` or `1`) and
+/// margins land where the lane kernels put lane 0's. Returns the new
+/// column's maximum.
+// lint: no_alloc
+#[inline(always)]
+pub(crate) fn acs_step_one<const MARGINS: bool>(
+    bm: &[i16],
+    prev: &[i16],
+    split: &mut [i16],
+    out: &mut [i16],
+    surv: &mut [u8],
+    margins: &mut [i16],
+) -> i16 {
+    let n = out.len();
+    let half = n / 2;
+    let (even, odd) = split[..n].split_at_mut(half);
+    for ((e, o), p) in even
+        .iter_mut()
+        .zip(odd.iter_mut())
+        .zip(prev[..n].chunks_exact(2))
+    {
+        *e = p[0];
+        *o = p[1];
+    }
+    let (bm0, bm1) = bm.split_at(n);
+    let mut max = i16::MIN;
+    for (lo, hi) in [(0, half), (half, n)] {
+        let candidates = even
+            .iter()
+            .zip(odd.iter())
+            .zip(bm0[lo..hi].iter().zip(&bm1[lo..hi]))
+            .map(|((&p0, &p1), (&b0, &b1))| (p0 + b0, p1 + b1));
+        let cells = out[lo..hi].iter_mut().zip(&mut surv[lo..hi]);
+        if MARGINS {
+            for (((o, sv), m), (c0, c1)) in cells.zip(&mut margins[lo..hi]).zip(candidates) {
+                *o = c0.max(c1);
+                max = max.max(*o);
+                *sv = u8::from(c1 > c0);
+                *m = (c1 - c0).abs();
+            }
+        } else {
+            for ((o, sv), (c0, c1)) in cells.zip(candidates) {
+                *o = c0.max(c1);
+                max = max.max(*o);
+                *sv = u8::from(c1 > c0);
+            }
+        }
+    }
+    max
 }
 
 /// One BCJR α step for all lanes (saturating, sentinel-carrying), in the
@@ -445,9 +572,10 @@ fn winner(surv: &[u8], n_states: usize, t: usize, state: usize, l: usize) -> u8 
     (surv[t * n_states + state] >> l) & 1
 }
 
-/// The shared forward pass of the batched Viterbi and SOVA kernels: ACS
-/// steps, each on branch metrics shifted by the previous column's maxima.
-/// Fills `s.surv` (and `s.margins` when `MARGINS`); returns the step count.
+/// The shared forward pass of the Viterbi and SOVA kernels: ACS steps,
+/// each on branch metrics shifted by the previous column's maxima, SIMD
+/// across lanes, or across states at one lane (`acs_step_one`). Fills
+/// `s.surv` (and `s.margins` when `MARGINS`); returns the step count.
 fn forward_pass_batch<const L: usize, const MARGINS: bool>(
     ct: &CompiledTrellis,
     llrs: &[Llr],
@@ -464,6 +592,20 @@ fn forward_pass_batch<const L: usize, const MARGINS: bool>(
     s.margins.clear();
     s.margins.resize(steps * margin_row, 0);
     s.bm.clear();
+    if L == 1 {
+        s.bm.resize(2 * n_states, 0);
+        s.split.clear();
+        s.split.resize(n_states, 0);
+        let mut shift = 0i16;
+        for (step, step_llrs) in llrs.chunks_exact(n_out).enumerate() {
+            branch_metrics_one(&ct.signs, step_llrs, shift, &mut s.bm);
+            let surv = &mut s.surv[step * n_states..(step + 1) * n_states];
+            let margins = &mut s.margins[step * margin_row..(step + 1) * margin_row];
+            shift = acs_step_one::<MARGINS>(&s.bm, &s.pm, &mut s.split, &mut s.next, surv, margins);
+            std::mem::swap(&mut s.pm, &mut s.next);
+        }
+        return steps;
+    }
     s.bm.resize((1 << n_out) * L, 0);
     // The start column's maximum (state zero's 0).
     let mut shift = [0i16; L];
@@ -505,9 +647,11 @@ fn viterbi_kernel<const L: usize>(
     }
 }
 
-/// Lockstep SOVA over `L` lanes: shared forward pass with lane-major
-/// margins, then the two serial traceback units per lane (TU1 ML path,
-/// TU2 Hagenauer reliability update).
+/// Lockstep SOVA over `L` lanes: the shared forward pass with lane-major
+/// margins, TU1 for every lane in lockstep, then TU2's Hagenauer update:
+/// by register exchange at one lane with `k ≤ 64`, by lockstep competitor
+/// traces otherwise (see the module docs for why both equal the
+/// reference's serial traces).
 // lint: no_alloc
 fn sova_kernel<const L: usize>(
     ct: &CompiledTrellis,
@@ -518,62 +662,188 @@ fn sova_kernel<const L: usize>(
     outs: &mut [DecodeOutput],
 ) {
     let steps = forward_pass_batch::<L, true>(ct, llrs, s);
-    let n_states = ct.n_states();
-    let surv = &s.surv;
-    let margins = &s.margins;
+    ml_paths::<L>(ct, steps, s);
+    s.reliability.clear();
+    s.reliability.resize(steps * L, i32::MAX);
+    if L == 1 && k <= 64 {
+        tu2_register_exchange(ct, k, steps, s);
+    } else {
+        tu2_lockstep::<L>(ct, k, steps, s);
+    }
+
     let info = steps - tail_len;
+    let (ml_bits, reliability) = (&s.ml_bits, &s.reliability);
     for (l, out) in outs.iter_mut().enumerate() {
-        // TU1: this lane's ML state sequence off the lane-mask survivors.
-        s.ml_states.clear();
-        s.ml_states.resize(steps + 1, 0);
-        s.ml_bits.clear();
-        s.ml_bits.resize(steps, 0);
-        let (ml_states, ml_bits) = (&mut s.ml_states, &mut s.ml_bits);
-        for t in (0..steps).rev() {
-            let state = ml_states[t + 1] as usize;
-            let (bit, prev) = ct.traceback_edge(state, winner(surv, n_states, t, state, l));
-            ml_bits[t] = bit;
-            ml_states[t] = prev as u32;
-        }
-
-        // TU2: Hagenauer-rule reliability update, the reference kernel's
-        // control flow with lane-strided survivor/margin reads.
-        s.reliability.clear();
-        s.reliability.resize(steps, i32::MAX);
-        let reliability = &mut s.reliability;
-        for t in 0..steps {
-            let s_next = ml_states[t + 1] as usize;
-            let w = winner(surv, n_states, t, s_next, l);
-            let margin = i32::from(margins[(t * n_states + s_next) * L + l]);
-            let (loser_bit, loser_prev) = ct.traceback_edge(s_next, 1 - w);
-            if loser_bit != ml_bits[t] && margin < reliability[t] {
-                reliability[t] = margin;
-            }
-            let mut state = loser_prev;
-            let window_start = t.saturating_sub(k);
-            for i in (window_start..t).rev() {
-                let (bit, prev) = ct.traceback_edge(state, winner(surv, n_states, i, state, l));
-                if bit != ml_bits[i] && margin < reliability[i] {
-                    reliability[i] = margin;
-                }
-                state = prev;
-                if state == ml_states[i] as usize {
-                    break;
-                }
-            }
-        }
-
         out.bits.clear();
-        out.bits.extend_from_slice(&ml_bits[..info]);
+        out.bits.extend((0..info).map(|t| ml_bits[t * L + l]));
         out.soft.clear();
         out.soft.extend((0..info).map(|t| {
-            let mag = reliability[t];
-            if ml_bits[t] == 1 {
+            let mag = reliability[t * L + l];
+            if ml_bits[t * L + l] == 1 {
                 mag
             } else {
                 -mag
             }
         }));
+    }
+}
+
+/// TU1 for every lane in lockstep: each lane's ML state sequence and input
+/// bits off the lane-mask survivors, `[step][lane]`. The frame is
+/// terminated, so every lane's path ends in state zero; `ml_states` row
+/// `t` is the state entering step `t`.
+// lint: no_alloc
+fn ml_paths<const L: usize>(ct: &CompiledTrellis, steps: usize, s: &mut BatchScratch) {
+    let n_states = ct.n_states();
+    s.ml_states.clear();
+    s.ml_states.resize((steps + 1) * L, 0);
+    s.ml_bits.clear();
+    s.ml_bits.resize(steps * L, 0);
+    let BatchScratch {
+        surv,
+        ml_states,
+        ml_bits,
+        ..
+    } = s;
+    for t in (0..steps).rev() {
+        for l in 0..L {
+            let state = usize::from(ml_states[(t + 1) * L + l]);
+            let (bit, prev) = ct.traceback_edge(state, winner(surv, n_states, t, state, l));
+            ml_bits[t * L + l] = bit;
+            ml_states[t * L + l] = prev as u16;
+        }
+    }
+}
+
+/// TU2 at one lane for a window `k ≤ 64`, by register exchange: one
+/// forward pass over the stored survivors keeps, per state, the last 64
+/// input bits of the survivor path into it. At step `t` the competitor
+/// into the ML state is the loser edge from `loser_prev` followed by the
+/// survivor path into `loser_prev`, and the ML path's earlier bits are the
+/// survivor path into `ml_states[t]`, so their disagreements over the
+/// window are the set bits of `R[loser_prev] ^ R[ml_states[t]]` below
+/// `min(k, t)`: bit `j` is step `t - 1 - j`. Past the point where the two
+/// paths merge they follow the same survivors, so those bits are zero,
+/// which is where the reference's trace stops. Every step costs one
+/// SIMD pass over the states and one `min` per disagreement, where the
+/// serial trace walks up to `k` dependent loads.
+// lint: no_alloc
+fn tu2_register_exchange(ct: &CompiledTrellis, k: usize, steps: usize, s: &mut BatchScratch) {
+    let n_states = ct.n_states();
+    let half = n_states / 2;
+    let BatchScratch {
+        surv,
+        margins,
+        ml_states,
+        reliability,
+        regs,
+        regs_next,
+        ..
+    } = s;
+    regs.clear();
+    regs.resize(n_states, 0);
+    regs_next.clear();
+    regs_next.resize(n_states, 0);
+    // The `k` newest bits; `k ≥ 1` (the decoder's windows are positive).
+    let window = u64::MAX >> (64 - k);
+    for t in 0..steps {
+        let s_next = usize::from(ml_states[t + 1]);
+        let w = usize::from(surv[t * n_states + s_next]);
+        let margin = i32::from(margins[t * n_states + s_next]);
+        // The loser edge's source; both edges into `s_next` carry its input
+        // bit, so the loser never disagrees at step `t` itself.
+        let loser_prev = ((s_next << 1) & (n_states - 1)) | (1 - w);
+        // Steps before 0 hold no bits: `t < k ≤ 64` keeps the shift in range.
+        let in_window = if t >= k { window } else { (1u64 << t) - 1 };
+        let mut diff = (regs[loser_prev] ^ regs[usize::from(ml_states[t])]) & in_window;
+        while diff != 0 {
+            let r = &mut reliability[t - 1 - diff.trailing_zeros() as usize];
+            *r = (*r).min(margin);
+            diff &= diff - 1;
+        }
+
+        // Advance every register one step: destinations `j` and `j + half`
+        // both read the source pair `(2j, 2j + 1)` (the butterfly shape),
+        // each takes the source its survivor names, and `j + half` is
+        // entered on input 1.
+        let (next_lo, next_hi) = regs_next.split_at_mut(half);
+        let (d_lo, d_hi) = surv[t * n_states..(t + 1) * n_states].split_at(half);
+        for (((lo, hi), (&w_lo, &w_hi)), pair) in next_lo
+            .iter_mut()
+            .zip(next_hi)
+            .zip(d_lo.iter().zip(d_hi))
+            .zip(regs.chunks_exact(2))
+        {
+            let (even, odd) = (pair[0] << 1, pair[1] << 1);
+            let flip = even ^ odd;
+            *lo = even ^ (flip & 0u64.wrapping_sub(u64::from(w_lo)));
+            *hi = (even ^ (flip & 0u64.wrapping_sub(u64::from(w_hi)))) | 1;
+        }
+        std::mem::swap(regs, regs_next);
+    }
+}
+
+/// TU2 for every lane in lockstep, for batches and for windows `k > 64`:
+/// at step `t` each lane starts its competitor trace at its loser edge,
+/// and all lanes walk back one step at a time together, branch-free, until
+/// every lane's competitor has merged with its ML path or the window ends.
+///
+/// The walk uses the butterfly shape instead of the edge table: the
+/// survivor `w` into `state` comes from `2·(state mod half) + w`, and the
+/// edge's input bit is `state`'s top bit, so a competitor disagrees with
+/// the ML path at step `i` where its state after `i` and `ml_states[i + 1]`
+/// differ in the top bit. A lane whose competitor has merged walks on
+/// along its ML path, where no state differs, so it lowers nothing more:
+/// exactly where the reference's serial trace stops. Every lane reads the
+/// same row of survivor bytes, and all other per-lane work is lane-wise
+/// arithmetic on `[_; L]` rows.
+// lint: no_alloc
+fn tu2_lockstep<const L: usize>(
+    ct: &CompiledTrellis,
+    k: usize,
+    steps: usize,
+    s: &mut BatchScratch,
+) {
+    let n_states = ct.n_states();
+    // Both fit: a code has at most 2¹⁵ states.
+    let (low, top) = ((n_states - 1) as u16, (n_states / 2) as u16);
+    let BatchScratch {
+        surv,
+        margins,
+        ml_states,
+        reliability,
+        ..
+    } = s;
+    let ml = |i: usize| -> [u16; L] { *lane::<L, _>(ml_states, i) };
+    for t in 0..steps {
+        let decisions = &surv[t * n_states..(t + 1) * n_states];
+        let s_next = ml(t + 1);
+        let margin: [i32; L] = std::array::from_fn(|l| {
+            i32::from(margins[(t * n_states + usize::from(s_next[l])) * L + l])
+        });
+        // Each lane's competitor state after step `t - 1`: the loser edge's
+        // source. Both edges into a state carry its input bit, so the loser
+        // never disagrees at step `t` itself.
+        let mut state: [u16; L] = std::array::from_fn(|l| {
+            let w = u16::from((decisions[usize::from(s_next[l])] >> l) & 1);
+            ((s_next[l] << 1) & low) | (1 - w)
+        });
+        let mut ml_after = ml(t);
+        for i in (t.saturating_sub(k)..t).rev() {
+            let decisions = &surv[i * n_states..(i + 1) * n_states];
+            let w: [u16; L] =
+                std::array::from_fn(|l| u16::from((decisions[usize::from(state[l])] >> l) & 1));
+            let rel = lane_mut::<L, _>(reliability, i);
+            *rel = std::array::from_fn(|l| {
+                let differs = (state[l] ^ ml_after[l]) & top != 0;
+                rel[l].min(if differs { margin[l] } else { i32::MAX })
+            });
+            state = std::array::from_fn(|l| ((state[l] << 1) & low) | w[l]);
+            ml_after = ml(i);
+            if state == ml_after {
+                break;
+            }
+        }
     }
 }
 

@@ -4,7 +4,8 @@
 //! [`crate::Trellis`] is the *specification* of the transition graph —
 //! per-state edge structs, convenient to inspect, slow to walk. At decoder
 //! construction it is lowered once into a [`CompiledTrellis`]: output
-//! masks indexed by destination state for the forward recursions, output
+//! masks indexed by destination state for the forward recursions, the same
+//! outputs as per-state sign masks for the one-lane forward pass, output
 //! masks indexed by source state for the backward one, and a packed edge
 //! table for branchless traceback. The lane kernels of [`crate::batch`]
 //! walk these plain `u8`/`u32` tables in butterfly order — no struct field
@@ -96,6 +97,13 @@ pub struct CompiledTrellis {
     /// backward recursion's tables).
     pub(crate) fout0: Vec<u8>,
     pub(crate) fout1: Vec<u8>,
+    /// Per-state sign masks of the one-lane forward pass, `[bit][edge][state]`:
+    /// entry `(j * 2 + e) * n_states + s` is `-1` where bit `j` of incoming
+    /// edge `e`'s output (`omask0`/`omask1`) is 0 and `0` where it is 1, so
+    /// that edge's branch metric is `Σ_j (x_j ^ m) - m` over the step's soft
+    /// values `x_j`: one straight-line pass per coded bit over every state,
+    /// where the lane kernels gather a pattern row per state.
+    pub(crate) signs: Vec<i16>,
     /// Whether the transitions have the shift-register butterfly shape
     /// (incoming edges of `s` from `2·(s mod half)` and that plus one,
     /// outgoing edges of `s` to `s/2` and `half + s/2`): destination pair
@@ -136,6 +144,12 @@ impl CompiledTrellis {
                 && usize::from(t0.next) == s / 2
                 && usize::from(t1.next) == half + s / 2;
         }
+        let mut signs = Vec::with_capacity(2 * trellis.n_out() * n);
+        for j in 0..trellis.n_out() {
+            for masks in [&omask0, &omask1] {
+                signs.extend(masks.iter().map(|&m| i16::from((m >> j) & 1) - 1));
+            }
+        }
         let narrow_llr_limit = narrow_llr_limit_for(code.memory(), code.n_out());
         Self {
             code: code.clone(),
@@ -145,6 +159,7 @@ impl CompiledTrellis {
             edges,
             fout0,
             fout1,
+            signs,
             butterfly,
             narrow_llr_limit,
         }
@@ -236,18 +251,24 @@ impl CompiledTrellis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{acs_step_batch, branch_rows};
+    use crate::batch::{acs_step_one, branch_metrics_one, branch_rows};
     use crate::bmu::branch_metrics;
     use crate::pmu::{forward_acs, NEG_INF};
 
     #[test]
     fn tables_agree_with_trellis() {
-        for code in [ConvCode::ieee80211(), ConvCode::k3()] {
+        for code in [
+            ConvCode::ieee80211(),
+            ConvCode::k3(),
+            ConvCode::new(5, &[0o23, 0o35, 0o31]),
+        ] {
             let ct = CompiledTrellis::new(&code);
             let t = ct.trellis();
-            let half = ct.n_states() / 2;
+            let n = ct.n_states();
+            let half = n / 2;
             assert!(ct.butterfly, "{code}");
-            for s in 0..ct.n_states() {
+            assert_eq!(ct.signs.len(), 2 * ct.n_out() * n, "{code}");
+            for s in 0..n {
                 let [e0, e1] = t.incoming(s);
                 assert_eq!(ct.traceback_edge(s, 0), (e0.input, usize::from(e0.prev)));
                 assert_eq!(ct.traceback_edge(s, 1), (e1.input, usize::from(e1.prev)));
@@ -258,33 +279,57 @@ mod tests {
                 assert_eq!(usize::from(t.next(s, 1).next), half + s / 2);
                 assert_eq!(ct.fout0[s], t.next(s, 0).output);
                 assert_eq!(ct.fout1[s], t.next(s, 1).output);
+                // Sign mask of bit `j` of edge `e`: -1 where the output bit
+                // is 0 (the soft value enters negated), 0 where it is 1.
+                for j in 0..ct.n_out() {
+                    for (e, masks) in [&ct.omask0, &ct.omask1].into_iter().enumerate() {
+                        let want = if (masks[s] >> j) & 1 == 1 { 0 } else { -1 };
+                        assert_eq!(ct.signs[(j * 2 + e) * n + s], want, "{code} bit {j}");
+                    }
+                }
             }
         }
     }
 
-    /// One step's branch metrics through the lane kernels' branch unit at
-    /// one lane, unshifted, for every `n_out`.
-    fn lane_branch_metrics(llrs: &[Llr]) -> Vec<i16> {
-        let mut rows = vec![0i16; 1 << llrs.len()];
-        branch_rows::<1>(llrs, 0, llrs.len(), [0], &mut rows);
-        rows
+    /// One step's branch metrics of every edge through the one-lane forward
+    /// pass's sign masks, `[edge][state]`, unshifted.
+    fn one_lane_branch_metrics(ct: &CompiledTrellis, llrs: &[Llr]) -> Vec<i16> {
+        let mut bm = vec![0i16; 2 * ct.n_states()];
+        branch_metrics_one(&ct.signs, llrs, 0, &mut bm);
+        bm
     }
 
     #[test]
     fn compiled_bmu_matches_reference_for_every_width() {
+        // The one-lane forward pass, on a code of every width a `ConvCode`
+        // admits up to 4: each edge's metric is the reference metric of its
+        // output pattern.
+        for gens in [&[0o7, 0o5][..], &[0o7, 0o5, 0o3], &[0o7, 0o5, 0o3, 0o6]] {
+            let ct = CompiledTrellis::new(&ConvCode::new(3, gens));
+            let n = ct.n_states();
+            let llrs: Vec<Llr> = (0..gens.len() as i32).map(|i| 7 - 5 * i).collect();
+            let fast = one_lane_branch_metrics(&ct, &llrs);
+            let slow = branch_metrics(&llrs);
+            for s in 0..n {
+                assert_eq!(i64::from(fast[s]), slow[usize::from(ct.omask0[s])]);
+                assert_eq!(i64::from(fast[n + s]), slow[usize::from(ct.omask1[s])]);
+            }
+        }
+        // The lane kernels' pattern rows at one lane, which BCJR's solo
+        // decode still reads, for every width down to 1.
         for n_out in 1..=4usize {
             let llrs: Vec<Llr> = (0..n_out as i32).map(|i| 7 - 5 * i).collect();
-            let fast = lane_branch_metrics(&llrs);
-            let slow = branch_metrics(&llrs);
-            for (f, s) in fast.iter().zip(&slow) {
+            let mut rows = vec![0i16; 1 << n_out];
+            branch_rows::<1>(&llrs, 0, n_out, [0], &mut rows);
+            for (f, s) in rows.iter().zip(&branch_metrics(&llrs)) {
                 assert_eq!(i64::from(*f), *s, "n_out {n_out}");
             }
         }
     }
 
-    /// One 1-lane forward ACS step of the lane kernels against the `i64`
-    /// reference step from `prev16`, whose genuine entries the reference
-    /// column carries `offset` higher. Asserts equal survivors and genuine
+    /// One step of the one-lane forward pass against the `i64` reference
+    /// step from `prev16`, whose genuine entries the reference column
+    /// carries `offset` higher. Asserts equal survivors and genuine
     /// metrics; returns each state's `(lane, reference)` margin pair.
     fn compare_step(
         ct: &CompiledTrellis,
@@ -303,11 +348,19 @@ mod tests {
                 }
             })
             .collect();
-        let bm16 = lane_branch_metrics(llrs);
+        let bm16 = one_lane_branch_metrics(ct, llrs);
+        let mut split = vec![0i16; n];
         let mut out16 = vec![0i16; n];
         let mut surv = vec![0u8; n];
         let mut margins16 = vec![0i16; n];
-        acs_step_batch::<1, true>(ct, &bm16, prev16, &mut out16, &mut surv, &mut margins16);
+        acs_step_one::<true>(
+            &bm16,
+            prev16,
+            &mut split,
+            &mut out16,
+            &mut surv,
+            &mut margins16,
+        );
 
         let mut out64 = vec![0i64; n];
         let mut surv64 = vec![0u8; n];
@@ -331,9 +384,9 @@ mod tests {
 
     #[test]
     fn hot_step_matches_reference_acs_post_warmup() {
-        // From an all-reachable column, one lane-kernel step agrees with the
-        // i64 reference step on survivors, margins, and metrics up to the
-        // uniform offset.
+        // From an all-reachable column, one step of the one-lane forward
+        // pass agrees with the i64 reference step on survivors, margins, and
+        // metrics up to the uniform offset.
         let ct = CompiledTrellis::new(&ConvCode::ieee80211());
         let prev16: Vec<i16> = (0..ct.n_states() as i16).map(|i| -(i * 3 % 17)).collect();
         for (s, (m16, m64)) in compare_step(&ct, &prev16, 1000, &[9, -4])
@@ -348,8 +401,8 @@ mod tests {
     fn warmup_step_mirrors_sentinel_reference() {
         // From the known-state start column, an unreachable competitor loses
         // exactly as in the reference. Margins agree wherever the reference
-        // margin is genuine; where it concedes a sentinel margin the lane
-        // kernels record a plain difference, which no output reads.
+        // margin is genuine; where it concedes a sentinel margin the one-lane
+        // pass records a plain difference, which no output reads.
         let ct = CompiledTrellis::new(&ConvCode::k3());
         let mut prev16 = vec![NEG_INF16; ct.n_states()];
         prev16[0] = 0;

@@ -606,3 +606,39 @@ fn short_window_sova_batches_match_solo() {
         }
     }
 }
+
+/// SOVA's TU2 windows against the frozen reference, lane by lane: windows
+/// either side of the one-lane register exchange's 64-bit limit (`k ≤ 64`
+/// runs it, `k > 64` and every batch run the lockstep traces), on every
+/// lane count and code. The blocks are long, noisy and a quarter erased, so
+/// competitor paths often stay apart from the ML path for the whole window
+/// and the window edge decides which bits a margin reaches.
+#[test]
+fn tu2_windows_match_reference_for_every_lane_count() {
+    let mut rng = SmallRng::seed_from_u64(0x7B02_0001);
+    for code in codes() {
+        for k in [1usize, 2, 3, 8, 16, 63, 64, 65, 100] {
+            let steps = code.tail_len() + rng.gen_i64(300, 340) as usize;
+            let blocks: Vec<Vec<Llr>> = (0..crate::MAX_BATCH_LANES)
+                .map(|_| random_llrs(&mut rng, &code, steps, 9))
+                .collect();
+            let mut dec = SovaDecoder::new(&code, 64, k);
+            let reference: Vec<DecodeOutput> = blocks
+                .iter()
+                .map(|block| {
+                    let mut out = DecodeOutput::default();
+                    dec.decode_terminated_reference_into(block, &mut out);
+                    out
+                })
+                .collect();
+            for lanes in 1..=crate::MAX_BATCH_LANES {
+                let soa = interleave_lanes(&blocks[..lanes]);
+                let mut outs = vec![DecodeOutput::default(); lanes];
+                dec.decode_terminated_batch_into(&soa, lanes, &mut outs);
+                for (l, (out, want)) in outs.iter().zip(&reference).enumerate() {
+                    assert_eq!(out, want, "{code} k = {k} lane {l}/{lanes}");
+                }
+            }
+        }
+    }
+}

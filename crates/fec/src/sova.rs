@@ -16,10 +16,25 @@
 //! has its reliability lowered to the ACS margin if smaller. This is the
 //! functional content of TU2's dual traceback.
 //!
-//! The forward pass runs on the lane kernels of [`crate::batch`] (one lane
-//! for a solo decode): branchless `i16` butterflies, lane-mask survivors,
-//! `i16` margins — bit-identical to the `i64` reference path, which decodes
-//! soft inputs beyond the narrow gate.
+//! The forward pass runs on the kernels of [`crate::batch`]: branchless
+//! `i16` butterflies, lane-mask survivors and `i16` margins, SIMD across
+//! lanes in a batch and across states in a solo decode. Both are
+//! bit-identical to the `i64` reference path, which decodes soft inputs
+//! beyond the narrow gate.
+//!
+//! TU2 does not trace one competitor at a time, as the reference does.
+//! Each reliability ends as the smallest margin of any competitor that
+//! disagrees with the ML path there within the window. That is a `min`, so
+//! the order of the updates is free. A competitor also agrees with the ML
+//! path everywhere past the point where the two merge. Two bodies use this:
+//!
+//! * A solo decode with `k ≤ 64` uses *register exchange*. One pass over
+//!   the stored survivors keeps each state's last 64 survivor input bits in
+//!   a `u64`. At step `t` the competitor's disagreements are then the set
+//!   bits of `R[loser] ^ R[ml_state]` below `min(k, t)`.
+//! * A batch, or a window over 64, uses *lockstep traces*. At each step,
+//!   every lane traces its competitor back, all lanes one step at a time
+//!   together, until every lane's competitor has merged.
 //!
 //! Latency: `l + k + 12` cycles (1 BMU + 1 PMU + 5 two-entry FIFOs at 2
 //! cycles each + the two windows); see [`SovaDecoder::latency_cycles`] and

@@ -27,6 +27,7 @@ FLOORS = {
     "decode.viterbi.batched/scalar": 1.0,
     "decode.sova.compiled/reference": 1.0,
     "decode.sova.batched/scalar": 1.0,
+    "decode.sova.noisy.compiled/reference": 1.0,
     "decode.bcjr.compiled/reference": 1.0,
     "decode.bcjr.batched/scalar": 1.0,
     "rx.viterbi.batched/scalar": 1.0,
