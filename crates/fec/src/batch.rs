@@ -89,13 +89,15 @@
 //! **Gate and fallback.** The narrow arithmetic is exact only for soft
 //! inputs within [`CompiledTrellis::narrow_llr_limit`] (315 for the 802.11
 //! code, so both the 8-bit Viterbi demap and the 4/5-bit hint path pass;
-//! the derivation is on that method), for codes of any state count. A solo
-//! decode within the gate runs here at one lane: a contiguous block is
-//! already lane-major for one lane, and the one-lane forward pass computes
-//! exactly the lane kernels' values at `L = 1`. A solo block with any larger soft
-//! value decodes on the reference kernels, and a batch with one, or with
-//! more than [`MAX_LANES`] lanes, decodes lane by lane through the solo
-//! path. Nothing else selects a width: the lane kernels are `i16` only.
+//! the derivation is on that method), for codes of any state count. The
+//! decoders' one shell (`crate::shell`) routes every decode, and
+//! `decode_lanes` is its only way in. A solo decode within the gate runs
+//! here at one lane: a contiguous block is already lane-major for one lane,
+//! and the one-lane forward pass computes exactly the lane kernels' values
+//! at `L = 1`. A solo block with any larger soft value decodes on the
+//! reference kernels, and a batch with one, or with more than
+//! [`MAX_LANES`] lanes, decodes lane by lane through the solo route.
+//! Nothing else selects a width: the lane kernels are `i16` only.
 //!
 //! **Lane loops are branch-free.** Every per-lane computation below is
 //! straight-line arithmetic on whole rows: selects are bitmask blends
@@ -126,6 +128,7 @@
 
 use crate::compiled::{CompiledTrellis, NEG_INF16, UNREACHABLE16};
 use crate::llr::{DecodeOutput, Llr};
+use crate::shell::{SOVA, VITERBI};
 
 /// Widest lockstep batch the kernels are monomorphized for. Matches the
 /// scenario engine's packet-block width: fused shared-channel jobs hand
@@ -974,40 +977,21 @@ macro_rules! dispatch_lanes {
 }
 pub(crate) use dispatch_lanes;
 
-/// Batched Viterbi entry point (lane-count dispatch).
-pub(crate) fn viterbi_batch(
+/// The lane kernels' one entry: the decoder's `KIND` (see
+/// `crate::shell`) picks the kernel, and the runtime lane count picks its
+/// monomorphized width. `window` is the kernel's window parameter.
+pub(crate) fn decode_lanes<const KIND: u8>(
     ct: &CompiledTrellis,
     tail_len: usize,
+    window: usize,
     llrs: &[Llr],
     lanes: usize,
     s: &mut BatchScratch,
     outs: &mut [DecodeOutput],
 ) {
-    dispatch_lanes!(lanes, viterbi_kernel(ct, tail_len, llrs, s, outs));
-}
-
-/// Batched SOVA entry point (lane-count dispatch).
-pub(crate) fn sova_batch(
-    ct: &CompiledTrellis,
-    tail_len: usize,
-    k: usize,
-    llrs: &[Llr],
-    lanes: usize,
-    s: &mut BatchScratch,
-    outs: &mut [DecodeOutput],
-) {
-    dispatch_lanes!(lanes, sova_kernel(ct, tail_len, k, llrs, s, outs));
-}
-
-/// Batched BCJR entry point (lane-count dispatch).
-pub(crate) fn bcjr_batch(
-    ct: &CompiledTrellis,
-    tail_len: usize,
-    block_len: usize,
-    llrs: &[Llr],
-    lanes: usize,
-    s: &mut BatchScratch,
-    outs: &mut [DecodeOutput],
-) {
-    dispatch_lanes!(lanes, bcjr_kernel(ct, tail_len, block_len, llrs, s, outs));
+    match KIND {
+        VITERBI => dispatch_lanes!(lanes, viterbi_kernel(ct, tail_len, llrs, s, outs)),
+        SOVA => dispatch_lanes!(lanes, sova_kernel(ct, tail_len, window, llrs, s, outs)),
+        _ => dispatch_lanes!(lanes, bcjr_kernel(ct, tail_len, window, llrs, s, outs)),
+    }
 }

@@ -17,22 +17,24 @@
 //! Both recursions run on the `i16` lane kernels of [`crate::batch`] (one
 //! lane for a solo decode) with per-step normalization — the reference
 //! decoder's normalization points, so outputs stay bit-identical. Soft
-//! inputs beyond the narrow gate decode on the reference kernels.
+//! inputs beyond the narrow gate decode on the reference kernels; the
+//! decoders' shared shell picks between them.
 //!
 //! Latency: `2n + 7` cycles, dominated by the two reversal buffers; see
 //! [`BcjrDecoder::latency_cycles`].
 
 use std::sync::Arc;
 
-use crate::batch;
-use crate::bmu::Bmu;
 use crate::compiled::CompiledTrellis;
 use crate::llr::{DecodeOutput, Llr, SoftDecoder};
-use crate::reference;
-use crate::scratch::TrellisScratch;
+use crate::shell::{DecoderShell, BCJR};
 use crate::ConvCode;
 
 /// A sliding-window max-log BCJR decoder with block length `n`.
+///
+/// The decoders' shared shell picks the datapath (lane kernels or
+/// reference kernels, see [`crate::ViterbiDecoder`]); this type adds the
+/// block length and the pipeline latency.
 ///
 /// # Example
 ///
@@ -50,13 +52,9 @@ use crate::ConvCode;
 /// ```
 #[derive(Debug, Clone)]
 pub struct BcjrDecoder {
-    code: ConvCode,
-    compiled: Arc<CompiledTrellis>,
-    bmu: Bmu,
-    scratch: TrellisScratch,
-    /// Sliding-window block length; the paper uses 64 and notes blocks
-    /// smaller than 32 degrade accuracy.
-    block_len: usize,
+    /// The shell; its window is the sliding-window block length. The
+    /// paper uses 64 and notes blocks smaller than 32 degrade accuracy.
+    shell: DecoderShell<BCJR>,
 }
 
 impl BcjrDecoder {
@@ -79,37 +77,14 @@ impl BcjrDecoder {
     pub fn with_shared_trellis(trellis: Arc<CompiledTrellis>, block_len: usize) -> Self {
         assert!(block_len > 0, "block length must be positive");
         Self {
-            code: trellis.code().clone(),
-            bmu: Bmu::new(trellis.n_out()),
-            compiled: trellis,
-            scratch: TrellisScratch::new(),
-            block_len,
+            shell: DecoderShell::new(trellis, block_len),
         }
-    }
-
-    /// The sliding-window block length.
-    pub fn block_len(&self) -> usize {
-        self.block_len
     }
 
     /// Pipeline latency in decoder-clock cycles: `2n + 7` (§4.3.2 — two
     /// reversal buffers of `n` plus pipeline and FIFO overhead).
     pub fn latency_cycles(&self) -> u64 {
-        (2 * self.block_len + 7) as u64
-    }
-
-    /// The code being decoded.
-    pub fn code(&self) -> &ConvCode {
-        &self.code
-    }
-
-    /// The shared compiled-trellis handle.
-    pub fn shared_trellis(&self) -> &Arc<CompiledTrellis> {
-        &self.compiled
-    }
-
-    fn validate(&self, llrs: &[Llr]) {
-        batch::validate_batch(self.compiled.n_out(), self.code.tail_len(), llrs, 1, 1);
+        (2 * self.shell.window + 7) as u64
     }
 
     /// Decodes through the frozen `i64` reference kernels (see
@@ -119,75 +94,23 @@ impl BcjrDecoder {
     ///
     /// Panics under the same conditions as
     /// [`SoftDecoder::decode_terminated_into`].
-    // lint: no_alloc
     pub fn decode_terminated_reference_into(&mut self, llrs: &[Llr], out: &mut DecodeOutput) {
-        self.validate(llrs);
-        reference::bcjr_decode(
-            self.compiled.trellis(),
-            self.code.tail_len(),
-            self.block_len,
-            &mut self.bmu,
-            &mut self.scratch,
-            llrs,
-            out,
-        );
+        self.shell.decode_reference(llrs, out);
     }
 }
 
 impl SoftDecoder for BcjrDecoder {
-    // lint: no_alloc
     fn decode_terminated_into(&mut self, llrs: &[Llr], out: &mut DecodeOutput) {
-        if self.compiled.narrow_path_ok(llrs) {
-            self.validate(llrs);
-            // A contiguous block is already lane-major for one lane.
-            batch::bcjr_batch(
-                &self.compiled,
-                self.code.tail_len(),
-                self.block_len,
-                llrs,
-                1,
-                &mut self.scratch.batch,
-                std::slice::from_mut(out),
-            );
-        } else {
-            self.decode_terminated_reference_into(llrs, out);
-        }
+        self.shell.decode(llrs, 1, std::slice::from_mut(out));
     }
 
-    // lint: no_alloc
     fn decode_terminated_batch_into(
         &mut self,
         llrs: &[Llr],
         lanes: usize,
         outs: &mut [DecodeOutput],
     ) {
-        batch::validate_batch(
-            self.compiled.n_out(),
-            self.code.tail_len(),
-            llrs,
-            lanes,
-            outs.len(),
-        );
-        // Lockstep runs whenever every lane is inside the narrow `i16`
-        // gate; anything else decodes lane by lane through the solo path.
-        if lanes <= batch::MAX_LANES && self.compiled.narrow_path_ok(llrs) {
-            batch::bcjr_batch(
-                &self.compiled,
-                self.code.tail_len(),
-                self.block_len,
-                llrs,
-                lanes,
-                &mut self.scratch.batch,
-                outs,
-            );
-        } else {
-            let mut lane_buf = std::mem::take(&mut self.scratch.batch.lane_llrs);
-            for (l, out) in outs.iter_mut().enumerate() {
-                batch::gather_lane(llrs, lanes, l, &mut lane_buf);
-                self.decode_terminated_into(&lane_buf, out);
-            }
-            self.scratch.batch.lane_llrs = lane_buf;
-        }
+        self.shell.decode(llrs, lanes, outs);
     }
 
     fn id(&self) -> &'static str {

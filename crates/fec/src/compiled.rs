@@ -13,12 +13,13 @@
 //! metrics instead of the reference kernels' wide `i64` saturating
 //! arithmetic.
 //!
-//! **Bit-identity contract.** Each decoder has two datapaths. A block whose
-//! soft values all lie within [`CompiledTrellis::narrow_llr_limit`] decodes
-//! on the `i16` lane kernels — a solo decode at one lane, a batch in
-//! lockstep at up to [`crate::batch::MAX_LANES`]. Any other block decodes
-//! on the frozen `i64` reference kernels of `crate::reference` (each
-//! decoder's `decode_terminated_reference_into`). The two paths produce
+//! **Bit-identity contract.** The decoders' one shell picks between two
+//! datapaths for every decode. A block whose soft values all lie within
+//! [`CompiledTrellis::narrow_llr_limit`] decodes on the `i16` lane
+//! kernels — a solo decode at one lane, a batch in lockstep at up to
+//! [`crate::batch::MAX_LANES`]. Any other block decodes on the frozen
+//! `i64` reference kernels of `crate::reference` (each decoder's
+//! `decode_terminated_reference_into`). The two paths produce
 //! *exactly* the same hard bits and saturated soft outputs. Three facts
 //! make this exact rather than approximate:
 //!

@@ -642,3 +642,54 @@ fn tu2_windows_match_reference_for_every_lane_count() {
         }
     }
 }
+
+/// A registration that implements only the solo decode, so its batches
+/// run the trait's default lane-by-lane `decode_terminated_batch_into`.
+struct SoloOnly(Box<dyn SoftDecoder>);
+
+impl SoftDecoder for SoloOnly {
+    fn decode_terminated_into(&mut self, llrs: &[Llr], out: &mut DecodeOutput) {
+        self.0.decode_terminated_into(llrs, out);
+    }
+
+    fn id(&self) -> &'static str {
+        self.0.id()
+    }
+}
+
+/// The trait's default batch decode, around each stock decoder, equals
+/// per-lane solo decodes for lane counts 1..=9 (one past the widest
+/// lockstep batch) on noisy blocks with one lane past the narrow gate.
+#[test]
+fn default_batch_path_matches_solo_decodes() {
+    let stock = |code: &ConvCode| -> Vec<Box<dyn SoftDecoder>> {
+        vec![
+            Box::new(ViterbiDecoder::new(code)),
+            Box::new(SovaDecoder::new(code, 64, 64)),
+            Box::new(BcjrDecoder::new(code, 64)),
+        ]
+    };
+    let mut rng = SmallRng::seed_from_u64(0xDEFA_0001);
+    for code in codes() {
+        let gate = narrow_gate(&code);
+        for lanes in 1..=crate::MAX_BATCH_LANES + 1 {
+            let steps = code.tail_len() + rng.gen_i64(20, 90) as usize;
+            let mut blocks: Vec<Vec<Llr>> = (0..lanes)
+                .map(|_| random_llrs(&mut rng, &code, steps, 31))
+                .collect();
+            let lane = rng.gen_i64(0, lanes as i64 - 1) as usize;
+            let at = rng.gen_i64(0, blocks[lane].len() as i64 - 1) as usize;
+            blocks[lane][at] = gate + 1;
+            let soa = interleave_lanes(&blocks);
+            for (mut solo, wrapped) in stock(&code).into_iter().zip(stock(&code)) {
+                let mut wrapped = SoloOnly(wrapped);
+                let mut outs = vec![DecodeOutput::default(); lanes];
+                wrapped.decode_terminated_batch_into(&soa, lanes, &mut outs);
+                for (l, (out, block)) in outs.iter().zip(&blocks).enumerate() {
+                    let want = solo.decode_terminated(block);
+                    assert_eq!(out, &want, "{} {code} lane {l}/{lanes}", solo.id());
+                }
+            }
+        }
+    }
+}

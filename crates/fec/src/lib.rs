@@ -22,17 +22,18 @@
 //! designs of these two components are shared."
 //!
 //! At construction each decoder lowers its trellis into a
-//! [`CompiledTrellis`] — flat structure-of-arrays butterfly tables — and
-//! each decoder has two datapaths. Soft inputs within the code's narrow
-//! gate ([`CompiledTrellis::narrow_llr_limit`], 315 for the 802.11 code)
-//! decode on the branchless `i16` lane kernels of [`batch`]: a solo decode
-//! at one lane, a batched decode (`decode_terminated_batch_into`) of up to
-//! eight same-length blocks in lockstep. Any other input decodes on the
-//! original `i64` kernels, preserved verbatim as the reference path (each
-//! decoder's `decode_terminated_reference_into`). The two paths are
-//! bit-identical. Compiled trellises are `Arc`-shared: one table build can
-//! serve every decoder instance of a code (see `with_shared_trellis` on
-//! each decoder).
+//! [`CompiledTrellis`] — flat structure-of-arrays butterfly tables. The
+//! three decoders share one decoder shell, which checks each block and
+//! picks its datapath; a decoder adds only its kernel choice, its windows
+//! and its latency. Soft inputs within the code's narrow gate
+//! ([`CompiledTrellis::narrow_llr_limit`], 315 for the 802.11 code) decode
+//! on the branchless `i16` lane kernels of [`batch`]: a solo decode at one
+//! lane, a batched decode (`decode_terminated_batch_into`) of up to eight
+//! same-length blocks in lockstep. Any other input decodes on the original
+//! `i64` kernels, preserved verbatim as the reference path (each decoder's
+//! `decode_terminated_reference_into`). The two paths are bit-identical.
+//! Compiled trellises are `Arc`-shared: one table build can serve every
+//! decoder instance of a code (see `with_shared_trellis` on each decoder).
 //!
 //! Soft inputs and outputs use the [`Llr`] convention: positive means the
 //! bit is more likely a `1`, and magnitude is confidence.
@@ -69,6 +70,7 @@ pub mod pmu;
 mod puncture;
 mod reference;
 mod scratch;
+mod shell;
 mod sova;
 mod trellis;
 mod viterbi;

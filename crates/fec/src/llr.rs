@@ -137,8 +137,7 @@ pub trait SoftDecoder {
         );
         let mut lane_buf = Vec::with_capacity(llrs.len() / lanes);
         for (l, out) in outs.iter_mut().enumerate() {
-            lane_buf.clear();
-            lane_buf.extend(llrs.chunks_exact(lanes).map(|row| row[l]));
+            crate::batch::gather_lane(llrs, lanes, l, &mut lane_buf);
             self.decode_terminated_into(&lane_buf, out);
         }
     }

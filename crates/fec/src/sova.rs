@@ -20,7 +20,7 @@
 //! `i16` butterflies, lane-mask survivors and `i16` margins, SIMD across
 //! lanes in a batch and across states in a solo decode. Both are
 //! bit-identical to the `i64` reference path, which decodes soft inputs
-//! beyond the narrow gate.
+//! beyond the narrow gate; the decoders' shared shell picks between them.
 //!
 //! TU2 does not trace one competitor at a time, as the reference does.
 //! Each reliability ends as the smallest margin of any competitor that
@@ -43,15 +43,16 @@
 
 use std::sync::Arc;
 
-use crate::batch;
-use crate::bmu::Bmu;
 use crate::compiled::CompiledTrellis;
 use crate::llr::{DecodeOutput, Llr, SoftDecoder};
-use crate::reference;
-use crate::scratch::TrellisScratch;
+use crate::shell::{DecoderShell, SOVA};
 use crate::ConvCode;
 
 /// A SOVA decoder with traceback windows `l` (TU1) and `k` (TU2).
+///
+/// The decoders' shared shell picks the datapath (lane kernels or
+/// reference kernels, see [`crate::ViterbiDecoder`]); this type adds the
+/// two windows and the pipeline latency.
 ///
 /// # Example
 ///
@@ -69,14 +70,10 @@ use crate::ConvCode;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SovaDecoder {
-    code: ConvCode,
-    compiled: Arc<CompiledTrellis>,
-    bmu: Bmu,
-    scratch: TrellisScratch,
+    /// The shell; its window is TU2's `k` (reliability update depth).
+    shell: DecoderShell<SOVA>,
     /// TU1 window (hard-decision convergence).
     l: usize,
-    /// TU2 window (reliability update depth).
-    k: usize,
 }
 
 impl SovaDecoder {
@@ -99,44 +96,16 @@ impl SovaDecoder {
     pub fn with_shared_trellis(trellis: Arc<CompiledTrellis>, l: usize, k: usize) -> Self {
         assert!(l > 0 && k > 0, "traceback windows must be positive");
         Self {
-            code: trellis.code().clone(),
-            bmu: Bmu::new(trellis.n_out()),
-            compiled: trellis,
-            scratch: TrellisScratch::new(),
+            shell: DecoderShell::new(trellis, k),
             l,
-            k,
         }
-    }
-
-    /// TU1 window length.
-    pub fn tu1_window(&self) -> usize {
-        self.l
-    }
-
-    /// TU2 window length (also the reliability update depth).
-    pub fn tu2_window(&self) -> usize {
-        self.k
     }
 
     /// Pipeline latency in decoder-clock cycles: `l + k + 12` (§4.3.1 —
     /// one cycle each for BMU and PMU, plus five 2-entry FIFOs at up to 2
     /// cycles each).
     pub fn latency_cycles(&self) -> u64 {
-        (self.l + self.k + 12) as u64
-    }
-
-    /// The code being decoded.
-    pub fn code(&self) -> &ConvCode {
-        &self.code
-    }
-
-    /// The shared compiled-trellis handle.
-    pub fn shared_trellis(&self) -> &Arc<CompiledTrellis> {
-        &self.compiled
-    }
-
-    fn validate(&self, llrs: &[Llr]) {
-        batch::validate_batch(self.compiled.n_out(), self.code.tail_len(), llrs, 1, 1);
+        (self.l + self.shell.window + 12) as u64
     }
 
     /// Decodes through the frozen `i64` reference kernels (see
@@ -146,75 +115,23 @@ impl SovaDecoder {
     ///
     /// Panics under the same conditions as
     /// [`SoftDecoder::decode_terminated_into`].
-    // lint: no_alloc
     pub fn decode_terminated_reference_into(&mut self, llrs: &[Llr], out: &mut DecodeOutput) {
-        self.validate(llrs);
-        reference::sova_decode(
-            self.compiled.trellis(),
-            self.code.tail_len(),
-            self.k,
-            &mut self.bmu,
-            &mut self.scratch,
-            llrs,
-            out,
-        );
+        self.shell.decode_reference(llrs, out);
     }
 }
 
 impl SoftDecoder for SovaDecoder {
-    // lint: no_alloc
     fn decode_terminated_into(&mut self, llrs: &[Llr], out: &mut DecodeOutput) {
-        if self.compiled.narrow_path_ok(llrs) {
-            self.validate(llrs);
-            // A contiguous block is already lane-major for one lane.
-            batch::sova_batch(
-                &self.compiled,
-                self.code.tail_len(),
-                self.k,
-                llrs,
-                1,
-                &mut self.scratch.batch,
-                std::slice::from_mut(out),
-            );
-        } else {
-            self.decode_terminated_reference_into(llrs, out);
-        }
+        self.shell.decode(llrs, 1, std::slice::from_mut(out));
     }
 
-    // lint: no_alloc
     fn decode_terminated_batch_into(
         &mut self,
         llrs: &[Llr],
         lanes: usize,
         outs: &mut [DecodeOutput],
     ) {
-        batch::validate_batch(
-            self.compiled.n_out(),
-            self.code.tail_len(),
-            llrs,
-            lanes,
-            outs.len(),
-        );
-        // Lockstep runs whenever every lane is inside the narrow `i16`
-        // gate; anything else decodes lane by lane through the solo path.
-        if lanes <= batch::MAX_LANES && self.compiled.narrow_path_ok(llrs) {
-            batch::sova_batch(
-                &self.compiled,
-                self.code.tail_len(),
-                self.k,
-                llrs,
-                lanes,
-                &mut self.scratch.batch,
-                outs,
-            );
-        } else {
-            let mut lane_buf = std::mem::take(&mut self.scratch.batch.lane_llrs);
-            for (l, out) in outs.iter_mut().enumerate() {
-                batch::gather_lane(llrs, lanes, l, &mut lane_buf);
-                self.decode_terminated_into(&lane_buf, out);
-            }
-            self.scratch.batch.lane_llrs = lane_buf;
-        }
+        self.shell.decode(llrs, lanes, outs);
     }
 
     fn id(&self) -> &'static str {

@@ -3,22 +3,20 @@
 
 use std::sync::Arc;
 
-use crate::batch;
-use crate::bmu::Bmu;
 use crate::compiled::CompiledTrellis;
 use crate::llr::{DecodeOutput, Llr, SoftDecoder};
-use crate::reference;
-use crate::scratch::TrellisScratch;
+use crate::shell::{DecoderShell, VITERBI};
 use crate::ConvCode;
 
 /// A block Viterbi decoder for tail-terminated frames.
 ///
-/// Runs the lane kernels of [`crate::batch`] (one lane for a solo decode):
-/// branchless butterfly ACS steps over `i16` metrics with lane-mask
-/// survivors, and the `i64` reference kernels for soft inputs beyond the
-/// narrow gate ([`CompiledTrellis::narrow_llr_limit`]). Produces hard
-/// decisions only; the `soft` outputs are all zero (this is precisely what
-/// SoftPHY adds on top).
+/// The decoders' shared shell picks the datapath: the lane kernels of
+/// [`crate::batch`] (one lane for a solo decode), branchless butterfly ACS
+/// steps over `i16` metrics with lane-mask survivors, or the `i64`
+/// reference kernels for soft inputs beyond the narrow gate
+/// ([`CompiledTrellis::narrow_llr_limit`]). Produces hard decisions only;
+/// the `soft` outputs are all zero (this is precisely what SoftPHY adds on
+/// top).
 ///
 /// # Example
 ///
@@ -34,66 +32,22 @@ use crate::ConvCode;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ViterbiDecoder {
-    code: ConvCode,
-    compiled: Arc<CompiledTrellis>,
-    bmu: Bmu,
-    scratch: TrellisScratch,
-    /// Traceback window length; retained for the latency/area models (the
-    /// block decode itself is exact).
-    traceback_len: usize,
+    shell: DecoderShell<VITERBI>,
 }
 
 impl ViterbiDecoder {
-    /// A decoder for `code` with the paper's default traceback length (64).
+    /// A decoder for `code`.
     pub fn new(code: &ConvCode) -> Self {
-        Self::with_traceback(code, 64)
-    }
-
-    /// A decoder with an explicit traceback length (used by the latency
-    /// and area models; the functional decode is block-exact either way).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `traceback_len` is zero.
-    pub fn with_traceback(code: &ConvCode, traceback_len: usize) -> Self {
-        Self::assemble(Arc::new(CompiledTrellis::new(code)), traceback_len)
+        Self::with_shared_trellis(Arc::new(CompiledTrellis::new(code)))
     }
 
     /// A decoder sharing an already-compiled trellis — the construction
     /// the scenario engine's receive chains and oracle use so one table
     /// build serves every decoder of a code.
     pub fn with_shared_trellis(trellis: Arc<CompiledTrellis>) -> Self {
-        Self::assemble(trellis, 64)
-    }
-
-    fn assemble(compiled: Arc<CompiledTrellis>, traceback_len: usize) -> Self {
-        assert!(traceback_len > 0, "traceback length must be positive");
         Self {
-            code: compiled.code().clone(),
-            bmu: Bmu::new(compiled.n_out()),
-            compiled,
-            scratch: TrellisScratch::new(),
-            traceback_len,
+            shell: DecoderShell::new(trellis, 0),
         }
-    }
-
-    /// The configured traceback length.
-    pub fn traceback_len(&self) -> usize {
-        self.traceback_len
-    }
-
-    /// The code being decoded.
-    pub fn code(&self) -> &ConvCode {
-        &self.code
-    }
-
-    /// The shared compiled-trellis handle.
-    pub fn shared_trellis(&self) -> &Arc<CompiledTrellis> {
-        &self.compiled
-    }
-
-    fn validate(&self, llrs: &[Llr]) {
-        batch::validate_batch(self.compiled.n_out(), self.code.tail_len(), llrs, 1, 1);
     }
 
     /// Decodes through the frozen `i64` reference kernels — the fallback
@@ -104,72 +58,23 @@ impl ViterbiDecoder {
     ///
     /// Panics under the same conditions as
     /// [`SoftDecoder::decode_terminated_into`].
-    // lint: no_alloc
     pub fn decode_terminated_reference_into(&mut self, llrs: &[Llr], out: &mut DecodeOutput) {
-        self.validate(llrs);
-        reference::viterbi_decode(
-            self.compiled.trellis(),
-            self.code.tail_len(),
-            &mut self.bmu,
-            &mut self.scratch,
-            llrs,
-            out,
-        );
+        self.shell.decode_reference(llrs, out);
     }
 }
 
 impl SoftDecoder for ViterbiDecoder {
-    // lint: no_alloc
     fn decode_terminated_into(&mut self, llrs: &[Llr], out: &mut DecodeOutput) {
-        if self.compiled.narrow_path_ok(llrs) {
-            self.validate(llrs);
-            // A contiguous block is already lane-major for one lane.
-            batch::viterbi_batch(
-                &self.compiled,
-                self.code.tail_len(),
-                llrs,
-                1,
-                &mut self.scratch.batch,
-                std::slice::from_mut(out),
-            );
-        } else {
-            self.decode_terminated_reference_into(llrs, out);
-        }
+        self.shell.decode(llrs, 1, std::slice::from_mut(out));
     }
 
-    // lint: no_alloc
     fn decode_terminated_batch_into(
         &mut self,
         llrs: &[Llr],
         lanes: usize,
         outs: &mut [DecodeOutput],
     ) {
-        batch::validate_batch(
-            self.compiled.n_out(),
-            self.code.tail_len(),
-            llrs,
-            lanes,
-            outs.len(),
-        );
-        // Lockstep runs whenever every lane is inside the narrow `i16`
-        // gate; anything else decodes lane by lane through the solo path.
-        if lanes <= batch::MAX_LANES && self.compiled.narrow_path_ok(llrs) {
-            batch::viterbi_batch(
-                &self.compiled,
-                self.code.tail_len(),
-                llrs,
-                lanes,
-                &mut self.scratch.batch,
-                outs,
-            );
-        } else {
-            let mut lane_buf = std::mem::take(&mut self.scratch.batch.lane_llrs);
-            for (l, out) in outs.iter_mut().enumerate() {
-                batch::gather_lane(llrs, lanes, l, &mut lane_buf);
-                self.decode_terminated_into(&lane_buf, out);
-            }
-            self.scratch.batch.lane_llrs = lane_buf;
-        }
+        self.shell.decode(llrs, lanes, outs);
     }
 
     fn id(&self) -> &'static str {

@@ -11,8 +11,6 @@ use wilis_cosim::native::{measure_native, NativeDecoder, NativeSpeed};
 use wilis_cosim::{SpeedModel, SpeedRow};
 use wilis_phy::PhyRate;
 
-use crate::scenario::SweepRunner;
-
 /// One rendered row of the Figure 2 table.
 #[derive(Debug, Clone)]
 pub struct Fig2Row {
@@ -28,25 +26,14 @@ pub struct Fig2Row {
 /// at each rate (Viterbi receiver, matching the paper's baseline 802.11
 /// system) with that many packets.
 pub fn run(native_packets: u32) -> Vec<Fig2Row> {
-    run_with(&SweepRunner::auto(), native_packets)
-}
-
-/// [`run`] against a caller-owned runner — the model rows are closed-form
-/// (no Monte-Carlo, nothing to memoize), so unlike the fig5–fig7 drivers
-/// this one parallelizes its rows over the runner's worker pool directly
-/// rather than through a [`crate::service::SweepService`].
-pub fn run_with(runner: &SweepRunner, native_packets: u32) -> Vec<Fig2Row> {
     let model = SpeedModel::paper();
-    let rates = PhyRate::all();
-    // Model rows are pure functions of the rate: evaluate them across the
-    // scenario engine's worker pool. The native wall-clock measurement
-    // stays serial — concurrent trials would time contention, not the
-    // pipeline.
-    let rows = runner.run_indexed(rates.len(), |i| model.row(rates[i]));
-    rows.into_iter()
-        .zip(rates)
-        .map(|(row, rate)| Fig2Row {
-            model: row,
+    // The model rows are closed-form, a few flops each; the native
+    // wall-clock measurement stays serial — concurrent trials would time
+    // contention, not the pipeline.
+    PhyRate::all()
+        .into_iter()
+        .map(|rate| Fig2Row {
+            model: model.row(rate),
             native: (native_packets > 0).then(|| {
                 measure_native(
                     rate,

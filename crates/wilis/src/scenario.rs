@@ -1109,25 +1109,6 @@ impl SweepRunner {
         })
     }
 
-    /// Evaluates `f(0..n)` across the worker pool and returns the results
-    /// in index order. `f` must be a pure function of its index for the
-    /// determinism contract to hold.
-    ///
-    /// Experiment drivers whose trials are not plain scenario grids
-    /// (Figure 2's per-rate rows) parallelize through this.
-    pub(crate) fn run_indexed<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        self.fan_out(n, f, |i, value| results[i] = Some(value));
-        results
-            .into_iter()
-            .map(|r| r.expect("worker filled every slot")) // lint: allow(panic-policy) — fan_out delivers every index exactly once
-            .collect()
-    }
-
     /// The worker pool under every run: deals `0..n` round-robin to
     /// scoped workers, exactly like the parallel channel deals chunks, so
     /// work assignment is static. Each worker sends `(i, f(i))` over one
@@ -1261,13 +1242,6 @@ mod tests {
             .run(&scenarios)
             .unwrap();
         assert_eq!(with[0].packet_stats.len(), 3);
-    }
-
-    #[test]
-    fn run_indexed_orders_results() {
-        let runner = SweepRunner::new(3);
-        let out = runner.run_indexed(10, |i| i * i);
-        assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]

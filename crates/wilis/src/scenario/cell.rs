@@ -11,7 +11,7 @@ use wilis_mac::cell::{BackoffState, CellMetrics, ContentionPolicy, SlotView, TxD
 use wilis_mac::link::{LinkMetrics, LinkPolicy, LinkStatus, Oracle};
 use wilis_phy::{PhyScratch, RxResult, Transmitter};
 
-use super::engine::{account, build_receiver, decode, front_end, harq_attempt_seed, PacketTally};
+use super::engine::{account, build_receiver, decode, front_end, PacketDraw, PacketTally};
 use super::plan::PointPlan;
 use super::{Scenario, ScenarioResult, SweepEnv, DEFAULT_CAPTURE_DB};
 
@@ -29,7 +29,7 @@ struct CellNode {
     /// Logical packets *started* — the packet-seed index of a
     /// soft-combining HARQ node, whose retransmissions keep the payload
     /// (and seed) of the open packet and draw per-attempt channel noise
-    /// through [`harq_attempt_seed`] instead.
+    /// through [`PacketDraw`] instead.
     logical: u64,
     /// Packets queued at this node (head-of-queue is retransmitted until
     /// its link session closes it).
@@ -113,7 +113,7 @@ pub(super) fn run_cell(
     let mut decoded: u64 = 0;
     let mut last_tx_count = 0usize;
     let mut txs: Vec<usize> = Vec::with_capacity(nodes);
-    let mut slot_txs: Vec<(usize, u64, u64, u64, u64)> = Vec::with_capacity(nodes);
+    let mut slot_txs: Vec<(usize, PacketDraw)> = Vec::with_capacity(nodes);
     let mut powers: Vec<TxPower> = Vec::with_capacity(nodes);
 
     for slot in 0..slots {
@@ -169,26 +169,17 @@ pub(super) fn run_cell(
                 .as_mut()
                 .and_then(|l| l.harq())
                 .map(|c| c.attempt());
-            let (ident, packet_seed, attempt_seed) = match harq_attempt {
-                // A soft-combining node keys payload identity to its
-                // open logical packet; retransmissions draw fresh noise
-                // from the HARQ attempt stream while attempt 0 matches
-                // the plain draw exactly.
-                Some(a) => {
-                    let ps = mix_seed(sc.seed, node.logical | ((n as u64) << 32));
-                    (node.logical, ps, harq_attempt_seed(ps, a))
-                }
-                None => {
-                    let ps = mix_seed(sc.seed, attempt | ((n as u64) << 32));
-                    (attempt, ps, ps)
-                }
-            };
-            let chan_seed = mix_seed(attempt_seed, 1);
+            // A soft-combining node keys payload identity to its open
+            // logical packet; retransmissions draw fresh noise from the
+            // HARQ attempt stream while attempt 0 matches the plain draw
+            // exactly. Any other node sends a new packet every attempt.
+            let (ident, a) = harq_attempt.map_or((attempt, 0), |a| (node.logical, a));
+            let draw = PacketDraw::new(mix_seed(sc.seed, ident | ((n as u64) << 32)), ident, a);
             powers.push(TxPower {
                 node: n,
-                gain: channel.packet_gain(chan_seed),
+                gain: channel.packet_gain(draw.chan_seed),
             });
-            slot_txs.push((n, ident, packet_seed, attempt_seed, chan_seed));
+            slot_txs.push((n, draw));
         }
         let outcome = resolve_slot(&powers, noise_power, capture_db);
         match outcome {
@@ -199,11 +190,14 @@ pub(super) fn run_cell(
         }
         let survivor = outcome.survivor();
 
-        for &(n, ident, packet_seed, attempt_seed, chan_seed) in &slot_txs {
-            let mut rng = SmallRng::seed_from_u64(packet_seed);
-            payload.clear();
-            payload.extend((0..sc.payload_bits).map(|_| rng.gen_bit()));
-            let scramble_seed = (ident % 127 + 1) as u8;
+        for &(n, draw) in &slot_txs {
+            draw.payload_into(sc.payload_bits, &mut payload);
+            let PacketDraw {
+                scramble_seed,
+                attempt_seed,
+                chan_seed,
+                ..
+            } = draw;
             let bits = sc.payload_bits as u64;
             metrics.per_node[n].attempts += 1;
             metrics.per_node[n].bits_transmitted += bits;

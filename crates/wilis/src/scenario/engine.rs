@@ -218,13 +218,50 @@ impl PacketTally {
 const HARQ_ATTEMPT_STREAM: u64 = 0x4A59_0000_0000_0000;
 
 /// The channel seed of HARQ attempt `attempt` of the packet with seed
-/// `packet_seed` — used identically by groups and cells, so the two can
-/// never drift apart.
-pub(super) fn harq_attempt_seed(packet_seed: u64, attempt: u32) -> u64 {
+/// `packet_seed` — used identically by groups and cells (through
+/// [`PacketDraw`]), so the two can never drift apart.
+fn harq_attempt_seed(packet_seed: u64, attempt: u32) -> u64 {
     if attempt == 0 {
         packet_seed
     } else {
         mix_seed(packet_seed, HARQ_ATTEMPT_STREAM | u64::from(attempt))
+    }
+}
+
+/// The draws of one transmission, derived identically by groups and cells
+/// (the same reason as [`harq_attempt_seed`]): the payload from the packet
+/// seed, the scrambler seed from the logical packet, and the channel seed
+/// from the attempt.
+#[derive(Clone, Copy)]
+pub(super) struct PacketDraw {
+    packet_seed: u64,
+    /// The scrambler seed. It follows the logical packet `ident`: a
+    /// retransmission is the same packet on the air.
+    pub(super) scramble_seed: u8,
+    /// The attempt's seed (see [`harq_attempt_seed`]).
+    pub(super) attempt_seed: u64,
+    /// The seed of the attempt's channel realization.
+    pub(super) chan_seed: u64,
+}
+
+impl PacketDraw {
+    /// Attempt `attempt` of logical packet `ident`, whose seed is
+    /// `packet_seed`.
+    pub(super) fn new(packet_seed: u64, ident: u64, attempt: u32) -> Self {
+        let attempt_seed = harq_attempt_seed(packet_seed, attempt);
+        Self {
+            packet_seed,
+            scramble_seed: (ident % 127 + 1) as u8,
+            attempt_seed,
+            chan_seed: mix_seed(attempt_seed, 1),
+        }
+    }
+
+    /// The packet's `bits` payload bits, into `payload`.
+    pub(super) fn payload_into(&self, bits: usize, payload: &mut Vec<u8>) {
+        let mut rng = SmallRng::seed_from_u64(self.packet_seed);
+        payload.clear();
+        payload.extend((0..bits).map(|_| rng.gen_bit()));
     }
 }
 
@@ -630,17 +667,13 @@ pub(super) fn run_group(
             for stream in &mut streams {
                 for p in stream.first..stream.first + stream.block {
                     let packet_seed = mix_seed(stream.lead.seed, u64::from(p));
+                    let draw = PacketDraw::new(packet_seed, u64::from(p), attempt);
+                    let (scramble_seed, chan_seed) = (draw.scramble_seed, draw.chan_seed);
                     let payload = &mut payloads[k];
                     // A retransmission resends the open packet's payload.
                     if attempt == 0 {
-                        let mut rng = SmallRng::seed_from_u64(packet_seed);
-                        payload.clear();
-                        payload.extend((0..payload_bits).map(|_| rng.gen_bit()));
+                        draw.payload_into(payload_bits, payload);
                     }
-                    // Scramble identity follows the logical packet: a
-                    // retransmission is the same packet on the air.
-                    let scramble_seed = (p % 127 + 1) as u8;
-                    let chan_seed = mix_seed(harq_attempt_seed(packet_seed, attempt), 1);
                     let samples = &mut lane_samples[k];
                     let channel = stream.channel.as_mut();
                     transmitter.tx_into(payload, scramble_seed, &mut scratch, samples);
