@@ -2,6 +2,8 @@
 
 use wilis::experiment::bits_budget;
 use wilis::experiment::fig5;
+use wilis::scenario::SweepRunner;
+use wilis::service::SweepService;
 use wilis::softphy::DecoderKind;
 use wilis_bench::banner;
 
@@ -11,7 +13,8 @@ fn main() {
         "Figure 5: BER vs LLR hints ({bits} payload bits per curve; WILIS_BITS to scale)"
     ));
     for decoder in [DecoderKind::Bcjr, DecoderKind::Sova] {
-        let curves = fig5::run(decoder, bits, 0xF15);
+        let mut service = SweepService::from_env(SweepRunner::auto());
+        let curves = fig5::run(&mut service, decoder, bits, 0xF15);
         print!("{}", fig5::render(decoder, &curves));
         // Summarize: the slope ordering is the figure's key content.
         println!("slopes (log10 BER per hint):");

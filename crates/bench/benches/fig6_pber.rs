@@ -3,6 +3,8 @@
 
 use wilis::experiment::bits_budget;
 use wilis::experiment::fig6;
+use wilis::scenario::SweepRunner;
+use wilis::service::SweepService;
 use wilis::softphy::DecoderKind;
 use wilis_bench::banner;
 
@@ -13,7 +15,7 @@ fn main() {
     ));
     for decoder in [DecoderKind::Bcjr, DecoderKind::Sova] {
         let cfg = fig6::Fig6Config::paper(decoder, packets_per_snr);
-        let result = fig6::run(&cfg);
+        let result = fig6::run(&mut SweepService::from_env(SweepRunner::auto()), &cfg);
         print!("{}", fig6::render(&cfg, &result));
         println!();
     }
@@ -24,7 +26,8 @@ fn main() {
 
     // What the hints buy: the same grid closed by the link layer.
     let cfg = fig6::Fig6Config::paper(DecoderKind::Bcjr, packets_per_snr);
-    print!("{}", fig6::render_links(&fig6::run_links(&cfg)));
+    let points = fig6::run_links(&mut SweepService::from_env(SweepRunner::auto()), &cfg);
+    print!("{}", fig6::render_links(&points));
     println!(
         "\nPPR turns the per-bit confidence of this figure into goodput: corrupted\n\
          packets are repaired by retransmitting suspect chunks instead of the whole\n\

@@ -4,6 +4,8 @@
 
 use wilis::experiment::bits_budget;
 use wilis::experiment::fig7;
+use wilis::scenario::SweepRunner;
+use wilis::service::SweepService;
 use wilis_bench::banner;
 
 fn main() {
@@ -12,7 +14,7 @@ fn main() {
         "Figure 7: SoftRate under 20 Hz fading + 10 dB AWGN ({packets} packet slots)"
     ));
     let cfg = fig7::Fig7Config::paper(packets);
-    let results = fig7::run_both(&cfg);
+    let results = fig7::run_both(&mut SweepService::from_env(SweepRunner::auto()), &cfg);
     print!("{}", fig7::render(&results));
     println!(
         "\nPaper reference: both implementations pick the optimal rate >80% of the\n\

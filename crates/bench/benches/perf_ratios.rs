@@ -17,6 +17,11 @@
 //!   SOVA's TU2 uses register exchange, so the scalar side runs different
 //!   bodies from the batch: the ratio measures what a batch adds over the
 //!   best one-lane decode;
+//! * `decode.<decoder>.batched/reference` — the same 8-lane batch against
+//!   eight frozen `decode_terminated_reference_into` calls. Its B side
+//!   never changes, so its floor can sit near its measured value and
+//!   catch a slower batch kernel; a floor that high on `batched/scalar`
+//!   would block a faster one-lane decode, its live B side;
 //! * `rx.<decoder>.batched/scalar` — the receive pipeline `rx_batch_from`
 //!   over 8 lanes against eight solo `rx_from` calls, which run the same
 //!   front-end bodies at one lane and the one-lane decode, so it measures
@@ -163,8 +168,10 @@ fn noisy_sova_ratio(code: &ConvCode, bits: u64, trials: u32, ratios: &mut Vec<Ra
 }
 
 /// `decode.<name>.compiled/reference` on one block (one-lane kernels
-/// against the reference) and `decode.<name>.batched/scalar` on a full
-/// lane-major batch (eight lanes against eight one-lane decodes).
+/// against the reference), and on a full lane-major batch
+/// `decode.<name>.batched/scalar` (eight lanes against eight one-lane
+/// decodes) and `decode.<name>.batched/reference` (eight lanes against
+/// eight reference decodes).
 #[allow(clippy::too_many_arguments)]
 fn decode_ratios<D: SoftDecoder>(
     name: &str,
@@ -224,6 +231,31 @@ fn decode_ratios<D: SoftDecoder>(
             for _ in 0..batch_reps {
                 for (block, o) in blocks.iter().zip(scalar_outs.iter_mut()) {
                     scalar.decode_terminated_into(block, o);
+                }
+            }
+        },
+    ));
+
+    let mut ref_outs = vec![DecodeOutput::default(); lanes];
+    for (block, o) in blocks.iter().zip(ref_outs.iter_mut()) {
+        reference(&mut slow, block, o);
+    }
+    assert_eq!(
+        batch_outs, ref_outs,
+        "{name}: batched and reference decodes must stay bit-identical per lane"
+    );
+    ratios.push(time_ratio(
+        &format!("decode.{name}.batched/reference"),
+        trials,
+        || {
+            for _ in 0..batch_reps {
+                batched.decode_terminated_batch_into(soa, lanes, &mut batch_outs);
+            }
+        },
+        || {
+            for _ in 0..batch_reps {
+                for (block, o) in blocks.iter().zip(ref_outs.iter_mut()) {
+                    reference(&mut slow, block, o);
                 }
             }
         },

@@ -323,14 +323,6 @@ impl System {
         }
     }
 
-    /// Runs for `secs` of simulated time.
-    pub fn run_for(&mut self, secs: f64) {
-        let target = self.now_units + (secs * self.base_khz as f64 * 1000.0).round() as u64;
-        while self.now_units < target {
-            self.step();
-        }
-    }
-
     /// Runs until `pred` returns true, checking after every instant.
     ///
     /// Returns the number of instants executed.

@@ -387,11 +387,6 @@ impl Receiver {
         self.rate
     }
 
-    /// The puncture-mask phase the front end currently expects.
-    pub fn puncture_phase(&self) -> usize {
-        self.phase
-    }
-
     /// Aims the front end at a [`Transmitter::with_phase`] retransmission:
     /// erasures are re-inserted where *that* phase's mask stole bits. Only
     /// the depuncture stage depends on the phase, so this is a field write

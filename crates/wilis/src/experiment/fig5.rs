@@ -23,7 +23,7 @@ use wilis_channel::SnrDb;
 use wilis_phy::{Modulation, PhyRate};
 use wilis_softphy::{CalibrationConfig, DecoderKind, HintCalibration, ScalingFactors};
 
-use crate::scenario::{ScenarioResult, SweepGrid, SweepRunner};
+use crate::scenario::{ScenarioResult, SweepGrid};
 use crate::service::SweepService;
 
 /// One Figure 5 curve: a labeled calibration run.
@@ -63,21 +63,9 @@ fn calibration_from(cfg: CalibrationConfig, r: &ScenarioResult) -> HintCalibrati
 
 /// Runs the three curves for one decoder, spending `bits_per_curve`
 /// payload bits on each — all three grid points execute concurrently on
-/// the scenario engine, through a throwaway [`SweepService`] honoring
-/// `WILIS_STORE` (repeat invocations with a store hit the cache).
-pub fn run(decoder: DecoderKind, bits_per_curve: u64, seed: u64) -> Vec<Fig5Curve> {
-    run_with(
-        &mut SweepService::from_env(SweepRunner::auto()),
-        decoder,
-        bits_per_curve,
-        seed,
-    )
-}
-
-/// [`run`] against a caller-owned [`SweepService`], so figure drivers
-/// sharing one service (and one store) serve overlapping grid points
-/// from cache.
-pub fn run_with(
+/// the scenario engine, through `service`, so figure drivers sharing one
+/// service (and one store) serve overlapping grid points from cache.
+pub fn run(
     service: &mut SweepService,
     decoder: DecoderKind,
     bits_per_curve: u64,
@@ -157,11 +145,16 @@ pub fn modulations() -> [Modulation; 2] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::SweepRunner;
+
+    fn service() -> SweepService {
+        SweepService::from_env(SweepRunner::auto())
+    }
 
     #[test]
     fn three_curves_per_decoder() {
         // Tiny budget: structure only, no statistical assertions.
-        let curves = run(DecoderKind::Sova, 5_000, 1);
+        let curves = run(&mut service(), DecoderKind::Sova, 5_000, 1);
         assert_eq!(curves.len(), 3);
         assert!(curves[0].label.contains("QAM16"));
         assert!(curves[1].label.contains("QPSK"));
@@ -174,7 +167,7 @@ mod tests {
         // Moderate budget on the noisiest configuration: the fitted slope
         // must be negative (BER falls with hint) and the curve must span
         // at least two decades - the qualitative content of Figure 5.
-        let curves = run(DecoderKind::Bcjr, 120_000, 2);
+        let curves = run(&mut service(), DecoderKind::Bcjr, 120_000, 2);
         let qam16_mid = &curves[0].calibration;
         let fit = qam16_mid.fit.expect("fit at waterfall midpoint");
         assert!(fit.slope < -0.02, "slope {}", fit.slope);

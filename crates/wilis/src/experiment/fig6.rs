@@ -17,7 +17,7 @@ use wilis_mac::LinkMetrics;
 use wilis_phy::PhyRate;
 use wilis_softphy::{DecoderKind, ScalingFactors};
 
-use crate::scenario::{SweepGrid, SweepRunner};
+use crate::scenario::SweepGrid;
 use crate::service::SweepService;
 
 /// Configuration of the scatter experiment.
@@ -85,18 +85,12 @@ pub struct Fig6Result {
     pub bins: Vec<Fig6Bin>,
 }
 
-/// Runs the scatter experiment: one scenario per SNR point, all executed
-/// concurrently on the scenario engine with per-packet stats recorded,
-/// through a throwaway [`SweepService`] honoring `WILIS_STORE`.
-pub fn run(cfg: &Fig6Config) -> Fig6Result {
-    run_with(&mut SweepService::from_env(SweepRunner::auto()), cfg)
-}
-
-/// [`run`] against a caller-owned [`SweepService`]. Packet-stats
-/// recording is forced on for the duration (it is part of the cache
-/// key, so these points never alias a stats-free record) and restored
-/// afterwards.
-pub fn run_with(service: &mut SweepService, cfg: &Fig6Config) -> Fig6Result {
+/// Runs the scatter experiment through `service`: one scenario per SNR
+/// point, all executed concurrently on the scenario engine with
+/// per-packet stats recorded. Recording is forced on for the duration
+/// (it is part of the cache key, so these points never alias a
+/// stats-free record) and restored afterwards.
+pub fn run(service: &mut SweepService, cfg: &Fig6Config) -> Fig6Result {
     let scenarios: Vec<_> = cfg
         .snrs
         .iter()
@@ -172,15 +166,9 @@ pub struct Fig6LinkPoint {
     pub metrics: LinkMetrics,
 }
 
-/// Runs the Figure 6 grid with ARQ and PPR link policies through the
-/// engine: the same packets, now closed by the link layer. Uses a
-/// throwaway [`SweepService`] honoring `WILIS_STORE`.
-pub fn run_links(cfg: &Fig6Config) -> Vec<Fig6LinkPoint> {
-    run_links_with(&mut SweepService::from_env(SweepRunner::auto()), cfg)
-}
-
-/// [`run_links`] against a caller-owned [`SweepService`].
-pub fn run_links_with(service: &mut SweepService, cfg: &Fig6Config) -> Vec<Fig6LinkPoint> {
+/// Runs the Figure 6 grid with ARQ and PPR link policies through
+/// `service`: the same packets, now closed by the link layer.
+pub fn run_links(service: &mut SweepService, cfg: &Fig6Config) -> Vec<Fig6LinkPoint> {
     let snrs: Vec<f64> = cfg.snrs.iter().map(|s| s.db()).collect();
     let grid = SweepGrid::new()
         .rates(&[cfg.rate])
@@ -250,6 +238,11 @@ pub fn render(cfg: &Fig6Config, result: &Fig6Result) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::SweepRunner;
+
+    fn service() -> SweepService {
+        SweepService::from_env(SweepRunner::auto())
+    }
 
     fn small() -> Fig6Config {
         Fig6Config {
@@ -261,7 +254,7 @@ mod tests {
 
     #[test]
     fn produces_points_and_bins() {
-        let result = run(&small());
+        let result = run(&mut service(), &small());
         assert_eq!(result.points.len(), 6 * 9);
         assert!(!result.bins.is_empty());
         let txt = render(&small(), &result);
@@ -273,11 +266,14 @@ mod tests {
         // The qualitative content of Figure 6: packets predicted worse are
         // actually worse. Compare mean actual PBER between the cleanest
         // and dirtiest thirds by prediction.
-        let mut result = run(&Fig6Config {
-            packets_per_snr: 12,
-            payload_bits: 600,
-            ..Fig6Config::paper(DecoderKind::Bcjr, 12)
-        });
+        let mut result = run(
+            &mut service(),
+            &Fig6Config {
+                packets_per_snr: 12,
+                payload_bits: 600,
+                ..Fig6Config::paper(DecoderKind::Bcjr, 12)
+            },
+        );
         result
             .points
             .sort_by(|a, b| a.predicted.partial_cmp(&b.predicted).unwrap());
@@ -298,7 +294,7 @@ mod tests {
     #[test]
     fn link_companion_covers_the_grid() {
         let cfg = small();
-        let points = run_links(&cfg);
+        let points = run_links(&mut service(), &cfg);
         assert_eq!(points.len(), cfg.snrs.len() * 2, "(SNR x {{arq, ppr}})");
         for p in &points {
             let g = p.metrics.goodput();

@@ -25,7 +25,7 @@ use wilis_mac::SelectionStats;
 use wilis_phy::PhyRate;
 use wilis_softphy::DecoderKind;
 
-use crate::scenario::{Scenario, ScenarioResult, SweepRunner};
+use crate::scenario::{Scenario, ScenarioResult};
 use crate::service::SweepService;
 
 /// Configuration of the SoftRate trial.
@@ -111,33 +111,19 @@ fn result_from(decoder: DecoderKind, r: &ScenarioResult) -> Fig7Result {
     }
 }
 
-/// Runs the Figure 7 trial for one decoder through the sweep engine,
-/// behind a throwaway [`SweepService`] honoring `WILIS_STORE`.
-pub fn run(cfg: &Fig7Config, decoder: DecoderKind) -> Fig7Result {
-    run_with(
-        &mut SweepService::from_env(SweepRunner::new(1)),
-        cfg,
-        decoder,
-    )
-}
-
-/// [`run`] against a caller-owned [`SweepService`].
-pub fn run_with(service: &mut SweepService, cfg: &Fig7Config, decoder: DecoderKind) -> Fig7Result {
+/// Runs the Figure 7 trial for one decoder through `service`.
+pub fn run(service: &mut SweepService, cfg: &Fig7Config, decoder: DecoderKind) -> Fig7Result {
     let results = service
         .run(&[cfg.scenario(decoder)])
         .expect("stock decoder, channel, and link names"); // lint: allow(panic-policy) — experiment driver sweeps the stock registry over a known-good grid
     result_from(decoder, &results[0])
 }
 
-/// Runs both decoders' trials concurrently — two grid points of the same
-/// sweep (each is internally sequential: rate adaptation carries state
-/// from packet to packet, which is exactly what the link policy models).
-pub fn run_both(cfg: &Fig7Config) -> Vec<Fig7Result> {
-    run_both_with(&mut SweepService::from_env(SweepRunner::auto()), cfg)
-}
-
-/// [`run_both`] against a caller-owned [`SweepService`].
-pub fn run_both_with(service: &mut SweepService, cfg: &Fig7Config) -> Vec<Fig7Result> {
+/// Runs both decoders' trials concurrently through `service` — two grid
+/// points of the same sweep (each is internally sequential: rate
+/// adaptation carries state from packet to packet, which is exactly
+/// what the link policy models).
+pub fn run_both(service: &mut SweepService, cfg: &Fig7Config) -> Vec<Fig7Result> {
     let decoders = [DecoderKind::Bcjr, DecoderKind::Sova];
     let scenarios: Vec<Scenario> = decoders.iter().map(|&d| cfg.scenario(d)).collect();
     let results = service
@@ -178,6 +164,11 @@ pub fn render(results: &[Fig7Result]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::SweepRunner;
+
+    fn service() -> SweepService {
+        SweepService::from_env(SweepRunner::new(1))
+    }
 
     #[test]
     fn trial_runs_and_tallies() {
@@ -186,7 +177,7 @@ mod tests {
             payload_bits: 256,
             ..Fig7Config::paper(12)
         };
-        let r = run(&cfg, DecoderKind::Sova);
+        let r = run(&mut service(), &cfg, DecoderKind::Sova);
         assert_eq!(r.stats.total(), 12);
         assert!(r.mean_rate_mbps >= 6.0 && r.mean_rate_mbps <= 54.0);
         let txt = render(&[r]);
@@ -200,8 +191,8 @@ mod tests {
             payload_bits: 256,
             ..Fig7Config::paper(8)
         };
-        let a = run(&cfg, DecoderKind::Bcjr);
-        let b = run(&cfg, DecoderKind::Bcjr);
+        let a = run(&mut service(), &cfg, DecoderKind::Bcjr);
+        let b = run(&mut service(), &cfg, DecoderKind::Bcjr);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.mean_rate_mbps, b.mean_rate_mbps);
     }
@@ -215,8 +206,8 @@ mod tests {
             payload_bits: 256,
             ..Fig7Config::paper(6)
         };
-        let both = run_both(&cfg);
-        let solo = run(&cfg, DecoderKind::Bcjr);
+        let both = run_both(&mut SweepService::from_env(SweepRunner::auto()), &cfg);
+        let solo = run(&mut service(), &cfg, DecoderKind::Bcjr);
         assert_eq!(both[0].stats, solo.stats);
         assert_eq!(both[0].mean_rate_mbps, solo.mean_rate_mbps);
     }
@@ -230,7 +221,7 @@ mod tests {
             payload_bits: 256,
             ..Fig7Config::paper(30)
         };
-        let adaptive = run(&cfg, DecoderKind::Bcjr);
+        let adaptive = run(&mut service(), &cfg, DecoderKind::Bcjr);
         assert!(
             adaptive.delivery_rate > 0.4,
             "delivery {:.2}",

@@ -52,14 +52,14 @@
 //! probes each link configuration once, resolves each distinct channel
 //! and link parameter set once, and partitions the grid into these jobs.
 //!
-//! Execution is one worker pool. Jobs are dealt round-robin to scoped
-//! workers, every job runs under the supervisor's unwind boundary (a
-//! panicking job re-runs each of its points alone, and a point that
-//! panics alone is quarantined, not fatal), and each finished job's
-//! outcomes travel back to the calling thread over one channel. The
-//! calling thread delivers them — to
-//! [`SweepRunner::run_streaming_supervised`]'s callback, and through it
-//! to the service's store — while the remaining jobs run.
+//! Execution is one worker pool behind one job core, shared by the
+//! runner and the [`SweepService`](crate::service::SweepService). Jobs
+//! are dealt round-robin to scoped workers, every job runs under the
+//! supervisor's unwind boundary (a panicking job re-runs each of its
+//! points alone, and a point that panics alone is quarantined, not
+//! fatal), and each finished job's outcomes travel back over one channel
+//! to the calling thread, which files them while the remaining jobs run;
+//! one assembler turns the filled slots into a [`SupervisedSweep`].
 //!
 //! The **link dimension** puts the MAC layer on the grid: a scenario names
 //! a [`LinkPolicy`] (resolved through [`link_registry`]; `"none"` keeps
@@ -775,6 +775,39 @@ pub struct SupervisedSweep {
 }
 
 impl SupervisedSweep {
+    /// The one outcome assembler, the runner's and the service's:
+    /// `slots[i]` is grid point `i`'s outcome, an empty slot is an
+    /// `InvalidConfig` error, and the report quarantines the `Failed`
+    /// outcomes in grid order. The caller counts `injected_panics`.
+    pub(crate) fn assemble(
+        slots: Vec<Option<PointOutcome>>,
+        injected_panics: u64,
+    ) -> Result<Self, RegistryError> {
+        let outcomes = slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| slot.ok_or(i))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|i| RegistryError::invalid_config(format!("grid point {i} got no outcome")))?;
+        let quarantined = outcomes
+            .iter()
+            .enumerate()
+            .filter_map(|(point, outcome)| match outcome {
+                PointOutcome::Failed { message, .. } => Some(Quarantine {
+                    point,
+                    message: message.clone(),
+                }),
+                PointOutcome::Completed(_) => None,
+            })
+            .collect();
+        let report = FaultReport {
+            quarantined,
+            injected_panics,
+            ..FaultReport::default()
+        };
+        Ok(Self { outcomes, report })
+    }
+
     /// The completed results, paired with their grid indices — the
     /// partial-result view over a faulted run.
     pub fn completed(&self) -> impl Iterator<Item = (usize, &ScenarioResult)> {
@@ -877,11 +910,6 @@ impl SweepRunner {
         self
     }
 
-    /// The installed fault injector, if any.
-    pub fn faults(&self) -> Option<&FaultInjector> {
-        self.faults.as_ref()
-    }
-
     /// Replaces the environment factory, for sweeps over user decoder,
     /// channel, link-policy, or contention-policy registrations. The
     /// factory runs once for the compile step and once per *job* — a
@@ -944,59 +972,43 @@ impl SweepRunner {
     /// As [`SweepRunner::run`] — configuration errors are still errors;
     /// only panics are quarantined.
     pub fn run_supervised(&self, scenarios: &[Scenario]) -> Result<SupervisedSweep, RegistryError> {
-        let mut slots: Vec<Option<PointOutcome>> = (0..scenarios.len()).map(|_| None).collect();
-        let report =
-            self.run_streaming_supervised(scenarios, |i, outcome| slots[i] = Some(outcome))?;
-        let outcomes = slots
-            .into_iter()
-            .map(|s| s.expect("every scenario is assigned to exactly one job")) // lint: allow(panic-policy) — the compile step puts each index into exactly one job
-            .collect();
-        Ok(SupervisedSweep { outcomes, report })
+        let points: Vec<&Scenario> = scenarios.iter().collect();
+        let mut slots = vec![None; scenarios.len()];
+        let mut injected_panics = 0;
+        self.run_jobs(&points, |outcomes| {
+            for (i, outcome) in outcomes {
+                injected_panics += u64::from(outcome.is_failed() && self.panics_at(i));
+                slots[i] = Some(outcome);
+            }
+        })?;
+        SupervisedSweep::assemble(slots, injected_panics)
     }
 
-    /// The streaming primitive under [`SweepRunner::run_supervised`]:
-    /// `on_outcome(i, outcome)` fires for each grid point as its worker
-    /// job finishes or unwinds, and the run's [`FaultReport`] is returned
-    /// at the end. Workers only simulate; the callback runs on the
-    /// *calling* thread, one outcome at a time, so it needs no `Send`
-    /// bound and no lock, and it overlaps the jobs still running.
-    ///
-    /// Delivery order is completion order — a pure function of nothing:
-    /// callers needing submission order index by `i`, and each `i`'s
-    /// outcome keeps the full bit-identity contract.
+    /// Whether the installed injector schedules a worker panic on point
+    /// `i` of the executed grid.
+    pub(crate) fn panics_at(&self, i: usize) -> bool {
+        self.faults
+            .as_ref()
+            .is_some_and(|f| f.fires(FaultSite::WorkerPanic, i as u64))
+    }
+
+    /// The job core, the runner's and the service's: compiles `points`
+    /// (read in place), runs the jobs, and calls `on_job` on the calling
+    /// thread once per finished job, with the job's `(grid index,
+    /// outcome)` pairs in member order, while the remaining jobs run — so
+    /// `on_job` needs no `Send` bound, and the service commits a job's
+    /// records in one write.
     ///
     /// # Errors
     ///
-    /// As [`SweepRunner::run`], minus quarantines — those are delivered
-    /// as [`PointOutcome::Failed`] outcomes, not errors. A failure past
-    /// the compile step (e.g. from a user environment factory) is
-    /// reported after the grid drains; outcomes already delivered to the
-    /// callback remain valid.
-    pub fn run_streaming_supervised<F>(
+    /// As [`SweepRunner::run`], minus quarantines (delivered as
+    /// [`PointOutcome::Failed`]). An error past the compile step is
+    /// returned after the grid drains, the lowest job index's first.
+    pub(crate) fn run_jobs<F>(
         &self,
-        scenarios: &[Scenario],
-        mut on_outcome: F,
-    ) -> Result<FaultReport, RegistryError>
-    where
-        F: FnMut(usize, PointOutcome),
-    {
-        self.run_streaming_jobs(scenarios, |outcomes| {
-            for (i, outcome) in outcomes {
-                on_outcome(i, outcome);
-            }
-        })
-    }
-
-    /// [`SweepRunner::run_streaming_supervised`] delivering each worker
-    /// job's outcomes together: `on_job` fires on the calling thread once
-    /// per finished job, with that job's outcomes in member order, so a
-    /// caller can batch what it does per outcome (the service commits a
-    /// job's store records in one write).
-    pub(crate) fn run_streaming_jobs<F>(
-        &self,
-        scenarios: &[Scenario],
+        points: &[&Scenario],
         mut on_job: F,
-    ) -> Result<FaultReport, RegistryError>
+    ) -> Result<(), RegistryError>
     where
         F: FnMut(std::vec::Drain<'_, (usize, PointOutcome)>),
     {
@@ -1005,17 +1017,12 @@ impl SweepRunner {
         }
         // The compile step resolves names against a throwaway
         // environment; every job then builds its own.
-        let plan =
-            SweepPlan::compile(scenarios, &(self.env)(), self.faults.as_ref(), self.threads)?;
-        let faults = self.faults.as_ref();
+        let plan = SweepPlan::compile(points, &(self.env)(), self.faults.as_ref(), self.threads)?;
 
         // Errors are not delivered to the callback; the one from the
         // lowest job index (first member within it) is kept, so the
         // reported error is a pure function of the scenario list.
-        // Quarantines are sorted by grid index after the drain, erasing
-        // completion order from the report.
         let mut first_err: Option<(usize, RegistryError)> = None;
-        let mut quarantined: Vec<Quarantine> = Vec::new();
         // Each point's outcome: its result or error, or the panic message
         // of the job that unwound. The unwind boundary wraps the whole
         // job — environment construction included — so any worker panic
@@ -1023,11 +1030,9 @@ impl SweepRunner {
         let execute = |job: &Job| {
             let computed = supervisor::run_quarantined(|| {
                 let env = (self.env)();
-                if let Some(inj) = faults {
-                    for i in job.members() {
-                        if inj.fires(FaultSite::WorkerPanic, i as u64) {
-                            supervisor::inject_panic(i);
-                        }
+                for i in job.members() {
+                    if self.panics_at(i) {
+                        supervisor::inject_panic(i);
                     }
                 }
                 match job {
@@ -1035,7 +1040,7 @@ impl SweepRunner {
                         &env,
                         &plan,
                         streams,
-                        scenarios,
+                        points,
                         self.record_packet_stats,
                         self.stopping,
                     ),
@@ -1044,7 +1049,7 @@ impl SweepRunner {
                         run_cell(
                             &env,
                             *i,
-                            &scenarios[*i],
+                            points[*i],
                             &plan.points[*i],
                             self.record_packet_stats,
                         ),
@@ -1080,33 +1085,15 @@ impl SweepRunner {
                         first_err = Some((j, e));
                     }
                     Ok(Err(_)) => {}
-                    Err(message) => {
-                        quarantined.push(Quarantine {
-                            point: i,
-                            message: message.clone(),
-                        });
-                        delivered.push((i, PointOutcome::Failed { job: i, message }));
-                    }
+                    Err(message) => delivered.push((i, PointOutcome::Failed { job: i, message })),
                 }
             }
             on_job(delivered.drain(..));
         });
-        if let Some((_, e)) = first_err {
-            return Err(e);
+        match first_err {
+            Some((_, e)) => Err(e),
+            None => Ok(()),
         }
-        quarantined.sort_by_key(|q| q.point);
-        let injected_panics = match faults {
-            Some(inj) => quarantined
-                .iter()
-                .filter(|q| inj.fires(FaultSite::WorkerPanic, q.point as u64))
-                .count() as u64,
-            None => 0,
-        };
-        Ok(FaultReport {
-            quarantined,
-            injected_panics,
-            ..FaultReport::default()
-        })
     }
 
     /// The worker pool under every run: deals `0..n` round-robin to

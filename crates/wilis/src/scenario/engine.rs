@@ -576,7 +576,7 @@ pub(super) fn run_group(
     env: &SweepEnv,
     plan: &SweepPlan,
     job: &[Vec<usize>],
-    scenarios: &[Scenario],
+    scenarios: &[&Scenario],
     record: bool,
     stopping: Option<StoppingRule>,
 ) -> Vec<(usize, Result<ScenarioResult, RegistryError>)> {
@@ -593,7 +593,7 @@ pub(super) fn run_group(
                 &plan.points[i],
                 i,
                 streams.len(),
-                &scenarios[i],
+                scenarios[i],
                 &group,
                 &mut chains,
             ) {
@@ -601,7 +601,7 @@ pub(super) fn run_group(
                 Err(e) => out.push((i, Err(e))),
             }
         }
-        let lead = &scenarios[members[0]];
+        let lead = scenarios[members[0]];
         match channels.build(&lead.channel, &plan.points[members[0]].channel_params) {
             Ok(channel) => streams.push(Stream {
                 lead,

@@ -116,7 +116,7 @@ impl SweepPlan {
     /// collapses into fewer jobs than `threads`, the largest jobs are
     /// split — by streams, then by members — until every worker has work.
     pub(super) fn compile(
-        scenarios: &[Scenario],
+        scenarios: &[&Scenario],
         env: &SweepEnv,
         faults: Option<&FaultInjector>,
         threads: usize,
@@ -260,7 +260,7 @@ impl SweepPlan {
 /// light streams of one [`PackKey`], in first-stream order, split into
 /// the balanced jobs of [`balance`], each job sitting where its first
 /// stream did. Every other job passes through unchanged.
-fn pack(jobs: Vec<Job>, scenarios: &[Scenario], fuses: impl Fn(usize) -> bool) -> Vec<Job> {
+fn pack(jobs: Vec<Job>, scenarios: &[&Scenario], fuses: impl Fn(usize) -> bool) -> Vec<Job> {
     let max_lanes = MAX_BATCH_LANES as u32;
     // Each key's light streams: their job index and packets.
     let mut light: BTreeMap<PackKey, Vec<(usize, u32)>> = BTreeMap::new();
@@ -269,7 +269,7 @@ fn pack(jobs: Vec<Job>, scenarios: &[Scenario], fuses: impl Fn(usize) -> bool) -
             continue;
         };
         let stream = &streams[0];
-        let lead = &scenarios[stream[0]];
+        let lead = scenarios[stream[0]];
         let is_light = lead.packets <= max_lanes
             && fuses(stream[0])
             && stream
@@ -426,7 +426,8 @@ mod tests {
             .payload_bits(64)
             .scenarios();
         let env = (SweepRunner::new(1).env)();
-        let plan = SweepPlan::compile(&scenarios, &env, None, 1).unwrap();
+        let points: Vec<&Scenario> = scenarios.iter().collect();
+        let plan = SweepPlan::compile(&points, &env, None, 1).unwrap();
         plan.jobs.iter().map(|job| job.members().count()).collect()
     }
 

@@ -7,18 +7,19 @@
 //! change what a result contains), repeated points are served from the
 //! store without simulating a single packet, and fresh points stream
 //! back through [`SweepService::run_streaming_supervised`]'s per-point
-//! callback as their worker jobs finish. Workers only simulate: the
-//! runner hands each finished job's points to the calling thread over one
-//! channel, and the service calls the callback and stores each point
-//! there, while the remaining jobs run. Each point's key is built once
-//! and moved into the store with its result, and the store
-//! *group-commits*: the records of one finished job go out in one
-//! `write_all`, with torn and corrupt injections still decided per
-//! record by content. Results carry their hint bins as a compact
-//! [`HintBins`](crate::scenario::HintBins), so a hard decoder's result
-//! holds one bin instead of 64. The store counts every load and
-//! degradation event in one [`StoreCounters`] record, which
-//! [`SweepService::metrics`] and each run's [`FaultReport`] read.
+//! callback as their worker jobs finish. The misses run, read in place,
+//! through the runner's job core and outcome assembler: each finished
+//! job's points reach the calling thread over one channel, and the
+//! service calls the callback and stores each point there, while the
+//! remaining jobs run. Each point's key is built once and moved into the
+//! store with its result, and the store *group-commits*: the records of
+//! one finished job go out in one `write_all`, with torn and corrupt
+//! injections still decided per record by content. Results carry their
+//! hint bins as a compact [`HintBins`](crate::scenario::HintBins), so a
+//! hard decoder's result holds one bin instead of 64. The store counts
+//! every load and degradation event in one [`StoreCounters`] record,
+//! which [`SweepService::metrics`] and each run's
+//! [`FaultReport`](crate::FaultReport) read.
 //!
 //! With `WILIS_STORE=path` (see [`SweepService::from_env`]) the store is
 //! mirrored to a JSON-lines file, so the cache survives across
@@ -63,7 +64,7 @@ use std::collections::BTreeMap;
 
 use wilis_lis::registry::RegistryError;
 
-use crate::faults::{FaultInjector, FaultReport, FaultSite, PointOutcome, Quarantine};
+use crate::faults::{FaultInjector, PointOutcome};
 use crate::scenario::{Scenario, ScenarioResult, StoppingRule, SupervisedSweep, SweepRunner};
 
 /// Cache-effectiveness and store-degradation counters of a
@@ -269,11 +270,11 @@ impl SweepService {
 
     /// Supervised variant of [`SweepService::run`]: quarantined grid
     /// points come back as typed [`PointOutcome::Failed`] entries beside
-    /// every completed point, with a [`FaultReport`] tallying the run's
-    /// quarantines and store degradation (the store counters are deltas
-    /// across this run). With no faults fired the outcomes are exactly
-    /// [`SweepService::run`]'s results, bit for bit, and the report is
-    /// clean.
+    /// every completed point, with a [`FaultReport`](crate::FaultReport)
+    /// tallying the run's quarantines and store degradation (the store
+    /// counters are deltas across this run). With no faults fired the
+    /// outcomes are exactly [`SweepService::run`]'s results, bit for bit,
+    /// and the report is clean.
     ///
     /// # Errors
     ///
@@ -286,20 +287,16 @@ impl SweepService {
         self.run_streaming_supervised(scenarios, |_, _| {})
     }
 
-    /// Streaming variant of [`SweepService::run_supervised`]:
-    /// `on_outcome(i, &outcome)` fires on the calling thread for each
-    /// grid point as it becomes available — immediately for cache hits,
-    /// then in completion order as fresh points finish simulating,
-    /// quarantined points included. The misses run through
-    /// [`SweepRunner::run_streaming_supervised`], whose callback also
-    /// runs on the calling thread: every store insert and every
-    /// `on_outcome` call happens here while the workers simulate.
+    /// Streaming variant of [`SweepService::run_supervised`], and the core
+    /// under every service run: `on_outcome(i, &outcome)` fires on the
+    /// calling thread for each grid point as it becomes available —
+    /// immediately for cache hits, then in completion order as fresh
+    /// points finish simulating, quarantined points included.
     ///
-    /// This is the core under every run variant: dedup against the
-    /// store, simulate the misses under supervision, fan outcomes out to
-    /// submission indices, and assemble the run's [`FaultReport`]
-    /// (quarantines remapped to submission indices; store counters as
-    /// deltas across the run).
+    /// The run dedups the grid against the store, simulates the misses in
+    /// [`StoreKey`] order, fans each outcome out to every submission index
+    /// that asked for it, and adds the store counters to the report as
+    /// deltas across the run.
     ///
     /// # Errors
     ///
@@ -313,7 +310,7 @@ impl SweepService {
         F: FnMut(usize, &PointOutcome),
     {
         let before = self.store.counters();
-        let mut slots: Vec<Option<PointOutcome>> = (0..scenarios.len()).map(|_| None).collect();
+        let mut slots = vec![None; scenarios.len()];
         // Misses, deduplicated by coordinate: each unique key simulates
         // once and fans out to every submission index that asked for it.
         let mut pending: BTreeMap<StoreKey, Vec<usize>> = BTreeMap::new();
@@ -343,16 +340,17 @@ impl SweepService {
             }
         }
 
-        let mut report = FaultReport::default();
+        let mut injected_panics = 0;
         if !pending.is_empty() {
             // The misses in key order: each key moves into the store with
             // its result, and `fanout[j]` lists who asked for miss `j`.
             let (keys, fanout): (Vec<StoreKey>, Vec<Vec<usize>>) = pending.into_iter().unzip();
             let mut keys: Vec<Option<StoreKey>> = keys.into_iter().map(Some).collect();
-            let reps: Vec<Scenario> = fanout.iter().map(|f| scenarios[f[0]].clone()).collect();
+            let misses: Vec<&Scenario> = fanout.iter().map(|f| &scenarios[f[0]]).collect();
+            let runner = &self.runner;
             let store = &mut self.store;
             let metrics = &mut self.metrics;
-            let runner_report = self.runner.run_streaming_jobs(&reps, |outcomes| {
+            runner.run_jobs(&misses, |outcomes| {
                 for (j, outcome) in outcomes {
                     match outcome {
                         PointOutcome::Completed(result) => {
@@ -380,7 +378,12 @@ impl SweepService {
                         PointOutcome::Failed { message, .. } => {
                             // Quarantines fan out too — every submission
                             // index that asked for the failed coordinate
-                            // gets the typed failure. Nothing is stored.
+                            // gets the typed failure, and an injected
+                            // panic counts once per copy. Nothing is
+                            // stored.
+                            if runner.panics_at(j) {
+                                injected_panics += fanout[j].len() as u64;
+                            }
                             for &i in &fanout[j] {
                                 let delivered = PointOutcome::Failed {
                                     job: i,
@@ -395,24 +398,11 @@ impl SweepService {
                 // Group commit: the job's records go out in one write.
                 store.commit();
             })?;
-            // Remap quarantines from dedup-grid indices to submission
-            // indices; the injected tally follows each copy.
-            let faults = self.runner.faults();
-            for q in &runner_report.quarantined {
-                let injected =
-                    faults.is_some_and(|f| f.fires(FaultSite::WorkerPanic, q.point as u64));
-                for &i in &fanout[q.point] {
-                    report.quarantined.push(Quarantine {
-                        point: i,
-                        message: q.message.clone(),
-                    });
-                    report.injected_panics += u64::from(injected);
-                }
-            }
-            report.quarantined.sort_by_key(|q| q.point);
         }
 
+        let mut sweep = SupervisedSweep::assemble(slots, injected_panics)?;
         let after = self.store.counters();
+        let report = &mut sweep.report;
         report.store_write_faults = after.write_faults - before.write_faults;
         report.store_read_faults = after.read_faults - before.read_faults;
         report.torn_writes = after.torn_writes - before.torn_writes;
@@ -420,17 +410,6 @@ impl SweepService {
         report.store_retries = after.retries - before.retries;
         report.store_io_errors = after.io_errors - before.io_errors;
         report.store_evictions = after.evictions - before.evictions;
-        let outcomes = slots
-            .into_iter()
-            .map(|slot| {
-                slot.ok_or_else(|| {
-                    RegistryError::invalid_config(
-                        "sweep service lost a grid point: runner returned Ok but a \
-                         pending scenario received no result",
-                    )
-                })
-            })
-            .collect::<Result<Vec<PointOutcome>, RegistryError>>()?;
-        Ok(SupervisedSweep { outcomes, report })
+        Ok(sweep)
     }
 }

@@ -180,22 +180,40 @@ pub struct StoreKey {
 impl StoreKey {
     /// The key of `sc` under the given runner configuration.
     pub fn new(sc: &Scenario, record_packet_stats: bool, stopping: Option<StoppingRule>) -> Self {
+        // Every field named, no `..`: a field added to `Scenario` fails
+        // to compile here until the key covers it, so two points that
+        // differ only in that field can never share one record.
+        let Scenario {
+            rate,
+            decoder,
+            channel,
+            channel_params,
+            link,
+            link_params,
+            contention,
+            contention_params,
+            nodes,
+            snr_db,
+            seed,
+            packets,
+            payload_bits,
+        } = sc;
         Self {
-            seed: sc.seed,
-            snr_bits: sc.snr_db.to_bits(),
-            rate_index: rate_index(sc.rate),
-            packets: sc.packets,
-            payload_bits: sc.payload_bits as u64,
-            nodes: sc.nodes,
+            seed: *seed,
+            snr_bits: snr_db.to_bits(),
+            rate_index: rate_index(*rate),
+            packets: *packets,
+            payload_bits: *payload_bits as u64,
+            nodes: *nodes,
             record_packet_stats,
             stopping: stopping.map(StoppingKey::from),
-            decoder: sc.decoder.clone(),
-            channel: sc.channel.clone(),
-            link: sc.link.clone(),
-            contention: sc.contention.clone(),
-            channel_params: sc.channel_params.clone(),
-            link_params: sc.link_params.clone(),
-            contention_params: sc.contention_params.clone(),
+            decoder: decoder.clone(),
+            channel: channel.clone(),
+            link: link.clone(),
+            contention: contention.clone(),
+            channel_params: channel_params.clone(),
+            link_params: link_params.clone(),
+            contention_params: contention_params.clone(),
         }
     }
 

@@ -7,8 +7,7 @@
 //! * with faults disabled (or no injector wired at all) the supervised
 //!   path is bit-identical to the legacy runner — strict generalization;
 //! * the legacy `run` API surfaces a quarantine as a typed error, and the
-//!   streaming primitive delivers survivors and quarantines as typed
-//!   outcomes.
+//!   supervised view returns survivors and quarantines as typed outcomes.
 //!
 //! Runner-level `worker_panic` occurrence indices address the submitted
 //! grid directly (index `i` fails scenario `i`), unlike the service
@@ -117,28 +116,27 @@ fn legacy_api_surfaces_the_lowest_quarantined_index_as_an_error() {
     );
     assert!(text.contains("injected worker panic"), "{text}");
 
-    // The streaming primitive delivers every survivor as Completed and
-    // each quarantined point as Failed.
+    // The supervised view returns every survivor as Completed and each
+    // quarantined point as Failed.
     let (mut completed, mut failed) = (Vec::new(), Vec::new());
-    runner
-        .run_streaming_supervised(&scenarios, |i, outcome| match outcome {
+    let sweep = runner.run_supervised(&scenarios).unwrap();
+    for (i, outcome) in sweep.outcomes.iter().enumerate() {
+        match outcome {
             PointOutcome::Completed(_) => completed.push(i),
             PointOutcome::Failed { .. } => failed.push(i),
-        })
-        .unwrap();
-    completed.sort_unstable();
-    failed.sort_unstable();
+        }
+    }
     assert_eq!(
         failed,
         vec![3, 6],
-        "the quarantined points stream as Failed"
+        "the quarantined points come back as Failed"
     );
     assert_eq!(
         completed,
         (0..scenarios.len())
             .filter(|i| ![3, 6].contains(i))
             .collect::<Vec<_>>(),
-        "every survivor streams as Completed"
+        "every survivor comes back as Completed"
     );
 }
 

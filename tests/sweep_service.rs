@@ -78,16 +78,16 @@ fn overlapping_fig6_fig7_warm_rerun_simulates_nothing() {
         payload_bits: 256,
         ..fig7::Fig7Config::paper(6)
     };
-    let r6_cold = fig6::run_with(&mut service, &cfg6);
-    let r7_cold = fig7::run_both_with(&mut service, &cfg7);
+    let r6_cold = fig6::run(&mut service, &cfg6);
+    let r7_cold = fig7::run_both(&mut service, &cfg7);
     let cold = service.metrics();
     assert_eq!(cold.misses, 4, "2 fig6 SNRs + 2 fig7 decoders");
     assert_eq!(cold.hits, 0);
     assert!(cold.packets_simulated > 0);
 
     service.reset_metrics();
-    let r6_warm = fig6::run_with(&mut service, &cfg6);
-    let r7_warm = fig7::run_both_with(&mut service, &cfg7);
+    let r6_warm = fig6::run(&mut service, &cfg6);
+    let r7_warm = fig7::run_both(&mut service, &cfg7);
     let warm = service.metrics();
     assert_eq!(
         warm.packets_simulated, 0,
@@ -868,7 +868,7 @@ fn runner_callback_runs_on_the_calling_thread() {
     for threads in [1, 4] {
         let seen = Rc::new(RefCell::new(Vec::new()));
         let sink = Rc::clone(&seen);
-        SweepRunner::new(threads)
+        SweepService::new(SweepRunner::new(threads))
             .run_streaming_supervised(&scenarios, move |i, _| {
                 assert_eq!(std::thread::current().id(), caller);
                 sink.borrow_mut().push(i);

@@ -21,7 +21,7 @@ use wilis::mac::link::{LinkContext, Oracle};
 use wilis::mac::{HarqConfig, HarqLink, LinkPolicy};
 use wilis::phy::{PhyRate, PhyScratch, Receiver, RxResult, Transmitter};
 use wilis::scenario::{Scenario, ScenarioResult, SweepGrid, SweepRunner};
-use wilis::service::{ResultStore, StoreKey};
+use wilis::service::{ResultStore, StoreKey, SweepService};
 use wilis::FaultInjector;
 
 #[global_allocator]
@@ -612,6 +612,57 @@ fn a_warm_store_hit_allocates_one_compact_result() {
         bytes <= label_bytes as u64 + N * one_bin,
         "{N} hits allocated {bytes} bytes: a hit copies more than its \
          label and one hint bin"
+    );
+}
+
+/// Allocations the calling thread may make per cold miss of a service
+/// sweep: the miss's `StoreKey` (four names), its fan-out list, the
+/// result copy it delivers (a label and one hint bin), and its share of
+/// the compile step's job lists and of the map and vector growth. The
+/// job core reads each miss's `Scenario` in place; cloning it would add
+/// four names per miss. Measured at 10.88 (2785 allocations for 256
+/// extra misses), 14.88 with the clone; the bound rounds up to a whole
+/// allocation, because a channel receive that blocks may grow a waker
+/// list once per sweep.
+const CALLING_THREAD_ALLOCS_PER_MISS: u64 = 11;
+
+/// A cold in-memory service sweep of `store_resume`-shaped misses
+/// (distinct one-packet BPSK 1/2 Viterbi points) on one worker: the
+/// calling thread's allocation count grows by a fixed number per miss.
+/// Measured as the delta between N and 2N misses, so the per-sweep
+/// set-up cancels out.
+#[test]
+fn a_cold_service_miss_costs_the_calling_thread_a_fixed_allocation_count() {
+    const N: u64 = 256;
+    let _serial = alloc_count::lock();
+    let points = |n: u64| {
+        SweepGrid::new()
+            .rates(&[wilis::phy::PhyRate::BpskHalf])
+            .decoders(&["viterbi"])
+            .snrs_db(&[20.0])
+            .seeds(&(0..n).collect::<Vec<_>>())
+            .packets(1)
+            .payload_bits(64)
+            .scenarios()
+    };
+    let calling_thread_allocs = |scenarios: &[Scenario]| {
+        let mut service = SweepService::new(SweepRunner::new(1));
+        let before = thread_allocs();
+        let sweep = service.run_supervised(scenarios).expect("stock names");
+        let delta = thread_allocs() - before;
+        assert!(sweep.report.is_clean());
+        assert_eq!(service.metrics().misses, scenarios.len() as u64);
+        delta
+    };
+    // Warm-up: one-time statics (constellation tables, registries).
+    calling_thread_allocs(&points(8));
+    let (small, large) = (points(N), points(2 * N));
+    let extra = calling_thread_allocs(&large) - calling_thread_allocs(&small);
+    assert!(
+        extra <= CALLING_THREAD_ALLOCS_PER_MISS * N,
+        "{N} extra cold misses cost the calling thread {extra} allocations, \
+         more than {CALLING_THREAD_ALLOCS_PER_MISS} each: the service copies \
+         each miss"
     );
 }
 
