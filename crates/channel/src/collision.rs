@@ -61,12 +61,6 @@ impl SlotOutcome {
             SlotOutcome::Idle | SlotOutcome::Collision => None,
         }
     }
-
-    /// Whether the slot carried overlapping transmissions (captured or
-    /// not).
-    pub fn contended(&self) -> bool {
-        matches!(self, SlotOutcome::Captured { .. } | SlotOutcome::Collision)
-    }
 }
 
 /// Resolves one slot of overlapping transmissions into a [`SlotOutcome`]
@@ -218,8 +212,6 @@ mod tests {
         assert_eq!(SlotOutcome::Idle.survivor(), None);
         assert_eq!(SlotOutcome::Collision.survivor(), None);
         assert_eq!(SlotOutcome::Clean { node: 7 }.survivor(), Some(7));
-        assert!(!SlotOutcome::Clean { node: 7 }.contended());
-        assert!(SlotOutcome::Collision.contended());
     }
 
     #[test]

@@ -70,22 +70,6 @@ pub fn apply_awgn_parallel(samples: &mut [Cplx], snr: SnrDb, seed: u64, threads:
 /// Chunk granularity for parallel noise generation, in samples.
 pub const CHUNK: usize = 1024;
 
-/// Generates `n` standard-normal samples single-threaded and returns the
-/// achieved rate in samples/second — the microbenchmark behind the paper's
-/// claim that noise generation saturates the host CPU.
-pub fn noise_generation_rate(n: usize, seed: u64) -> f64 {
-    let mut g = GaussianSource::new(seed);
-    let mut buf = vec![0.0f64; n];
-    // lint: allow(wall-clock) — throughput self-report only; the measured rate never feeds back into any sample
-    let start = std::time::Instant::now();
-    g.fill(&mut buf);
-    let dt = start.elapsed().as_secs_f64();
-    // Fold the buffer into a checksum so the fill cannot be optimized out.
-    let sum: f64 = buf.iter().sum();
-    assert!(sum.is_finite());
-    n as f64 / dt
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,10 +104,5 @@ mod tests {
         let p: f64 = buf.iter().map(|s| s.norm_sq()).sum::<f64>() / n as f64;
         let expect = SnrDb::new(10.0).noise_power();
         assert!((p / expect - 1.0).abs() < 0.05, "{p} vs {expect}");
-    }
-
-    #[test]
-    fn rate_measurement_is_positive() {
-        assert!(noise_generation_rate(100_000, 1) > 0.0);
     }
 }

@@ -127,13 +127,6 @@ impl ReplayChannel {
             None => Cplx::ONE,
         }
     }
-
-    /// The effective post-fading SNR at the current position: the quantity
-    /// the SoftRate oracle needs to define the optimal rate.
-    pub fn effective_snr(&self) -> SnrDb {
-        let g = self.current_gain().norm_sq().max(1e-12);
-        SnrDb::from_linear(g * self.snr.linear())
-    }
 }
 
 impl Channel for ReplayChannel {
@@ -203,14 +196,6 @@ mod tests {
             buf_b.extend(block);
         }
         assert_eq!(buf_a, buf_b);
-    }
-
-    #[test]
-    fn effective_snr_tracks_fading() {
-        let ch = ReplayChannel::fading(SnrDb::new(10.0), 20.0, 1e6, 8);
-        let g = ch.current_gain().norm_sq();
-        let eff = ch.effective_snr().linear();
-        assert!((eff - g * 10.0).abs() < 1e-9 * eff.max(1.0));
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl DecodeOutput {
     pub fn hint(&self, i: usize) -> u16 {
         (self.soft[i].unsigned_abs().min(u32::from(MAX_HINT))) as u16
     }
-
-    /// Iterates `(bit, hint)` pairs.
-    pub fn iter_hints(&self) -> impl Iterator<Item = (u8, u16)> + '_ {
-        (0..self.bits.len()).map(|i| (self.bits[i], self.hint(i)))
-    }
 }
 
 /// A soft-decision decoder for terminated convolutional blocks.
@@ -160,16 +155,6 @@ mod tests {
         assert_eq!(out.hint(0), 63);
         assert_eq!(out.hint(1), 3);
         assert_eq!(out.hint(2), 63);
-    }
-
-    #[test]
-    fn iter_hints_pairs_bits_with_confidence() {
-        let out = DecodeOutput {
-            bits: vec![1, 0],
-            soft: vec![10, -20],
-        };
-        let v: Vec<(u8, u16)> = out.iter_hints().collect();
-        assert_eq!(v, vec![(1, 10), (0, 20)]);
     }
 
     #[test]

@@ -82,9 +82,6 @@ pub(crate) struct FifoCore<T> {
     consumer_clock: Rc<ClockState>,
     enq_count: u64,
     deq_count: u64,
-    /// Running sum of occupancy samples, for utilization stats.
-    occupancy_sum: u64,
-    occupancy_samples: u64,
 }
 
 impl<T> FifoCore<T> {
@@ -95,8 +92,6 @@ impl<T> FifoCore<T> {
             consumer_clock,
             enq_count: 0,
             deq_count: 0,
-            occupancy_sum: 0,
-            occupancy_samples: 0,
         }
     }
 
@@ -131,11 +126,6 @@ impl<T> FifoCore<T> {
         } else {
             None
         }
-    }
-
-    fn sample_occupancy(&mut self) {
-        self.occupancy_sum += self.queue.len() as u64;
-        self.occupancy_samples += 1;
     }
 }
 
@@ -235,34 +225,6 @@ impl<T> Source<T> {
     pub fn pending_len(&self) -> u64 {
         self.core.borrow().queue.len() as u64
     }
-
-    /// Mean queue occupancy over the samples taken so far.
-    pub fn mean_occupancy(&self) -> f64 {
-        let core = self.core.borrow();
-        if core.occupancy_samples == 0 {
-            0.0
-        } else {
-            core.occupancy_sum as f64 / core.occupancy_samples as f64
-        }
-    }
-
-    /// Records an occupancy sample (called by instrumentation code, e.g.
-    /// once per consumer edge).
-    pub fn sample_occupancy(&self) {
-        self.core.borrow_mut().sample_occupancy();
-    }
-}
-
-impl<T: Clone> Source<T> {
-    /// Returns a copy of the head element without dequeuing it, if visible.
-    pub fn peek(&self) -> Option<T> {
-        let core = self.core.borrow();
-        if core.head_visible() {
-            core.queue.front().map(|e| e.value.clone())
-        } else {
-            None
-        }
-    }
 }
 
 impl<T> fmt::Debug for Source<T> {
@@ -304,7 +266,6 @@ mod tests {
         clk.edges.set(1);
         assert!(!rx.can_deq(), "visible after 1 of 2 edges");
         clk.edges.set(2);
-        assert_eq!(rx.peek(), Some(7));
         assert_eq!(rx.deq(), Some(7));
         assert_eq!(rx.deq(), None);
     }
@@ -358,17 +319,5 @@ mod tests {
     #[should_panic(expected = "at least one edge")]
     fn zero_delay_rejected() {
         let _ = LinkSpec::new(1).delay(0);
-    }
-
-    #[test]
-    fn occupancy_stats() {
-        let clk = test_clock();
-        let fifo = Fifo::new(LinkSpec::new(4), Rc::clone(&clk));
-        let (tx, rx) = fifo.ports();
-        rx.sample_occupancy(); // 0
-        tx.enq(1u8);
-        tx.enq(2);
-        rx.sample_occupancy(); // 2
-        assert_eq!(rx.mean_occupancy(), 1.0);
     }
 }

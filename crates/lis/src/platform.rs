@@ -79,14 +79,6 @@ impl LinkModel {
         self.latency_secs
     }
 
-    /// Time to move one message of `bytes` payload, including latency and
-    /// per-message overhead.
-    pub fn message_time_secs(&self, bytes: u64) -> f64 {
-        self.latency_secs
-            + self.per_message_overhead_secs
-            + bytes as f64 / self.bandwidth_bytes_per_sec
-    }
-
     /// Effective throughput (bytes/second) when streaming messages of
     /// `batch_bytes` each, pipelined so that latency overlaps transfer but
     /// per-message overhead does not.
@@ -253,13 +245,6 @@ mod tests {
         // Even at equal batch size, decoupling wins (no round-trip stalls).
         let same_batch = fsb.streaming_bytes_per_sec(4096) / fsb.lockstep_bytes_per_sec(4096);
         assert!(same_batch > 1.2, "got {same_batch:.2}");
-    }
-
-    #[test]
-    fn message_time_includes_all_terms() {
-        let link = LinkModel::new("t", 1e6, 1e-3, 1e-3);
-        let t = link.message_time_secs(1000);
-        assert!((t - (1e-3 + 1e-3 + 1e-3)).abs() < 1e-12);
     }
 
     #[test]

@@ -44,14 +44,10 @@ impl<T> TypedProbe<T> {
 /// Module storage with `Any` access for post-simulation result extraction.
 trait AnyModule: Module {
     fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 impl<M: Module + 'static> AnyModule for M {
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
 }
@@ -407,18 +403,6 @@ impl System {
             .downcast_ref::<M>()
             .expect("module type mismatch") // lint: allow(panic-policy) — documented panicking API (`# Panics`): a stale or mistyped id is a programmer error
     }
-
-    /// Mutably borrows a module by id with its concrete type.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is stale or `M` is not the module's actual type.
-    pub fn module_mut<M: Module + 'static>(&mut self, id: ModuleId) -> &mut M {
-        self.domains[id.domain].modules[id.slot]
-            .as_any_mut()
-            .downcast_mut::<M>()
-            .expect("module type mismatch") // lint: allow(panic-policy) — documented panicking API (`# Panics`): a stale or mistyped id is a programmer error
-    }
 }
 
 impl fmt::Debug for System {
@@ -661,7 +645,7 @@ mod tests {
                 limit: 0,
             },
         );
-        let cid = b.add_module(
+        b.add_module(
             &clk,
             Collector {
                 inp: rx,
@@ -671,7 +655,5 @@ mod tests {
         let mut sys = b.build();
         sys.step();
         assert_eq!(sys.module::<Counter>(id).n, 0);
-        sys.module_mut::<Collector>(cid).got.push(9);
-        assert_eq!(sys.module::<Collector>(cid).got, vec![9]);
     }
 }

@@ -93,13 +93,6 @@ impl Throughput {
     pub fn mbits_per_sec(&self) -> f64 {
         self.per_sec() / 1e6
     }
-
-    /// This throughput as a fraction of a reference rate (e.g. simulation
-    /// speed relative to 802.11g line rate, the parenthesized percentages
-    /// in Figure 2).
-    pub fn fraction_of(&self, reference_per_sec: f64) -> f64 {
-        self.per_sec() / reference_per_sec
-    }
 }
 
 /// A fixed-bin histogram over `u64` sample values, used to bin decoder
@@ -217,12 +210,6 @@ mod tests {
         c.inc();
         assert_eq!(c.value(), 11);
         assert_eq!(c.to_string(), "x = 11");
-    }
-
-    #[test]
-    fn throughput_fractions() {
-        let t = Throughput::new(2_033_000, 1.0);
-        assert!((t.fraction_of(6e6) - 0.3388).abs() < 1e-3);
     }
 
     #[test]

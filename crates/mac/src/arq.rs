@@ -1,10 +1,12 @@
 //! Conventional Automatic Repeat-reQuest — the baseline link layer.
 //!
 //! "Conventional ARQ requires the retransmission of the entire packet in
-//! the event of any bit error" (§4). This module models that policy and
-//! derives the PBER thresholds SoftRate uses: for packets around 10⁴ bits,
-//! a per-packet BER of 10⁻⁵ still delivers ~90% of packets while 10⁻⁷
-//! delivers ~99.9%, which is why the paper's target band is (10⁻⁷, 10⁻⁵).
+//! the event of any bit error" (§4). The policy itself is
+//! [`crate::HarqLink`] with its combiner disarmed, which the `"arq"`
+//! registry name builds. This module derives the PBER thresholds SoftRate
+//! uses: for packets around 10⁴ bits, a per-packet BER of 10⁻⁵ still
+//! delivers ~90% of packets while 10⁻⁷ delivers ~99.9%, which is why the
+//! paper's target band is (10⁻⁷, 10⁻⁵).
 
 /// Expected probability that a packet of `bits` decodes error-free at a
 /// uniform per-bit error rate `ber`.
@@ -25,96 +27,38 @@ pub fn packet_success_probability(bits: u64, ber: f64) -> f64 {
     (1.0 - ber).powf(bits as f64)
 }
 
-/// Stop-and-wait ARQ accounting over a sequence of transmission attempts.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ArqSession {
-    delivered: u64,
-    attempts: u64,
-    gave_up: u64,
-    bits_per_packet: u64,
-    max_retries: u32,
-    /// Retries used for the packet currently in flight.
-    current_tries: u32,
-}
-
-impl ArqSession {
-    /// A session delivering packets of `bits_per_packet` bits, abandoning
-    /// a packet after `max_retries` failed retransmissions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits_per_packet` is zero — a zero-bit packet makes every
-    /// bit-denominated ratio meaningless.
-    pub fn new(bits_per_packet: u64, max_retries: u32) -> Self {
-        assert!(bits_per_packet > 0, "packets must carry bits");
-        Self {
-            bits_per_packet,
-            max_retries,
-            ..Self::default()
-        }
-    }
-
-    /// Feeds the outcome of one transmission attempt; returns whether the
-    /// link layer considers the packet closed (delivered or abandoned).
-    pub fn attempt(&mut self, error_free: bool) -> bool {
-        self.attempts += 1;
-        if error_free {
-            self.delivered += 1;
-            self.current_tries = 0;
-            true
-        } else if self.current_tries >= self.max_retries {
-            self.gave_up += 1;
-            self.current_tries = 0;
-            true
-        } else {
-            self.current_tries += 1;
-            false
-        }
-    }
-
-    /// Packets delivered.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Transmission attempts made (including retransmissions).
-    pub fn attempts(&self) -> u64 {
-        self.attempts
-    }
-
-    /// Packets abandoned after exhausting retries.
-    pub fn gave_up(&self) -> u64 {
-        self.gave_up
-    }
-
-    /// The packet size this session was configured with, in bits.
-    pub fn bits_per_packet(&self) -> u64 {
-        self.bits_per_packet
-    }
-
-    /// Useful payload bits delivered so far.
-    pub fn bits_delivered(&self) -> u64 {
-        self.delivered * self.bits_per_packet
-    }
-
-    /// Total bits put on the air, including every retransmission.
-    pub fn bits_attempted(&self) -> u64 {
-        self.attempts * self.bits_per_packet
-    }
-
-    /// Useful bits delivered per bit transmitted — the goodput ratio ARQ
-    /// loses to whole-packet retransmission and PPR recovers.
-    pub fn efficiency(&self) -> f64 {
-        if self.attempts == 0 {
-            return 0.0;
-        }
-        self.bits_delivered() as f64 / self.bits_attempted() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::{LinkContext, LinkStatus, Oracle};
+    use crate::{HarqConfig, HarqLink, LinkPolicy};
+    use wilis_fec::CodeRate;
+    use wilis_phy::{PhyRate, RxResult};
+
+    /// Whole-packet ARQ: the stop-and-wait policy with its combiner
+    /// disarmed, as the `"arq"` registry name builds it.
+    fn arq(bits: u64, max_retries: u32) -> HarqLink {
+        let config = HarqConfig::chase(max_retries + 1).with_combining(false);
+        HarqLink::new(bits, config, CodeRate::Half)
+    }
+
+    /// Sends one attempt that decodes clean or not and returns the verdict.
+    fn send(link: &mut HarqLink, clean: bool) -> LinkStatus {
+        let rx = RxResult {
+            hints: Vec::new(),
+            soft_magnitudes: Vec::new(),
+            decoder_id: "test",
+            payload: Vec::new(),
+        };
+        let ctx = LinkContext {
+            sent: &[],
+            bit_errors: u64::from(!clean),
+            predicted_pber: 0.0,
+            rate: PhyRate::Qam16Half,
+            oracle: Oracle::Unavailable,
+        };
+        link.observe(&rx, &[], &ctx).status
+    }
 
     #[test]
     fn paper_threshold_band_is_sensible() {
@@ -147,47 +91,53 @@ mod tests {
 
     #[test]
     fn session_counts_retransmissions() {
-        let mut s = ArqSession::new(1000, 3);
-        assert!(!s.attempt(false));
-        assert!(!s.attempt(false));
-        assert!(s.attempt(true));
-        assert_eq!(s.delivered(), 1);
-        assert_eq!(s.attempts(), 3);
-        assert!((s.efficiency() - 1.0 / 3.0).abs() < 1e-12);
+        let mut s = arq(1000, 3);
+        assert_eq!(send(&mut s, false), LinkStatus::Retransmit);
+        assert_eq!(send(&mut s, false), LinkStatus::Retransmit);
+        assert_eq!(send(&mut s, true), LinkStatus::Delivered);
+        let m = s.metrics();
+        assert_eq!(m.delivered, 1);
+        assert_eq!(m.packets, 3);
+        assert!((m.goodput() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn session_gives_up_after_max_retries() {
-        let mut s = ArqSession::new(1000, 2);
-        assert!(!s.attempt(false)); // try 1 fails
-        assert!(!s.attempt(false)); // retry 1 fails
-        assert!(s.attempt(false)); // retry 2 fails -> abandoned
-        assert_eq!(s.gave_up(), 1);
-        assert_eq!(s.delivered(), 0);
+        let mut s = arq(1000, 2);
+        assert_eq!(send(&mut s, false), LinkStatus::Retransmit); // try 1 fails
+        assert_eq!(send(&mut s, false), LinkStatus::Retransmit); // retry 1 fails
+        assert_eq!(send(&mut s, false), LinkStatus::GaveUp); // retry 2 fails -> abandoned
+        assert_eq!(s.metrics().gave_up, 1);
+        assert_eq!(s.metrics().delivered, 0);
         // Next packet starts fresh.
-        assert!(s.attempt(true));
-        assert_eq!(s.delivered(), 1);
+        assert_eq!(send(&mut s, true), LinkStatus::Delivered);
+        assert_eq!(s.metrics().delivered, 1);
     }
 
     #[test]
     fn empty_session_efficiency_zero() {
-        assert_eq!(ArqSession::new(100, 1).efficiency(), 0.0);
+        assert_eq!(arq(100, 1).metrics().goodput(), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "carry bits")]
     fn zero_bit_packets_rejected() {
-        let _ = ArqSession::new(0, 3);
+        // Registry factories are infallible, so the policy stores the
+        // error; whoever builds it must surface that error before running.
+        if let Some(err) = arq(0, 3).config_error() {
+            panic!("{err}");
+        }
     }
 
     #[test]
     fn bit_accounting_tracks_attempts() {
-        let mut s = ArqSession::new(500, 3);
-        assert!(!s.attempt(false));
-        assert!(s.attempt(true));
-        assert_eq!(s.bits_per_packet(), 500);
-        assert_eq!(s.bits_delivered(), 500);
-        assert_eq!(s.bits_attempted(), 1000);
-        assert!((s.efficiency() - 0.5).abs() < 1e-12);
+        let mut s = arq(500, 3);
+        assert_eq!(send(&mut s, false), LinkStatus::Retransmit);
+        assert_eq!(send(&mut s, true), LinkStatus::Delivered);
+        let m = s.metrics();
+        assert_eq!(m.bits_delivered, 500);
+        assert_eq!(m.bits_transmitted, 1000);
+        assert_eq!(m.bits_retransmitted, 500);
+        assert!((m.goodput() - 0.5).abs() < 1e-12);
     }
 }

@@ -371,16 +371,6 @@ impl CellMetrics {
             self.idle_slots as f64 / self.slots as f64
         }
     }
-
-    /// Fraction of slots carrying a transmission that reached the
-    /// receiver (clean or captured).
-    pub fn busy_fraction(&self) -> f64 {
-        if self.slots == 0 {
-            0.0
-        } else {
-            (self.clean_slots + self.capture_slots) as f64 / self.slots as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -541,7 +531,6 @@ mod tests {
         assert!((m.aggregate_goodput() - 0.6).abs() < 1e-12);
         assert!((m.collision_fraction() - 0.2).abs() < 1e-12);
         assert!((m.idle_fraction() - 0.2).abs() < 1e-12);
-        assert!((m.busy_fraction() - 0.6).abs() < 1e-12);
         assert_eq!(m.attempts(), 10);
         assert_eq!(m.bits_delivered(), 600);
     }

@@ -1,10 +1,10 @@
-//! Hybrid ARQ with soft-combining: stateful retry that keeps what a
-//! failed decode learned.
+//! Stop-and-wait retransmission, with or without soft-combining: the
+//! one link policy behind `"arq"`, `"harq-cc"` and `"harq-ir"`.
 //!
-//! Plain ARQ ([`crate::ArqLink`]) throws away the soft information of a
-//! failed attempt and starts over. HARQ retains the attempt's
-//! post-depuncture mother-code LLR plane and **combines** it with each
-//! retransmission before re-entering the decoder:
+//! Plain ARQ throws away the soft information of a failed attempt and
+//! starts over. HARQ retains the attempt's post-depuncture mother-code
+//! LLR plane and **combines** it with each retransmission before
+//! re-entering the decoder:
 //!
 //! * **Chase combining** ([`HarqMode::Chase`]) — every retransmission is
 //!   the identical punctured block; planes add coherently
@@ -16,12 +16,16 @@
 //!   so successive attempts reveal previously-stolen mother bits and the
 //!   combined block sees a monotonically lower effective code rate.
 //!
+//! Both are one session with the combiner armed: disarmed
+//! ([`HarqConfig::with_combining`]), [`HarqLink`] is conventional
+//! whole-packet ARQ, the policy the `"arq"` registry name builds.
+//!
 //! The policy splits in two so the scenario engine can drive the PHY:
 //! [`HarqCore`] is the per-policy scratch (the retained plane, the
 //! attempt counter, the phase schedule) the engine reaches through
-//! [`crate::LinkPolicy::harq`]; [`HarqLink`] wraps it in the
-//! attempt-budget state machine and the metrics — delivered on the first
-//! attempt, *recovered* by combining, or exhausted are distinct
+//! [`crate::LinkPolicy::harq`] while the combiner is armed; [`HarqLink`]
+//! wraps it in the attempt budget and the metrics — delivered on the
+//! first attempt, *recovered* by combining, or exhausted are distinct
 //! outcomes, with an attempts histogram and the post-IR effective code
 //! rate accumulated per closed packet.
 //!
@@ -35,7 +39,6 @@
 use wilis_fec::{combine_llrs_into, CodeRate, Llr};
 use wilis_phy::RxResult;
 
-use crate::arq::ArqSession;
 use crate::link::{LinkContext, LinkMetrics, LinkPolicy, LinkStatus, LinkVerdict};
 
 /// How retransmissions relate to the first attempt.
@@ -80,9 +83,9 @@ impl HarqConfig {
         }
     }
 
-    /// Arms or disarms the combiner. Disarmed, the policy degenerates to
-    /// exactly [`crate::ArqLink`] with `attempts - 1` retries — the
-    /// strict-generalization diagnostic the test suite pins down.
+    /// Arms or disarms the combiner. Disarmed, the policy is
+    /// conventional whole-packet ARQ with `attempts - 1` retries: the
+    /// policy the `"arq"` registry name builds.
     pub fn with_combining(mut self, combining: bool) -> Self {
         self.combining = combining;
         self
@@ -265,27 +268,25 @@ impl HarqCore {
 /// the last bin saturates.
 pub const ATTEMPTS_HIST_BINS: usize = 8;
 
-/// HARQ soft-combining as a sweep policy: stop-and-wait with an attempt
-/// budget like [`crate::ArqLink`], but a failed attempt's LLR plane is
-/// retained in the embedded [`HarqCore`] and combined with each
-/// retransmission before re-decoding.
+/// The one stop-and-wait link policy: each packet has a budget of
+/// attempts, and a corrupted attempt keeps it open for a retransmission.
+/// Successive packets of a grid point stand in for the attempts (the
+/// channel is independent per packet, which is exactly the ARQ model's
+/// assumption). Armed, a failed attempt's LLR plane is retained in the
+/// embedded [`HarqCore`] and combined with each retransmission before
+/// re-decoding; disarmed, the policy is conventional ARQ.
 #[derive(Debug, Clone)]
 pub struct HarqLink {
     core: HarqCore,
-    session: ArqSession,
     rate: CodeRate,
     bits_per_packet: u64,
-    retx_attempts: u64,
-    retrying: bool,
-    recovered: u64,
-    attempts_hist: [u64; ATTEMPTS_HIST_BINS],
-    effective_rate_sum: f64,
+    metrics: LinkMetrics,
     config_error: Option<String>,
 }
 
 impl HarqLink {
-    /// A HARQ policy for `bits_per_packet`-bit packets running `config`
-    /// at code rate `rate`.
+    /// A stop-and-wait policy for `bits_per_packet`-bit packets running
+    /// `config` at code rate `rate`.
     ///
     /// Never panics on a bad configuration: the error is stored and
     /// surfaced through [`crate::LinkPolicy::config_error`] so the
@@ -295,40 +296,24 @@ impl HarqLink {
         if bits_per_packet == 0 && config_error.is_none() {
             config_error = Some("HARQ packets must carry bits".into());
         }
-        // Budget `attempts` = 1 first transmission + (attempts - 1)
-        // retries; clamp so a rejected zero-budget config still builds.
-        let retries = config.attempts.max(1) - 1;
         Self {
-            session: ArqSession::new(bits_per_packet.max(1), retries),
-            rate,
-            bits_per_packet,
-            retx_attempts: 0,
-            retrying: false,
-            recovered: 0,
-            attempts_hist: [0; ATTEMPTS_HIST_BINS],
-            effective_rate_sum: 0.0,
             core: HarqCore::new(config),
+            rate,
+            // A rejected zero-bit configuration still accounts one bit per
+            // packet, as every bit-denominated ratio needs a carrier.
+            bits_per_packet: bits_per_packet.max(1),
+            metrics: LinkMetrics::default(),
             config_error,
         }
-    }
-
-    /// The underlying accounting session.
-    pub fn session(&self) -> &ArqSession {
-        &self.session
-    }
-
-    /// The combiner core (also reachable via [`crate::LinkPolicy::harq`],
-    /// which additionally gates on combining being armed).
-    pub fn core(&self) -> &HarqCore {
-        &self.core
     }
 }
 
 impl LinkPolicy for HarqLink {
     fn name(&self) -> &'static str {
-        match self.core.config.mode {
-            HarqMode::Chase => "harq-cc",
-            HarqMode::IncrementalRedundancy => "harq-ir",
+        match (self.core.config.combining, self.core.config.mode) {
+            (false, _) => "arq",
+            (true, HarqMode::Chase) => "harq-cc",
+            (true, HarqMode::IncrementalRedundancy) => "harq-ir",
         }
     }
 
@@ -349,56 +334,49 @@ impl LinkPolicy for HarqLink {
     }
 
     fn observe(&mut self, _rx: &RxResult, _hints: &[u16], ctx: &LinkContext<'_>) -> LinkVerdict {
-        if self.retrying {
-            self.retx_attempts += 1;
+        let bits = self.bits_per_packet;
+        let used = self.core.attempt + 1;
+        if used > 1 {
+            self.metrics.bits_retransmitted += bits;
         }
         let clean = ctx.bit_errors == 0;
-        let closed = self.session.attempt(clean);
-        self.retrying = !closed;
-        if !closed {
+        let status = if clean {
+            LinkStatus::Delivered
+        } else if used < self.core.config.attempts {
+            LinkStatus::Retransmit
+        } else {
+            LinkStatus::GaveUp
+        };
+        self.metrics.record(bits, status);
+        if status == LinkStatus::Retransmit {
             self.core.advance();
-            return LinkVerdict::status(LinkStatus::Retransmit);
+            return LinkVerdict::status(status);
         }
-        let used = self.core.attempt + 1;
         if self.core.config.combining {
-            self.attempts_hist[(used as usize - 1).min(ATTEMPTS_HIST_BINS - 1)] += 1;
-            self.effective_rate_sum += self.core.config.effective_rate(self.rate, used);
+            self.metrics.attempts_hist[(used as usize - 1).min(ATTEMPTS_HIST_BINS - 1)] += 1;
+            self.metrics.effective_rate_sum += self.core.config.effective_rate(self.rate, used);
             if clean && used > 1 {
-                self.recovered += 1;
+                self.metrics.recovered += 1;
             }
         }
         self.core.close();
-        LinkVerdict::status(if clean {
-            LinkStatus::Delivered
-        } else {
-            LinkStatus::GaveUp
-        })
+        LinkVerdict::status(status)
     }
 
     fn metrics(&self) -> LinkMetrics {
-        LinkMetrics {
-            packets: self.session.attempts(),
-            delivered: self.session.delivered(),
-            gave_up: self.session.gave_up(),
-            bits_delivered: self.session.bits_delivered(),
-            bits_transmitted: self.session.bits_attempted(),
-            bits_retransmitted: self.retx_attempts * self.session.bits_per_packet(),
-            recovered: self.recovered,
-            attempts_hist: self.attempts_hist,
-            effective_rate_sum: self.effective_rate_sum,
-            ..LinkMetrics::default()
-        }
+        self.metrics
     }
 
     fn reset(&mut self) {
-        *self = Self::new(self.bits_per_packet, self.core.config.clone(), self.rate);
+        self.core.retained.clear();
+        self.core.close();
+        self.metrics = LinkMetrics::default();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::ArqLink;
     use wilis_phy::{PhyRate, PhyScratch, Receiver, Transmitter};
 
     fn rx_for(sent: &[u8], flips: &[usize]) -> RxResult {
@@ -454,6 +432,11 @@ mod tests {
         // Bad configs build a policy that reports, not panics.
         let link = HarqLink::new(600, HarqConfig::chase(0), rate);
         assert!(link.config_error().is_some());
+        let zero_bits = HarqLink::new(0, HarqConfig::chase(4).with_combining(false), rate);
+        assert!(
+            zero_bits.config_error().is_some(),
+            "packets must carry bits"
+        );
     }
 
     #[test]
@@ -502,27 +485,6 @@ mod tests {
         // Chase never lowers the effective rate.
         let cc = HarqConfig::chase(4);
         assert!((cc.effective_rate(rate, 3) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn combining_disabled_reproduces_arq_verdicts_and_metrics() {
-        let sent = vec![0u8; 100];
-        let clean = rx_for(&sent, &[]);
-        let dirty = rx_for(&sent, &[3]);
-        let cfg = HarqConfig::chase(4).with_combining(false);
-        let mut harq = HarqLink::new(100, cfg, CodeRate::Half);
-        let mut arq = ArqLink::new(100, 3);
-        assert!(harq.harq().is_none(), "disarmed combiner is invisible");
-        // fail, fail, deliver; then fail x4 -> give up.
-        let pattern = [1u64, 1, 0, 1, 1, 1, 1];
-        for &errs in &pattern {
-            let rx = if errs == 0 { &clean } else { &dirty };
-            let vh = harq.observe(rx, &rx.hints, &ctx(&sent, errs));
-            let va = arq.observe(rx, &rx.hints, &ctx(&sent, errs));
-            assert_eq!(vh.status, va.status);
-            assert_eq!(vh.next_rate, va.next_rate);
-        }
-        assert_eq!(harq.metrics(), arq.metrics(), "bit-identical accounting");
     }
 
     #[test]
@@ -576,6 +538,6 @@ mod tests {
         let _ = harq.observe(&dirty, &dirty.hints, &ctx(&sent, 1));
         harq.reset();
         assert_eq!(harq.metrics(), LinkMetrics::default());
-        assert_eq!(harq.core().attempt(), 0);
+        assert_eq!(harq.harq().expect("armed").attempt(), 0);
     }
 }

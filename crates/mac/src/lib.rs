@@ -7,16 +7,20 @@
 //! * [`ppr`] — Partial Packet Recovery from per-bit BER estimates
 //!   (Jamieson & Balakrishnan, reference \[17\]): retransmit only the chunks
 //!   whose bits carry low confidence.
-//! * [`arq`] — the conventional whole-packet ARQ baseline both improve on.
+//! * [`arq`] — the delivery odds of the conventional whole-packet ARQ
+//!   baseline both improve on.
 //! * [`link`] — the three policies behind one [`link::LinkPolicy`] trait,
-//!   so the scenario engine can sweep MAC behavior by registry name.
+//!   so the scenario engine can sweep MAC behavior by registry name, and
+//!   the one accounting step ([`LinkMetrics::record`]) each verdict goes
+//!   through.
 //! * [`cell`] — multi-node contention on a shared medium: slotted ALOHA,
 //!   CSMA with binary exponential backoff, and a TDMA oracle behind one
 //!   [`cell::ContentionPolicy`] trait, plus the cell-level metrics
 //!   (aggregate goodput, Jain fairness, collision/idle fractions).
-//! * [`harq`] — hybrid ARQ with soft-combining: Chase combining and
-//!   incremental redundancy over retained mother-code LLR planes, the
-//!   stateful-retry upgrade of [`arq`].
+//! * [`harq`] — the one stop-and-wait policy, [`HarqLink`]: whole-packet
+//!   ARQ with its combiner disarmed, and hybrid ARQ with it armed (Chase
+//!   combining or incremental redundancy over retained mother-code LLR
+//!   planes).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +37,7 @@ pub use cell::{
     SlottedAloha, TdmaOracle, TxDecision,
 };
 pub use harq::{HarqConfig, HarqCore, HarqLink, HarqMode};
-pub use link::{ArqLink, LinkMetrics, LinkPolicy, LinkVerdict, PprLink, SoftRateLink};
+pub use link::{LinkMetrics, LinkPolicy, LinkVerdict, PprLink, SoftRateLink};
 pub use softrate::{RateDecision, Selection, SelectionStats, SoftRate};
 
 #[cfg(test)]

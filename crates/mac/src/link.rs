@@ -12,19 +12,24 @@
 //!
 //! Three stock policies mirror the paper's §4 consumers:
 //!
-//! * [`ArqLink`] — whole-packet stop-and-wait ARQ (the baseline),
+//! * [`HarqLink`] — stop-and-wait retransmission: whole-packet ARQ (the
+//!   baseline) with the combiner disarmed, HARQ soft-combining with it
+//!   armed,
 //! * [`PprLink`] — partial packet recovery from per-bit hints,
 //! * [`SoftRateLink`] — PBER-threshold rate adaptation, optionally judged
 //!   against the replayed-channel oracle of Figure 7.
 //!
-//! Policies keep their own reusable scratch (error masks, chunk plans), so
-//! the engine's steady state stays allocation-free.
+//! Each accounts every verdict through one step, [`LinkMetrics::record`],
+//! and adds only its own extras. Policies keep their own reusable scratch
+//! (error masks, chunk plans), so the engine's steady state stays
+//! allocation-free.
+//!
+//! [`HarqLink`]: crate::HarqLink
 
 use wilis_phy::{PhyRate, RxResult};
 
-use crate::arq::ArqSession;
 use crate::ppr::{evaluate, PprConfig};
-use crate::{SelectionStats, SoftRate};
+use crate::{Selection, SoftRate};
 
 /// What the simulator knows about one packet alongside the receive result
 /// — the feedback a real link layer would read off the acknowledgement,
@@ -113,8 +118,8 @@ impl LinkVerdict {
 /// determinism contract extends to the link dimension.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LinkMetrics {
-    /// Packets observed. For ARQ each observation is one transmission
-    /// attempt of the stop-and-wait session.
+    /// Packets observed. For stop-and-wait policies each observation is
+    /// one transmission attempt.
     pub packets: u64,
     /// Packets delivered clean (after any repair the policy models).
     pub delivered: u64,
@@ -149,6 +154,22 @@ pub struct LinkMetrics {
 }
 
 impl LinkMetrics {
+    /// Accounts one observed packet of `bits` payload bits: counts it and
+    /// its transmitted bits, then counts it delivered with its bits or
+    /// given up, by `status` (a retransmit leaves the packet open).
+    pub fn record(&mut self, bits: u64, status: LinkStatus) {
+        self.packets += 1;
+        self.bits_transmitted += bits;
+        match status {
+            LinkStatus::Delivered => {
+                self.delivered += 1;
+                self.bits_delivered += bits;
+            }
+            LinkStatus::GaveUp => self.gave_up += 1,
+            LinkStatus::Retransmit => {}
+        }
+    }
+
     /// Useful bits delivered per bit transmitted — the figure-of-merit PPR
     /// improves over ARQ.
     pub fn goodput(&self) -> f64 {
@@ -284,8 +305,8 @@ pub trait LinkPolicy {
     /// Defaults to `true` — the fail-safe answer: a policy that does not
     /// opt in merely runs solo and loses the sharing optimization,
     /// instead of tripping the engine's contract assert if it does steer
-    /// the rate. Pure observers ([`ArqLink`], [`PprLink`]) override this
-    /// to `false`.
+    /// the rate. Pure observers ([`crate::HarqLink`], [`PprLink`])
+    /// override this to `false`.
     fn adapts_rate(&self) -> bool {
         true
     }
@@ -322,87 +343,6 @@ pub trait LinkPolicy {
     fn reset(&mut self);
 }
 
-/// Conventional whole-packet stop-and-wait ARQ as a sweep policy: the
-/// baseline both PPR and SoftRate improve on.
-///
-/// Successive packets of a grid point stand in for the attempts of a
-/// stop-and-wait session (the channel is independent per packet, which is
-/// exactly the ARQ model's assumption): a corrupted packet keeps the
-/// logical packet open and the next trial counts as its retransmission.
-#[derive(Debug, Clone)]
-pub struct ArqLink {
-    session: ArqSession,
-    retx_attempts: u64,
-    retrying: bool,
-    bits_per_packet: u64,
-    max_retries: u32,
-}
-
-impl ArqLink {
-    /// An ARQ policy for `bits_per_packet`-bit packets abandoning after
-    /// `max_retries` failed retransmissions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits_per_packet` is zero (see [`ArqSession::new`]).
-    pub fn new(bits_per_packet: u64, max_retries: u32) -> Self {
-        Self {
-            session: ArqSession::new(bits_per_packet, max_retries),
-            retx_attempts: 0,
-            retrying: false,
-            bits_per_packet,
-            max_retries,
-        }
-    }
-
-    /// The underlying accounting session.
-    pub fn session(&self) -> &ArqSession {
-        &self.session
-    }
-}
-
-impl LinkPolicy for ArqLink {
-    fn name(&self) -> &'static str {
-        "arq"
-    }
-
-    fn adapts_rate(&self) -> bool {
-        false
-    }
-
-    fn observe(&mut self, _rx: &RxResult, _hints: &[u16], ctx: &LinkContext<'_>) -> LinkVerdict {
-        if self.retrying {
-            self.retx_attempts += 1;
-        }
-        let clean = ctx.bit_errors == 0;
-        let closed = self.session.attempt(clean);
-        self.retrying = !closed;
-        LinkVerdict::status(if !closed {
-            LinkStatus::Retransmit
-        } else if clean {
-            LinkStatus::Delivered
-        } else {
-            LinkStatus::GaveUp
-        })
-    }
-
-    fn metrics(&self) -> LinkMetrics {
-        LinkMetrics {
-            packets: self.session.attempts(),
-            delivered: self.session.delivered(),
-            gave_up: self.session.gave_up(),
-            bits_delivered: self.session.bits_delivered(),
-            bits_transmitted: self.session.bits_attempted(),
-            bits_retransmitted: self.retx_attempts * self.session.bits_per_packet(),
-            ..LinkMetrics::default()
-        }
-    }
-
-    fn reset(&mut self) {
-        *self = Self::new(self.bits_per_packet, self.max_retries);
-    }
-}
-
 /// Partial packet recovery as a sweep policy: on a corrupted packet,
 /// retransmit only the chunks whose hints look suspect, and count the
 /// packet delivered when every true error fell in a retransmitted chunk.
@@ -425,11 +365,6 @@ impl PprLink {
             plan: Vec::new(),
         }
     }
-
-    /// The chunk geometry and threshold in force.
-    pub fn config(&self) -> PprConfig {
-        self.config
-    }
 }
 
 impl LinkPolicy for PprLink {
@@ -442,29 +377,25 @@ impl LinkPolicy for PprLink {
     }
 
     fn observe(&mut self, rx: &RxResult, hints: &[u16], ctx: &LinkContext<'_>) -> LinkVerdict {
-        let bits = ctx.sent.len() as u64;
-        self.metrics.packets += 1;
-        self.metrics.bits_transmitted += bits;
-        if ctx.bit_errors == 0 {
-            self.metrics.delivered += 1;
-            self.metrics.bits_delivered += bits;
-            return LinkVerdict::status(LinkStatus::Delivered);
-        }
-        self.errors.clear();
-        self.errors
-            .extend(ctx.sent.iter().zip(&rx.payload).map(|(a, b)| a != b));
-        self.config.plan_into(hints, &mut self.plan);
-        let outcome = evaluate(&self.config, &self.plan, &self.errors);
-        self.metrics.bits_transmitted += outcome.retransmitted_bits as u64;
-        self.metrics.bits_retransmitted += outcome.retransmitted_bits as u64;
-        LinkVerdict::status(if outcome.recovered() {
-            self.metrics.delivered += 1;
-            self.metrics.bits_delivered += bits;
+        let status = if ctx.bit_errors == 0 {
             LinkStatus::Delivered
         } else {
-            self.metrics.gave_up += 1;
-            LinkStatus::GaveUp
-        })
+            self.errors.clear();
+            self.errors
+                .extend(ctx.sent.iter().zip(&rx.payload).map(|(a, b)| a != b));
+            self.config.plan_into(hints, &mut self.plan);
+            let outcome = evaluate(&self.config, &self.plan, &self.errors);
+            let repair = outcome.retransmitted_bits as u64;
+            self.metrics.bits_transmitted += repair;
+            self.metrics.bits_retransmitted += repair;
+            if outcome.recovered() {
+                LinkStatus::Delivered
+            } else {
+                LinkStatus::GaveUp
+            }
+        };
+        self.metrics.record(ctx.sent.len() as u64, status);
+        LinkVerdict::status(status)
     }
 
     fn metrics(&self) -> LinkMetrics {
@@ -484,7 +415,6 @@ impl LinkPolicy for PprLink {
 pub struct SoftRateLink {
     controller: SoftRate,
     initial: SoftRate,
-    stats: SelectionStats,
     metrics: LinkMetrics,
     oracle: bool,
 }
@@ -497,15 +427,9 @@ impl SoftRateLink {
         Self {
             controller,
             initial: controller,
-            stats: SelectionStats::new(),
             metrics: LinkMetrics::default(),
             oracle,
         }
-    }
-
-    /// The under/accurate/over tallies collected so far.
-    pub fn stats(&self) -> SelectionStats {
-        self.stats
     }
 }
 
@@ -527,42 +451,33 @@ impl LinkPolicy for SoftRateLink {
     }
 
     fn observe(&mut self, _rx: &RxResult, _hints: &[u16], ctx: &LinkContext<'_>) -> LinkVerdict {
-        let bits = ctx.sent.len() as u64;
-        self.metrics.packets += 1;
-        self.metrics.bits_transmitted += bits;
-        self.metrics.selected_mbps_sum += ctx.rate.mbps();
-        let clean = ctx.bit_errors == 0;
-        if clean {
-            self.metrics.delivered += 1;
-            self.metrics.bits_delivered += bits;
+        let status = if ctx.bit_errors == 0 {
+            LinkStatus::Delivered
         } else {
-            self.metrics.gave_up += 1;
-        }
+            LinkStatus::GaveUp
+        };
+        self.metrics.record(ctx.sent.len() as u64, status);
+        self.metrics.selected_mbps_sum += ctx.rate.mbps();
         if let Some(optimal) = ctx.oracle.optimal() {
-            self.stats.record(SoftRate::classify(ctx.rate, optimal));
+            match SoftRate::classify(ctx.rate, optimal) {
+                Selection::Under => self.metrics.under += 1,
+                Selection::Accurate => self.metrics.accurate += 1,
+                Selection::Over => self.metrics.over += 1,
+            }
         }
         self.controller.observe(ctx.predicted_pber);
         LinkVerdict {
-            status: if clean {
-                LinkStatus::Delivered
-            } else {
-                LinkStatus::GaveUp
-            },
+            status,
             next_rate: Some(self.controller.current()),
         }
     }
 
     fn metrics(&self) -> LinkMetrics {
-        let mut m = self.metrics;
-        m.under = self.stats.under;
-        m.accurate = self.stats.accurate;
-        m.over = self.stats.over;
-        m
+        self.metrics
     }
 
     fn reset(&mut self) {
         self.controller = self.initial;
-        self.stats = SelectionStats::new();
         self.metrics = LinkMetrics::default();
     }
 }
@@ -570,6 +485,15 @@ impl LinkPolicy for SoftRateLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{HarqConfig, HarqLink};
+    use wilis_fec::CodeRate;
+
+    /// Whole-packet ARQ: the stop-and-wait policy with its combiner
+    /// disarmed, as the `"arq"` registry name builds it.
+    fn arq(bits: u64, max_retries: u32) -> HarqLink {
+        let config = HarqConfig::chase(max_retries + 1).with_combining(false);
+        HarqLink::new(bits, config, CodeRate::Half)
+    }
 
     fn rx_for(sent: &[u8], flips: &[usize]) -> RxResult {
         let mut payload = sent.to_vec();
@@ -599,7 +523,7 @@ mod tests {
         let sent = vec![0u8; 100];
         let clean = rx_for(&sent, &[]);
         let dirty = rx_for(&sent, &[3]);
-        let mut arq = ArqLink::new(100, 3);
+        let mut arq = arq(100, 3);
         assert_eq!(
             arq.observe(&dirty, &dirty.hints, &ctx(&sent, 1, 0.0))
                 .status,
@@ -623,7 +547,7 @@ mod tests {
     fn arq_link_gives_up_after_retries() {
         let sent = vec![0u8; 10];
         let dirty = rx_for(&sent, &[0]);
-        let mut arq = ArqLink::new(10, 1);
+        let mut arq = arq(10, 1);
         assert_eq!(
             arq.observe(&dirty, &dirty.hints, &ctx(&sent, 1, 0.0))
                 .status,
@@ -681,7 +605,7 @@ mod tests {
 
     #[test]
     fn only_pure_observers_opt_out_of_rate_adaptation() {
-        assert!(!ArqLink::new(100, 3).adapts_rate());
+        assert!(!arq(100, 3).adapts_rate());
         assert!(!PprLink::new(PprConfig::new(8, 10)).adapts_rate());
         assert!(SoftRateLink::new(SoftRate::new(PhyRate::Qam16Half), false).adapts_rate());
         // The default is the fail-safe answer: a policy that does not opt
@@ -711,7 +635,7 @@ mod tests {
     fn reset_clears_state_and_metrics() {
         let sent = vec![0u8; 10];
         let dirty = rx_for(&sent, &[0]);
-        let mut arq = ArqLink::new(10, 2);
+        let mut arq = arq(10, 2);
         let _ = arq.observe(&dirty, &dirty.hints, &ctx(&sent, 1, 0.0));
         arq.reset();
         assert_eq!(arq.metrics(), LinkMetrics::default());

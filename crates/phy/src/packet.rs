@@ -58,11 +58,6 @@ impl PacketFields {
     pub fn coded_bits(&self) -> usize {
         self.n_symbols * self.rate.coded_bits_per_symbol()
     }
-
-    /// Air time of the DATA portion in seconds (4 µs per symbol).
-    pub fn airtime_secs(&self) -> f64 {
-        self.n_symbols as f64 * 4e-6
-    }
 }
 
 /// Assembles the bit-level DATA field: service, payload, pad, scrambling,
@@ -133,20 +128,8 @@ impl PacketBuilder {
         fields
     }
 
-    /// Recovers the payload from decoded (still scrambled) data-field bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `decoded.len()` does not match the layout's scrambled
-    /// region (the decoder strips the tail already).
-    pub fn disassemble(&self, decoded: &[u8], fields: &PacketFields, scramble_seed: u8) -> Vec<u8> {
-        let mut payload = Vec::new();
-        self.disassemble_into(decoded, fields, scramble_seed, &mut payload);
-        payload
-    }
-
-    /// Recovers the payload into `payload`, reusing its capacity (the
-    /// allocation-free hot-path form).
+    /// Recovers the payload from decoded (still scrambled) data-field bits
+    /// into `payload`, reusing its capacity.
     ///
     /// # Panics
     ///
@@ -207,7 +190,6 @@ mod tests {
         // symbol): (16 + 1704 + 6) / 96 -> 18 symbols.
         let f = PacketFields::for_payload(PhyRate::Qam16Half, 1704);
         assert_eq!(f.n_symbols, 18);
-        assert_eq!(f.airtime_secs(), 18.0 * 4e-6);
     }
 
     #[test]
@@ -217,7 +199,8 @@ mod tests {
         let (bits, fields) = b.assemble(&payload, 0x2A);
         // Simulate a perfect decode: strip the tail, descramble.
         let decoded = &bits[..bits.len() - TAIL_BITS];
-        let back = b.disassemble(decoded, &fields, 0x2A);
+        let mut back = Vec::new();
+        b.disassemble_into(decoded, &fields, 0x2A, &mut back);
         assert_eq!(back, payload);
     }
 

@@ -38,16 +38,6 @@ impl ScalingFactors {
         }
     }
 
-    /// Factors using a known true SNR (the oracle the paper compares its
-    /// constant against).
-    pub fn with_true_snr(modulation: Modulation, snr: SnrDb, s_dec: f64) -> Self {
-        Self {
-            es_n0: snr.linear(),
-            s_mod: Self::s_mod(modulation),
-            s_dec,
-        }
-    }
-
     /// The pre-computed constant SNR for each modulation: the midpoint of
     /// the waterfall region where coded BER falls 10⁻¹ → 10⁻⁷, measured on
     /// this repository's pipeline (the paper takes the same midpoints from
@@ -155,7 +145,10 @@ mod tests {
     #[test]
     fn constant_vs_true_snr_differ_off_midpoint() {
         let c = ScalingFactors::with_constant_snr(Modulation::Qam16, 1.0);
-        let t = ScalingFactors::with_true_snr(Modulation::Qam16, SnrDb::new(10.0), 1.0);
+        let t = ScalingFactors {
+            es_n0: SnrDb::new(10.0).linear(),
+            ..c
+        };
         assert!(t.combined() > c.combined(), "10 dB is above the midpoint");
     }
 }

@@ -118,13 +118,6 @@ impl LogLinearFit {
     pub fn ber_at(&self, hint: u16) -> f64 {
         10f64.powf(self.intercept + self.slope * f64::from(hint))
     }
-
-    /// The implied `S_dec × S_mod × Es/N0` product: from equations 4 and 5,
-    /// for `LLR_true >> 1`, `log10 BER ≈ −LLR_true × log10(e)`, so the
-    /// combined scale is `−slope / log10(e)` per hint step.
-    pub fn implied_combined_scale(&self) -> f64 {
-        -self.slope / std::f64::consts::LOG10_E
-    }
 }
 
 #[cfg(test)]
@@ -189,14 +182,5 @@ mod tests {
         let t = BerTable::from_fit(&fit);
         assert_eq!(t.lookup(0), BER_CEIL);
         assert_eq!(t.lookup(63), BER_FLOOR);
-    }
-
-    #[test]
-    fn implied_scale_positive_for_falling_curve() {
-        let fit = LogLinearFit {
-            intercept: -0.3,
-            slope: -0.12,
-        };
-        assert!(fit.implied_combined_scale() > 0.0);
     }
 }

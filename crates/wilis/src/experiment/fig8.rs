@@ -3,23 +3,11 @@
 //! Produced by the calibrated structural area model (`wilis-area`); see
 //! that crate's documentation for what is calibrated versus predicted.
 
-use wilis_area::{DecoderParams, SynthesisTable};
+use wilis_area::SynthesisTable;
 
 /// Runs the synthesis table at the paper's default parameters.
 pub fn run() -> Vec<SynthesisTable> {
     SynthesisTable::paper_table()
-}
-
-/// Runs the table at a custom configuration (for the ablation benches).
-/// Closed-form arithmetic — the one figure with no Monte-Carlo loop to
-/// batch, so it deliberately stays off the scenario engine.
-pub fn run_with(params: &DecoderParams) -> Vec<SynthesisTable> {
-    use wilis_area::{synthesize, DecoderChoice};
-    vec![
-        synthesize(DecoderChoice::Bcjr, params),
-        synthesize(DecoderChoice::Sova, params),
-        synthesize(DecoderChoice::Viterbi, params),
-    ]
 }
 
 /// Renders the table in the paper's layout.
@@ -40,6 +28,7 @@ pub fn render(tables: &[SynthesisTable]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wilis_area::{synthesize, DecoderChoice, DecoderParams};
 
     #[test]
     fn default_table_matches_paper() {
@@ -54,8 +43,8 @@ mod tests {
     fn custom_params_change_areas() {
         let mut p = DecoderParams::paper_default();
         p.window = 16;
-        let small = run_with(&p);
+        let small = synthesize(DecoderChoice::Bcjr, &p);
         let full = run();
-        assert!(small[0].total.registers < full[0].total.registers);
+        assert!(small.total.registers < full[0].total.registers);
     }
 }

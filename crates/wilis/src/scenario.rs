@@ -115,7 +115,7 @@ use wilis_lis::registry::{Params, Registry, RegistryError};
 use wilis_mac::cell::{CellMetrics, ContentionPolicy, CsmaBackoff, SlottedAloha, TdmaOracle};
 use wilis_mac::link::{LinkMetrics, LinkPolicy};
 use wilis_mac::ppr::PprConfig;
-use wilis_mac::{ArqLink, HarqConfig, HarqLink, PprLink, SoftRate, SoftRateLink};
+use wilis_mac::{HarqConfig, HarqLink, PprLink, SoftRate, SoftRateLink};
 use wilis_phy::PhyRate;
 use wilis_softphy::HintBin;
 
@@ -186,10 +186,12 @@ fn link_param_initial_rate(p: &Params) -> PhyRate {
 
 /// The stock link-policy registry, mirroring [`channel_registry`]:
 ///
-/// * `"arq"` — whole-packet stop-and-wait ARQ (param: `max_retries`),
+/// * `"arq"` — whole-packet stop-and-wait ARQ (param: `max_retries`): a
+///   [`HarqLink`] with `max_retries + 1` attempts and its combiner
+///   disarmed,
 /// * `"harq-cc"` — HARQ with Chase combining (params: `attempts`, the
 ///   total transmission budget per packet, and `combining` to disarm the
-///   combiner — disarmed it degenerates to exactly `"arq"` with
+///   combiner — disarmed it is the policy `"arq"` builds, with
 ///   `attempts - 1` retries),
 /// * `"harq-ir"` — HARQ with incremental redundancy (params: `attempts`,
 ///   `combining`, and `ir_phases`, a comma-separated puncture-phase
@@ -216,7 +218,9 @@ pub fn link_registry() -> LinkSlot {
     reg.register("arq", |p| {
         let bits = p.get_u64("payload_bits").unwrap_or(1704).max(1);
         let retries = p.get_u64("max_retries").unwrap_or(4) as u32;
-        Box::new(ArqLink::new(bits, retries))
+        let rate = link_param_initial_rate(p).code_rate();
+        let config = HarqConfig::chase(retries.saturating_add(1)).with_combining(false);
+        Box::new(HarqLink::new(bits, config, rate))
     });
     reg.register("harq-cc", |p| {
         let bits = p.get_u64("payload_bits").unwrap_or(1704);

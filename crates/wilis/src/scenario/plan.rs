@@ -75,7 +75,7 @@ type LinkKey<'a> = (PhyRate, usize, &'a str, &'a Params);
 /// What streams must agree on to pack into one job: the rate and payload
 /// size every chain is built for, and the sorted `(decoder, link)` list of
 /// their members, so every chain serves every lane.
-type PackKey<'a> = (PhyRate, usize, Vec<(&'a str, &'a str)>);
+type PackKey<'a> = (PhyRate, usize, &'a [(&'a str, &'a str)]);
 
 /// What the compile step resolved for one grid point: its link
 /// capabilities, and its run-time channel and link parameters, built once
@@ -189,42 +189,37 @@ impl SweepPlan {
                 || caps.harq
                 || faults.is_some_and(|f| f.fires(FaultSite::WorkerPanic, i as u64)))
         };
-        // BTreeMap, not HashMap: job order must be a pure function of the
-        // scenario list, never of hasher state, for results to stay
-        // bit-identical across runs and thread counts by construction.
-        let mut jobs: Vec<Job> = Vec::new();
-        let mut streams: BTreeMap<GroupKey, usize> = BTreeMap::new();
+        // Each stream's members, in first-member order. A cell, and a
+        // point that does not fuse, is a stream of one. BTreeMap, not
+        // HashMap: job order must be a pure function of the scenario list,
+        // never of hasher state, for results to stay bit-identical across
+        // runs and thread counts by construction.
+        let mut streams: Vec<Vec<usize>> = Vec::new();
+        let mut stream_of: BTreeMap<GroupKey, usize> = BTreeMap::new();
         for (i, sc) in scenarios.iter().enumerate() {
-            if sc.contention != "p2p" {
-                jobs.push(Job::Cell(i));
-                continue;
-            }
-            if !fuses(i) {
-                jobs.push(Job::Group(vec![vec![i]]));
-                continue;
-            }
-            let key: GroupKey = (
-                sc.rate,
-                &sc.channel,
-                &sc.channel_params,
-                sc.snr_db.to_bits(),
-                sc.seed,
-                sc.packets,
-                sc.payload_bits,
-            );
-            match streams.entry(key) {
-                Entry::Occupied(slot) => {
-                    if let Job::Group(streams) = &mut jobs[*slot.get()] {
-                        streams[0].push(i);
+            if sc.contention == "p2p" && fuses(i) {
+                let key: GroupKey = (
+                    sc.rate,
+                    &sc.channel,
+                    &sc.channel_params,
+                    sc.snr_db.to_bits(),
+                    sc.seed,
+                    sc.packets,
+                    sc.payload_bits,
+                );
+                match stream_of.entry(key) {
+                    Entry::Occupied(slot) => {
+                        streams[*slot.get()].push(i);
+                        continue;
+                    }
+                    Entry::Vacant(slot) => {
+                        slot.insert(streams.len());
                     }
                 }
-                Entry::Vacant(slot) => {
-                    slot.insert(jobs.len());
-                    jobs.push(Job::Group(vec![vec![i]]));
-                }
             }
+            streams.push(vec![i]);
         }
-        let mut jobs = pack(jobs, scenarios, fuses);
+        let mut jobs = pack(streams, scenarios, &fuses);
 
         // Fusion trades per-packet redundancy for scheduling granularity:
         // split the largest jobs until the pool is fed — a packed job by
@@ -255,65 +250,69 @@ impl SweepPlan {
     }
 }
 
-/// Packs light streams into shared jobs. A light stream has fusing,
-/// stock-decoder members and at most [`MAX_BATCH_LANES`] packets; the
-/// light streams of one [`PackKey`], in first-stream order, split into
-/// the balanced jobs of [`balance`], each job sitting where its first
-/// stream did. Every other job passes through unchanged.
-fn pack(jobs: Vec<Job>, scenarios: &[&Scenario], fuses: impl Fn(usize) -> bool) -> Vec<Job> {
+/// Packs streams into jobs. A light stream has fusing, stock-decoder
+/// members and at most [`MAX_BATCH_LANES`] packets; the light streams of
+/// one [`PackKey`], in stream order, split into the balanced jobs of
+/// [`balance`], each job sitting where its first stream does. Every other
+/// stream is a job of its own, and a cell's is a [`Job::Cell`].
+fn pack(streams: Vec<Vec<usize>>, points: &[&Scenario], fuses: &dyn Fn(usize) -> bool) -> Vec<Job> {
     let max_lanes = MAX_BATCH_LANES as u32;
-    // Each key's light streams: their job index and packets.
-    let mut light: BTreeMap<PackKey, Vec<(usize, u32)>> = BTreeMap::new();
-    for (j, job) in jobs.iter().enumerate() {
-        let Job::Group(streams) = job else {
-            continue;
-        };
-        let stream = &streams[0];
-        let lead = scenarios[stream[0]];
-        let is_light = lead.packets <= max_lanes
+    let lead = |s: usize| points[streams[s][0]];
+    // Each light stream's `(decoder, link)` members, sorted, side by side
+    // in one buffer; a stream that is not light spans nothing.
+    let mut pairs: Vec<(&str, &str)> = Vec::new();
+    let mut spans = Vec::with_capacity(streams.len());
+    for (s, stream) in streams.iter().enumerate() {
+        let (lead, start) = (lead(s), pairs.len());
+        if lead.contention == "p2p"
+            && lead.packets <= max_lanes
             && fuses(stream[0])
-            && stream
-                .iter()
-                .all(|&i| is_stock_decoder(&scenarios[i].decoder));
-        if !is_light {
-            continue;
+            && stream.iter().all(|&i| is_stock_decoder(&points[i].decoder))
+        {
+            let members = stream.iter().map(|&i| &points[i]);
+            pairs.extend(members.map(|sc| (sc.decoder.as_str(), sc.link.as_str())));
+            pairs[start..].sort_unstable();
         }
-        let mut members: Vec<(&str, &str)> = stream
-            .iter()
-            .map(|&i| (scenarios[i].decoder.as_str(), scenarios[i].link.as_str()))
-            .collect();
-        members.sort_unstable();
-        let key = (lead.rate, lead.payload_bits, members);
-        light.entry(key).or_default().push((j, lead.packets));
+        spans.push(start..pairs.len());
     }
-    // By job index: the later jobs a packed job's first stream absorbs.
-    let mut joins: Vec<Vec<usize>> = vec![Vec::new(); jobs.len()];
-    for streams in light.values() {
-        let packets: Vec<u32> = streams.iter().map(|&(_, p)| p).collect();
-        let mut rest = streams.as_slice();
+    // Each key's light streams, by stream index, in stream order.
+    let mut groups: BTreeMap<PackKey, Vec<usize>> = BTreeMap::new();
+    for (s, span) in spans.into_iter().enumerate() {
+        if !span.is_empty() {
+            let key = (lead(s).rate, lead(s).payload_bits, &pairs[span]);
+            groups.entry(key).or_default().push(s);
+        }
+    }
+    // Each stream's job: the stream it opens at, and its stream count.
+    let mut job_of: Vec<(usize, usize)> = (0..streams.len()).map(|s| (s, 1)).collect();
+    for members in groups.values() {
+        let packets: Vec<u32> = members.iter().map(|&s| lead(s).packets).collect();
+        let mut rest = members.as_slice();
         for count in balance(&packets, max_lanes) {
-            let (chunk, tail) = rest.split_at(count);
-            joins[chunk[0].0] = chunk[1..].iter().map(|&(j, _)| j).collect();
+            let (job, tail) = rest.split_at(count);
+            job.iter().for_each(|&s| job_of[s] = (job[0], count));
             rest = tail;
         }
     }
-    let mut slots: Vec<Option<Job>> = jobs.into_iter().map(Some).collect();
-    let mut packed = Vec::with_capacity(slots.len());
-    for (j, absorbed) in joins.iter().enumerate() {
-        // An absorbed job's slot was emptied by the job that took it in.
-        let Some(mut job) = slots[j].take() else {
-            continue;
-        };
-        if let Job::Group(into) = &mut job {
-            for &k in absorbed {
-                if let Some(Job::Group(mut from)) = slots[k].take() {
-                    into.append(&mut from);
-                }
+    // By opening stream: where its job sits in `jobs`.
+    let mut at = vec![0; streams.len()];
+    let mut jobs = Vec::new();
+    for (s, stream) in streams.into_iter().enumerate() {
+        let ((first, count), i) = (job_of[s], stream[0]);
+        if first != s {
+            if let Job::Group(into) = &mut jobs[at[first]] {
+                into.push(stream);
             }
+        } else if points[i].contention == "p2p" {
+            at[s] = jobs.len();
+            let mut into = Vec::with_capacity(count);
+            into.push(stream);
+            jobs.push(Job::Group(into));
+        } else {
+            jobs.push(Job::Cell(i));
         }
-        packed.push(job);
     }
-    packed
+    jobs
 }
 
 /// Splits streams of `packets[s]` packets each, in order, into

@@ -312,8 +312,10 @@ impl SweepService {
         let before = self.store.counters();
         let mut slots = vec![None; scenarios.len()];
         // Misses, deduplicated by coordinate: each unique key simulates
-        // once and fans out to every submission index that asked for it.
-        let mut pending: BTreeMap<StoreKey, Vec<usize>> = BTreeMap::new();
+        // once and fans out to every submission index that asked for it,
+        // from its first asker to its last along `next_asker`.
+        let mut pending: BTreeMap<StoreKey, (usize, usize)> = BTreeMap::new();
+        let mut next_asker = vec![None; scenarios.len()];
         for (i, sc) in scenarios.iter().enumerate() {
             let key = self.key_for(sc);
             if let Some(hit) = self.store.get(&key) {
@@ -330,11 +332,13 @@ impl SweepService {
                         // A duplicate coordinate within one call: the
                         // second copy is a hit-in-waiting, not a miss.
                         self.metrics.hits += 1;
-                        e.get_mut().push(i);
+                        let last = &mut e.get_mut().1;
+                        next_asker[*last] = Some(i);
+                        *last = i;
                     }
                     std::collections::btree_map::Entry::Vacant(e) => {
                         self.metrics.misses += 1;
-                        e.insert(vec![i]);
+                        e.insert((i, i));
                     }
                 }
             }
@@ -342,21 +346,25 @@ impl SweepService {
 
         let mut injected_panics = 0;
         if !pending.is_empty() {
-            // The misses in key order: each key moves into the store with
-            // its result, and `fanout[j]` lists who asked for miss `j`.
-            let (keys, fanout): (Vec<StoreKey>, Vec<Vec<usize>>) = pending.into_iter().unzip();
-            let mut keys: Vec<Option<StoreKey>> = keys.into_iter().map(Some).collect();
-            let misses: Vec<&Scenario> = fanout.iter().map(|f| &scenarios[f[0]]).collect();
+            // The misses in key order: miss `j` keeps its key until the key
+            // moves into the store with its result.
+            let mut misses: Vec<_> = pending
+                .into_iter()
+                .map(|(key, (first, _))| (Some(key), first))
+                .collect();
+            let points: Vec<&Scenario> = misses.iter().map(|&(_, i)| &scenarios[i]).collect();
+            let askers = |first| std::iter::successors(Some(first), |&i| next_asker[i]);
             let runner = &self.runner;
             let store = &mut self.store;
             let metrics = &mut self.metrics;
-            runner.run_jobs(&misses, |outcomes| {
+            runner.run_jobs(&points, |outcomes| {
                 for (j, outcome) in outcomes {
+                    let (key, first) = &mut misses[j];
                     match outcome {
                         PointOutcome::Completed(result) => {
                             metrics.packets_simulated += result.packets;
-                            for (n, &i) in fanout[j].iter().enumerate() {
-                                if n > 0 {
+                            for i in askers(*first) {
+                                if i != *first {
                                     metrics.packets_saved += result.packets;
                                 }
                                 let mut copy = result.clone();
@@ -371,7 +379,7 @@ impl SweepService {
                             // anyway).
                             let mut canonical = result;
                             canonical.scenario = 0;
-                            if let Some(key) = keys[j].take() {
+                            if let Some(key) = key.take() {
                                 store.stage(key, canonical);
                             }
                         }
@@ -381,10 +389,8 @@ impl SweepService {
                             // gets the typed failure, and an injected
                             // panic counts once per copy. Nothing is
                             // stored.
-                            if runner.panics_at(j) {
-                                injected_panics += fanout[j].len() as u64;
-                            }
-                            for &i in &fanout[j] {
+                            for i in askers(*first) {
+                                injected_panics += u64::from(runner.panics_at(j));
                                 let delivered = PointOutcome::Failed {
                                     job: i,
                                     message: message.clone(),

@@ -616,15 +616,16 @@ fn a_warm_store_hit_allocates_one_compact_result() {
 }
 
 /// Allocations the calling thread may make per cold miss of a service
-/// sweep: the miss's `StoreKey` (four names), its fan-out list, the
-/// result copy it delivers (a label and one hint bin), and its share of
-/// the compile step's job lists and of the map and vector growth. The
-/// job core reads each miss's `Scenario` in place; cloning it would add
-/// four names per miss. Measured at 10.88 (2785 allocations for 256
-/// extra misses), 14.88 with the clone; the bound rounds up to a whole
-/// allocation, because a channel receive that blocks may grow a waker
-/// list once per sweep.
-const CALLING_THREAD_ALLOCS_PER_MISS: u64 = 11;
+/// sweep: the miss's `StoreKey` (four names), the result copy it
+/// delivers (a label and one hint bin), its stream's member list, and
+/// its share of the compile step's job lists and of the map and vector
+/// growth. The job core reads each miss's `Scenario` in place; cloning
+/// it would add four names per miss. Measured at 7.64 (1955 allocations
+/// for 256 extra misses); 10.88 with a fan-out list per miss and two job
+/// lists per point before packing, 14.88 with the clone besides. The
+/// bound rounds up to a whole allocation, because a channel receive that
+/// blocks may grow a waker list once per sweep.
+const CALLING_THREAD_ALLOCS_PER_MISS: u64 = 8;
 
 /// A cold in-memory service sweep of `store_resume`-shaped misses
 /// (distinct one-packet BPSK 1/2 Viterbi points) on one worker: the
