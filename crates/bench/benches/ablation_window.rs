@@ -14,7 +14,7 @@ use wilis::fec::pipeline::{bcjr_pipeline_latency, sova_pipeline_latency};
 use wilis::fec::{BcjrDecoder, ConvCode, SovaDecoder};
 use wilis::fxp::Cplx;
 use wilis::phy::{Demapper, PhyRate, PhyScratch, Receiver, RxResult, SnrScaling, Transmitter};
-use wilis::prelude::{AwgnChannel, Channel};
+use wilis::prelude::AwgnChannel;
 use wilis_bench::banner;
 
 fn ber_with(rx: &mut Receiver, bits: u64) -> f64 {

@@ -5,7 +5,7 @@
 //! application, and the baseband TX chain for scale.
 
 use wilis::channel::parallel::apply_awgn_parallel;
-use wilis::channel::{AwgnChannel, Channel, GaussianSource, SnrDb};
+use wilis::channel::{AwgnChannel, GaussianSource, SnrDb};
 use wilis::fxp::Cplx;
 use wilis::phy::{PhyRate, Transmitter};
 use wilis_bench::banner;

@@ -68,9 +68,7 @@
 //! }
 //! ```
 
-use wilis::channel::{
-    AwgnChannel, Channel, RayleighFading, ReplayModel, SnrDb, MODEL_SAMPLE_RATE_HZ,
-};
+use wilis::channel::{AwgnChannel, RayleighFading, ReplayModel, SnrDb, MODEL_SAMPLE_RATE_HZ};
 use wilis::experiment::bits_budget;
 use wilis::fec::{
     hard_llr, BcjrDecoder, ConvCode, ConvEncoder, DecodeOutput, Llr, SoftDecoder, SovaDecoder,

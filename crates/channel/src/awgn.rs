@@ -3,7 +3,7 @@
 use wilis_fxp::Cplx;
 
 use crate::gaussian::GaussianSource;
-use crate::{Channel, SnrDb};
+use crate::SnrDb;
 
 /// A flat AWGN channel with a configurable signal-to-noise ratio.
 ///
@@ -15,7 +15,7 @@ use crate::{Channel, SnrDb};
 /// # Example
 ///
 /// ```
-/// use wilis_channel::{AwgnChannel, Channel, SnrDb};
+/// use wilis_channel::{AwgnChannel, SnrDb};
 /// use wilis_fxp::Cplx;
 ///
 /// let mut ch = AwgnChannel::new(SnrDb::new(6.0), 1);
@@ -49,10 +49,9 @@ impl AwgnChannel {
         self.snr = snr;
         self.sigma = (snr.noise_power() / 2.0).sqrt();
     }
-}
 
-impl Channel for AwgnChannel {
-    fn apply(&mut self, samples: &mut [Cplx]) {
+    /// Adds noise to `samples` in place, continuing the noise stream.
+    pub fn apply(&mut self, samples: &mut [Cplx]) {
         for s in samples {
             let (nr, ni) = self.noise.next_pair();
             s.re += nr * self.sigma;
@@ -60,11 +59,13 @@ impl Channel for AwgnChannel {
         }
     }
 
-    fn reset(&mut self, seed: u64) {
+    /// Restarts the noise stream with a new seed.
+    pub fn reset(&mut self, seed: u64) {
         self.noise = GaussianSource::new(seed);
     }
 
-    fn snr(&self) -> Option<SnrDb> {
+    /// The configured SNR.
+    pub fn snr(&self) -> Option<SnrDb> {
         Some(self.snr)
     }
 }

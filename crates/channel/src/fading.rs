@@ -14,7 +14,7 @@ use std::f64::consts::PI;
 use wilis_fxp::Cplx;
 
 use crate::gaussian::GaussianSource;
-use crate::{AwgnChannel, Channel, SnrDb};
+use crate::{AwgnChannel, SnrDb};
 
 /// Number of sinusoids in the Jakes model. Eight is the textbook minimum
 /// for Rayleigh-like first- and second-order statistics; we use more for a
@@ -273,23 +273,26 @@ impl FadingAwgnChannel {
     pub fn advance(&mut self, samples: u64) {
         self.consumed += samples;
     }
-}
 
-impl Channel for FadingAwgnChannel {
-    fn apply(&mut self, samples: &mut [Cplx]) {
+    /// Fades `samples` and adds noise in place, advancing channel time by
+    /// `samples.len()` sample periods.
+    pub fn apply(&mut self, samples: &mut [Cplx]) {
         self.fading
             .fade(self.consumed, self.sample_rate_hz, samples);
         self.consumed += samples.len() as u64;
         self.awgn.apply(samples);
     }
 
-    fn reset(&mut self, seed: u64) {
+    /// Restarts the fading and noise realizations with a new seed, at
+    /// channel time 0.
+    pub fn reset(&mut self, seed: u64) {
         self.fading.reseed(seed);
         self.awgn.reset(seed.wrapping_add(1));
         self.consumed = 0;
     }
 
-    fn snr(&self) -> Option<SnrDb> {
+    /// The configured mean SNR.
+    pub fn snr(&self) -> Option<SnrDb> {
         self.awgn.snr()
     }
 }

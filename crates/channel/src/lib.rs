@@ -24,7 +24,7 @@
 //! # Example
 //!
 //! ```
-//! use wilis_channel::{AwgnChannel, Channel, SnrDb};
+//! use wilis_channel::{AwgnChannel, SnrDb};
 //! use wilis_fxp::Cplx;
 //!
 //! let mut ch = AwgnChannel::new(SnrDb::new(10.0), 42);
@@ -56,28 +56,6 @@ pub use model::{
 };
 pub use replay::ReplayChannel;
 pub use snr::SnrDb;
-
-use wilis_fxp::Cplx;
-
-/// A channel model: a stateful transformation of baseband samples.
-///
-/// Implementations consume an internal notion of time, so successive calls
-/// to [`Channel::apply`] continue the same realization; [`Channel::reset`]
-/// restarts it (optionally re-seeded) for a fresh trial.
-pub trait Channel {
-    /// Distorts `samples` in place and advances channel time by
-    /// `samples.len()` sample periods.
-    fn apply(&mut self, samples: &mut [Cplx]);
-
-    /// Restarts the channel realization with a new seed.
-    fn reset(&mut self, seed: u64);
-
-    /// The linear ratio of signal power to noise power this channel is
-    /// configured for, if it has a single well-defined value.
-    fn snr(&self) -> Option<SnrDb> {
-        None
-    }
-}
 
 #[cfg(test)]
 mod prop_tests;

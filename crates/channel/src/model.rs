@@ -1,19 +1,20 @@
 //! Seed-addressed channel models — the uniform interface the scenario
 //! engine sweeps over.
 //!
-//! The stateful [`Channel`](crate::Channel) trait models a *continuing*
-//! realization: successive calls consume channel time, which is right for
-//! protocol traces (Figure 7) but wrong for embarrassingly parallel
-//! Monte-Carlo grids, where every packet must be reproducible in
-//! isolation. [`ChannelModel`] is the grid-friendly contract: one call
-//! distorts one packet buffer under a realization that is a pure function
-//! of the `seed` argument, so results are bit-identical no matter which
-//! worker, in which order, processes the packet.
+//! The stateful channels ([`AwgnChannel`],
+//! [`FadingAwgnChannel`](crate::FadingAwgnChannel), [`ReplayChannel`])
+//! model a *continuing* realization: successive calls consume channel
+//! time, which is right for protocol traces (Figure 7) but wrong for
+//! embarrassingly parallel Monte-Carlo grids, where every packet must be
+//! reproducible in isolation. [`ChannelModel`] is the grid-friendly
+//! contract: one call distorts one packet buffer under a realization that
+//! is a pure function of the `seed` argument, so results are bit-identical
+//! no matter which worker, in which order, processes the packet.
 
 use wilis_fxp::rng::mix_seed;
 use wilis_fxp::Cplx;
 
-use crate::{AwgnChannel, Channel, RayleighFading, ReplayChannel, SnrDb};
+use crate::{AwgnChannel, RayleighFading, ReplayChannel, SnrDb};
 
 /// Baseband sample rate used by the fading models: 80 samples per 4 µs
 /// OFDM symbol.

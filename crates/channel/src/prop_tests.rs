@@ -5,7 +5,7 @@ use wilis_fxp::rng::SmallRng;
 use wilis_fxp::Cplx;
 
 use crate::parallel::apply_awgn_parallel;
-use crate::{AwgnChannel, Channel, RayleighFading, ReplayChannel, SnrDb};
+use crate::{AwgnChannel, RayleighFading, ReplayChannel, SnrDb};
 
 /// AWGN is exactly reproducible from its seed for any SNR.
 #[test]

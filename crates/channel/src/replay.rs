@@ -15,7 +15,7 @@ use std::f64::consts::PI;
 
 use wilis_fxp::Cplx;
 
-use crate::{Channel, RayleighFading, SnrDb};
+use crate::{RayleighFading, SnrDb};
 
 /// SplitMix64: a tiny, high-quality mixing function. Used to derive
 /// per-sample noise from `(seed, index)` with no sequential state.
@@ -49,7 +49,7 @@ fn noise_at(seed: u64, index: u64) -> Cplx {
 /// # Example
 ///
 /// ```
-/// use wilis_channel::{Channel, ReplayChannel, SnrDb};
+/// use wilis_channel::{ReplayChannel, SnrDb};
 /// use wilis_fxp::Cplx;
 ///
 /// let mut trial_a = ReplayChannel::awgn_only(SnrDb::new(10.0), 1e6, 7);
@@ -127,10 +127,10 @@ impl ReplayChannel {
             None => Cplx::ONE,
         }
     }
-}
 
-impl Channel for ReplayChannel {
-    fn apply(&mut self, samples: &mut [Cplx]) {
+    /// Distorts `samples` in place with the realization at the current
+    /// position, advancing it by `samples.len()`.
+    pub fn apply(&mut self, samples: &mut [Cplx]) {
         if let Some(f) = &self.fading {
             f.fade(self.position, self.sample_rate_hz, samples);
         }
@@ -140,7 +140,8 @@ impl Channel for ReplayChannel {
         }
     }
 
-    fn reset(&mut self, seed: u64) {
+    /// Restarts the realization with a new seed, at position 0.
+    pub fn reset(&mut self, seed: u64) {
         self.seed = seed;
         if let Some(f) = &mut self.fading {
             f.reseed(seed);
@@ -148,7 +149,8 @@ impl Channel for ReplayChannel {
         self.position = 0;
     }
 
-    fn snr(&self) -> Option<SnrDb> {
+    /// The configured SNR.
+    pub fn snr(&self) -> Option<SnrDb> {
         Some(self.snr)
     }
 }

@@ -11,7 +11,7 @@
 
 use std::time::Instant; // lint: allow(wall-clock) — this module *is* the native-speed measurement harness
 
-use wilis_channel::{AwgnChannel, Channel, SnrDb};
+use wilis_channel::{AwgnChannel, SnrDb};
 use wilis_fxp::rng::SmallRng;
 use wilis_fxp::Cplx;
 use wilis_phy::{PhyRate, PhyScratch, Receiver, RxResult, Transmitter};

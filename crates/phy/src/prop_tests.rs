@@ -1,7 +1,7 @@
 //! Randomized property tests across the baseband (deterministic,
 //! self-seeded — the offline analog of a proptest suite).
 
-use wilis_channel::{AwgnChannel, Channel, SnrDb};
+use wilis_channel::{AwgnChannel, SnrDb};
 use wilis_fxp::rng::SmallRng;
 
 use crate::{PhyRate, Receiver, Transmitter};

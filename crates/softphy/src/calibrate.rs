@@ -12,7 +12,7 @@
 //! and the reproduced curves simply stop at a higher BER floor (about
 //! 10⁻⁵–10⁻⁶ at the default budgets; raise the budget to dig deeper).
 
-use wilis_channel::{AwgnChannel, Channel, SnrDb};
+use wilis_channel::{AwgnChannel, SnrDb};
 use wilis_fec::{BcjrDecoder, ConvCode, SovaDecoder, MAX_HINT};
 use wilis_fxp::rng::SmallRng;
 use wilis_phy::{Demapper, PhyRate, Receiver, SnrScaling, Transmitter};

@@ -17,7 +17,7 @@ use wilis_mac::LinkMetrics;
 use wilis_phy::PhyRate;
 use wilis_softphy::{DecoderKind, ScalingFactors};
 
-use crate::scenario::SweepGrid;
+use crate::scenario::{PacketStat, SweepGrid};
 use crate::service::SweepService;
 
 /// Configuration of the scatter experiment.
@@ -52,15 +52,6 @@ impl Fig6Config {
     }
 }
 
-/// One packet's coordinates in the scatter plot.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScatterPoint {
-    /// PBER predicted from the hints (the estimator output).
-    pub predicted: f64,
-    /// Ground-truth PBER (bit errors / payload bits).
-    pub actual: f64,
-}
-
 /// Quarter-decade summary bin.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig6Bin {
@@ -79,8 +70,8 @@ pub struct Fig6Bin {
 /// The experiment result.
 #[derive(Debug, Clone)]
 pub struct Fig6Result {
-    /// Raw per-packet points.
-    pub points: Vec<ScatterPoint>,
+    /// Raw per-packet points: each packet's predicted and actual PBER.
+    pub points: Vec<PacketStat>,
     /// Quarter-decade bins over predicted PBER.
     pub bins: Vec<Fig6Bin>,
 }
@@ -111,22 +102,14 @@ pub fn run(service: &mut SweepService, cfg: &Fig6Config) -> Fig6Result {
     let results = service.run(&scenarios);
     service.set_record_packet_stats(prior);
     let results = results.expect("stock decoder and channel names"); // lint: allow(panic-policy) — experiment driver sweeps the stock registry over a known-good grid
-    let points: Vec<ScatterPoint> = results
-        .iter()
-        .flat_map(|r| {
-            r.packet_stats.iter().map(|p| ScatterPoint {
-                predicted: p.predicted,
-                actual: p.actual,
-            })
-        })
-        .collect();
+    let points: Vec<PacketStat> = results.into_iter().flat_map(|r| r.packet_stats).collect();
     let bins = bin_points(&points);
     Fig6Result { points, bins }
 }
 
 /// Bins points by `log10(predicted)` in quarter-decade steps over the
 /// figure's 10⁻³..10⁰ range.
-fn bin_points(points: &[ScatterPoint]) -> Vec<Fig6Bin> {
+fn bin_points(points: &[PacketStat]) -> Vec<Fig6Bin> {
     const DECADES: f64 = 3.0;
     const PER_DECADE: usize = 4;
     let n_bins = (DECADES * PER_DECADE as f64) as usize;
@@ -315,19 +298,19 @@ mod tests {
     #[test]
     fn binning_respects_edges() {
         let points = vec![
-            ScatterPoint {
+            PacketStat {
                 predicted: 0.5,
                 actual: 0.4,
             },
-            ScatterPoint {
+            PacketStat {
                 predicted: 0.5,
                 actual: 0.6,
             },
-            ScatterPoint {
+            PacketStat {
                 predicted: 1e-9,
                 actual: 0.0,
             }, // below range: dropped
-            ScatterPoint {
+            PacketStat {
                 predicted: 0.0,
                 actual: 0.0,
             }, // non-positive: dropped

@@ -352,7 +352,9 @@ pub struct FaultReport {
     pub store_retries: u64,
     /// Store operations absorbed as IO errors after the retry budget.
     pub store_io_errors: u64,
-    /// Records evicted by the store's record-count/byte budget.
+    /// Always 0: the result store is append-only and evicts nothing. The
+    /// field stays because the golden digest hashes this report's `Debug`
+    /// text, which a removed field would change.
     pub store_evictions: u64,
 }
 
@@ -366,7 +368,7 @@ impl FaultReport {
     pub fn summary(&self) -> String {
         format!(
             "faults: {} quarantined ({} injected), {} write faults, {} read faults, \
-             {} torn, {} corrupt, {} retries, {} io errors, {} evicted",
+             {} torn, {} corrupt, {} retries, {} io errors",
             self.quarantined.len(),
             self.injected_panics,
             self.store_write_faults,
@@ -375,7 +377,6 @@ impl FaultReport {
             self.corrupt_records,
             self.store_retries,
             self.store_io_errors,
-            self.store_evictions,
         )
     }
 }

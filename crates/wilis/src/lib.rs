@@ -59,7 +59,7 @@ pub use faults::{FaultInjector, FaultReport, FaultSite, PointOutcome};
 pub use scenario::{
     Scenario, ScenarioResult, StopMetric, StoppingRule, SupervisedSweep, SweepGrid, SweepRunner,
 };
-pub use service::{ResultStore, ServiceMetrics, StoreBudget, SweepService};
+pub use service::{ResultStore, ServiceMetrics, SweepService};
 pub use system::{DecoderSlot, SystemConfig, WilisSystem};
 
 /// The platform substrate (re-export of `wilis-lis`).
@@ -91,7 +91,7 @@ pub use wilis_area as area;
 
 /// The names most programs want in scope.
 pub mod prelude {
-    pub use wilis_channel::{AwgnChannel, Channel, FadingAwgnChannel, ReplayChannel, SnrDb};
+    pub use wilis_channel::{AwgnChannel, FadingAwgnChannel, ReplayChannel, SnrDb};
     pub use wilis_fec::{
         BcjrDecoder, ConvCode, ConvEncoder, SoftDecoder, SovaDecoder, ViterbiDecoder,
     };

@@ -282,9 +282,10 @@ pub const DEFAULT_CAPTURE_DB: f64 = 10.0;
 /// Two further parameters are consumed by the cell *engine* rather than
 /// the policy factories: `load` (per-node packet-arrival probability per
 /// slot; ≥ 1.0 — the default — means saturated queues) and `capture_db`
-/// (the capture margin, default [`DEFAULT_CAPTURE_DB`]). The name
-/// `"p2p"` is reserved: it never reaches the registry and keeps a
-/// scenario point-to-point.
+/// (the capture margin, default [`DEFAULT_CAPTURE_DB`]); the compile step
+/// rejects a value of either that is not a finite number, and a negative
+/// `load`. The name `"p2p"` is reserved: it never reaches the registry
+/// and keeps a scenario point-to-point.
 pub fn contention_registry() -> ContentionSlot {
     let mut reg: ContentionSlot = Registry::new("contention");
     reg.register("aloha", |p| {
@@ -944,8 +945,9 @@ impl SweepRunner {
     /// contention policy, misconfigures a link policy, pairs a PBER-driven
     /// or soft-combining link policy with a decoder that exports no soft
     /// output, pairs a rate-adapting link policy with a contention cell
-    /// (cells pin every node to the scenario rate), or puts zero nodes in
-    /// a cell. The grid compiles *before* any Monte-Carlo work starts, so
+    /// (cells pin every node to the scenario rate), puts zero nodes in
+    /// a cell, or sets a cell's `load` or `capture_db` to anything but a
+    /// finite number (or `load` below 0). The grid compiles *before* any Monte-Carlo work starts, so
     /// a typo in one grid point fails the run in microseconds instead of
     /// after the other points' budgets burn. A quarantined grid point (a
     /// worker-job panic — injected or organic) is reported after the grid
@@ -1741,6 +1743,47 @@ mod tests {
         let scenarios = SweepGrid::new().contentions(&["csma"]).nodes(0).scenarios();
         let err = SweepRunner::new(1).run(&scenarios).unwrap_err();
         assert!(err.to_string().contains("at least one node"), "{err}");
+    }
+
+    #[test]
+    fn cells_reject_bad_engine_params_before_any_job_runs() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let bad = [
+            ("load", "NaN"),
+            ("load", "-0.5"),
+            ("load", "half"),
+            ("load", "inf"),
+            ("capture_db", "NaN"),
+            ("capture_db", "10 dB"),
+        ];
+        for (name, value) in bad {
+            // The compile step builds one environment; every job builds
+            // another. The p2p point 0 reads neither parameter.
+            let envs = Arc::new(AtomicUsize::new(0));
+            let count = Arc::clone(&envs);
+            let runner = SweepRunner::new(1).with_env(move || {
+                count.fetch_add(1, Ordering::Relaxed);
+                (
+                    WilisSystem::new(),
+                    channel_registry(),
+                    link_registry(),
+                    contention_registry(),
+                )
+            });
+            let scenarios = SweepGrid::new()
+                .contentions(&["p2p", "aloha"])
+                .nodes(2)
+                .packets(4)
+                .contention_param(name, value)
+                .scenarios();
+            let err = runner.run(&scenarios).unwrap_err();
+            let named = format!("scenario 1 sets contention parameter {name:?} to {value:?}");
+            assert!(
+                matches!(&err, RegistryError::InvalidConfig { message } if message.contains(&named)),
+                "{name}={value}: {err}"
+            );
+            assert_eq!(envs.load(Ordering::Relaxed), 1, "{name}={value}");
+        }
     }
 
     #[test]

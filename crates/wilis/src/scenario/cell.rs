@@ -2,7 +2,7 @@
 //! received and accounted through the group engine's receive and
 //! accounting steps.
 
-use wilis_channel::{resolve_slot, AwgnChannel, Channel, SlotOutcome, SnrDb, TxPower};
+use wilis_channel::{resolve_slot, AwgnChannel, SlotOutcome, SnrDb, TxPower};
 use wilis_fec::Llr;
 use wilis_fxp::rng::{mix_seed, SmallRng};
 use wilis_fxp::Cplx;
@@ -13,7 +13,7 @@ use wilis_phy::{PhyScratch, RxResult, Transmitter};
 
 use super::engine::{account, build_receiver, decode, front_end, PacketDraw, PacketTally};
 use super::plan::PointPlan;
-use super::{Scenario, ScenarioResult, SweepEnv, DEFAULT_CAPTURE_DB};
+use super::{Scenario, ScenarioResult, SweepEnv};
 
 /// Per-node state of one contention cell: the MAC decision machinery,
 /// the node's own link session, and its seeded randomness streams.
@@ -76,11 +76,6 @@ pub(super) fn run_cell(
 
     let mut channel = channels.build(&sc.channel, &plan.channel_params)?;
     let noise_power = SnrDb::new(sc.snr_db).noise_power();
-    let capture_db = sc
-        .contention_params
-        .get_f64("capture_db")
-        .unwrap_or(DEFAULT_CAPTURE_DB);
-    let load = sc.contention_params.get_f64("load").unwrap_or(1.0);
 
     let mut cell_nodes: Vec<CellNode> = Vec::with_capacity(nodes);
     for n in 0..nodes {
@@ -119,9 +114,9 @@ pub(super) fn run_cell(
     for slot in 0..slots {
         // Arrivals: saturated queues by default, Bernoulli otherwise.
         for node in &mut cell_nodes {
-            if load >= 1.0 {
+            if plan.load >= 1.0 {
                 node.queue = node.queue.max(1);
-            } else if node.arrivals.gen_bool(load) {
+            } else if node.arrivals.gen_bool(plan.load) {
                 node.queue += 1;
             }
         }
@@ -181,7 +176,7 @@ pub(super) fn run_cell(
             });
             slot_txs.push((n, draw));
         }
-        let outcome = resolve_slot(&powers, noise_power, capture_db);
+        let outcome = resolve_slot(&powers, noise_power, plan.capture_db);
         match outcome {
             SlotOutcome::Idle => unreachable!("txs is non-empty"),
             SlotOutcome::Clean { .. } => metrics.clean_slots += 1,

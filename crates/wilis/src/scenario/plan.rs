@@ -12,7 +12,7 @@ use wilis_phy::PhyRate;
 use wilis_softphy::DecoderKind;
 
 use super::engine::batch_block;
-use super::{LinkSlot, Scenario, SweepEnv};
+use super::{LinkSlot, Scenario, SweepEnv, DEFAULT_CAPTURE_DB};
 use crate::faults::{FaultInjector, FaultSite};
 use crate::system::is_stock_decoder;
 use crate::SystemConfig;
@@ -78,15 +78,20 @@ type LinkKey<'a> = (PhyRate, usize, &'a str, &'a Params);
 type PackKey<'a> = (PhyRate, usize, &'a [(&'a str, &'a str)]);
 
 /// What the compile step resolved for one grid point: its link
-/// capabilities, and its run-time channel and link parameters, built once
+/// capabilities, its run-time channel and link parameters, built once
 /// per distinct configuration and shared by every point and job that
-/// uses them.
+/// uses them, and the two contention parameters the cell engine reads.
 #[derive(Debug, Clone)]
 pub(super) struct PointPlan {
     pub(super) caps: LinkCaps,
     pub(super) channel_params: Arc<Params>,
     /// `None` for the PHY-only `"none"` link, which builds no policy.
     pub(super) link_params: Option<Arc<Params>>,
+    /// A cell's per-node packet-arrival probability per slot; ≥ 1 is
+    /// saturated.
+    pub(super) load: f64,
+    /// A cell's capture margin in dB.
+    pub(super) capture_db: f64,
 }
 
 /// A grid compiled for execution: every name resolved, every pairing
@@ -138,6 +143,16 @@ impl SweepPlan {
                     sc.contention
                 )));
             }
+            // The cell engine's own parameters; a point-to-point point
+            // reads neither.
+            let (load, capture_db) = if cell {
+                (
+                    cell_param(i, sc, "load", 1.0)?,
+                    cell_param(i, sc, "capture_db", DEFAULT_CAPTURE_DB)?,
+                )
+            } else {
+                (1.0, DEFAULT_CAPTURE_DB)
+            };
             let channel_params = channel_sets
                 .entry((&sc.channel, &sc.channel_params, sc.snr_db.to_bits()))
                 .or_insert_with(|| Arc::new(runtime_channel_params(sc)))
@@ -180,6 +195,8 @@ impl SweepPlan {
                 caps,
                 channel_params,
                 link_params,
+                load,
+                capture_db,
             });
         }
 
@@ -387,6 +404,22 @@ fn check_pairing(sc: &Scenario, link: LinkCaps) -> Result<(), RegistryError> {
         )));
     }
     Ok(())
+}
+
+/// The contention parameter `name` the cell engine reads, `default` when
+/// absent. A present value must be a finite number, and `load` must not
+/// be negative.
+fn cell_param(i: usize, sc: &Scenario, name: &str, default: f64) -> Result<f64, RegistryError> {
+    let Some(text) = sc.contention_params.get(name) else {
+        return Ok(default);
+    };
+    match text.parse::<f64>() {
+        Ok(value) if value.is_finite() && !(name == "load" && value < 0.0) => Ok(value),
+        _ => Err(RegistryError::invalid_config(format!(
+            "scenario {i} sets contention parameter {name:?} to {text:?}: \"load\" and \
+             \"capture_db\" must be finite numbers, and \"load\" no less than 0"
+        ))),
+    }
 }
 
 /// The channel parameters as the engine fills them in at run time: the

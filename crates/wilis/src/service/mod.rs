@@ -14,9 +14,11 @@
 //! remaining jobs run. Each point's key is built once and moved into the
 //! store with its result, and the store *group-commits*: the records of
 //! one finished job go out in one `write_all`, with torn and corrupt
-//! injections still decided per record by content. Results carry their
-//! hint bins as a compact [`HintBins`](crate::scenario::HintBins), so a
-//! hard decoder's result holds one bin instead of 64. The store counts
+//! injections still decided per record by content. The store file is
+//! append-only: that commit is the only write after the load. Results
+//! carry their hint bins as a compact
+//! [`HintBins`](crate::scenario::HintBins), so a hard decoder's result
+//! holds one bin instead of 64. The store counts
 //! every load and degradation event in one [`StoreCounters`] record,
 //! which [`SweepService::metrics`] and each run's
 //! [`FaultReport`](crate::FaultReport) read.
@@ -58,7 +60,7 @@
 mod json;
 mod store;
 
-pub use store::{ResultStore, StoppingKey, StoreBudget, StoreCounters, StoreKey, STORE_ATTEMPTS};
+pub use store::{ResultStore, StoppingKey, StoreCounters, StoreKey, STORE_ATTEMPTS};
 
 use std::collections::BTreeMap;
 
@@ -106,10 +108,6 @@ pub struct ServiceMetrics {
     pub store_torn_writes: u64,
     /// Records written mangled by fault injection.
     pub store_corrupt_records: u64,
-    /// Records evicted by the store's [`StoreBudget`].
-    pub store_evictions: u64,
-    /// Atomic store-file compactions performed.
-    pub store_compactions: u64,
 }
 
 impl ServiceMetrics {
@@ -118,8 +116,7 @@ impl ServiceMetrics {
     pub fn summary(&self) -> String {
         format!(
             "cache: {} hits, {} misses, {} packets simulated, {} packets saved; \
-             store: {} loaded, {} skipped, {} stale, {} io errors, {} retries, \
-             {} evicted, {} compactions",
+             store: {} loaded, {} skipped, {} stale, {} io errors, {} retries",
             self.hits,
             self.misses,
             self.packets_simulated,
@@ -129,8 +126,6 @@ impl ServiceMetrics {
             self.store_stale,
             self.store_io_errors,
             self.store_retries,
-            self.store_evictions,
-            self.store_compactions,
         )
     }
 }
@@ -215,8 +210,6 @@ impl SweepService {
             store_read_faults: c.read_faults,
             store_torn_writes: c.torn_writes,
             store_corrupt_records: c.corrupt_records,
-            store_evictions: c.evictions,
-            store_compactions: c.compactions,
             ..self.metrics
         }
     }
@@ -415,7 +408,6 @@ impl SweepService {
         report.corrupt_records = after.corrupt_records - before.corrupt_records;
         report.store_retries = after.retries - before.retries;
         report.store_io_errors = after.io_errors - before.io_errors;
-        report.store_evictions = after.evictions - before.evictions;
         Ok(sweep)
     }
 }

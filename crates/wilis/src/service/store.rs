@@ -32,18 +32,18 @@
 //!
 //! # Group commit
 //!
-//! [`ResultStore::insert`] writes its record at once. The service
-//! instead stages each record of a finished worker job and commits them
-//! together, in one `write_all`. Staging decides everything per record,
+//! The store is append-only, and its commit is its one write: every byte
+//! written after the load goes out through the commit's single
+//! `write_all`. [`ResultStore::insert`] stages one record and commits it
+//! at once; the service instead stages each record of a finished worker
+//! job and commits them together. Staging decides everything per record,
 //! exactly as a lone append would: the torn-tail repair newline, the
 //! content-addressed torn and corrupt injections, and the injected
 //! append attempts (a record whose every attempt fails is left out and
 //! counted as an IO error). So the file holds the bytes a run of lone
 //! appends would have written, and a crash inside a commit costs at most
 //! that commit's records. The commit retries organic write errors under
-//! the same budget. Staged records are written before any eviction or
-//! compaction, which rewrites the file from memory and so would
-//! otherwise repeat or drop them.
+//! the same budget.
 //!
 //! # Result epochs
 //!
@@ -53,8 +53,9 @@
 //!
 //! - **loaded** — a whole version-2 record of the current epochs;
 //! - **stale** — a whole version-2 record of other epochs, or any
-//!   version-1 record. Never served, counted in [`StoreCounters::stale`],
-//!   and dropped by the next compaction;
+//!   version-1 record. Never served, and counted in
+//!   [`StoreCounters::stale`] at every load: the line stays in the file
+//!   until the file is deleted, which reclaims it;
 //! - **skipped** — anything else (torn, corrupt or foreign lines, and
 //!   lines that are not UTF-8, as a torn write can leave). Never fatal: a
 //!   store file is a cache, not a database.
@@ -72,11 +73,10 @@
 //!   deterministic retry — the backoff is expressed in attempt count
 //!   ([`STORE_ATTEMPTS`]), never in wall-clock, so a faulted run stays
 //!   bit-identical at any thread count;
-//! - a [`StoreBudget`] caps the record count and/or the mirrored file
-//!   size; over-budget records are evicted oldest-first and the file is
-//!   rewritten by **atomic compaction** (write a sibling temp file, then
-//!   rename), so a crash during compaction leaves the previous file
-//!   intact.
+//! - the file is never rewritten, only appended to, so no crash can cost
+//!   a record an earlier commit wrote. A point stored twice (a lone
+//!   insert of a key already on disk) leaves two lines, and the later
+//!   one wins at load.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -560,42 +560,6 @@ fn read_record(
     Some((epochs, key, result))
 }
 
-/// The eviction policy of a [`ResultStore`]: optional caps on the
-/// record count and on the mirrored file's size. `Default` is
-/// unbounded — the store never evicts, matching the pre-budget
-/// behavior bit for bit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreBudget {
-    /// Maximum records held (in memory and on disk); the oldest records
-    /// by insertion order are evicted first.
-    pub max_records: Option<u64>,
-    /// Maximum mirrored-file size in bytes; when an append pushes the
-    /// file past it, the store compacts and evicts oldest-first until
-    /// the rewritten file fits (the newest record is never evicted).
-    pub max_bytes: Option<u64>,
-}
-
-impl StoreBudget {
-    /// No limits — the store never evicts.
-    pub fn unbounded() -> Self {
-        Self::default()
-    }
-
-    /// Caps the record count.
-    #[must_use]
-    pub fn with_max_records(mut self, n: u64) -> Self {
-        self.max_records = Some(n);
-        self
-    }
-
-    /// Caps the mirrored file size in bytes.
-    #[must_use]
-    pub fn with_max_bytes(mut self, n: u64) -> Self {
-        self.max_bytes = Some(n);
-        self
-    }
-}
-
 /// The cumulative load and degradation counters of a [`ResultStore`]
 /// (see [`ResultStore::counters`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -609,8 +573,7 @@ pub struct StoreCounters {
     /// other result epochs (see the module docs), version-1 records
     /// included.
     pub stale: u64,
-    /// IO failures absorbed after the retry budget (load, append or
-    /// compaction).
+    /// IO failures absorbed after the retry budget (load or commit).
     pub io_errors: u64,
     /// Deterministic retry attempts performed after a failed store
     /// operation.
@@ -624,18 +587,6 @@ pub struct StoreCounters {
     /// Records written mangled by injection
     /// ([`FaultSite::CorruptRecord`]).
     pub corrupt_records: u64,
-    /// Records evicted by the [`StoreBudget`].
-    pub evictions: u64,
-    /// Atomic file compactions performed.
-    pub compactions: u64,
-}
-
-/// One memoized record plus its insertion stamp — the FIFO coordinate
-/// the eviction policy orders by.
-#[derive(Debug)]
-struct StoreEntry {
-    stamp: u64,
-    result: ScenarioResult,
 }
 
 /// The memoized result map, optionally mirrored to a JSON-lines file.
@@ -643,25 +594,22 @@ struct StoreEntry {
 /// [`ResultStore::insert`] appends one line through a file handle the
 /// store keeps open. The service group-commits instead: it stages each
 /// record of a finished job and writes them all in one `write_all`.
-/// Loads replay the file (later records win, so an interrupted append at
-/// worst loses its own records). IO failures are counted, never fatal —
-/// a broken disk degrades the store to in-memory. See the module docs
-/// for the crash-safety and eviction behavior; every load and
-/// degradation event is counted in [`StoreCounters`].
+/// The file is only ever appended to. Loads replay it (later records
+/// win, so an interrupted append at worst loses its own records). IO
+/// failures are counted, never fatal — a broken disk degrades the store
+/// to in-memory. See the module docs for the crash-safety behavior;
+/// every load and degradation event is counted in [`StoreCounters`].
 #[derive(Debug, Default)]
 pub struct ResultStore {
-    map: BTreeMap<StoreKey, StoreEntry>,
+    map: BTreeMap<StoreKey, ScenarioResult>,
     path: Option<PathBuf>,
-    budget: StoreBudget,
     faults: Option<FaultInjector>,
-    next_stamp: u64,
     bytes_on_disk: u64,
     tail_torn: bool,
     counters: StoreCounters,
     /// The epochs records are written under and served from.
     epochs: ResultEpochs,
-    /// The append handle: opened by an append, dropped by a failed write
-    /// or a compaction.
+    /// The append handle: opened by a commit, dropped by a failed write.
     file: Option<File>,
     /// The staged records' bytes, written by the next commit; the buffer
     /// is reused across commits.
@@ -680,36 +628,26 @@ impl ResultStore {
 
     /// A store mirrored at `path`: existing records are loaded now and
     /// every insert appends a line. A missing file is an empty store; an
-    /// unreadable one counts an IO error and starts empty. Unbounded,
-    /// fault-free — see [`ResultStore::at_path_with`] for the knobs.
+    /// unreadable one counts an IO error and starts empty. Fault-free —
+    /// see [`ResultStore::at_path_with`] for the injector.
     pub fn at_path(path: impl Into<PathBuf>) -> Self {
-        Self::at_path_with(path, StoreBudget::unbounded(), None)
+        Self::at_path_with(path, None)
     }
 
-    /// A mirrored store with an eviction [`StoreBudget`] and an optional
-    /// [`FaultInjector`] consulted at every store fault site. The load
-    /// itself runs under the bounded retry policy ([`STORE_ATTEMPTS`]);
-    /// a file whose final line is torn (no trailing newline) loads every
-    /// healthy record and arms the tail repair for the next append.
-    pub fn at_path_with(
-        path: impl Into<PathBuf>,
-        budget: StoreBudget,
-        faults: Option<FaultInjector>,
-    ) -> Self {
-        Self::load(path.into(), budget, faults, RESULT_EPOCHS)
+    /// A mirrored store with an optional [`FaultInjector`] consulted at
+    /// every store fault site. The load itself runs under the bounded
+    /// retry policy ([`STORE_ATTEMPTS`]); a file whose final line is torn
+    /// (no trailing newline) loads every healthy record and arms the tail
+    /// repair for the next append.
+    pub fn at_path_with(path: impl Into<PathBuf>, faults: Option<FaultInjector>) -> Self {
+        Self::load(path.into(), faults, RESULT_EPOCHS)
     }
 
     /// [`ResultStore::at_path_with`] serving only records written under
     /// `epochs`.
-    fn load(
-        path: PathBuf,
-        budget: StoreBudget,
-        faults: Option<FaultInjector>,
-        epochs: ResultEpochs,
-    ) -> Self {
+    fn load(path: PathBuf, faults: Option<FaultInjector>, epochs: ResultEpochs) -> Self {
         let mut store = Self {
             path: Some(path.clone()),
-            budget,
             faults,
             epochs,
             ..Self::default()
@@ -735,9 +673,7 @@ impl ResultStore {
             }
             match read_record(line, &mut store.scratch) {
                 Some((written, key, result)) if written == epochs => {
-                    let stamp = store.next_stamp;
-                    store.next_stamp += 1;
-                    store.map.insert(key, StoreEntry { stamp, result });
+                    store.map.insert(key, result);
                     store.counters.loaded += 1;
                 }
                 Some(_) => store.counters.stale += 1,
@@ -749,7 +685,6 @@ impl ResultStore {
                 None => store.counters.skipped += 1,
             }
         }
-        store.enforce_budget();
         store
     }
 
@@ -758,21 +693,10 @@ impl ResultStore {
         self.path.as_deref()
     }
 
-    /// The eviction budget in force.
-    pub fn budget(&self) -> StoreBudget {
-        self.budget
-    }
-
     /// Installs (or clears) the fault injector consulted at the store's
     /// fault sites. Loads already performed are unaffected.
     pub fn set_faults(&mut self, faults: Option<FaultInjector>) {
         self.faults = faults;
-    }
-
-    /// Replaces the eviction budget and enforces it immediately.
-    pub fn set_budget(&mut self, budget: StoreBudget) {
-        self.budget = budget;
-        self.enforce_budget();
     }
 
     /// Records in the store.
@@ -809,11 +733,10 @@ impl ResultStore {
 
     /// Looks up the memoized result for `key`.
     pub fn get(&self, key: &StoreKey) -> Option<&ScenarioResult> {
-        self.map.get(key).map(|e| &e.result)
+        self.map.get(key)
     }
 
-    /// Inserts (and, when mirrored, appends) one result, then enforces
-    /// the eviction budget.
+    /// Inserts (and, when mirrored, appends) one result.
     pub fn insert(&mut self, key: StoreKey, result: ScenarioResult) {
         self.stage(key, result);
         self.commit();
@@ -826,16 +749,7 @@ impl ResultStore {
         if self.path.is_some() {
             self.stage_record(&key, &result);
         }
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        self.map.insert(key, StoreEntry { stamp, result });
-    }
-
-    /// Writes every staged record in one `write_all`, then enforces the
-    /// eviction budget.
-    pub(crate) fn commit(&mut self) {
-        self.flush();
-        self.enforce_budget();
+        self.map.insert(key, result);
     }
 
     /// Encodes one record into the staged bytes under the fault plan:
@@ -889,9 +803,9 @@ impl ResultStore {
     }
 
     /// Writes the staged records in one `write_all` under the bounded
-    /// retry policy; if every attempt fails they stay off the disk and
-    /// count one IO error.
-    fn flush(&mut self) {
+    /// retry policy — the store's one write; if every attempt fails they
+    /// stay off the disk and count one IO error.
+    pub(crate) fn commit(&mut self) {
         if self.pending.is_empty() {
             return;
         }
@@ -950,99 +864,6 @@ impl ResultStore {
         file.write_all(bytes)?;
         self.file = Some(file);
         Ok(())
-    }
-
-    /// Evicts past the record budget and compacts the mirrored file when
-    /// eviction or the byte budget requires it. Staged records are
-    /// written first, so the compaction neither repeats nor loses one.
-    fn enforce_budget(&mut self) {
-        self.flush();
-        let mut evicted = false;
-        if let Some(max) = self.budget.max_records {
-            while self.map.len() as u64 > max {
-                self.evict_oldest();
-                evicted = true;
-            }
-        }
-        let over_bytes = self
-            .budget
-            .max_bytes
-            .is_some_and(|max| self.bytes_on_disk > max);
-        if self.path.is_some() && (evicted || over_bytes) {
-            self.compact();
-        }
-    }
-
-    /// Removes the oldest record by insertion stamp.
-    fn evict_oldest(&mut self) {
-        let oldest = self
-            .map
-            .iter()
-            .min_by_key(|(_, e)| e.stamp)
-            .map(|(k, _)| k.clone());
-        if let Some(key) = oldest {
-            self.map.remove(&key);
-            self.counters.evictions += 1;
-        }
-    }
-
-    /// Rewrites the mirrored file to exactly the live records, oldest
-    /// first, **atomically**: the new contents go to a sibling temp file
-    /// which is then renamed over the store — a crash mid-compaction
-    /// leaves the previous file intact. Under a byte budget, oldest
-    /// records are evicted until the rewritten file fits (the newest
-    /// record is never evicted). Staged records are written before the
-    /// rewrite. A no-op for in-memory stores.
-    pub fn compact(&mut self) {
-        let Some(path) = self.path.clone() else {
-            return;
-        };
-        self.flush();
-        // The handle would outlive the rename on the replaced file.
-        self.file = None;
-        let mut live: Vec<(&StoreKey, &StoreEntry)> = self.map.iter().collect();
-        live.sort_by_key(|(_, e)| e.stamp);
-        let mut buf = String::new();
-        let mut starts = Vec::with_capacity(live.len());
-        for (key, e) in &live {
-            starts.push(buf.len());
-            write_record(
-                &mut buf,
-                &mut self.scratch.label,
-                &self.epochs,
-                key,
-                &e.result,
-            );
-            buf.push('\n');
-        }
-        // The oldest record kept: the first whose suffix fits the byte
-        // budget, but never past the newest.
-        let max = self.budget.max_bytes.unwrap_or(u64::MAX);
-        let fits = starts.iter().position(|&s| (buf.len() - s) as u64 <= max);
-        let cut = fits.unwrap_or(live.len()).min(live.len().saturating_sub(1));
-        let evicted: Vec<StoreKey> = live[..cut].iter().map(|(k, _)| (*k).clone()).collect();
-        for key in &evicted {
-            self.map.remove(key);
-            self.counters.evictions += 1;
-        }
-        let kept = &buf[starts.get(cut).map_or(buf.len(), |&s| s)..];
-        let tmp = {
-            let mut os = path.clone().into_os_string();
-            os.push(".tmp");
-            PathBuf::from(os)
-        };
-        let written = std::fs::write(&tmp, kept).and_then(|()| std::fs::rename(&tmp, &path));
-        match written {
-            Ok(()) => {
-                self.bytes_on_disk = kept.len() as u64;
-                self.tail_torn = false;
-                self.counters.compactions += 1;
-            }
-            Err(_) => {
-                self.counters.io_errors += 1;
-                let _ = std::fs::remove_file(&tmp);
-            }
-        }
     }
 }
 
@@ -1160,7 +981,7 @@ mod tests {
     }
 
     #[test]
-    fn records_of_another_epoch_are_stale_and_compacted_away() {
+    fn records_of_another_epoch_are_stale() {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("wilis_store_epochs_{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
@@ -1176,18 +997,13 @@ mod tests {
             |e| &mut e.mac,
             |e| &mut e.engine,
         ];
-        for (i, layer) in layers.iter().enumerate() {
+        for layer in layers {
             let mut epochs = RESULT_EPOCHS;
             *layer(&mut epochs) += 1;
-            let mut stale = ResultStore::load(path.clone(), StoreBudget::unbounded(), None, epochs);
+            let stale = ResultStore::load(path.clone(), None, epochs);
             let c = stale.counters();
             assert_eq!((c.loaded, c.stale, c.skipped), (0, 5, 0), "{epochs:?}");
             assert!((0..5).all(|seed| stale.get(&sample_key(seed)).is_none()));
-            if i + 1 == layers.len() {
-                // Compaction rewrites the file to the live records: none.
-                stale.compact();
-                assert_eq!(std::fs::read_to_string(&path).ok().as_deref(), Some(""));
-            }
         }
         let _ = std::fs::remove_file(&path);
     }

@@ -1,7 +1,8 @@
 //! Contention-cell acceptance properties: the cell dimension must be a
 //! *strict generalization* of the point-to-point engine (a 1-node CSMA
-//! cell reproduces the `ArqLink` path bit for bit), and the TDMA oracle
-//! must bound every contending policy from above with zero collisions.
+//! cell reproduces the `"arq"` path, a disarmed `HarqLink`, bit for
+//! bit), and the TDMA oracle must bound every contending policy from
+//! above with zero collisions.
 
 use wilis::phy::PhyRate;
 use wilis::scenario::{ScenarioResult, SweepGrid, SweepRunner};

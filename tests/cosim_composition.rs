@@ -9,7 +9,7 @@
 //! channel takes one cycle or thousands (§2's modular-refinement
 //! property, checked here by sweeping the channel's processing delay).
 
-use wilis::channel::{Channel, ReplayChannel, SnrDb};
+use wilis::channel::{ReplayChannel, SnrDb};
 use wilis::fxp::Cplx;
 use wilis::lis::{Freq, LinkSpec, Module, Sink, Source, SystemBuilder};
 use wilis::phy::{PhyRate, Receiver, Transmitter, SYMBOL_LEN};

@@ -6,7 +6,7 @@
 //! streams into the decoder, identical `RxResult`s out of it. This is the
 //! front-end analogue of `crates/fec/src/equiv_tests.rs`' packet sweep.
 
-use wilis::channel::{AwgnChannel, Channel, SnrDb};
+use wilis::channel::{AwgnChannel, SnrDb};
 use wilis::fxp::rng::SmallRng;
 use wilis::fxp::Cplx;
 use wilis::phy::{

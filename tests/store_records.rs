@@ -15,9 +15,8 @@
 //!
 //! The service group-commits: a finished job's records go out in one
 //! write. The rest of the file pins what that must not change: a torn
-//! write costs at most its own records, injected damage hits the same
-//! records at any thread count, and a budgeted store's compaction neither
-//! repeats nor drops a record staged before it.
+//! write costs at most its own records, and injected damage hits the
+//! same records at any thread count.
 
 #![forbid(unsafe_code)]
 
@@ -25,7 +24,7 @@ use std::path::PathBuf;
 
 use wilis::phy::PhyRate;
 use wilis::scenario::{Scenario, ScenarioResult, SweepGrid, SweepRunner};
-use wilis::service::{ResultStore, StoreBudget, StoreKey, SweepService};
+use wilis::service::{ResultStore, StoreKey, SweepService};
 use wilis::FaultInjector;
 
 /// A per-test store path that parallel test threads cannot collide on.
@@ -282,11 +281,7 @@ fn torn_and_corrupt_injections_hit_the_same_records_at_1_2_and_8_threads() {
     for threads in [1, 2, 8] {
         let path = temp_store(&format!("damage{threads}"));
         let _ = std::fs::remove_file(&path);
-        let store = ResultStore::at_path_with(
-            &path,
-            StoreBudget::unbounded(),
-            Some(FaultInjector::from_spec(plan).unwrap()),
-        );
+        let store = ResultStore::at_path_with(&path, Some(FaultInjector::from_spec(plan).unwrap()));
         let mut service = SweepService::with_store(SweepRunner::new(threads), store);
         let sweep = service.run_supervised(&scenarios).unwrap();
         drop(service);
@@ -314,52 +309,6 @@ fn torn_and_corrupt_injections_hit_the_same_records_at_1_2_and_8_threads() {
 }
 
 #[test]
-fn budgeted_stores_neither_repeat_nor_drop_a_staged_record_across_compaction() {
-    let scenarios = one_packet_points(16);
-    let reference = SweepRunner::new(1).run(&scenarios).unwrap();
-    let probe = temp_store("budget_probe");
-    let _ = std::fs::remove_file(&probe);
-    let mut one = ResultStore::at_path(&probe);
-    one.insert(key(&scenarios[0]), reference[0].clone());
-    let record_bytes = one.bytes_on_disk();
-    drop(one);
-    let _ = std::fs::remove_file(&probe);
-
-    let budgets = [
-        StoreBudget::unbounded().with_max_records(5),
-        StoreBudget::unbounded().with_max_bytes(3 * record_bytes + 10),
-    ];
-    for (n, budget) in budgets.into_iter().enumerate() {
-        let path = temp_store(&format!("budget{n}"));
-        let _ = std::fs::remove_file(&path);
-        let store = ResultStore::at_path_with(&path, budget, None);
-        let mut service = SweepService::with_store(SweepRunner::new(1), store);
-        assert_eq!(service.run(&scenarios).unwrap(), reference);
-        let live = service.store().len();
-        assert!(service.store().counters().compactions >= 1, "{budget:?}");
-        drop(service);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let reloaded = ResultStore::at_path(&path);
-        let _ = std::fs::remove_file(&path);
-        let c = reloaded.counters();
-        assert_eq!((c.loaded, c.skipped), (live as u64, 0), "{budget:?}");
-        assert_eq!(text.lines().count(), live, "{budget:?}: a record repeats");
-        // The survivors are the newest records: the last `live` points.
-        for (i, sc) in scenarios.iter().enumerate() {
-            let survived = reloaded.get(&key(sc));
-            assert_eq!(
-                survived.is_some(),
-                i >= scenarios.len() - live,
-                "{budget:?}"
-            );
-            if let Some(got) = survived {
-                assert_eq!(got, &stored(&reference[i]));
-            }
-        }
-    }
-}
-
-#[test]
 fn a_torn_write_cuts_a_multibyte_record_at_half_its_bytes() {
     // Half a record's bytes can end inside a multi-byte character; the
     // torn write must still happen, byte-exact, and load as one skipped
@@ -382,7 +331,6 @@ fn a_torn_write_cuts_a_multibyte_record_at_half_its_bytes() {
 
     let mut torn = ResultStore::at_path_with(
         &path,
-        StoreBudget::unbounded(),
         Some(FaultInjector::from_spec("bernoulli:torn_write=1.0").unwrap()),
     );
     torn.insert(key, result);

@@ -20,7 +20,7 @@ use wilis::scenario::{
     channel_registry, contention_registry, link_registry, Scenario, StoppingRule, SweepGrid,
     SweepRunner,
 };
-use wilis::service::{ResultStore, ServiceMetrics, StoreBudget, SweepService};
+use wilis::service::{ResultStore, ServiceMetrics, SweepService};
 use wilis::softphy::DecoderKind;
 use wilis::{FaultInjector, PointOutcome, WilisSystem};
 
@@ -501,7 +501,6 @@ fn corrupt_record_injection_is_counted_and_skipped_at_reload() {
     let scenarios = &phy_grid()[..4];
     let store = ResultStore::at_path_with(
         &path,
-        StoreBudget::unbounded(),
         Some(FaultInjector::from_spec("bernoulli:corrupt_record=1.0").unwrap()),
     );
     let mut service = SweepService::with_store(SweepRunner::new(1), store);
@@ -532,7 +531,6 @@ fn torn_write_injection_leaves_only_skippable_half_lines() {
     let scenarios = &phy_grid()[..4];
     let store = ResultStore::at_path_with(
         &path,
-        StoreBudget::unbounded(),
         Some(FaultInjector::from_spec("bernoulli:torn_write=1.0").unwrap()),
     );
     let mut service = SweepService::with_store(SweepRunner::new(1), store);
@@ -593,17 +591,53 @@ fn mixed_v1_current_and_corrupt_lines_count_one_each() {
     let current = std::fs::read_to_string(&path).unwrap();
     std::fs::write(&path, format!("{V1_RECORD}\n{current}{{not json\n")).unwrap();
 
-    let mut mixed = ResultStore::at_path(&path);
-    let c = mixed.counters();
+    let c = ResultStore::at_path(&path).counters();
     assert_eq!((c.loaded, c.stale, c.skipped), (1, 1, 1));
     let mut service = SweepService::with_store(SweepRunner::new(1), ResultStore::at_path(&path));
     assert_eq!(service.run(&[v1_point()]).unwrap(), cold);
     assert_eq!(service.metrics().hits, 1, "the current record is served");
+    let _ = std::fs::remove_file(&path);
+}
 
-    // Compaction keeps only the live record.
-    mixed.compact();
+#[test]
+fn stale_lines_outlive_reloads_and_appends_and_are_never_served() {
+    let path = temp_store("stale_kept");
+    let _ = std::fs::remove_file(&path);
+    let cold = SweepRunner::new(1).run(&[v1_point()]).unwrap();
+    let mut seeder = SweepService::with_store(SweepRunner::new(1), ResultStore::at_path(&path));
+    seeder.run(&[v1_point()]).unwrap();
+    drop(seeder);
+    // The current record under epoch 0 of every layer, which no engine
+    // was ever built under, after the version-1 record of the same point.
+    let current = std::fs::read_to_string(&path).unwrap();
+    let open = current.find("\"epochs\":{").unwrap();
+    let close = open + current[open..].find('}').unwrap();
+    let stale = format!(
+        "{}\"epochs\":{{\"channel\":0,\"phy\":0,\"fec\":0,\"mac\":0,\"engine\":0{}",
+        &current[..open],
+        &current[close..]
+    );
+    let kept = format!("{V1_RECORD}\n{stale}");
+    std::fs::write(&path, &kept).unwrap();
+
+    let mut other = v1_point();
+    other.seed += 1;
+    let runs = [vec![v1_point()], vec![v1_point(), other]];
+    for (loaded, points) in runs.iter().enumerate() {
+        let store = ResultStore::at_path(&path);
+        let c = store.counters();
+        assert_eq!((c.loaded, c.stale, c.skipped), (loaded as u64, 2, 0));
+        let mut service = SweepService::with_store(SweepRunner::new(1), store);
+        assert_eq!(service.run(points).unwrap()[0], cold[0]);
+        // The first run misses the stale point; the second hits the
+        // record the first appended and misses only the new point.
+        assert_eq!(service.metrics().misses, 1, "run {loaded}");
+        drop(service);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.starts_with(&kept), "run {loaded} kept the stale lines");
+    }
     let c = ResultStore::at_path(&path).counters();
-    assert_eq!((c.loaded, c.stale, c.skipped), (1, 0, 0));
+    assert_eq!((c.loaded, c.stale, c.skipped), (2, 2, 0));
     let _ = std::fs::remove_file(&path);
 }
 
@@ -642,7 +676,6 @@ fn transient_write_faults_retry_and_the_file_stays_complete() {
     let scenarios = &phy_grid()[..4];
     let store = ResultStore::at_path_with(
         &path,
-        StoreBudget::unbounded(),
         Some(FaultInjector::from_spec("targeted:store_write=0").unwrap()),
     );
     let mut service = SweepService::with_store(SweepRunner::new(1), store);
@@ -667,7 +700,6 @@ fn exhausted_write_retries_degrade_to_counted_io_errors() {
     let scenarios = &phy_grid()[..4];
     let store = ResultStore::at_path_with(
         &path,
-        StoreBudget::unbounded(),
         Some(FaultInjector::from_spec("targeted:store_write=0+1+2").unwrap()),
     );
     let mut service = SweepService::with_store(SweepRunner::new(1), store);
@@ -698,7 +730,6 @@ fn transient_and_exhausted_read_faults_at_load() {
     // One transient fault: the retry recovers every record.
     let transient = ResultStore::at_path_with(
         &path,
-        StoreBudget::unbounded(),
         Some(FaultInjector::from_spec("targeted:store_read=0").unwrap()),
     );
     assert_eq!(transient.counters().loaded, scenarios.len() as u64);
@@ -710,50 +741,11 @@ fn transient_and_exhausted_read_faults_at_load() {
     // instead of failing construction.
     let dead = ResultStore::at_path_with(
         &path,
-        StoreBudget::unbounded(),
         Some(FaultInjector::from_spec("targeted:store_read=0+1+2").unwrap()),
     );
     assert_eq!(dead.counters().loaded, 0);
     assert_eq!(dead.io_errors(), 1);
     assert_eq!(dead.counters().read_faults, 3);
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn record_budget_evicts_oldest_and_compacts_the_file() {
-    let path = temp_store("budget");
-    let _ = std::fs::remove_file(&path);
-    let scenarios = &phy_grid()[..5];
-    let store =
-        ResultStore::at_path_with(&path, StoreBudget::unbounded().with_max_records(2), None);
-    let mut service = SweepService::with_store(SweepRunner::new(1), store);
-    let sweep = service.run_supervised(scenarios).unwrap();
-    assert_eq!(sweep.completed().count(), scenarios.len());
-    assert_eq!(service.store().len(), 2, "budget caps the live set");
-    assert_eq!(sweep.report.store_evictions, 3);
-    assert!(
-        service.store().counters().compactions >= 1,
-        "eviction must compact"
-    );
-    drop(service);
-
-    let reloaded = ResultStore::at_path(&path);
-    assert_eq!(
-        reloaded.counters().loaded,
-        2,
-        "the compacted file holds exactly the survivors"
-    );
-    assert_eq!(
-        reloaded.counters().skipped,
-        0,
-        "compaction writes whole lines"
-    );
-
-    // Shrinking the byte budget compacts again but never evicts the
-    // newest record.
-    let mut tight = reloaded;
-    tight.set_budget(StoreBudget::unbounded().with_max_bytes(1));
-    assert_eq!(tight.len(), 1, "byte budget keeps at least the newest");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -764,7 +756,6 @@ fn metrics_summary_carries_the_store_health_counters() {
     let scenarios = &phy_grid()[..2];
     let store = ResultStore::at_path_with(
         &path,
-        StoreBudget::unbounded(),
         Some(FaultInjector::from_spec("targeted:store_write=0").unwrap()),
     );
     let mut service = SweepService::with_store(SweepRunner::new(1), store);
@@ -788,8 +779,6 @@ fn metrics_summary_carries_the_store_health_counters() {
             m.store_read_faults,
             m.store_torn_writes,
             m.store_corrupt_records,
-            m.store_evictions,
-            m.store_compactions,
         ]
     };
     let c = service.store().counters();
@@ -803,8 +792,6 @@ fn metrics_summary_carries_the_store_health_counters() {
         c.read_faults,
         c.torn_writes,
         c.corrupt_records,
-        c.evictions,
-        c.compactions,
     ];
     service.reset_metrics();
     assert_eq!(

@@ -15,7 +15,7 @@
 mod alloc_count;
 
 use alloc_count::{global_alloc_bytes, global_allocs, thread_alloc_bytes, thread_allocs};
-use wilis::channel::{AwgnChannel, Channel, SnrDb};
+use wilis::channel::{AwgnChannel, SnrDb};
 use wilis::fxp::rng::SmallRng;
 use wilis::mac::link::{LinkContext, Oracle};
 use wilis::mac::{HarqConfig, HarqLink, LinkPolicy};
